@@ -2,31 +2,27 @@
 
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win). Relative output paths are resolved against
-QCGIBBS_OUTDIR when set; QCGIBBS_THREADS > 1 parallelizes grid evaluation
-(output order stays fixed by grid index). Exit codes: 0 success, 2 usage or
-validation, 3 numerical failure (truncation, quadrature, accuracy), 4 a
-theorem-class claim reported Violated.
+QCGIBBS_OUTDIR when set; QCGIBBS_THREADS > 1 parallelizes table rows over at
+most min(QCGIBBS_THREADS, CPU count, rows) threads (output order stays fixed
+by grid index), and a value that is not an integer >= 1 exits 2. Exit codes:
+0 success, 2 usage or validation, 3 numerical failure (truncation,
+quadrature, accuracy), 4 a theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import game as game_mod
-from .ensemble import (
-    THERMO_FIELDS,
-    thermo_point,
-    thermo_table_to_json,
-)
+from .ensemble import _table_text, _thermo_row, thermo_point
 from .errors import (
     AccuracyError,
     ContractError,
@@ -44,7 +40,7 @@ from .models import (
     tabulated_family,
 )
 from .potential import load_tabulated_csv
-from .spectrum import solve_box, solve_fd_1d, spectrum_to_csv
+from .spectrum import Spectrum, rescale, solve_box, solve_fd_1d, spectrum_to_csv, weyl_energy
 from .util import fmt17, log_grid
 from .verify import (
     THEOREM_CLAIMS,
@@ -90,26 +86,16 @@ class RunConfig:
     seed: int = 0
 
     def to_text(self) -> str:
-        lines = [
-            f"model = {self.model}",
-            f"dimension = {self.dimension}",
-            "lengths = " + ",".join(fmt17(x) for x in self.lengths),
-            f"nu = {fmt17(self.nu)}",
-            f"mass = {fmt17(self.mass)}",
-        ]
-        if self.table:
-            lines.append(f"table = {self.table}")
-        lines += [
-            "beta = " + ",".join(fmt17(x) for x in self.beta),
-            "h = " + ",".join(fmt17(x) for x in self.h),
-            f"count = {self.count}",
-            f"max_levels = {self.max_levels}",
-            f"tail_rtol = {fmt17(self.tail_rtol)}",
-            f"format = {self.format}",
-            f"seed = {self.seed}",
-        ]
-        if self.output:
-            lines.append(f"output = {self.output}")
+        """One key = value line per field; table and output only when set."""
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(fmt17(x) for x in value)
+            elif isinstance(value, float):
+                value = fmt17(value)
+            if value not in (None, ""):
+                lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
 
@@ -124,37 +110,9 @@ def parse_config(text: str) -> RunConfig:
         if not sep:
             raise ValueError(f"malformed config line: {raw!r}")
         key = key.strip()
-        value = value.strip()
-        if key == "model":
-            cfg.model = value
-        elif key == "dimension":
-            cfg.dimension = int(value)
-        elif key == "lengths":
-            cfg.lengths = tuple(float(x) for x in value.split(","))
-        elif key == "nu":
-            cfg.nu = float(value)
-        elif key == "mass":
-            cfg.mass = float(value)
-        elif key == "table":
-            cfg.table = value
-        elif key == "beta":
-            cfg.beta = _parse_grid(value)
-        elif key == "h":
-            cfg.h = _parse_grid(value)
-        elif key == "count":
-            cfg.count = int(value)
-        elif key == "max_levels":
-            cfg.max_levels = int(value)
-        elif key == "tail_rtol":
-            cfg.tail_rtol = float(value)
-        elif key == "format":
-            cfg.format = value
-        elif key == "output":
-            cfg.output = value
-        elif key == "seed":
-            cfg.seed = int(value)
-        else:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
+        setattr(cfg, key, _CONFIG_KEYS[key](value.strip()))
     return cfg
 
 
@@ -168,6 +126,17 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         per_decade = int(parts[2]) if len(parts) == 3 else 9
         return tuple(float(x) for x in log_grid(lo, hi, per_decade))
     return tuple(float(x) for x in text.split(","))
+
+
+# how the text of each config key becomes its RunConfig value; the flag of the
+# same dest goes through the same parser (already typed values pass unchanged)
+_CONFIG_KEYS = {
+    "model": str, "dimension": int,
+    "lengths": lambda text: tuple(float(x) for x in text.split(",")),
+    "nu": float, "mass": float, "table": str, "beta": _parse_grid, "h": _parse_grid,
+    "count": int, "max_levels": int, "tail_rtol": float, "format": str,
+    "output": str, "seed": int,
+}
 
 
 def _outdir() -> Path | None:
@@ -186,16 +155,22 @@ def _resolve_output(path_str: str | None) -> Path | None:
 
 
 def _thread_count() -> int:
+    """QCGIBBS_THREADS, default 1; anything but an integer >= 1 is a usage error."""
+    raw = os.environ.get("QCGIBBS_THREADS") or "1"
     try:
-        return max(1, int(os.environ.get("QCGIBBS_THREADS", "1")))
+        value = int(raw)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise ValueError(f"QCGIBBS_THREADS must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def _grid_map(fn, items):
-    """Evaluate fn over items, optionally threaded, preserving order."""
-    workers = _thread_count()
-    if workers == 1 or len(items) < 2:
+    """Evaluate fn over items on at most min(QCGIBBS_THREADS, CPU count,
+    len(items)) threads, preserving order."""
+    workers = min(_thread_count(), os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -245,8 +220,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         fam = _build_family(cfg)
         if cfg.model == "homogeneous":
             base = fam.base_spectrum(lambda_min=45.0 / _homog_level_energy(fam, cfg.count))
-            from .spectrum import rescale
-
             spec = rescale(base, h, fam.energy_exponent) if h != 1.0 else base
             spec = _truncate(spec, cfg.count)
         else:
@@ -264,8 +237,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def _homog_level_energy(fam: ModelFamily, count: int) -> float:
     """Rough energy of level `count` at h=1, used to size direct spectrum dumps."""
-    from .spectrum import weyl_energy
-
     nu = fam.potential.exponent
     if nu == 2.0:
         return math.sqrt(2.0 / fam.potential.mass) * (count + 0.5)
@@ -273,8 +244,6 @@ def _homog_level_energy(fam: ModelFamily, count: int) -> float:
 
 
 def _truncate(spec, count: int):
-    from .spectrum import Spectrum
-
     if spec.count <= count:
         return spec
     errs = None if spec.level_errors is None else spec.level_errors[:count]
@@ -299,48 +268,17 @@ def cmd_table(cfg: RunConfig) -> int:
         beta, h = bh
         try:
             spec = fam.spectrum(h, lam_min)
-            return thermo_point(fam.potential, spec, beta, cfg.tail_rtol), "ok"
+            point = thermo_point(fam.potential, spec, beta, cfg.tail_rtol)
+            return _thermo_row(beta, h, point), "ok"
         except _NUMERICAL_ERRORS as exc:
-            return None, f"error: {exc}"
+            return _thermo_row(beta, h, None), f"error: {exc}"
 
-    results = _grid_map(one, points)
-
-    rows = []
-    for (beta, h), (pt, status) in zip(points, results):
-        if pt is None:
-            rows.append([fmt17(beta), fmt17(h)] + ["nan"] * 6 + [status])
-        else:
-            sq_identity = pt.beta * pt.e_quantum + pt.log_z_quantum
-            if abs(pt.s_quantum - sq_identity) > 1e-10 * max(1.0, abs(sq_identity)):
-                rows.append([fmt17(beta), fmt17(h)] + ["nan"] * 6 + ["error: entropy identity"])
-                continue
-            vals = [pt.beta, pt.planck, pt.zq_scaled, pt.z_classical,
-                    pt.e_quantum, pt.e_classical, pt.s_quantum, pt.s_classical]
-            rows.append([fmt17(v) for v in vals] + ["ok"])
-    any_failed = any(r[-1] != "ok" for r in rows)
-
-    out = _resolve_output(cfg.output)
+    rows, statuses = zip(*_grid_map(one, points))
+    text = _table_text(rows, cfg.format, statuses)
     if cfg.format == "json":
-        if any_failed:
-            payload = {"rows": [dict(zip(THERMO_FIELDS + ("status",),
-                                         [_maybe_float(v) for v in r])) for r in rows]}
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        else:
-            pts = [pt for pt, _ in results]
-            text = thermo_table_to_json(pts) + "\n"
-    else:
-        header = ",".join(THERMO_FIELDS + (("status",) if any_failed else ()))
-        body = [",".join(r if any_failed else r[:-1]) for r in rows]
-        text = header + "\n" + "\n".join(body) + "\n"
-    _write_or_print(text, out)
-    return EXIT_NUMERICAL if any_failed else EXIT_OK
-
-
-def _maybe_float(v: str):
-    try:
-        return float(v)
-    except ValueError:
-        return v
+        text += "\n"
+    _write_or_print(text, _resolve_output(cfg.output))
+    return EXIT_OK if all(s == "ok" for s in statuses) else EXIT_NUMERICAL
 
 
 def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
@@ -439,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file; flags override")
         p.add_argument("--model", choices=("box", "homogeneous", "tabulated"))
         p.add_argument("--N", type=int, dest="dimension", help="coordinate dimension")
-        p.add_argument("--L", help="comma list of box lengths")
+        p.add_argument("--L", dest="lengths", metavar="L", help="comma list of box lengths")
         p.add_argument("--nu", type=float, help="power-law exponent")
         p.add_argument("--mass", type=float)
         p.add_argument("--table", help="x,V CSV for tabulated potentials")
@@ -481,34 +419,10 @@ def _merge_config(args) -> RunConfig:
         cfg = parse_config(Path(args.config).read_text())
     else:
         cfg = RunConfig()
-    if args.model is not None:
-        cfg.model = args.model
-    if args.dimension is not None:
-        cfg.dimension = args.dimension
-    if args.L is not None:
-        cfg.lengths = tuple(float(x) for x in args.L.split(","))
-    if args.nu is not None:
-        cfg.nu = args.nu
-    if args.mass is not None:
-        cfg.mass = args.mass
-    if args.table is not None:
-        cfg.table = args.table
-    if args.beta is not None:
-        cfg.beta = _parse_grid(args.beta)
-    if args.h is not None:
-        cfg.h = _parse_grid(args.h)
-    if args.count is not None:
-        cfg.count = args.count
-    if args.max_levels is not None:
-        cfg.max_levels = args.max_levels
-    if args.tail_rtol is not None:
-        cfg.tail_rtol = args.tail_rtol
-    if args.format is not None:
-        cfg.format = args.format
-    if args.output is not None:
-        cfg.output = args.output
-    if args.seed is not None:
-        cfg.seed = args.seed
+    for key, parse in _CONFIG_KEYS.items():
+        value = getattr(args, key)
+        if value is not None:
+            setattr(cfg, key, parse(value))
     # basic validation shared by every command
     if cfg.tail_rtol <= 0.0:
         raise ValueError("tail_rtol must be positive")
@@ -529,6 +443,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
+        _thread_count()  # validate QCGIBBS_THREADS before any work
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "table":

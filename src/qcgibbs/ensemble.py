@@ -3,11 +3,15 @@
 Quantum quantities are Boltzmann sums over a Spectrum with explicit truncation
 control: every truncated sum is gated on tail/sum below a relative threshold
 (default 1e-10), and sums are evaluated relative to the ground level so that
-beta sweeps spanning several decades never underflow prematurely. Classical
-quantities reduce to closed forms for box wells, to radial integrals evaluated
-by adaptive quadrature (cross-checked against the Gamma-function closed form)
-for power-law potentials, and to exact piecewise integrals of the interpolant
-for tabulated profiles.
+beta sweeps spanning several decades never underflow prematurely. Every
+quantum quantity and error bound is read from one weight pass per
+(spectrum, beta), a BoltzmannPass; the public functions are thin readers of
+it, and each thread keeps its last pass, so a caller that reads several
+quantities at one point makes one pass.
+Classical quantities reduce to closed forms for box wells, to radial
+integrals evaluated by adaptive quadrature (cross-checked against the
+Gamma-function closed form) for power-law potentials, and to exact piecewise
+integrals of the interpolant for tabulated profiles.
 
 Entropies follow the identities
     S_q = beta E_q + log Z_q
@@ -19,7 +23,9 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,18 +42,87 @@ TAIL_RTOL = 1e-10
 _U_SPLIT = 50.0  # radial integrals switch to the analytic tail where beta*V = 50
 
 
-def _shifted(spectrum: Spectrum, beta: float) -> tuple[float, np.ndarray, np.ndarray]:
-    levels = spectrum.levels
-    d = levels - levels[0]
-    return levels[0], d, np.exp(-beta * d)
+class BoltzmannPass:
+    """The Boltzmann weights of one Spectrum at one beta, and what is read
+    from them.
+
+    This is the one place Boltzmann weights over a Spectrum's levels are
+    evaluated: w = exp(-beta (E_n - E_1)), relative to the ground level.
+    The mean, the tail bounds and the error terms are derived on first read,
+    so each reader pays only for what it reads. Log tails are -inf for level
+    sets under 8 levels, which are taken as complete finite systems. z_err,
+    e_err and s_err are the absolute uncertainties of Z_q, E_q and S_q: tail
+    bounds plus first-order propagation of the per-level error estimates.
+    """
+
+    def __init__(self, spectrum: Spectrum, beta: float):
+        if beta <= 0.0:
+            raise ValueError("beta must be positive")
+        self.spectrum = spectrum
+        self.beta = beta
+        self.e0 = spectrum.levels[0]
+        self.d = spectrum.levels - self.e0
+        self.w = np.exp(-beta * self.d)
+        self.sw = float(self.w.sum())
+        self.log_z = -beta * self.e0 + math.log(self.sw)
+
+    @cached_property
+    def e_shift(self) -> float:
+        """E_q - E_1."""
+        return float((self.d * self.w).sum()) / self.sw
+
+    @cached_property
+    def e_q(self) -> float:
+        return self.e0 + self.e_shift
+
+    def _log_tail(self, power: int) -> float:
+        if self.spectrum.count < 8:
+            return -math.inf
+        return log_tail_bound(self.spectrum, self.beta, power)
+
+    @cached_property
+    def log_tail(self) -> float:
+        return self._log_tail(0)
+
+    @cached_property
+    def log_wtail(self) -> float:
+        return self._log_tail(1)
+
+    @cached_property
+    def z_err(self) -> float:
+        err = math.exp(self.log_tail) if self.log_tail > -700.0 else 0.0
+        if self.spectrum.level_errors is not None:
+            prop = self.beta * float((self.spectrum.level_errors * self.w).sum())
+            err += prop * math.exp(max(-self.beta * self.e0, -700.0))
+        return err
+
+    @cached_property
+    def e_err(self) -> float:
+        err = math.exp(min(self.log_wtail - self.log_z, 50.0)) + self.e_q * math.exp(
+            min(self.log_tail - self.log_z, 50.0)
+        )
+        if self.spectrum.level_errors is not None:
+            sens = self.w * (1.0 + self.beta * np.abs(self.spectrum.levels - self.e_q))
+            err += float((self.spectrum.level_errors * sens).sum()) / self.sw
+        return err
+
+    @cached_property
+    def s_err(self) -> float:
+        z_lin = math.exp(max(-self.beta * self.e0, -700.0)) * self.sw
+        return self.beta * self.e_err + self.z_err / z_lin
 
 
-def _log_tail_or_none(spectrum: Spectrum, beta: float, power: int = 0) -> float:
-    """log tail bound; -inf for small level sets, which are taken as complete
-    finite systems (no truncation)."""
-    if spectrum.count < 8:
-        return -math.inf
-    return log_tail_bound(spectrum, beta, power)
+_LAST_PASS = threading.local()
+
+
+def boltzmann_pass(spectrum: Spectrum, beta: float) -> BoltzmannPass:
+    """The BoltzmannPass of (spectrum, beta). Each thread keeps its last pass,
+    so the readers called in turn at one point share one weight pass."""
+    m = getattr(_LAST_PASS, "m", None)
+    if m is None or m.spectrum is not spectrum or m.beta != beta:
+        _LAST_PASS.m = None  # drop the old weights before building new ones
+        m = _LAST_PASS.m = BoltzmannPass(spectrum, beta)
+    return m
 
 
 def log_z_quantum(
@@ -58,17 +133,13 @@ def log_z_quantum(
     Raises TruncationError when the tail bound exceeds tail_rtol times the
     partial sum.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    e0, _, w = _shifted(spectrum, beta)
-    log_z = -beta * e0 + math.log(float(w.sum()))
-    log_tail = _log_tail_or_none(spectrum, beta)
-    if log_tail - log_z >= math.log(tail_rtol):
+    m = boltzmann_pass(spectrum, beta)
+    if m.log_tail - m.log_z >= math.log(tail_rtol):
         raise TruncationError(
-            f"Boltzmann tail/sum ~ {math.exp(min(log_tail - log_z, 50.0)):.2e} "
+            f"Boltzmann tail/sum ~ {math.exp(min(m.log_tail - m.log_z, 50.0)):.2e} "
             f"at beta={beta:g} exceeds {tail_rtol:g}; increase the level count"
         )
-    return log_z, log_tail
+    return m.log_z, m.log_tail
 
 
 def z_quantum(
@@ -87,19 +158,15 @@ def mean_energy_quantum(
 ) -> float:
     """E_q = sum E_n exp(-beta E_n) / Z_q, gated on both the plain and the
     energy-weighted truncation tails."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    e0, d, w = _shifted(spectrum, beta)
-    sw = float(w.sum())
-    log_num = -beta * e0 + math.log(float((spectrum.levels * w).sum()))
-    log_wtail = _log_tail_or_none(spectrum, beta, power=1)
-    if log_wtail - log_num >= math.log(tail_rtol):
+    m = boltzmann_pass(spectrum, beta)
+    log_num = -beta * m.e0 + math.log(float((spectrum.levels * m.w).sum()))
+    if m.log_wtail - log_num >= math.log(tail_rtol):
         raise TruncationError(
             f"energy-weighted tail at beta={beta:g} exceeds {tail_rtol:g} "
             "of the partial sum; increase the level count"
         )
     log_z_quantum(spectrum, beta, tail_rtol)  # plain-tail gate
-    return e0 + float((d * w).sum()) / sw
+    return m.e_q
 
 
 def entropy_quantum(
@@ -109,12 +176,10 @@ def entropy_quantum(
 
     The direct sum is cross-checked against beta E_q + log Z_q to 1e-10.
     """
-    e0, d, w = _shifted(spectrum, beta)
-    sw = float(w.sum())
-    p = w / sw
+    m = boltzmann_pass(spectrum, beta)
+    p = m.w / m.sw
     s_direct = -float(xlogy(p, p).sum())
-    e_shift = float((d * w).sum()) / sw
-    s_identity = beta * e_shift + math.log(sw)
+    s_identity = beta * m.e_shift + math.log(m.sw)
     if abs(s_direct - s_identity) > 1e-10 * max(1.0, abs(s_identity)):
         raise AccuracyError(
             f"entropy identity violated: {s_direct!r} vs {s_identity!r}"
@@ -133,17 +198,11 @@ def log_entropy_quantum(spectrum: Spectrum, beta: float) -> float:
     L = log sum w_n; both shrink like exp(-beta (E_2 - E_1)), so each is
     assembled in log space. Returns -inf for a single level.
     """
-    if spectrum.count < 2:
+    dd = boltzmann_pass(spectrum, beta).d[1:]
+    if dd.size == 0:
         return -math.inf
-    e0, d, _ = _shifted(spectrum, beta)
-    dd = d[1:]
-    pos = dd > 0.0
-    if not np.all(pos):
-        # degenerate ground level: S_q is O(1), the linear path is exact enough
-        s, _ = entropy_quantum(spectrum, beta, tail_rtol=math.inf)
-        return math.log(s)
     log_r = logsumexp(-beta * dd)  # r = sum_{n>=2} w_n
-    if log_r > -30.0:
+    if log_r > -30.0:  # also every degenerate ground level, where r >= 1
         s, _ = entropy_quantum(spectrum, beta, tail_rtol=math.inf)
         return math.log(s)
     # log(sum w) ~ r and beta*A ~ beta * sum d w; both tiny
@@ -313,8 +372,8 @@ def entropy_classical(potential: Potential, beta: float, planck: float) -> float
 def psi(levels, lam: float) -> tuple[float, float]:
     """(Psi, Psi') for Psi(lam) = -lam Phi'/Phi + log Phi, Phi = sum exp(-lam E_n).
 
-    Psi' is the closed pairwise form
-        -lam * sum_{n>m} (E_n - E_m)^2 exp(-lam (E_n + E_m)) / Phi^2,
+    Psi' = -lam Var_P(E) under P_n = exp(-lam E_n)/Phi, the contraction of
+    the pairwise form -lam * sum_{n>m} (E_n - E_m)^2 exp(-lam (E_n + E_m)) / Phi^2;
     strictly negative whenever two levels differ; levels may be any reals here.
     """
     e = np.asarray(levels, dtype=float)
@@ -326,16 +385,9 @@ def psi(levels, lam: float) -> tuple[float, float]:
     w = np.exp(-lam * (e - emin))
     sw = float(w.sum())
     value = lam * float(((e - emin) * w).sum()) / sw + math.log(sw)
-    if e.size <= 4096:
-        diff = e[:, None] - e[None, :]
-        pair = np.triu(w[:, None] * w[None, :], k=1)
-        deriv = -lam * float((diff**2 * pair).sum()) / sw**2
-    else:
-        # contraction of the pairwise form: sum_{n>m} (E_n-E_m)^2 w_n w_m
-        # equals Phi^2 Var_P(E); avoids the K x K intermediate
-        mean = float((e * w).sum()) / sw
-        var = float((np.square(e - mean) * w).sum()) / sw
-        deriv = -lam * var
+    mean = float((e * w).sum()) / sw
+    var = float((np.square(e - mean) * w).sum()) / sw
+    deriv = -lam * var
     return value, deriv
 
 
@@ -346,38 +398,17 @@ def psi(levels, lam: float) -> tuple[float, float]:
 def z_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of the truncated Z_q: tail bound plus first-order
     propagation of the per-level error estimates."""
-    log_tail = _log_tail_or_none(spectrum, beta)
-    err = math.exp(log_tail) if log_tail > -700.0 else 0.0
-    if spectrum.level_errors is not None:
-        e0, _, w = _shifted(spectrum, beta)
-        prop = beta * float((spectrum.level_errors * w).sum())
-        err += prop * math.exp(max(-beta * e0, -700.0))
-    return err
+    return boltzmann_pass(spectrum, beta).z_err
 
 
 def mean_energy_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of E_q from truncation and level errors."""
-    e0, d, w = _shifted(spectrum, beta)
-    sw = float(w.sum())
-    eq = e0 + float((d * w).sum()) / sw
-    log_z = -beta * e0 + math.log(sw)
-    log_tail = _log_tail_or_none(spectrum, beta)
-    log_wtail = _log_tail_or_none(spectrum, beta, power=1)
-    err = math.exp(min(log_wtail - log_z, 50.0)) + eq * math.exp(
-        min(log_tail - log_z, 50.0)
-    )
-    if spectrum.level_errors is not None:
-        sens = w * (1.0 + beta * np.abs(spectrum.levels - eq))
-        err += float((spectrum.level_errors * sens).sum()) / sw
-    return err
+    return boltzmann_pass(spectrum, beta).e_err
 
 
 def entropy_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of S_q = beta E_q + log Z_q."""
-    rel_z = z_quantum_error(spectrum, beta)
-    e0, _, w = _shifted(spectrum, beta)
-    z_lin = math.exp(max(-beta * e0, -700.0)) * float(w.sum())
-    return beta * mean_energy_quantum_error(spectrum, beta) + rel_z / z_lin
+    return boltzmann_pass(spectrum, beta).s_err
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +442,8 @@ class ThermoPoint:
     @property
     def probabilities(self) -> np.ndarray:
         """Gibbs occupation probabilities P_n, recomputed on demand."""
-        _, _, w = _shifted(self._spectrum, self.beta)
-        return w / w.sum()
+        m = boltzmann_pass(self._spectrum, self.beta)
+        return m.w / m.sw
 
 
 def thermo_point(
@@ -424,7 +455,7 @@ def thermo_point(
     """Assemble a ThermoPoint, checking the entropy identities on the way."""
     log_zq, log_tail = log_z_quantum(spectrum, beta, tail_rtol)
     eq = mean_energy_quantum(spectrum, beta, tail_rtol)
-    sq, p = entropy_quantum(spectrum, beta, tail_rtol)
+    sq, _ = entropy_quantum(spectrum, beta, tail_rtol)
     zc, zc_err = z_classical(potential, beta)
     ec = mean_energy_classical(potential, beta)
     h = spectrum.planck
@@ -433,6 +464,10 @@ def thermo_point(
     sc_identity = beta * ec + math.log(zc) - n_dim * math.log(2.0 * math.pi * h)
     if abs(sc - sc_identity) > 1e-10 * max(1.0, abs(sc)):
         raise AccuracyError("classical entropy identity violated")
+    # S_q once more from the unshifted E_q and log Z_q, as tabulated
+    sq_identity = beta * eq + log_zq
+    if abs(sq - sq_identity) > 1e-10 * max(1.0, abs(sq_identity)):
+        raise AccuracyError("entropy identity")
     return ThermoPoint(
         beta=beta,
         planck=h,
@@ -453,7 +488,10 @@ def thermo_point(
 THERMO_FIELDS = ("beta", "h", "Zq_scaled", "Zc", "Eq", "Ec", "Sq", "Sc")
 
 
-def _thermo_row(point: ThermoPoint) -> list[float]:
+def _thermo_row(beta: float, h: float, point: ThermoPoint | None) -> list[float]:
+    """One table row; a failed point (None) reads nan past its beta and h."""
+    if point is None:
+        return [beta, h] + [math.nan] * (len(THERMO_FIELDS) - 2)
     return [
         point.beta,
         point.planck,
@@ -466,16 +504,27 @@ def _thermo_row(point: ThermoPoint) -> list[float]:
     ]
 
 
+def _table_text(rows, fmt: str, statuses=None) -> str:
+    """JSON, or else newline-terminated CSV, text of THERMO_FIELDS rows; a
+    status column joins when any status is not "ok"."""
+    fields = THERMO_FIELDS
+    if statuses is not None and any(s != "ok" for s in statuses):
+        fields += ("status",)
+        rows = [r + [s] for r, s in zip(rows, statuses)]
+    if fmt == "json":
+        return json.dumps({"rows": [dict(zip(fields, r)) for r in rows]},
+                          sort_keys=True, indent=2)
+    lines = [",".join(fields)]
+    lines += [",".join(v if isinstance(v, str) else fmt17(v) for v in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def thermo_table_to_csv(points, path: str | Path) -> None:
     """CSV table with header beta,h,Zq_scaled,Zc,Eq,Ec,Sq,Sc at full precision."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(THERMO_FIELDS) + "\n")
-        for pt in points:
-            fh.write(",".join(fmt17(v) for v in _thermo_row(pt)) + "\n")
+    rows = [_thermo_row(pt.beta, pt.planck, pt) for pt in points]
+    Path(path).write_text(_table_text(rows, "csv"), newline="")
 
 
 def thermo_table_to_json(points) -> str:
     """JSON mirror of the CSV table with identical field names."""
-    rows = [dict(zip(THERMO_FIELDS, _thermo_row(pt))) for pt in points]
-    return json.dumps({"rows": rows}, sort_keys=True, indent=2)
+    return _table_text([_thermo_row(pt.beta, pt.planck, pt) for pt in points], "json")

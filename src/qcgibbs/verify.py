@@ -30,6 +30,7 @@ import numpy as np
 from scipy import integrate
 
 from .ensemble import (
+    boltzmann_pass,
     entropy_classical,
     entropy_quantum,
     entropy_quantum_error,
@@ -44,6 +45,7 @@ from .ensemble import (
 )
 from .errors import QCGibbsError
 from .models import ModelFamily
+from .potential import PotentialKind
 from .util import halving_grid, log_grid
 
 
@@ -166,6 +168,40 @@ def _scale(family: ModelFamily, h: float) -> float:
 # C1_1 and C1_2: pointwise inequalities
 
 
+def _pointwise_sweep(claim: ClaimId, family: ModelFamily, betas, hs, point) -> VerificationReport:
+    """Run point(spec, beta, h) -> (margin, bound, reference) over the (beta, h)
+    grid; a numerical failure at a point is recorded, not raised, and keeps
+    the verdict from Holds."""
+    betas = default_beta_grid() if betas is None else np.atleast_1d(betas)
+    hs = default_h_grid() if hs is None else np.atleast_1d(hs)
+    lam_min = family.lambda_min(betas, hs)
+    margins, bounds, failed = [], [], []
+    worst = (math.inf, None)
+    for h in hs:
+        h = float(h)
+        spec = family.spectrum(h, lam_min)
+        for beta in betas:
+            beta = float(beta)
+            try:
+                margin, bound, reference = point(spec, beta, h)
+            except QCGibbsError as exc:
+                failed.append({"beta": beta, "h": h, "error": str(exc)})
+                continue
+            margins.append(margin)
+            bounds.append(bound)
+            if margin < worst[0]:
+                worst = (margin, {"beta": beta, "h": h, "bound": bound,
+                                  "relative_margin": margin / reference})
+    status = _classify(np.asarray(margins), np.asarray(bounds), 0.0, len(failed))
+    notes = {"worst_point": worst[1], "points": len(margins)}
+    if failed:
+        notes["failed_points"] = failed
+    return VerificationReport(
+        claim, family.descriptor(), _grid_dict(betas, hs),
+        status, worst[0] if margins else math.nan, 0.0, notes,
+    )
+
+
 def check_c11(
     family: ModelFamily,
     betas=None,
@@ -173,37 +209,15 @@ def check_c11(
     tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """(2 pi h)^N Z_q <= Z_c at every grid point, margins beyond error bounds."""
-    betas = default_beta_grid() if betas is None else np.atleast_1d(betas)
-    hs = default_h_grid() if hs is None else np.atleast_1d(hs)
-    lam_min = family.lambda_min(betas, hs)
-    margins, bounds, failed = [], [], []
-    worst = (math.inf, None)
-    for h in hs:
-        spec = family.spectrum(float(h), lam_min)
-        scale = _scale(family, float(h))
-        for beta in betas:
-            beta = float(beta)
-            try:
-                zq, _ = z_quantum(spec, beta, tail_rtol)
-                zc, zc_err = z_classical(family.potential, beta)
-            except QCGibbsError as exc:
-                failed.append({"beta": beta, "h": float(h), "error": str(exc)})
-                continue
-            margin = zc - scale * zq
-            bound = scale * z_quantum_error(spec, beta) + zc_err + 64.0 * np.finfo(float).eps * zc
-            margins.append(margin)
-            bounds.append(bound)
-            if margin < worst[0]:
-                worst = (margin, {"beta": beta, "h": float(h), "bound": bound,
-                                  "relative_margin": margin / zc})
-    status = _classify(np.asarray(margins), np.asarray(bounds), 0.0, len(failed))
-    notes = {"worst_point": worst[1], "points": len(margins)}
-    if failed:
-        notes["failed_points"] = failed
-    return VerificationReport(
-        ClaimId.C1_1, family.descriptor(), _grid_dict(betas, hs),
-        status, worst[0] if margins else math.nan, 0.0, notes,
-    )
+
+    def point(spec, beta, h):
+        zq, _ = z_quantum(spec, beta, tail_rtol)
+        zc, zc_err = z_classical(family.potential, beta)
+        scale = _scale(family, h)
+        bound = scale * z_quantum_error(spec, beta) + zc_err + 64.0 * np.finfo(float).eps * zc
+        return zc - scale * zq, bound, zc
+
+    return _pointwise_sweep(ClaimId.C1_1, family, betas, hs, point)
 
 
 def check_c12(
@@ -213,36 +227,13 @@ def check_c12(
     tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """E_q >= E_c pointwise; evidence-gathering (the general claim is open)."""
-    betas = default_beta_grid() if betas is None else np.atleast_1d(betas)
-    hs = default_h_grid() if hs is None else np.atleast_1d(hs)
-    lam_min = family.lambda_min(betas, hs)
-    margins, bounds, failed = [], [], []
-    worst = (math.inf, None)
-    for h in hs:
-        spec = family.spectrum(float(h), lam_min)
-        for beta in betas:
-            beta = float(beta)
-            try:
-                eq = mean_energy_quantum(spec, beta, tail_rtol)
-                ec = mean_energy_classical(family.potential, beta)
-            except QCGibbsError as exc:
-                failed.append({"beta": beta, "h": float(h), "error": str(exc)})
-                continue
-            margin = eq - ec
-            bound = mean_energy_quantum_error(spec, beta) + 1e-13 * abs(ec)
-            margins.append(margin)
-            bounds.append(bound)
-            if margin < worst[0]:
-                worst = (margin, {"beta": beta, "h": float(h), "bound": bound,
-                                  "relative_margin": margin / ec})
-    status = _classify(np.asarray(margins), np.asarray(bounds), 0.0, len(failed))
-    notes = {"worst_point": worst[1], "points": len(margins)}
-    if failed:
-        notes["failed_points"] = failed
-    return VerificationReport(
-        ClaimId.C1_2, family.descriptor(), _grid_dict(betas, hs),
-        status, worst[0] if margins else math.nan, 0.0, notes,
-    )
+
+    def point(spec, beta, h):
+        eq = mean_energy_quantum(spec, beta, tail_rtol)
+        ec = mean_energy_classical(family.potential, beta)
+        return eq - ec, mean_energy_quantum_error(spec, beta) + 1e-13 * abs(ec), ec
+
+    return _pointwise_sweep(ClaimId.C1_2, family, betas, hs, point)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +241,25 @@ def check_c12(
 
 
 ASYMPTOTIC_WINDOW = 0.02  # |ratio - 1| below this at the endpoint counts as reached
+
+
+def _window_approach(series) -> tuple[Status, float, bool]:
+    """(status, worst margin, window reached) for gap series meant to shrink
+    monotonically into ASYMPTOTIC_WINDOW.
+
+    series holds (gaps, errs) array pairs in approach order. Each consecutive
+    shrink gaps[i] - gaps[i+1] is a margin with bound errs[i] + errs[i+1].
+    Holds needs every shrink to clear its bound and every final gap inside the
+    window; a monotone approach short of the window is Inconclusive. Fewer
+    than two points give no shrink at all: Inconclusive, worst margin NaN.
+    """
+    slacks = np.concatenate([g[:-1] - g[1:] for g, _ in series])
+    pair_bounds = np.concatenate([e[:-1] + e[1:] for _, e in series])
+    reached = all(g[-1] < ASYMPTOTIC_WINDOW for g, _ in series)
+    status = _classify(slacks, pair_bounds, ASYMPTOTIC_WINDOW)
+    if status is Status.HOLDS and not reached:
+        status = Status.INCONCLUSIVE
+    return status, float(slacks.min()) if slacks.size else math.nan, reached
 
 
 def check_c13(
@@ -278,26 +288,15 @@ def check_c13(
         eq = mean_energy_quantum(spec, beta, tail_rtol)
         ec = mean_energy_classical(family.potential, beta)
         r_z = scale * zq / zc
-        r_e = eq / ec
         err_z = (scale * z_quantum_error(spec, beta) + r_z * zc_err) / zc
-        err_e = mean_energy_quantum_error(spec, beta) / ec
-        rows.append((beta, r_z, err_z, r_e, err_e))
+        rows.append((abs(r_z - 1.0), err_z,
+                     abs(eq / ec - 1.0), mean_energy_quantum_error(spec, beta) / ec))
+    table = np.array(rows).reshape(-1, 4)
 
     reports = []
-    for claim, idx in ((ClaimId.C1_3_Z, 1), (ClaimId.C1_3_E, 3)):
-        gaps = np.array([abs(r[idx] - 1.0) for r in rows])
-        errs = np.array([r[idx + 1] for r in rows])
-        slacks = gaps[:-1] - gaps[1:]
-        pair_bounds = errs[:-1] + errs[1:]
-        final_gap = float(gaps[-1])
-        reached = final_gap < ASYMPTOTIC_WINDOW
-        monotone = bool(np.all(slacks > pair_bounds))
-        if monotone and reached:
-            status = Status.HOLDS
-        else:
-            status = _classify(slacks, pair_bounds, ASYMPTOTIC_WINDOW)
-            if status is Status.HOLDS:
-                status = Status.INCONCLUSIVE  # monotone but window not reached
+    for claim, col in ((ClaimId.C1_3_Z, 0), (ClaimId.C1_3_E, 2)):
+        gaps = table[:, col]
+        status, worst, reached = _window_approach([(gaps, table[:, col + 1])])
         # log-log slope of |ratio - 1| against beta, a rate diagnostic
         with np.errstate(divide="ignore"):
             mask = gaps > 0
@@ -308,11 +307,11 @@ def check_c13(
             model=family.descriptor(),
             grid=_grid_dict(betas, [h]),
             status=status,
-            worst_margin=float(slacks.min()) if slacks.size else math.nan,
+            worst_margin=worst,
             tolerance=ASYMPTOTIC_WINDOW,
             notes={
                 "gaps": [float(g) for g in gaps],
-                "final_gap": final_gap,
+                "final_gap": float(gaps[-1]),
                 "window": ASYMPTOTIC_WINDOW,
                 "window_reached": reached,
                 "loglog_slope": slope,
@@ -401,24 +400,20 @@ def check_t41(
     base = family.base_spectrum(lam_min)
     vacuous = base.count < 2
 
-    def log_s_error(spec, beta: float, value: float) -> float:
-        # S_q depends on level differences only; the log-scale uncertainty is
-        # beta times the leading-gap and Boltzmann-weighted level errors
-        floor = 1e-12 * (1.0 + abs(value))
-        if spec.level_errors is None:
-            return floor
-        w = np.exp(-beta * (spec.levels - spec.levels[0]))
-        werr = float((spec.level_errors * w).sum()) / float(w.sum())
-        lead = float(spec.level_errors[:2].sum())
-        return beta * (lead + werr) + floor
-
     log_s = np.empty((len(betas), len(hs)))
     err = np.empty_like(log_s)
     for j, h in enumerate(hs):
         spec = family.spectrum(float(h), lam_min)
         for i, beta in enumerate(betas):
-            log_s[i, j] = log_entropy_quantum(spec, float(beta))
-            err[i, j] = log_s_error(spec, float(beta), log_s[i, j])
+            beta = float(beta)
+            log_s[i, j] = log_entropy_quantum(spec, beta)
+            # S_q depends on level differences only; the log-scale uncertainty is
+            # beta times the leading-gap and Boltzmann-weighted level errors
+            err[i, j] = 1e-12 * (1.0 + abs(log_s[i, j]))
+            if spec.level_errors is not None:
+                m = boltzmann_pass(spec, beta)
+                werr = float((spec.level_errors * m.w).sum()) / m.sw
+                err[i, j] += beta * (float(spec.level_errors[:2].sum()) + werr)
 
     reports = []
     for claim, axis in ((ClaimId.T4_1_beta, 0), (ClaimId.T4_1_h, 1)):
@@ -460,8 +455,6 @@ def check_c41_and_props(
     identity d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with
     alpha = 2 nu / (2 + nu); and the sign equivalence
     E_q > E_c  <=>  d/dh (h^N Z_q) < 0."""
-    from .potential import PotentialKind
-
     if family.potential.kind is not PotentialKind.HOMOGENEOUS:
         raise ValueError("check_c41_and_props applies to power-law potentials")
     hs = np.sort(default_c41_hs() if hs is None else np.atleast_1d(hs))
@@ -471,20 +464,31 @@ def check_c41_and_props(
     lam_min = family.lambda_min([beta], hs) * (1.0 - 2.0 * delta)
 
     def log_g(h: float) -> float:
-        spec = family.spectrum(h, lam_min)
-        log_zq, _ = log_z_quantum(spec, beta, tail_rtol)
+        log_zq, _ = log_z_quantum(family.spectrum(h, lam_min), beta, tail_rtol)
         return n_dim * math.log(h) + log_zq
 
-    log_g_grid = np.array([log_g(float(h)) for h in hs])
-    zq_rel_err = np.empty(len(hs))
-    eq_vals = np.empty(len(hs))
-    eq_errs = np.empty(len(hs))
-    for j, h in enumerate(hs):
-        spec = family.spectrum(float(h), lam_min)
+    # one row per h: log h^N Z_q and its relative error, E_q and its error, and
+    # the P4_1 derivative residual relative to the analytic side with its bound
+    rows = []
+    for h in hs:
+        h = float(h)
+        spec = family.spectrum(h, lam_min)
         log_zq, _ = log_z_quantum(spec, beta, tail_rtol)
-        zq_rel_err[j] = z_quantum_error(spec, beta) / math.exp(min(log_zq, 700.0))
-        eq_vals[j] = mean_energy_quantum(spec, beta, tail_rtol)
-        eq_errs[j] = mean_energy_quantum_error(spec, beta)
+        rel_z = z_quantum_error(spec, beta) / math.exp(min(log_zq, 700.0))
+        eq = mean_energy_quantum(spec, beta, tail_rtol)
+        e_err = mean_energy_quantum_error(spec, beta)
+        d_coarse = (log_g(h * (1 + delta)) - log_g(h * (1 - delta))) / (2 * h * delta)
+        d_fine = (log_g(h * (1 + delta / 2)) - log_g(h * (1 - delta / 2))) / (h * delta)
+        analytic = (n_dim - alpha * beta * eq) / h
+        fd_trunc = abs(d_fine - d_coarse) / 3.0
+        rows.append((
+            n_dim * math.log(h) + log_zq, rel_z, eq, e_err,
+            abs(d_fine - analytic) / max(abs(analytic), 1e-30),
+            (fd_trunc + alpha * beta * e_err / h + 2 * rel_z / (h * delta))
+            / max(abs(analytic), 1e-30),
+        ))
+    table = np.array(rows).reshape(-1, 6).T
+    log_g_grid, zq_rel_err, eq_vals, eq_errs, residuals, fd_bounds = table
     ec = mean_energy_classical(family.potential, beta)
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale
@@ -497,26 +501,11 @@ def check_c41_and_props(
         {"margin_scale": "log(h^N Z_q) differences"},
     )
 
-    # P4_1: the derivative identity, residual relative to the analytic side
-    residuals = []
-    fd_bounds = []
-    for j, h in enumerate(hs):
-        h = float(h)
-        d_coarse = (log_g(h * (1 + delta)) - log_g(h * (1 - delta))) / (2 * h * delta)
-        d_fine = (log_g(h * (1 + delta / 2)) - log_g(h * (1 - delta / 2))) / (h * delta)
-        analytic = (n_dim - alpha * beta * eq_vals[j]) / h
-        residuals.append(abs(d_fine - analytic) / max(abs(analytic), 1e-30))
-        fd_trunc = abs(d_fine - d_coarse) / 3.0
-        fd_bounds.append(
-            (fd_trunc + alpha * beta * eq_errs[j] / h + 2 * zq_rel_err[j] / (h * delta))
-            / max(abs(analytic), 1e-30)
-        )
-    residuals = np.asarray(residuals)
     p41_tol = 1e-5
     p41_margins = p41_tol - residuals
     p41 = VerificationReport(
         ClaimId.P4_1, family.descriptor(), _grid_dict([beta], hs),
-        _classify(p41_margins, np.asarray(fd_bounds), 0.0),
+        _classify(p41_margins, fd_bounds, 0.0),
         float(p41_margins.min()), p41_tol,
         {"max_residual": float(residuals.max()), "fd_step": delta},
     )
@@ -562,7 +551,7 @@ def check_wehrl(
     pot = family.potential
     zc, zc_err = z_classical(pot, beta)
     ec = mean_energy_classical(pot, beta)
-    g_e, g_z, g_s, e_e, e_z, e_s = [], [], [], [], [], []
+    rows = []
     for h in hs:
         h = float(h)
         spec = family.spectrum(h, lam_min)
@@ -571,36 +560,22 @@ def check_wehrl(
         eq = mean_energy_quantum(spec, beta, tail_rtol)
         sq, _ = entropy_quantum(spec, beta, tail_rtol)
         sc = entropy_classical(pot, beta, h)
-        g_e.append(abs(eq - ec) / abs(ec))
-        g_z.append(abs(scale * zq / zc - 1.0))
-        g_s.append(abs(sq - sc))
-        e_e.append(mean_energy_quantum_error(spec, beta) / abs(ec))
-        e_z.append((scale * z_quantum_error(spec, beta) + zc_err) / zc)
-        e_s.append(entropy_quantum_error(spec, beta) + zc_err / zc)
-
-    margins, bounds = [], []
-    tail_n = min(4, len(hs))
-    for gaps, errs in ((g_e, e_e), (g_z, e_z), (g_s, e_s)):
-        gaps = np.asarray(gaps)
-        errs = np.asarray(errs)
-        s = gaps[-tail_n:-1] - gaps[-tail_n + 1:]
-        margins.extend(s.tolist())
-        bounds.extend((errs[-tail_n:-1] + errs[-tail_n + 1:]).tolist())
-    final_ok = (
-        g_e[-1] < ASYMPTOTIC_WINDOW
-        and g_z[-1] < ASYMPTOTIC_WINDOW
-        and g_s[-1] < ASYMPTOTIC_WINDOW
+        rows.append((
+            abs(eq - ec) / abs(ec), mean_energy_quantum_error(spec, beta) / abs(ec),
+            abs(scale * zq / zc - 1.0), (scale * z_quantum_error(spec, beta) + zc_err) / zc,
+            abs(sq - sc), entropy_quantum_error(spec, beta) + zc_err / zc,
+        ))
+    table = np.array(rows).reshape(-1, 6)
+    status, worst, final_ok = _window_approach(
+        [(table[-4:, k], table[-4:, k + 1]) for k in (0, 2, 4)]
     )
-    status = _classify(np.asarray(margins), np.asarray(bounds), ASYMPTOTIC_WINDOW)
-    if status is Status.HOLDS and not final_ok:
-        status = Status.INCONCLUSIVE
     return VerificationReport(
         ClaimId.WEHRL_S, family.descriptor(), _grid_dict([beta], hs),
-        status, float(np.min(margins)), ASYMPTOTIC_WINDOW,
+        status, worst, ASYMPTOTIC_WINDOW,
         {
-            "energy_gaps": [float(x) for x in g_e],
-            "partition_gaps": [float(x) for x in g_z],
-            "entropy_gaps": [float(x) for x in g_s],
+            "energy_gaps": [float(x) for x in table[:, 0]],
+            "partition_gaps": [float(x) for x in table[:, 2]],
+            "entropy_gaps": [float(x) for x in table[:, 4]],
             "final_gaps_in_window": final_ok,
         },
     )

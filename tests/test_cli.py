@@ -113,7 +113,67 @@ def test_table_truncation_failure_exit_code(capsys):
     assert code == EXIT_NUMERICAL
     lines = out.strip().splitlines()
     assert lines[0].endswith(",status")
-    assert "error" in lines[1]
+    assert lines[1] == (
+        "0.0001,1,nan,nan,nan,nan,nan,nan,error: box1: sweep needs 304 levels, "
+        "above the cap 64; raise the cap or shrink the sweep (the cap supports "
+        "beta * phi(h) down to about 0.00223)"
+    )
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    import qcgibbs.cli as cli_mod
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
+    return _RecordingPool
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
+def test_threads_env_rejects_bad_values(value, pool, monkeypatch, capsys):
+    # every command checks the variable before doing any work
+    monkeypatch.setenv("QCGIBBS_THREADS", value)
+    for command in ("table", "spectrum", "verify --claims c11"):
+        code, out, err = run(
+            [*command.split(), "--model", "box", "--L", "1", "--beta", "1,2", "--h", "1"],
+            capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert "QCGIBBS_THREADS" in err
+    assert pool.sizes == []
+
+
+def test_threads_env_caps_workers(pool, monkeypatch, capsys):
+    # workers = min(QCGIBBS_THREADS, cpu_count (4 here), rows)
+    args = ["table", "--model", "box", "--L", "1", "--beta", "0.5,1,2", "--h", "0.5,1"]
+    monkeypatch.delenv("QCGIBBS_THREADS", raising=False)
+    _, serial, _ = run(args, capsys)
+    for threads in ("64", "3"):
+        monkeypatch.setenv("QCGIBBS_THREADS", threads)
+        code, out, _ = run(args, capsys)
+        assert code == EXIT_OK
+        assert out == serial
+    monkeypatch.setenv("QCGIBBS_THREADS", "64")
+    assert run(args[:5] + ["--beta", "1", "--h", "0.5,1"], capsys)[0] == EXIT_OK
+    assert pool.sizes == [4, 3, 2]
 
 
 # ---------------------------------------------------------------------------

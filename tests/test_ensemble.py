@@ -25,7 +25,16 @@ from qcgibbs import (
     z_classical,
     z_quantum,
 )
-from qcgibbs.ensemble import log_entropy_quantum, log_z_quantum
+from qcgibbs import ensemble
+from qcgibbs.ensemble import (
+    boltzmann_pass,
+    entropy_quantum_error,
+    log_entropy_quantum,
+    log_z_quantum,
+    mean_energy_quantum_error,
+    z_quantum_error,
+)
+from qcgibbs.spectrum import log_tail_bound, rescale, solve_fd_1d
 
 PI2 = math.pi**2
 
@@ -246,20 +255,16 @@ def test_psi_sign():
 
 
 def test_psi_large_set_contraction_path():
-    # beyond 4096 levels the pairwise sum contracts to -lam * Var_P(E);
-    # both paths must agree on a split sample
-    levels = np.linspace(1.0, 9.0, 4100)
+    # psi' is -lam * Var_P(E), the contraction of the pairwise sum
+    # -lam * sum_{n>m} (E_n - E_m)^2 w_n w_m / Phi^2, which is the oracle here
+    levels = np.linspace(1.0, 9.0, 2050)
     lam = 0.6
-    _, deriv_big = psi(levels, lam)
+    _, deriv = psi(levels, lam)
     w = np.exp(-lam * (levels - levels[0]))
-    mean = float((levels * w).sum() / w.sum())
-    var = float((np.square(levels - mean) * w).sum() / w.sum())
-    assert deriv_big == pytest.approx(-lam * var, rel=1e-12)
-    _, deriv_small = psi(levels[::2], lam)  # 2050 levels: pairwise path
-    w2 = np.exp(-lam * (levels[::2] - levels[0]))
-    mean2 = float((levels[::2] * w2).sum() / w2.sum())
-    var2 = float((np.square(levels[::2] - mean2) * w2).sum() / w2.sum())
-    assert deriv_small == pytest.approx(-lam * var2, rel=1e-10)
+    diff = levels[:, None] - levels[None, :]
+    pair = np.triu(w[:, None] * w[None, :], k=1)
+    oracle = -lam * float((diff**2 * pair).sum()) / float(w.sum()) ** 2
+    assert deriv == pytest.approx(oracle, rel=1e-10)
 
 
 def test_psi_derivative_against_finite_differences():
@@ -360,3 +365,86 @@ def test_oscillator_closed_form_cross_check():
     value, _ = z_quantum(spec, beta)
     w = math.sqrt(2.0)
     assert value == pytest.approx(1.0 / (2.0 * math.sinh(beta * w / 2.0)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one Boltzmann pass behind every quantum quantity
+
+
+@pytest.fixture(scope="module")
+def pass_spectra():
+    quartic = homogeneous(4)
+    base = solve_fd_1d(quartic, 1.0, count=40, refinements=2)
+    return [
+        (box([1.0]), toy([1.0, 2.0, 3.0]), 1.0),
+        (box([1.0]), solve_box(1, [1.0], count=200), 0.7),
+        (quartic, rescale(base, 0.8, 4.0 / 3.0), 0.9),
+    ]
+
+
+def _reference_errors(spec, beta):
+    """The error bounds written out term by term, each from its own weights."""
+    levels = spec.levels
+    w = np.exp(-beta * (levels - levels[0]))
+    sw = float(w.sum())
+    small = spec.count < 8
+    log_tail = -math.inf if small else log_tail_bound(spec, beta)
+    log_wtail = -math.inf if small else log_tail_bound(spec, beta, 1)
+    z_err = math.exp(log_tail) if log_tail > -700.0 else 0.0
+    if spec.level_errors is not None:
+        prop = beta * float((spec.level_errors * w).sum())
+        z_err += prop * math.exp(max(-beta * levels[0], -700.0))
+    eq = levels[0] + float(((levels - levels[0]) * w).sum()) / sw
+    log_z = -beta * levels[0] + math.log(sw)
+    e_err = math.exp(min(log_wtail - log_z, 50.0)) + eq * math.exp(min(log_tail - log_z, 50.0))
+    if spec.level_errors is not None:
+        sens = w * (1.0 + beta * np.abs(levels - eq))
+        e_err += float((spec.level_errors * sens).sum()) / sw
+    z_lin = math.exp(max(-beta * levels[0], -700.0)) * sw
+    return z_err, e_err, beta * e_err + z_err / z_lin
+
+
+def test_thermo_point_equals_single_quantity_readers(pass_spectra):
+    for pot, spec, beta in pass_spectra:
+        pt = thermo_point(pot, spec, beta)
+        assert pt.log_z_quantum == log_z_quantum(spec, beta)[0]
+        assert pt.e_quantum == mean_energy_quantum(spec, beta)
+        assert pt.s_quantum == entropy_quantum(spec, beta)[0]
+
+
+def test_error_readers_equal_the_shared_pass(pass_spectra):
+    assert pass_spectra[2][1].level_errors is not None
+    for _, spec, beta in pass_spectra:
+        m = boltzmann_pass(spec, beta)
+        z_err, e_err, s_err = _reference_errors(spec, beta)
+        assert z_quantum_error(spec, beta) == m.z_err == z_err
+        assert mean_energy_quantum_error(spec, beta) == m.e_err == e_err
+        assert entropy_quantum_error(spec, beta) == m.s_err == s_err
+
+
+def test_thermo_point_makes_one_weight_pass(monkeypatch):
+    built = []
+
+    class CountingPass(ensemble.BoltzmannPass):
+        def __init__(self, spectrum, beta):
+            built.append(beta)
+            super().__init__(spectrum, beta)
+
+    monkeypatch.setattr(ensemble, "BoltzmannPass", CountingPass)
+    spec = solve_box(1, [1.0], count=200)
+    for beta in (0.7, 1.3):
+        pt = thermo_point(box([1.0]), spec, beta)
+        assert pt.probabilities.sum() == pytest.approx(1.0)
+    assert built == [0.7, 1.3]
+
+
+def test_gate_precedence_per_reader():
+    # both tails fail here: thermo_point and Z_q report the plain tail first,
+    # E_q the energy-weighted one
+    spec = solve_box(1, [1.0], count=16)
+    with pytest.raises(TruncationError, match="^Boltzmann tail/sum"):
+        thermo_point(box([1.0]), spec, 1e-4)
+    with pytest.raises(TruncationError, match="^Boltzmann tail/sum"):
+        z_quantum(spec, 1e-4)
+    with pytest.raises(TruncationError, match="^energy-weighted tail"):
+        mean_energy_quantum(spec, 1e-4)

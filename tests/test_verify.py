@@ -111,6 +111,13 @@ def test_c13_oscillator_reaches_window(oscillator):
         assert rep.notes["final_gap"] < 0.02
 
 
+def test_c13_single_point_is_inconclusive(oscillator):
+    # one beta gives no consecutive shrink, so no evidence of an approach
+    for rep in check_c13(oscillator, betas=[1.0 / 256.0]):
+        assert rep.status is Status.INCONCLUSIVE
+        assert math.isnan(rep.worst_margin)
+
+
 def test_c13_self_comparison_is_identity(box1):
     # replacing the quantum side by Z_c/(2 pi h)^N forces the ratio to 1
     betas = [1.0, 0.5, 0.25]
@@ -237,6 +244,12 @@ def test_wehrl_box(box1):
 def test_wehrl_oscillator(oscillator):
     rep = check_wehrl(oscillator)
     assert rep.status is Status.HOLDS
+
+
+def test_wehrl_single_point_is_inconclusive(oscillator):
+    rep = check_wehrl(oscillator, hs=[1.0 / 64.0])
+    assert rep.status is Status.INCONCLUSIVE
+    assert math.isnan(rep.worst_margin)
 
 
 def test_wehrl_identity_composition(box1):
