@@ -39,7 +39,7 @@ from .models import (
     homogeneous_family,
     tabulated_family,
 )
-from .potential import load_tabulated_csv
+from .potential import PotentialKind, load_tabulated_csv
 from .spectrum import Spectrum, rescale, solve_box, solve_fd_1d, spectrum_to_csv, weyl_energy
 from .util import fmt17, log_grid
 from .verify import (
@@ -253,11 +253,8 @@ def _truncate(spec, count: int):
 
 def cmd_table(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
-    try:
-        lam_min = fam.lambda_min(cfg.beta, cfg.h)
-    except ValueError:
-        lam_min = float(min(cfg.beta))  # tabulated: no scaling law
-    else:
+    lam_min = fam.lambda_min(cfg.beta, cfg.h)
+    if fam.potential.kind is not PotentialKind.TABULATED:
         try:
             fam.base_spectrum(lam_min)  # warm the cache before thread fan-out
         except _NUMERICAL_ERRORS:

@@ -4,12 +4,15 @@ A family knows how to produce a base spectrum at h = 1 deep enough for a given
 smallest Boltzmann exponent lambda = beta * phi(h), and transports it across h
 with the exact level-scaling law phi(h) = h^a (a = 2 for box wells,
 a = 2 nu/(2+nu) for radial power laws). Base spectra are cached and only
-rebuilt when a sweep needs more depth.
+rebuilt when a sweep needs more depth. Tabulated wells have no scaling law:
+their levels are solved by finite differences at each h, once per (h, level
+count), and the solve is reused by every later request for that pair.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +50,13 @@ class ModelFamily:
     potential: Potential
     label: str
     level_cap: int = LEVEL_CAP
-    _base: Spectrum | None = field(default=None, repr=False)
-    _depth: float = field(default=0.0, repr=False)  # lambda*E covered by _base
+    # (base spectrum at h = 1, its top level): one tuple, stored in one
+    # assignment, so a concurrent reader never pairs a base with another's depth
+    _base: tuple[Spectrum, float] | None = field(default=None, repr=False)
+    # tabulated wells: h -> (level count, the FD solve of that many levels)
+    _solved: dict[float, tuple[int, Spectrum]] = field(default_factory=dict, repr=False)
+    _solving: dict[float, threading.Lock] = field(default_factory=dict, repr=False)
+    _store_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def energy_exponent(self) -> float:
@@ -64,7 +72,10 @@ class ModelFamily:
         return planck**self.energy_exponent
 
     def lambda_min(self, betas, plancks) -> float:
-        """Smallest beta * phi(h) over a sweep."""
+        """Smallest beta * phi(h) over a sweep; the smallest beta for tabulated
+        wells, whose levels are solved at each h rather than rescaled."""
+        if self.potential.kind is PotentialKind.TABULATED:
+            return float(min(betas))
         return float(min(betas)) * self.phi(float(min(plancks)))
 
     def descriptor(self) -> dict:
@@ -90,23 +101,22 @@ class ModelFamily:
         if lambda_min <= 0.0:
             raise ValueError("lambda_min must be positive")
         e_target = LAMBDA_DEPTH / lambda_min
-        if self._base is not None and self._depth >= e_target * 0.999:
-            return self._base
-        self._base = self._build_base(e_target)
-        self._depth = float(self._base.levels[-1])
-        return self._base
+        cached = self._base
+        if cached is not None and cached[1] >= e_target * 0.999:
+            return cached[0]
+        base = self._build_base(e_target)
+        depth = float(base.levels[-1])
+        with self._store_lock:  # a shallower build never replaces a deeper base
+            cached = self._base
+            if cached is None or depth > cached[1]:
+                self._base = (base, depth)
+        return base
 
     def _build_base(self, e_target: float) -> Spectrum:
         pot = self.potential
-        mass = pot.mass
         if pot.kind is PotentialKind.TABULATED:
-            # finite interval: levels grow box-like above the well depth
-            span = float(pot.grid_x[-1] - pot.grid_x[0])
-            c1 = (math.pi / span) ** 2 / (2.0 * mass)
-            vmax = float(pot.grid_v.max())
-            count = int(math.ceil(math.sqrt(max(e_target - vmax, c1) / c1))) + 2
-            self._check_cap(count, lambda m: c1 * m**2)
-            return solve_fd_1d(pot, 1.0, count=count, refinements=2)
+            return self._solve_tabulated(1.0, e_target)
+        mass = pot.mass
         if pot.kind is PotentialKind.BOX:
             if pot.dimension == 1:
                 c1 = (math.pi / pot.lengths[0]) ** 2 / (2.0 * mass)
@@ -165,17 +175,33 @@ class ModelFamily:
 
     def spectrum(self, planck: float, lambda_min: float) -> Spectrum:
         """Levels at a given h: rescaled from the cached base where the exact
-        scaling law applies, solved per h for tabulated potentials."""
+        scaling law applies. Tabulated potentials are solved per h, once per
+        (h, level count): a request whose count matches the last solve at
+        that h gets that solve back, so the levels equal a fresh solve's."""
         if self.potential.kind is PotentialKind.TABULATED:
-            e_target = LAMBDA_DEPTH / lambda_min
-            span = float(self.potential.grid_x[-1] - self.potential.grid_x[0])
-            c1 = (planck * math.pi / span) ** 2 / (2.0 * self.potential.mass)
-            vmax = float(self.potential.grid_v.max())
-            count = int(math.ceil(math.sqrt(max(e_target - vmax, c1) / c1))) + 2
-            self._check_cap(count)
-            return solve_fd_1d(self.potential, planck, count=count, refinements=2)
+            return self._solve_tabulated(planck, LAMBDA_DEPTH / lambda_min)
         base = self.base_spectrum(lambda_min)
         return rescale(base, planck, self.energy_exponent)
+
+    def _solve_tabulated(self, planck: float, e_target: float) -> Spectrum:
+        """FD levels at h up to about e_target, memoized per h."""
+        pot = self.potential
+        # finite interval: levels grow box-like above the well depth
+        span = float(pot.grid_x[-1] - pot.grid_x[0])
+        c1 = (planck * math.pi / span) ** 2 / (2.0 * pot.mass)
+        vmax = float(pot.grid_v.max())
+        count = int(math.ceil(math.sqrt(max(e_target - vmax, c1) / c1))) + 2
+        self._check_cap(count, lambda m: c1 * m**2)
+        # one lock per h (setdefault is atomic): table threads that need the
+        # same h wait for one solve instead of each repeating it, while
+        # different h still solve in parallel
+        with self._solving.setdefault(planck, threading.Lock()):
+            hit = self._solved.get(planck)
+            if hit is not None and hit[0] == count:
+                return hit[1]
+            spec = solve_fd_1d(pot, planck, count=count, refinements=2)
+            self._solved[planck] = (count, spec)
+            return spec
 
 
 def box_family(lengths, mass: float = 1.0) -> ModelFamily:

@@ -1,9 +1,12 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import qcgibbs.models as models_mod
 from qcgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -12,6 +15,9 @@ from qcgibbs.cli import (
     main,
     parse_config,
 )
+from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
+from qcgibbs.models import tabulated_family
+from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
 
 
 def run(argv, capsys):
@@ -336,3 +342,122 @@ def test_threads_env_same_output(capsys, monkeypatch):
 def test_usage_error_on_bad_flag(capsys):
     code, _, _ = run(["spectrum", "--model", "nosuch"], capsys)
     assert code == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# tabulated wells: one FD solve per h
+
+
+@pytest.fixture
+def double_well(tmp_path):
+    """A tilted double well 3 (x^2 - 1)^2 + 0.2 x + 1 sampled on [-2, 2]."""
+    xs = np.linspace(-2.0, 2.0, 81)
+    path = tmp_path / "well.csv"
+    save_tabulated_csv(tabulated(xs, 3.0 * (xs**2 - 1.0) ** 2 + 0.2 * xs + 1.0), path)
+    return path
+
+
+@pytest.fixture
+def fd_solves(monkeypatch):
+    """Counts the FD solves ModelFamily issues."""
+    calls = []
+    solve = models_mod.solve_fd_1d
+
+    def counting(potential, planck, **kwargs):
+        calls.append((planck, kwargs["count"]))
+        return solve(potential, planck, **kwargs)
+
+    monkeypatch.setattr(models_mod, "solve_fd_1d", counting)
+    return calls
+
+
+def test_tabulated_table_solves_each_h_once(double_well, fd_solves, capsys):
+    betas, hs = (0.5, 1.0, 2.0), (0.5, 1.0)
+    code, out, _ = run(
+        ["table", "--model", "tabulated", "--table", str(double_well),
+         "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
+    assert code == EXIT_OK
+    assert sorted(planck for planck, _ in fd_solves) == [0.5, 1.0]
+    # the same rows, each from its own fresh solve
+    pot = load_tabulated_csv(double_well)
+    rows = []
+    for beta in betas:
+        for h in hs:
+            spec = tabulated_family(pot).spectrum(h, min(betas))
+            rows.append(_thermo_row(beta, h, thermo_point(pot, spec, beta)))
+    assert len(fd_solves) == 2 + len(rows)
+    assert out == _table_text(rows, "csv", ["ok"] * len(rows))
+
+
+def test_tabulated_memo_resolves_when_the_count_changes(double_well, fd_solves):
+    fam = tabulated_family(load_tabulated_csv(double_well))
+    shallow = fam.spectrum(1.0, 1.0)
+    assert fam.spectrum(1.0, 1.0) is shallow
+    deep = fam.spectrum(1.0, 0.25)  # smaller lambda_min: more levels needed
+    assert deep.count > shallow.count
+    assert fam.spectrum(1.0, 0.25) is deep
+    fresh = tabulated_family(fam.potential).spectrum(1.0, 0.25)
+    np.testing.assert_array_equal(deep.levels, fresh.levels)
+    np.testing.assert_array_equal(deep.level_errors, fresh.level_errors)
+    counts = [count for _, count in fd_solves]
+    assert counts == [shallow.count, deep.count, deep.count]
+
+
+def test_tabulated_table_threads_match_serial(double_well, fd_solves, monkeypatch,
+                                              capsys):
+    import qcgibbs.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # a real 2-thread pool
+    args = ["table", "--model", "tabulated", "--table", str(double_well),
+            "--beta", "0.5,1,2", "--h", "0.5,1"]
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QCGIBBS_THREADS", threads)
+        fd_solves.clear()
+        code, out, _ = run(args, capsys)
+        assert code == EXIT_OK
+        assert sorted(planck for planck, _ in fd_solves) == [0.5, 1.0]
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys):
+    code, out, _ = run(
+        ["table", "--model", "tabulated", "--table", str(double_well),
+         "--beta", "0.01", "--h", "0.5", "--max-levels", "40"], capsys)
+    assert code == EXIT_NUMERICAL and fd_solves == []
+    assert out.splitlines()[1].startswith("0.01,0.5,nan,")
+    # the reachable depth is 45 / (c1 40^2) with c1 = (h pi / 4)^2 / 2 at h = 0.5
+    assert out.rstrip().endswith(
+        "above the cap 40; raise the cap or shrink the sweep (the cap supports "
+        "beta * phi(h) down to about 0.365)")
+
+
+def test_tabulated_memo_under_thread_stress(double_well, fd_solves):
+    # more threads than cores and a short switch interval: every request at
+    # one h gets the one solve of that h
+    fam = tabulated_family(load_tabulated_csv(double_well))
+    hs = [0.5, 0.75, 1.0] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(fam.spectrum, h, 1.0) for h in hs]
+            specs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(planck for planck, _ in fd_solves) == [0.5, 0.75, 1.0]
+    for h, spec in zip(hs, specs):
+        assert spec is fam.spectrum(h, 1.0)
+
+
+def test_verify_runs_on_tabulated_wells(double_well, tmp_path, capsys):
+    out_file = tmp_path / "reports.json"
+    code, _, err = run(
+        ["verify", "--model", "tabulated", "--table", str(double_well),
+         "--claims", "c11,c12,t41", "--beta", "0.5,1,2", "--h", "0.5,1,2",
+         "--output", str(out_file)], capsys)
+    assert code in (EXIT_OK, 4), err
+    statuses = {r["claim_id"]: r["status"] for r in json.loads(out_file.read_text())}
+    assert set(statuses) == {"C1_1", "C1_2", "T4_1_beta", "T4_1_h"}
+    assert statuses["C1_1"] == "Holds"

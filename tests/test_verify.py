@@ -189,10 +189,28 @@ def test_t41_entropy_via_psi_route_agrees(oscillator):
     assert s_direct == pytest.approx(value, abs=1e-10)
 
 
+def test_base_cache_keeps_the_deeper_base():
+    # a deeper base stored while a shallower build runs (another table
+    # thread) is not overwritten when that build finishes
+    deep_fam = homogeneous_family(2.0)
+    deep = deep_fam.base_spectrum(0.01)
+    fam = homogeneous_family(2.0)
+    build = fam._build_base
+
+    def racing_build(e_target):
+        fam._base = deep_fam._base
+        return build(e_target)
+
+    fam._build_base = racing_build
+    shallow = fam.base_spectrum(1.0)
+    assert shallow.count < deep.count
+    assert fam._base[0] is deep
+    assert fam.base_spectrum(0.01) is deep
+
+
 def test_t41_single_level_is_inconclusive():
     fam = homogeneous_family(2.0)
-    fam._base = __import__("qcgibbs").oscillator_spectrum(1)
-    fam._depth = math.inf
+    fam._base = (__import__("qcgibbs").oscillator_spectrum(1), math.inf)
     reps = check_t41(fam, np.array([0.5, 1.0]), np.array([1.0, 2.0]))
     for rep in reps:
         assert rep.status is Status.INCONCLUSIVE
