@@ -36,10 +36,12 @@ from .spectrum import (
     Spectrum,
     SpectrumSource,
     fd_eigenvalues,
+    oscillator_basis_eigenvalues,
     oscillator_spectrum,
     rescale,
     solve_box,
     solve_fd_1d,
+    solve_oscillator_basis,
     spectrum_from_csv,
     spectrum_to_csv,
     tail_bound,

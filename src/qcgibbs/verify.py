@@ -393,6 +393,8 @@ def check_t41(
 
     Monotonicity is checked on log S_q, which stays meaningful where massive
     ground-state domination pushes S_q under the smallest positive float.
+    The h direction rests on the exact scaling law, so on tabulated wells
+    T4_1_h is reported Inconclusive with notes["applicable"] = False.
     """
     betas = np.sort(default_beta_grid() if betas is None else np.atleast_1d(betas))
     hs = np.sort(default_h_grid() if hs is None else np.atleast_1d(hs))
@@ -417,7 +419,14 @@ def check_t41(
 
     reports = []
     for claim, axis in ((ClaimId.T4_1_beta, 0), (ClaimId.T4_1_h, 1)):
-        if vacuous:
+        notes = {"margin_scale": "log S_q differences", "vacuous": vacuous}
+        if axis == 1 and family.potential.kind is PotentialKind.TABULATED:
+            status = Status.INCONCLUSIVE
+            worst = math.nan
+            notes = {"applicable": False, "reason": (
+                "S_q is monotone in h for wells with the exact scaling law "
+                "E_n(h) = h^a E_n(1); a tabulated well has none")}
+        elif vacuous:
             status = Status.INCONCLUSIVE
             worst = math.nan
         else:
@@ -436,7 +445,7 @@ def check_t41(
             status=status,
             worst_margin=worst,
             tolerance=0.0,
-            notes={"margin_scale": "log S_q differences", "vacuous": vacuous},
+            notes=notes,
         ))
     return reports
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: model families are session-scoped because the deep base
-spectra (especially the finite-difference quartic) are expensive to build."""
+"""Shared fixtures: model families are session-scoped, so each deep base
+spectrum is built once per run and shared by every test that sweeps it."""
 
 import numpy as np
 import pytest

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from qcgibbs.cli import (
 from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
 from qcgibbs.models import tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
+from qcgibbs.spectrum import weyl_energy
 
 
 def run(argv, capsys):
@@ -431,6 +433,38 @@ def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys)
     assert out.rstrip().endswith(
         "above the cap 40; raise the cap or shrink the sweep (the cap supports "
         "beta * phi(h) down to about 0.365)")
+
+
+def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis was built past its cap")
+
+    monkeypatch.setattr(models_mod, "solve_oscillator_basis", refuse)
+    start = time.perf_counter()
+    code, out, _ = run(
+        ["table", "--model", "homogeneous", "--nu", "4", "--beta", "1e-6", "--h", "1"],
+        capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERICAL
+    reachable = models_mod.LAMBDA_DEPTH / weyl_energy(4.0, 1.0, 1.0, models_mod.BASIS_CAP)
+    assert out.rstrip().endswith(
+        f"above the oscillator-basis cap {models_mod.BASIS_CAP}; shrink the sweep "
+        f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+
+
+def test_t41_h_is_not_applicable_on_tabulated_wells(double_well, tmp_path, capsys):
+    # on this grid S_q rises from h = 0.25 to 0.5 at beta = 5 and 10
+    out_file = tmp_path / "reports.json"
+    code, _, err = run(
+        ["verify", "--model", "tabulated", "--table", str(double_well),
+         "--claims", "t41", "--beta", "5,10", "--h", "0.25,0.5",
+         "--output", str(out_file)], capsys)
+    assert code == EXIT_OK, err
+    reports = {r["claim_id"]: r for r in json.loads(out_file.read_text())}
+    assert reports["T4_1_beta"]["status"] == "Holds"
+    assert reports["T4_1_h"]["status"] == "Inconclusive"
+    assert reports["T4_1_h"]["notes"]["applicable"] is False
+    assert "scaling law" in reports["T4_1_h"]["notes"]["reason"]
 
 
 def test_tabulated_memo_under_thread_stress(double_well, fd_solves):

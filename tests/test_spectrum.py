@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qcgibbs.cli import EXIT_OK, main
 from qcgibbs import (
     AccuracyError,
     ContractError,
@@ -14,10 +15,13 @@ from qcgibbs import (
     box,
     fd_eigenvalues,
     homogeneous,
+    homogeneous_family,
+    oscillator_basis_eigenvalues,
     oscillator_spectrum,
     rescale,
     solve_box,
     solve_fd_1d,
+    solve_oscillator_basis,
     spectrum_from_csv,
     spectrum_to_csv,
     tabulated,
@@ -125,6 +129,67 @@ def test_fd_operator_normalization():
     np.testing.assert_allclose(
         direct.levels, (h**2 / m) * probabilist.levels, rtol=1e-5
     )
+
+
+# ---------------------------------------------------------------------------
+# oscillator basis for even power laws
+
+QUARTIC_E1 = 0.6679862591557645  # -(1/2) u'' + x^4 u, literature value
+
+
+def test_basis_quartic_ground_level():
+    spec = solve_oscillator_basis(homogeneous(4), count=40)
+    assert spec.source is SpectrumSource.OSCILLATOR_BASIS
+    assert abs(spec.levels[0] - QUARTIC_E1) / QUARTIC_E1 < 1e-12
+    assert abs(spec.levels[0] - QUARTIC_E1) <= spec.level_errors[0]
+
+
+def test_basis_levels_nest():
+    # a leading block of the same basis: Cauchy interlacing keeps every
+    # coarse level at or above the matching fine one, up to rounding
+    pot = homogeneous(4)
+    coarse = oscillator_basis_eigenvalues(pot, scale=0.8, size=30, count=20)
+    fine = oscillator_basis_eigenvalues(pot, scale=0.8, size=40, count=20)
+    assert np.all(coarse >= fine - 1e-13 * fine[-1])
+    assert coarse[-1] - fine[-1] > 1e-3  # the coarse basis is not yet converged
+
+
+def _wide_fd(nu: float, basis: Spectrum) -> Spectrum:
+    # walls where V = 4 E_M: FD's automatic walls (V = 1.25 E_M + 10) shift the
+    # top levels by more than its Richardson estimate covers
+    half_width = (4.0 * basis.levels[-1]) ** (1.0 / nu)
+    return solve_fd_1d(homogeneous(nu), grid=(half_width, 4000), count=basis.count,
+                       refinements=2)
+
+
+def test_basis_levels_inside_fd_error_bars():
+    basis = solve_oscillator_basis(homogeneous(4), count=40)
+    fd = _wide_fd(4.0, basis)
+    assert np.all(np.abs(basis.levels - fd.levels) <= fd.level_errors)
+    assert basis.level_errors.max() < 1e-3 * fd.level_errors.max()
+
+
+def test_even_power_law_bases_come_from_the_basis():
+    sextic = homogeneous_family(6.0).base_spectrum(1.0)
+    assert sextic.source is SpectrumSource.OSCILLATOR_BASIS
+    fd = _wide_fd(6.0, sextic)
+    assert np.all(np.abs(sextic.levels - fd.levels) <= fd.level_errors)
+    cubic = homogeneous_family(3.0).base_spectrum(1.0)
+    assert cubic.source is SpectrumSource.FINITE_DIFFERENCE
+    with pytest.raises(ValueError, match="even integer nu"):
+        solve_oscillator_basis(homogeneous(3), count=10)
+
+
+def test_basis_source_through_cli_and_csv(tmp_path, capsys):
+    argv = ["spectrum", "--model", "homogeneous", "--nu", "4", "--count", "5"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("# h=1\n# source=oscillator_basis\nn,E\n")
+    path = tmp_path / "quartic.csv"
+    assert main(argv + ["--output", str(path)]) == EXIT_OK
+    back = spectrum_from_csv(path)
+    assert back.source is SpectrumSource.OSCILLATOR_BASIS
+    assert abs(back.levels[0] - QUARTIC_E1) / QUARTIC_E1 < 1e-12
 
 
 # ---------------------------------------------------------------------------
