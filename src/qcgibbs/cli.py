@@ -6,7 +6,7 @@ QCGIBBS_OUTDIR when set; QCGIBBS_THREADS > 1 parallelizes table rows over at
 most min(QCGIBBS_THREADS, CPU count, rows) threads (output order stays fixed
 by grid index), and a value that is not an integer >= 1 exits 2. Exit codes:
 0 success, 2 usage or validation, 3 numerical failure (truncation,
-quadrature, accuracy), 4 a theorem-class claim reported Violated.
+quadrature, accuracy, overflow), 4 a theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
@@ -34,13 +34,14 @@ from .errors import (
     TruncationError,
 )
 from .models import (
+    LAMBDA_DEPTH,
     ModelFamily,
     box_family,
     homogeneous_family,
     tabulated_family,
 )
 from .potential import PotentialKind, load_tabulated_csv
-from .spectrum import Spectrum, rescale, solve_box, solve_fd_1d, spectrum_to_csv, weyl_energy
+from .spectrum import spectrum_text
 from .util import fmt17, log_grid
 from .verify import (
     THEOREM_CLAIMS,
@@ -55,7 +56,9 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATED = 4
 
+# ArithmeticError: a float overflow, e.g. h^a at an extreme h
 _NUMERICAL_ERRORS = (
+    ArithmeticError,
     TruncationError,
     AccuracyError,
     IntegrabilityError,
@@ -177,6 +180,10 @@ def _grid_map(fn, items):
 
 
 def _build_family(cfg: RunConfig) -> ModelFamily:
+    if cfg.model in ("homogeneous", "tabulated") and cfg.dimension != 1:
+        raise ValueError(
+            f"{cfg.model} wells are one-dimensional, got --N {cfg.dimension} "
+            "(N-dimensional radial power laws are item 5 of ROADMAP.md)")
     if cfg.model == "box":
         lengths = cfg.lengths
         if len(lengths) == 1 and cfg.dimension > 1:
@@ -211,54 +218,24 @@ def _write_or_print(text: str, path: Path | None) -> None:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
+    fam = _build_family(cfg)
     h = cfg.h[0]
-    if cfg.model == "box":
-        lengths = cfg.lengths if len(cfg.lengths) == cfg.dimension else cfg.lengths * cfg.dimension
-        spec = solve_box(cfg.dimension, lengths, cfg.mass, h, cfg.count,
-                         max_states=cfg.max_levels)
-    else:
-        fam = _build_family(cfg)
-        if cfg.model == "homogeneous":
-            base = fam.base_spectrum(lambda_min=45.0 / _homog_level_energy(fam, cfg.count))
-            spec = rescale(base, h, fam.energy_exponent) if h != 1.0 else base
-            spec = _truncate(spec, cfg.count)
-        else:
-            spec = solve_fd_1d(fam.potential, h, count=cfg.count, refinements=2)
-    out = _resolve_output(cfg.output)
-    if out is None:
-        lines = [f"# h={fmt17(spec.planck)}", f"# source={spec.source.value}", "n,E"]
-        lines += [f"{i},{fmt17(e)}" for i, e in enumerate(spec.levels[: cfg.count], start=1)]
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        spectrum_to_csv(_truncate(spec, cfg.count), out)
+    # provision level `count` at the depth, lambda * E_count = LAMBDA_DEPTH:
+    # at h for a tabulated well, at h = 1 for the base of a scaling family
+    tabulated = fam.potential.kind is PotentialKind.TABULATED
+    lam = LAMBDA_DEPTH / fam.level_energy(cfg.count, h if tabulated else 1.0)
+    while True:
+        spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
+        if spec.count >= cfg.count:
+            break
+        lam /= 2.0  # an N-D box base may reach the depth below level `count`
+    _write_or_print(spectrum_text(spec, cfg.count), _resolve_output(cfg.output))
     return EXIT_OK
-
-
-def _homog_level_energy(fam: ModelFamily, count: int) -> float:
-    """Rough energy of level `count` at h=1, used to size direct spectrum dumps."""
-    nu = fam.potential.exponent
-    if nu == 2.0:
-        return math.sqrt(2.0 / fam.potential.mass) * (count + 0.5)
-    return weyl_energy(nu, fam.potential.mass, 1.0, count + 8)
-
-
-def _truncate(spec, count: int):
-    if spec.count <= count:
-        return spec
-    errs = None if spec.level_errors is None else spec.level_errors[:count]
-    return Spectrum(spec.levels[:count], spec.planck, spec.source, level_errors=errs,
-                    tail_model=spec.tail_model)
 
 
 def cmd_table(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     lam_min = fam.lambda_min(cfg.beta, cfg.h)
-    if fam.potential.kind is not PotentialKind.TABULATED:
-        try:
-            fam.base_spectrum(lam_min)  # warm the cache before thread fan-out
-        except _NUMERICAL_ERRORS:
-            pass  # rows will carry the failure in their status column
     points = [(float(b), float(h)) for b in cfg.beta for h in cfg.h]
 
     def one(bh):
@@ -425,8 +402,8 @@ def _merge_config(args) -> RunConfig:
         raise ValueError("tail_rtol must be positive")
     if not cfg.beta or not cfg.h:
         raise ValueError("grids must be non-empty")
-    if any(b <= 0 for b in cfg.beta) or any(x <= 0 for x in cfg.h):
-        raise ValueError("beta and h grid values must be positive")
+    if not all(math.isfinite(x) and x > 0 for x in cfg.beta + cfg.h):
+        raise ValueError("beta and h grid values must be finite and positive")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
     return cfg

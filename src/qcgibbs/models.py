@@ -1,15 +1,16 @@
 """Model families: a potential plus its spectrum provider and scaling law.
 
-A family knows how to produce a base spectrum at h = 1 deep enough for a given
-smallest Boltzmann exponent lambda = beta * phi(h), and transports it across h
-with the exact level-scaling law phi(h) = h^a (a = 2 for box wells,
-a = 2 nu/(2+nu) for radial power laws). Base spectra are cached and only
-rebuilt when a sweep needs more depth. The potential alone picks the base
+A family provisions levels so that lambda * E_M >= LAMBDA_DEPTH at the
+smallest Boltzmann exponent lambda = beta * phi(h) of a sweep. One memo maps
+h to the deepest spectrum solved there, under one lock per h; a shallower
+request gets the stored solve, a deeper one replaces it. With the exact
+scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu) for radial
+power laws) the entry at h = 1 is the base that every h rescales; tabulated
+wells have none and are solved at each h. The potential alone picks the
 solver: closed forms for the box, the oscillator (nu = 2) and the wedge
 (nu = 1), an oscillator basis for the other even integer nu, and finite
-differences for every other nu. Tabulated wells have no scaling law:
-their levels are solved by finite differences at each h, once per (h, level
-count), and the solve is reused by every later request for that pair.
+differences otherwise. One level law per source (`level_energy`) sizes
+tabulated solves and names the depth a level cap still reaches.
 """
 
 from __future__ import annotations
@@ -54,18 +55,15 @@ BASIS_CAP = 20_000
 
 @dataclass
 class ModelFamily:
-    """A potential with cached spectra and the h-scaling exponent."""
+    """A potential with its memoised spectra and the h-scaling exponent."""
 
     potential: Potential
     label: str
     level_cap: int = LEVEL_CAP
-    # (base spectrum at h = 1, its top level): one tuple, stored in one
-    # assignment, so a concurrent reader never pairs a base with another's depth
-    _base: tuple[Spectrum, float] | None = field(default=None, repr=False)
-    # tabulated wells: h -> (level count, the FD solve of that many levels)
-    _solved: dict[float, tuple[int, Spectrum]] = field(default_factory=dict, repr=False)
-    _solving: dict[float, threading.Lock] = field(default_factory=dict, repr=False)
-    _store_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    # h -> the deepest spectrum solved there; at h = 1 the base that a
+    # scaling family rescales
+    _memo: dict[float, Spectrum] = field(default_factory=dict, repr=False)
+    _locks: dict[float, threading.Lock] = field(default_factory=dict, repr=False)
 
     @property
     def energy_exponent(self) -> float:
@@ -103,34 +101,71 @@ class ModelFamily:
             desc["interval"] = [float(pot.grid_x[0]), float(pot.grid_x[-1])]
         return desc
 
-    # -- base spectrum provisioning ---------------------------------------
+    # -- provisioning -----------------------------------------------------
+
+    def level_energy(self, m: int, planck: float = 1.0) -> float:
+        """Energy of level m at h by this source's law: a lower bound on E_m
+        for boxes, the oscillator and tabulated wells, Weyl's law otherwise."""
+        pot = self.potential
+        if pot.kind is PotentialKind.BOX:
+            # each lattice point k >= 1 owns the unit cube [k - 1, k] inside
+            # the ellipsoid orthant sum_i c_i k_i^2 <= E, so at most the
+            # orthant's volume of levels lies below E
+            n = pot.dimension
+            orthant = math.pi ** (n / 2) / (math.gamma(n / 2 + 1) * 2**n)
+            for length in pot.lengths:
+                orthant *= length / (planck * math.pi) * math.sqrt(2.0 * pot.mass)
+            return (m / orthant) ** (2.0 / n)
+        if pot.kind is PotentialKind.TABULATED:
+            # min-max against the box on the same interval
+            span = float(pot.grid_x[-1] - pot.grid_x[0])
+            return float(pot.grid_v.min()) + (planck * math.pi * m / span) ** 2 / (2.0 * pot.mass)
+        if pot.exponent == 2.0:
+            return planck * math.sqrt(2.0 / pot.mass) * (m - 0.5)
+        return weyl_energy(pot.exponent, pot.mass, planck, m)
 
     def base_spectrum(self, lambda_min: float) -> Spectrum:
         """Base levels at h = 1 deep enough that lambda_min * E_M >= LAMBDA_DEPTH."""
+        return self._provision(1.0, lambda_min)
+
+    def spectrum(self, planck: float, lambda_min: float) -> Spectrum:
+        """Levels at a given h: rescaled from the base where the exact scaling
+        law applies, solved at h for tabulated wells."""
+        if self.potential.kind is PotentialKind.TABULATED:
+            return self._provision(planck, lambda_min)
+        return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
+
+    def _provision(self, planck: float, lambda_min: float) -> Spectrum:
+        """The memo entry at h if its top level reaches LAMBDA_DEPTH /
+        lambda_min, else a deeper solve that replaces it."""
         if lambda_min <= 0.0:
             raise ValueError("lambda_min must be positive")
         e_target = LAMBDA_DEPTH / lambda_min
-        cached = self._base
-        if cached is not None and cached[1] >= e_target * 0.999:
-            return cached[0]
-        base = self._build_base(e_target)
-        depth = float(base.levels[-1])
-        with self._store_lock:  # a shallower build never replaces a deeper base
-            cached = self._base
-            if cached is None or depth > cached[1]:
-                self._base = (base, depth)
-        return base
+        # one lock per h (setdefault is atomic): threads that need the same h
+        # wait for one solve, while different h still solve in parallel
+        with self._locks.setdefault(planck, threading.Lock()):
+            spec = self._memo.get(planck)
+            if spec is None or spec.levels[-1] < e_target * 0.999:
+                spec = self._memo[planck] = self._solve(planck, e_target)
+            return spec
 
-    def _build_base(self, e_target: float) -> Spectrum:
+    def _solve(self, planck: float, e_target: float) -> Spectrum:
+        """Levels at h reaching about e_target; h is 1 unless the well is tabulated."""
         pot = self.potential
-        if pot.kind is PotentialKind.TABULATED:
-            return self._solve_tabulated(1.0, e_target)
         mass = pot.mass
+        if pot.kind is PotentialKind.TABULATED:
+            # the smallest m whose law level reaches the target, and at least
+            # the 8 levels the tail fit needs
+            vmin = self.level_energy(0, planck)
+            c1 = self.level_energy(1, planck) - vmin
+            count = max(8, int(math.ceil(math.sqrt(max(e_target - vmin, 0.0) / c1))))
+            self._check_cap(count, planck)
+            return solve_fd_1d(pot, planck, count=count, refinements=2)
         if pot.kind is PotentialKind.BOX:
             if pot.dimension == 1:
                 c1 = (math.pi / pot.lengths[0]) ** 2 / (2.0 * mass)
                 count = int(math.ceil(math.sqrt(e_target / c1))) + 2
-                self._check_cap(count, lambda m: c1 * m**2)
+                self._check_cap(count)
                 return solve_box(1, pot.lengths, mass, 1.0, count)
             count = 64
             while True:
@@ -147,17 +182,17 @@ class ModelFamily:
         if nu == 2.0:
             omega = math.sqrt(2.0 / mass)
             count = int(math.ceil(e_target / omega + 0.5)) + 2
-            self._check_cap(count, lambda m: omega * (m - 0.5))
+            self._check_cap(count)
             return oscillator_spectrum(count, mass)
         if nu == 1.0:
             count = int(math.ceil(weyl_level_count(1.0, mass, 1.0, e_target) * 1.05)) + 8
-            self._check_cap(count, lambda m: weyl_energy(1.0, mass, 1.0, m))
+            self._check_cap(count)
             return wedge_spectrum(count, mass)
 
         count = int(math.ceil(weyl_level_count(nu, mass, 1.0, e_target) * 1.06)) + 8
-        self._check_cap(count, lambda m: weyl_energy(nu, mass, 1.0, m))
+        self._check_cap(count)
         if nu.is_integer() and nu % 2 == 0:
-            self._check_cap(count, lambda m: weyl_energy(nu, mass, 1.0, m), basis=True)
+            self._check_cap(count, basis=True)
             return solve_oscillator_basis(pot, 1.0, count=count)
         half_width = (1.25 * e_target + 10.0) ** (1.0 / nu)
         # resolve the dominant band E ~ 3.5/lambda well; higher levels carry
@@ -171,50 +206,16 @@ class ModelFamily:
             pot, 1.0, grid=(half_width, points), count=count, refinements=2,
         )
 
-    def _check_cap(self, count: int, energy_of_count=None, basis: bool = False) -> None:
+    def _check_cap(self, count: int, planck: float = 1.0, basis: bool = False) -> None:
         cap = BASIS_CAP if basis else self.level_cap
         if count > cap:
-            msg = f"{self.label}: sweep needs {count} levels, above the " + (
-                f"oscillator-basis cap {cap}; shrink the sweep" if basis
-                else f"cap {cap}; raise the cap or shrink the sweep"
+            raise ResourceError(
+                f"{self.label}: sweep needs {count} levels, above the " + (
+                    f"oscillator-basis cap {cap}; shrink the sweep" if basis
+                    else f"cap {cap}; raise the cap or shrink the sweep"
+                ) + f" (the cap supports beta * phi(h) down to about "
+                f"{LAMBDA_DEPTH / self.level_energy(cap, planck):.3g})"
             )
-            if energy_of_count is not None:
-                lam_feasible = LAMBDA_DEPTH / energy_of_count(cap)
-                msg += (
-                    f" (the cap supports beta * phi(h) down to about "
-                    f"{lam_feasible:.3g})"
-                )
-            raise ResourceError(msg)
-
-    def spectrum(self, planck: float, lambda_min: float) -> Spectrum:
-        """Levels at a given h: rescaled from the cached base where the exact
-        scaling law applies. Tabulated potentials are solved per h, once per
-        (h, level count): a request whose count matches the last solve at
-        that h gets that solve back, so the levels equal a fresh solve's."""
-        if self.potential.kind is PotentialKind.TABULATED:
-            return self._solve_tabulated(planck, LAMBDA_DEPTH / lambda_min)
-        base = self.base_spectrum(lambda_min)
-        return rescale(base, planck, self.energy_exponent)
-
-    def _solve_tabulated(self, planck: float, e_target: float) -> Spectrum:
-        """FD levels at h up to about e_target, memoized per h."""
-        pot = self.potential
-        # finite interval: levels grow box-like above the well depth
-        span = float(pot.grid_x[-1] - pot.grid_x[0])
-        c1 = (planck * math.pi / span) ** 2 / (2.0 * pot.mass)
-        vmax = float(pot.grid_v.max())
-        count = int(math.ceil(math.sqrt(max(e_target - vmax, c1) / c1))) + 2
-        self._check_cap(count, lambda m: c1 * m**2)
-        # one lock per h (setdefault is atomic): table threads that need the
-        # same h wait for one solve instead of each repeating it, while
-        # different h still solve in parallel
-        with self._solving.setdefault(planck, threading.Lock()):
-            hit = self._solved.get(planck)
-            if hit is not None and hit[0] == count:
-                return hit[1]
-            spec = solve_fd_1d(pot, planck, count=count, refinements=2)
-            self._solved[planck] = (count, spec)
-            return spec
 
 
 def box_family(lengths, mass: float = 1.0) -> ModelFamily:

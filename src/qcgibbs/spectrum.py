@@ -549,15 +549,17 @@ def tail_bound(spectrum: Spectrum, beta: float) -> float:
 # serialization
 
 
+def spectrum_text(spectrum: Spectrum, count: int | None = None) -> str:
+    """``n,E`` rows of the lowest `count` levels (all by default) under
+    ``# h=`` and ``# source=`` metadata comments."""
+    lines = [f"# h={fmt17(spectrum.planck)}", f"# source={spectrum.source.value}", "n,E"]
+    lines += [f"{i},{fmt17(e)}" for i, e in enumerate(spectrum.levels[:count], start=1)]
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_to_csv(spectrum: Spectrum, path: str | Path) -> None:
-    """Write ``n,E`` rows with ``# h=`` and ``# source=`` metadata comments."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        fh.write(f"# h={fmt17(spectrum.planck)}\n")
-        fh.write(f"# source={spectrum.source.value}\n")
-        fh.write("n,E\n")
-        for i, e in enumerate(spectrum.levels, start=1):
-            fh.write(f"{i},{fmt17(e)}\n")
+    """Write spectrum_text(spectrum) to path."""
+    Path(path).write_text(spectrum_text(spectrum), newline="")
 
 
 def spectrum_from_csv(path: str | Path) -> Spectrum:

@@ -8,11 +8,23 @@ import numpy as np
 from scipy import special as sc
 
 
+# a log grid holds at most this many points; a longer range is refused
+# before anything is allocated
+MAX_GRID_POINTS = 10_000
+
+
 def log_grid(lo: float, hi: float, per_decade: int = 9) -> np.ndarray:
-    """Log-spaced grid from lo to hi inclusive with ~per_decade points per decade."""
-    if not (0.0 < lo < hi):
-        raise ValueError("log_grid requires 0 < lo < hi")
-    n = int(round(math.log10(hi / lo) * per_decade)) + 1
+    """Log-spaced grid from lo to hi inclusive with ~per_decade points per
+    decade, at most MAX_GRID_POINTS points."""
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("log_grid requires finite 0 < lo < hi")
+    if not 1 <= per_decade <= MAX_GRID_POINTS:
+        raise ValueError(f"per_decade must be an integer from 1 to {MAX_GRID_POINTS}")
+    n = int(round((math.log10(hi) - math.log10(lo)) * per_decade)) + 1
+    if n > MAX_GRID_POINTS:
+        raise ValueError(
+            f"log range {lo:g}:{hi:g}:{per_decade} expands to {n} points, "
+            f"above the cap of {MAX_GRID_POINTS}")
     return np.logspace(math.log10(lo), math.log10(hi), max(n, 2))
 
 

@@ -399,13 +399,13 @@ def check_t41(
     betas = np.sort(default_beta_grid() if betas is None else np.atleast_1d(betas))
     hs = np.sort(default_h_grid() if hs is None else np.atleast_1d(hs))
     lam_min = family.lambda_min(betas, hs)
-    base = family.base_spectrum(lam_min)
-    vacuous = base.count < 2
+    vacuous = False  # some swept spectrum has fewer than two levels
 
     log_s = np.empty((len(betas), len(hs)))
     err = np.empty_like(log_s)
     for j, h in enumerate(hs):
         spec = family.spectrum(float(h), lam_min)
+        vacuous = vacuous or spec.count < 2
         for i, beta in enumerate(betas):
             beta = float(beta)
             log_s[i, j] = log_entropy_quantum(spec, beta)

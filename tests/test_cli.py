@@ -2,10 +2,12 @@ import json
 import math
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcgibbs.models as models_mod
 from qcgibbs.cli import (
@@ -18,8 +20,9 @@ from qcgibbs.cli import (
 )
 from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
 from qcgibbs.models import tabulated_family
-from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
+from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv
 from qcgibbs.spectrum import weyl_energy
+from qcgibbs.util import MAX_GRID_POINTS
 
 
 def run(argv, capsys):
@@ -351,11 +354,10 @@ def test_usage_error_on_bad_flag(capsys):
 
 
 @pytest.fixture
-def double_well(tmp_path):
-    """A tilted double well 3 (x^2 - 1)^2 + 0.2 x + 1 sampled on [-2, 2]."""
-    xs = np.linspace(-2.0, 2.0, 81)
+def double_well(double_well_potential, tmp_path):
+    """The double well of conftest.py as an x,V CSV."""
     path = tmp_path / "well.csv"
-    save_tabulated_csv(tabulated(xs, 3.0 * (xs**2 - 1.0) ** 2 + 0.2 * xs + 1.0), path)
+    save_tabulated_csv(double_well_potential, path)
     return path
 
 
@@ -429,10 +431,11 @@ def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys)
          "--beta", "0.01", "--h", "0.5", "--max-levels", "40"], capsys)
     assert code == EXIT_NUMERICAL and fd_solves == []
     assert out.splitlines()[1].startswith("0.01,0.5,nan,")
-    # the reachable depth is 45 / (c1 40^2) with c1 = (h pi / 4)^2 / 2 at h = 0.5
+    # the reachable depth is 45 / (min V + c1 40^2) with c1 = (h pi / 4)^2 / 2
+    # at h = 0.5
     assert out.rstrip().endswith(
         "above the cap 40; raise the cap or shrink the sweep (the cap supports "
-        "beta * phi(h) down to about 0.365)")
+        "beta * phi(h) down to about 0.362)")
 
 
 def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
@@ -495,3 +498,94 @@ def test_verify_runs_on_tabulated_wells(double_well, tmp_path, capsys):
     statuses = {r["claim_id"]: r["status"] for r in json.loads(out_file.read_text())}
     assert set(statuses) == {"C1_1", "C1_2", "T4_1_beta", "T4_1_h"}
     assert statuses["C1_1"] == "Holds"
+
+
+def test_t41_solves_only_the_swept_h(double_well, fd_solves, capsys):
+    # vacuity comes from the swept spectra: no extra solve at h = 1
+    code, _, err = run(
+        ["verify", "--model", "tabulated", "--table", str(double_well),
+         "--claims", "t41", "--beta", "5,10", "--h", "0.25,0.5"], capsys)
+    assert code == EXIT_OK, err
+    assert sorted(planck for planck, _ in fd_solves) == [0.25, 0.5]
+
+
+def test_table_threads_build_the_base_once(monkeypatch, capsys):
+    # threads that need the base wait on its lock instead of each building it
+    import qcgibbs.cli as cli_mod
+
+    counts = []
+    build = models_mod.oscillator_spectrum
+
+    def counting(count, mass):
+        counts.append(count)
+        return build(count, mass)
+
+    monkeypatch.setattr(models_mod, "oscillator_spectrum", counting)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # a real 2-thread pool
+    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    code, _, _ = run(
+        ["table", "--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2",
+         "--h", "0.5,1"], capsys)
+    assert code == EXIT_OK and len(counts) == 1
+
+
+# ---------------------------------------------------------------------------
+# input validation
+
+
+@pytest.mark.parametrize("command", ["table", "verify --claims c11", "spectrum"])
+@pytest.mark.parametrize("model", ["homogeneous --nu 2", "tabulated --table WELL"])
+def test_one_dimensional_wells_reject_other_n(command, model, double_well, capsys):
+    model = model.replace("WELL", str(double_well))
+    code, out, err = run(
+        [*command.split(), "--model", *model.split(), "--N", "3", "--beta", "1",
+         "--h", "1"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "--N 3" in err and "ROADMAP.md" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("table --beta 1,nan", "finite"),
+    ("table --beta 1:1e400", "finite"),
+    ("table --beta inf", "finite"),
+    ("table --h 0.5:2:0", "per_decade"),
+    ("verify --claims c11 --beta 0.5,nan", "finite"),
+    # one point above the cap: the range is refused before it is allocated
+    (f"table --beta 1:10:{MAX_GRID_POINTS}", f"{MAX_GRID_POINTS + 1} points"),
+])
+def test_bad_grids_exit_2(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*argv.split(), "--model", "box", "--L", "1"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
+_GRID_TOKENS = st.sampled_from(
+    ["1", "0.5", "2", "1e-3", "1e3", "0", "-1", "nan", "inf", "-inf", "1e400",
+     "1e-400", "1e200", "x", ""])
+_GRID_TEXT = st.one_of(
+    st.lists(st.one_of(_GRID_TOKENS, st.floats().map(repr)), min_size=1, max_size=3)
+    .map(",".join),
+    st.lists(st.one_of(_GRID_TOKENS, st.integers(-2, 3).map(str)), min_size=1,
+             max_size=4).map(":".join),
+    st.text(alphabet="0123456789.e-+:,naif ", max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(beta=_GRID_TEXT, h=_GRID_TEXT)
+def test_grid_text_never_escapes_main(beta, h, capsys):
+    code, _, err = run(["spectrum", "--model", "box", "--L", "1", "--beta", beta,
+                        "--h", h], capsys)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+    values = []
+    for text in (beta + "," + h).replace(":", ",").split(","):
+        try:
+            values.append(float(text))
+        except ValueError:
+            pass
+    if not all(math.isfinite(x) for x in values):
+        assert code == EXIT_USAGE

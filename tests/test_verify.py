@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -190,27 +192,26 @@ def test_t41_entropy_via_psi_route_agrees(oscillator):
 
 
 def test_base_cache_keeps_the_deeper_base():
-    # a deeper base stored while a shallower build runs (another table
-    # thread) is not overwritten when that build finishes
-    deep_fam = homogeneous_family(2.0)
-    deep = deep_fam.base_spectrum(0.01)
+    # a shallower request that waits on the h = 1 lock while another table
+    # thread stores a deeper base gets that base and solves nothing
+    deep = homogeneous_family(2.0).base_spectrum(0.01)
     fam = homogeneous_family(2.0)
-    build = fam._build_base
-
-    def racing_build(e_target):
-        fam._base = deep_fam._base
-        return build(e_target)
-
-    fam._build_base = racing_build
-    shallow = fam.base_spectrum(1.0)
-    assert shallow.count < deep.count
-    assert fam._base[0] is deep
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with fam._locks.setdefault(1.0, threading.Lock()):
+            waiting = pool.submit(fam.base_spectrum, 1.0)
+            fam._memo[1.0] = deep
+        assert waiting.result(timeout=60) is deep
     assert fam.base_spectrum(0.01) is deep
+    deeper = fam.base_spectrum(0.001)  # beyond the stored depth: solved again
+    assert deeper.count > deep.count and fam._memo[1.0] is deeper
 
 
-def test_t41_single_level_is_inconclusive():
+def test_t41_single_level_is_inconclusive(monkeypatch):
+    import qcgibbs.models as models_mod
+
+    one_level = models_mod.oscillator_spectrum(1)
+    monkeypatch.setattr(models_mod, "oscillator_spectrum", lambda count, mass: one_level)
     fam = homogeneous_family(2.0)
-    fam._base = (__import__("qcgibbs").oscillator_spectrum(1), math.inf)
     reps = check_t41(fam, np.array([0.5, 1.0]), np.array([1.0, 2.0]))
     for rep in reps:
         assert rep.status is Status.INCONCLUSIVE
