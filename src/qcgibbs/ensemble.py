@@ -8,10 +8,12 @@ quantum quantity and error bound is read from one weight pass per
 (spectrum, beta), a BoltzmannPass; the public functions are thin readers of
 it, and each thread keeps its last pass, so a caller that reads several
 quantities at one point makes one pass.
-Classical quantities reduce to closed forms for box wells, to radial
-integrals evaluated by adaptive quadrature (cross-checked against the
-Gamma-function closed form) for power-law potentials, and to exact piecewise
-integrals of the interpolant for tabulated profiles.
+Classical quantities are closed forms for box wells and for power-law
+potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
+and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
+rounding bound, and exact piecewise integrals of the interpolant for tabulated
+profiles. No classical quantity needs quadrature, so importing this module
+loads neither scipy.integrate nor scipy.optimize.
 
 Entropies follow the identities
     S_q = beta E_q + log Z_q
@@ -29,17 +31,19 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln, xlogy
+from scipy.special import digamma, gammaln, xlogy
 
 from .errors import AccuracyError, IntegrabilityError, TruncationError
 from .potential import Potential, PotentialKind, volume
 from .spectrum import Spectrum, log_tail_bound
-from .util import fmt17, log_upper_gamma, logsumexp
+from .util import fmt17, logsumexp
 
 TAIL_RTOL = 1e-10
 
-_U_SPLIT = 50.0  # radial integrals switch to the analytic tail where beta*V = 50
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
+# a table's Z_q and (2 pi h)^N Z_q are exp of a log inside this range
+_LOG_RANGE = (math.log(_TINY), math.log(float(np.finfo(float).max)))
 
 
 class BoltzmannPass:
@@ -62,9 +66,16 @@ class BoltzmannPass:
         self.beta = beta
         self.e0 = spectrum.levels[0]
         self.d = spectrum.levels - self.e0
-        self.w = np.exp(-beta * self.d)
+        try:
+            with np.errstate(over="raise"):
+                self.w = np.exp(-beta * self.d)
+                log_w0 = -beta * self.e0
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"beta E_n leaves the double range at beta={beta:g}"
+            ) from exc
         self.sw = float(self.w.sum())
-        self.log_z = -beta * self.e0 + math.log(self.sw)
+        self.log_z = log_w0 + math.log(self.sw)
 
     @cached_property
     def e_shift(self) -> float:
@@ -223,26 +234,27 @@ def _sphere_surface(n: int) -> float:
 
 
 def _radial_config_integral(nu: float, n_dim: int, beta: float) -> tuple[float, float]:
-    """(value, error) of int_0^inf exp(-beta r^nu) r^(N-1) dr via the
-    substitution u = beta r^nu, quadrature on [0, 50] with the algebraic
-    endpoint weight u^(N/nu - 1), and an analytic bound for the remainder.
-    Cross-checked against the closed form Gamma(N/nu) / (nu beta^(N/nu))."""
+    """(value, rounding bound) of int_0^inf exp(-beta r^nu) r^(N-1) dr, which
+    is Gamma(a) / (nu beta^a) with a = N/nu, evaluated as exp(x) with
+    x = gammaln(a) - a log(beta) - log(nu).
+
+    The bound is a first-order rounding analysis in units of eps: a carries
+    eps/2 and log(beta) eps, so a log(beta) is within 2 eps of its size;
+    gammaln is within 4 eps of max(1, |gammaln|) (absolute below a = 3,
+    relative above) and moves by a |psi(a)| eps/2 with the rounding of a;
+    log(nu) is within eps; the two subtractions add eps/2 of their results;
+    exp adds eps relative.
+    """
     a = n_dim / nu
-    scale = math.exp(-a * math.log(beta) - math.log(nu))
-    val, err = integrate.quad(
-        lambda u: math.exp(-u), 0.0, _U_SPLIT,
-        weight="alg", wvar=(a - 1.0, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
+    g = float(gammaln(a))
+    t = a * math.log(beta)
+    ln = math.log(nu)
+    x = g - t - ln
+    dx = _EPS * (
+        5.0 * max(1.0, abs(g)) + a * abs(float(digamma(a))) + 3.0 * abs(t) + abs(ln) + abs(x)
     )
-    tail = math.exp(log_upper_gamma(a, _U_SPLIT))
-    value = scale * (val + tail)
-    closed = math.exp(gammaln(a) - a * math.log(beta) - math.log(nu))
-    if not math.isfinite(value) or value <= 0.0:
-        raise IntegrabilityError("radial configuration integral did not converge")
-    if abs(value - closed) > 1e-8 * closed:
-        raise AccuracyError(
-            f"radial quadrature {value!r} disagrees with the Gamma closed form {closed!r}"
-        )
-    return value, scale * err + abs(value - closed) + 1e-14 * value
+    value = math.exp(x)
+    return value, value * (math.expm1(dx) + 2.0 * _EPS)
 
 
 def _tabulated_config_integral(potential: Potential, beta: float) -> tuple[float, float]:
@@ -261,10 +273,14 @@ def _tabulated_config_integral(potential: Potential, beta: float) -> tuple[float
 
 
 def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
-    """(Z_c, error estimate) for the phase-space integral of exp(-beta H).
+    """(Z_c, error bound) for the phase-space integral of exp(-beta H).
 
     The momentum Gaussian integrates to (2 pi m / beta)^(N/2); what remains is
-    the configuration integral of exp(-beta V).
+    the configuration integral of exp(-beta V): the volume of a box; for
+    r^nu, S_N Gamma(N/nu) / (nu beta^(N/nu)) in closed form, whose bound is
+    the rounding of its evaluation (IntegrabilityError below the normal
+    double range); for a tabulated well, the exact integral of its
+    piecewise-linear interpolant.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -273,31 +289,18 @@ def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
         value = kin * volume(potential)
         return value, 1e-15 * value
     if potential.kind is PotentialKind.HOMOGENEOUS:
-        radial, radial_err = _radial_config_integral(
-            potential.exponent, potential.dimension, beta
-        )
-        surf = _sphere_surface(potential.dimension)
-        return kin * surf * radial, kin * surf * radial_err
+        n_dim = potential.dimension
+        radial, radial_err = _radial_config_integral(potential.exponent, n_dim, beta)
+        if radial < _TINY:  # a subnormal value would void the relative bound
+            raise IntegrabilityError(f"Z_c underflows at beta={beta:g}")
+        value = kin * _sphere_surface(n_dim) * radial
+        # kin and S_N carry (3N/4 + 1) and (N/4 + 12) eps (math.gamma within
+        # 10 ulps), and the two products eps
+        return value, value * (radial_err / radial + (n_dim + 14.0) * _EPS)
     config, config_err = _tabulated_config_integral(potential, beta)
     if not math.isfinite(config) or config <= 0.0:
         raise IntegrabilityError("configuration integral did not converge")
     return kin * config, kin * config_err
-
-
-def _radial_mean_v(nu: float, n_dim: int, beta: float) -> float:
-    """<V> under exp(-beta r^nu) r^(N-1) dr, by quadrature in u = beta r^nu."""
-    a = n_dim / nu
-    num, _ = integrate.quad(
-        lambda u: math.exp(-u), 0.0, _U_SPLIT,
-        weight="alg", wvar=(a, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    num += math.exp(log_upper_gamma(a + 1.0, _U_SPLIT))
-    den, _ = integrate.quad(
-        lambda u: math.exp(-u), 0.0, _U_SPLIT,
-        weight="alg", wvar=(a - 1.0, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
-    )
-    den += math.exp(log_upper_gamma(a, _U_SPLIT))
-    return num / den / beta
 
 
 def _tabulated_mean_v(potential: Potential, beta: float) -> float:
@@ -333,9 +336,9 @@ def mean_energy_classical(potential: Potential, beta: float) -> float:
     """E_c, the canonical mean of H = p^2/2m + V.
 
     Box: N/(2 beta) exactly. Power law r^nu: N (2 + nu) / (2 nu beta), i.e.
-    N/(alpha beta) with alpha = 2 nu/(2 + nu), cross-checked against direct
-    quadrature of <V> to 1e-8 relative. Tabulated: kinetic part plus <V> from
-    the exact per-segment integrals.
+    N/(alpha beta) with alpha = 2 nu/(2 + nu), since <V> = N/(nu beta)
+    exactly; four correctly rounded operations put it within 2 eps relative.
+    Tabulated: kinetic part plus <V> from the exact per-segment integrals.
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
@@ -345,14 +348,7 @@ def mean_energy_classical(potential: Potential, beta: float) -> float:
         return kinetic
     if potential.kind is PotentialKind.HOMOGENEOUS:
         nu = potential.exponent
-        closed = n_dim * (2.0 + nu) / (2.0 * nu * beta)
-        quad_value = kinetic + _radial_mean_v(nu, n_dim, beta)
-        if abs(quad_value - closed) > 1e-8 * abs(closed):
-            raise AccuracyError(
-                f"classical energy quadrature {quad_value!r} disagrees with "
-                f"the closed form {closed!r}"
-            )
-        return closed
+        return n_dim * (2.0 + nu) / (2.0 * nu * beta)
     return kinetic + _tabulated_mean_v(potential, beta)
 
 
@@ -436,8 +432,7 @@ class ThermoPoint:
     @property
     def zq_scaled(self) -> float:
         """(2 pi h)^N Z_q, the quantity comparable to Z_c."""
-        log_scaled = self.dimension * math.log(2.0 * math.pi * self.planck) + self.log_z_quantum
-        return math.exp(log_scaled) if log_scaled < 700.0 else math.inf
+        return math.exp(_log_zq_scaled(self.dimension, self.planck, self.log_z_quantum))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -446,14 +441,30 @@ class ThermoPoint:
         return m.w / m.sw
 
 
+def _log_zq_scaled(n_dim: int, planck: float, log_zq: float) -> float:
+    return n_dim * math.log(2.0 * math.pi * planck) + log_zq
+
+
 def thermo_point(
     potential: Potential,
     spectrum: Spectrum,
     beta: float,
     tail_rtol: float = TAIL_RTOL,
 ) -> ThermoPoint:
-    """Assemble a ThermoPoint, checking the entropy identities on the way."""
+    """Assemble a ThermoPoint, checking the entropy identities on the way.
+
+    Raises FloatingPointError when Z_q or (2 pi h)^N Z_q lies outside the
+    normal double range, where the table would show inf or 0.
+    """
     log_zq, log_tail = log_z_quantum(spectrum, beta, tail_rtol)
+    log_scaled = _log_zq_scaled(potential.dimension, spectrum.planck, log_zq)
+    lo, hi = _LOG_RANGE
+    if not (lo < log_zq < hi and lo < log_scaled < hi):
+        raise FloatingPointError(
+            f"log((2 pi h)^N Z_q) = {log_scaled:.6g} (log Z_q = {log_zq:.6g}) at "
+            f"beta={beta:g}, h={spectrum.planck:g} leaves the double range "
+            f"({lo:.6g}, {hi:.6g})"
+        )
     eq = mean_energy_quantum(spectrum, beta, tail_rtol)
     sq, _ = entropy_quantum(spectrum, beta, tail_rtol)
     zc, zc_err = z_classical(potential, beta)
@@ -472,7 +483,7 @@ def thermo_point(
         beta=beta,
         planck=h,
         dimension=n_dim,
-        z_quantum=math.exp(log_zq) if log_zq < 700.0 else math.inf,
+        z_quantum=math.exp(log_zq),
         z_quantum_tail=math.exp(log_tail) if log_tail > -700.0 else 0.0,
         log_z_quantum=log_zq,
         z_classical=zc,

@@ -499,14 +499,21 @@ def rescale(base: Spectrum, planck: float, exponent: float) -> Spectrum:
         raise ValueError("planck must be positive")
     if exponent <= 0.0:
         raise ValueError("scaling exponent must be positive")
-    factor = planck**exponent
-    errs = None if base.level_errors is None else base.level_errors * factor
+    try:
+        factor = planck**exponent
+        with np.errstate(over="raise"):  # raise rather than leave inf levels
+            levels = base.levels * factor
+            errs = None if base.level_errors is None else base.level_errors * factor
+    except ArithmeticError as exc:
+        raise FloatingPointError(
+            f"levels at h={planck:g} overflow: h^{exponent:g} E_n(1) leaves the double range"
+        ) from exc
     tail = None
     if base.tail_model is not None:
         gamma, pref = base.tail_model
         tail = (gamma, pref * factor)
     return Spectrum(
-        base.levels * factor, planck, SpectrumSource.RESCALED,
+        levels, planck, SpectrumSource.RESCALED,
         level_errors=errs, tail_model=tail,
     )
 

@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy import integrate
 
 from .ensemble import (
     boltzmann_pass,
@@ -350,6 +349,10 @@ def check_t31(
     if tau == beta:
         lhs, quad_err = 0.0, 0.0
     else:
+        # imported here, not at the top: scipy.integrate (with scipy.optimize)
+        # costs about 0.3 s at start-up, and no other command needs it
+        from scipy import integrate
+
         lhs, quad_err = integrate.quad(
             integrand, tau, beta, epsabs=1e-12, epsrel=1e-9, limit=300
         )

@@ -131,6 +131,34 @@ def test_table_truncation_failure_exit_code(capsys):
     )
 
 
+@pytest.mark.parametrize("h", ["1e153", "1e154", "1e200"])
+def test_spectrum_overflow_is_a_numerical_error(h, capsys):
+    # h^2 E_n(1) leaves the double range: exit 3, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["spectrum", "--model", "box", "--h", h], capsys)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "overflow" in err
+
+
+def test_table_marks_rows_outside_the_double_range(capsys):
+    # Z_q = exp(-4.93e306) underflows at h = 1e153, and so does exp(-4935) at
+    # beta = 1000, h = 1; beta E_n itself overflows at both. Each row fails
+    # with a message, none reads 0 or inf, and numpy warns of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(
+            ["table", "--model", "box", "--beta", "1,1000", "--h", "1,1e153"], capsys)
+    assert code == EXIT_NUMERICAL
+    rows = out.strip().splitlines()[1:]
+    assert rows[0].endswith(",ok")
+    failed = ",nan,nan,nan,nan,nan,nan,error: "
+    assert rows[1].startswith("1,1e+153" + failed + "log((2 pi h)^N Z_q) = -4.9348e+306")
+    assert rows[2].startswith("1000,1" + failed + "log((2 pi h)^N Z_q) = -4932.96")
+    assert rows[3] == "1000,1e+153" + failed + "beta E_n leaves the double range at beta=1000"
+
+
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
 

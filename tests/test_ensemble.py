@@ -1,11 +1,16 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate
+from scipy.special import gammaln
 
 from qcgibbs import (
     AccuracyError,
+    IntegrabilityError,
     Spectrum,
     SpectrumSource,
     TruncationError,
@@ -35,6 +40,7 @@ from qcgibbs.ensemble import (
     z_quantum_error,
 )
 from qcgibbs.spectrum import log_tail_bound, rescale, solve_fd_1d
+from qcgibbs.util import log_upper_gamma
 
 PI2 = math.pi**2
 
@@ -106,6 +112,97 @@ def test_z_classical_tabulated_matches_power_law():
 
 
 # ---------------------------------------------------------------------------
+# power-law classical sums: the closed forms against mpmath and quadrature
+
+_U_SPLIT = 50.0  # radial integrals switch to the analytic tail where beta*V = 50
+
+
+# The former runtime path, kept here verbatim as an independent oracle: QAWSE
+# quadrature in u = beta r^nu with the algebraic endpoint weight.
+def _radial_config_integral(nu: float, n_dim: int, beta: float) -> tuple[float, float]:
+    """(value, error) of int_0^inf exp(-beta r^nu) r^(N-1) dr via the
+    substitution u = beta r^nu, quadrature on [0, 50] with the algebraic
+    endpoint weight u^(N/nu - 1), and an analytic bound for the remainder.
+    Cross-checked against the closed form Gamma(N/nu) / (nu beta^(N/nu))."""
+    a = n_dim / nu
+    scale = math.exp(-a * math.log(beta) - math.log(nu))
+    val, err = integrate.quad(
+        lambda u: math.exp(-u), 0.0, _U_SPLIT,
+        weight="alg", wvar=(a - 1.0, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    tail = math.exp(log_upper_gamma(a, _U_SPLIT))
+    value = scale * (val + tail)
+    closed = math.exp(gammaln(a) - a * math.log(beta) - math.log(nu))
+    if not math.isfinite(value) or value <= 0.0:
+        raise IntegrabilityError("radial configuration integral did not converge")
+    if abs(value - closed) > 1e-8 * closed:
+        raise AccuracyError(
+            f"radial quadrature {value!r} disagrees with the Gamma closed form {closed!r}"
+        )
+    return value, scale * err + abs(value - closed) + 1e-14 * value
+
+
+def _radial_mean_v(nu: float, n_dim: int, beta: float) -> float:
+    """<V> under exp(-beta r^nu) r^(N-1) dr, by quadrature in u = beta r^nu."""
+    a = n_dim / nu
+    num, _ = integrate.quad(
+        lambda u: math.exp(-u), 0.0, _U_SPLIT,
+        weight="alg", wvar=(a, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    num += math.exp(log_upper_gamma(a + 1.0, _U_SPLIT))
+    den, _ = integrate.quad(
+        lambda u: math.exp(-u), 0.0, _U_SPLIT,
+        weight="alg", wvar=(a - 1.0, 0.0), epsabs=0.0, epsrel=1e-12, limit=200,
+    )
+    den += math.exp(log_upper_gamma(a, _U_SPLIT))
+    return num / den / beta
+
+
+def _mp_classical(nu: float, n_dim: int, beta: float) -> tuple[float, float]:
+    """(Z_c, E_c) of r^nu in N dimensions at 30 digits, from the exact doubles."""
+    with mpmath.workdps(30):
+        nu, beta, n = mpmath.mpf(nu), mpmath.mpf(beta), mpmath.mpf(n_dim)
+        kin = (2 * mpmath.pi / beta) ** (n / 2)
+        surf = 2 * mpmath.pi ** (n / 2) / mpmath.gamma(n / 2)
+        radial = mpmath.gamma(n / nu) / (nu * beta ** (n / nu))
+        return kin * surf * radial, n * (2 + nu) / (2 * nu * beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nu=st.floats(0.5, 30.0),
+    n_dim=st.sampled_from([1, 2, 3]),
+    beta=st.floats(1e-3, 1e3),
+)
+@example(nu=1.0, n_dim=1, beta=1e-3)  # a = 1 and a = 2: the zeros of gammaln
+@example(nu=1.5, n_dim=3, beta=1e3)
+@example(nu=0.5, n_dim=3, beta=1e-3)  # a = 6, the largest exponent
+def test_power_law_classical_closed_forms(nu, n_dim, beta):
+    pot = homogeneous(nu, dimension=n_dim)
+    zc, zc_err = z_classical(pot, beta)
+    ec = mean_energy_classical(pot, beta)
+    zc_mp, ec_mp = _mp_classical(nu, n_dim, beta)
+    eps = np.finfo(float).eps
+    # each within its claimed bar of the 30-digit value
+    assert abs(mpmath.mpf(zc) - zc_mp) <= zc_err
+    assert abs(mpmath.mpf(ec) - ec_mp) <= 2.0 * eps * ec_mp
+    assert zc_err < 1e-13 * zc
+    # and the former quadrature path agrees with both closed forms
+    kin = (2.0 * math.pi / beta) ** (n_dim / 2.0)
+    surf = 2.0 * math.pi ** (n_dim / 2.0) / math.gamma(n_dim / 2.0)
+    radial, _ = _radial_config_integral(nu, n_dim, beta)
+    assert abs(kin * surf * radial - zc) <= 1e-10 * zc
+    e_quad = n_dim / (2.0 * beta) + _radial_mean_v(nu, n_dim, beta)
+    assert abs(e_quad - ec) <= 1e-10 * ec
+
+
+def test_z_classical_underflow_is_an_error():
+    # beta^-(N/nu) = 1e-1200: Gamma(6) / (nu beta^6) is below the double range
+    with pytest.raises(IntegrabilityError, match="underflows"):
+        z_classical(homogeneous(0.5, dimension=3), 1e200)
+
+
+# ---------------------------------------------------------------------------
 # mean energies
 
 
@@ -138,8 +235,6 @@ def test_mean_energy_classical_values():
 
 def test_mean_energy_classical_quadrature_oracle():
     # independent quadrature of the phase-space mean of H for nu=4
-    from scipy import integrate
-
     beta = 1.3
     num = integrate.quad(lambda x: x**4 * math.exp(-beta * x**4), 0, 20)[0]
     den = integrate.quad(lambda x: math.exp(-beta * x**4), 0, 20)[0]
@@ -297,6 +392,52 @@ def test_psi_argument_errors():
         psi([], 1.0)
     with pytest.raises(ValueError):
         psi([1.0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# properties over the analytic and basis spectra
+
+SWEEP_BETAS = (0.05, 80.0)
+SWEEP_HS = (0.5, 2.0)
+
+
+@pytest.fixture(scope="module")
+def swept(box1, oscillator, wedge, quartic):
+    """Each family with its lambda_min over the property sweep below."""
+    return {
+        name: (fam, fam.lambda_min(SWEEP_BETAS, SWEEP_HS))
+        for name, fam in (("box", box1), ("oscillator", oscillator),
+                          ("wedge", wedge), ("quartic", quartic))
+    }
+
+
+_SWEEP_POINT = dict(
+    beta=st.floats(SWEEP_BETAS[0], SWEEP_BETAS[1] / 4.0),
+    h=st.floats(*SWEEP_HS),
+)
+
+
+@pytest.mark.parametrize("name", ["box", "oscillator", "wedge", "quartic"])
+@settings(max_examples=30, deadline=None)
+@given(ratio=st.floats(1.001, 4.0), **_SWEEP_POINT)
+def test_z_quantum_strictly_decreasing_in_beta(swept, name, beta, h, ratio):
+    # d log Z_q / d beta = -E_q < 0, compared in logs: Z_q itself underflows
+    fam, lam_min = swept[name]
+    spec = fam.spectrum(h, lam_min)
+    assert log_z_quantum(spec, beta * ratio)[0] < log_z_quantum(spec, beta)[0]
+
+
+@pytest.mark.parametrize("name", ["box", "oscillator", "wedge", "quartic"])
+@settings(max_examples=30, deadline=None)
+@given(**_SWEEP_POINT)
+def test_quantum_entropy_identity_on_every_basis(swept, name, beta, h):
+    # the direct sum -sum P log P against beta E_q + log Z_q, unshifted
+    fam, lam_min = swept[name]
+    spec = fam.spectrum(h, lam_min)
+    s_q, _ = entropy_quantum(spec, beta)
+    be_q = beta * mean_energy_quantum(spec, beta)
+    log_zq = log_z_quantum(spec, beta)[0]
+    assert abs(s_q - (be_q + log_zq)) <= 1e-12 * (1.0 + abs(be_q) + abs(log_zq))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgibbs import (
     ClaimId,
@@ -22,7 +23,7 @@ from qcgibbs import (
     run_claims,
 )
 from qcgibbs.ensemble import entropy_classical, entropy_quantum, z_classical, z_quantum
-from qcgibbs.verify import THEOREM_CLAIMS, report_from_dict
+from qcgibbs.verify import THEOREM_CLAIMS, _classify, report_from_dict
 
 SMALL_BETAS = np.array([0.1, 1.0, 10.0])
 SMALL_HS = np.array([0.5, 1.0, 2.0])
@@ -319,3 +320,25 @@ def test_theorem_claim_set():
     assert ClaimId.T3_1 in THEOREM_CLAIMS
     assert ClaimId.C1_2 not in THEOREM_CLAIMS
     assert ClaimId.C4_1 not in THEOREM_CLAIMS
+
+
+# ---------------------------------------------------------------------------
+# verdicts at the edge of the error band
+
+
+@settings(max_examples=200, deadline=None)
+@given(bound=st.floats(0.0, 1e6), tol=st.floats(0.0, 1e6))
+def test_classify_is_exact_at_the_bound(bound, tol):
+    # a margin equal to its bound clears it in neither direction
+    assert _classify([bound], [bound], tol) is Status.INCONCLUSIVE
+    assert _classify([-bound], [bound], tol) is Status.INCONCLUSIVE
+    # one ulp past it does
+    above = math.nextafter(bound, math.inf)
+    assert _classify([above], [bound], tol) is Status.HOLDS
+    assert _classify([above], [bound], tol, failed_points=1) is Status.INCONCLUSIVE
+    below = math.nextafter(-bound, -math.inf)
+    expected = Status.VIOLATED if below < -tol else Status.INCONCLUSIVE
+    assert _classify([below], [bound], tol) is expected
+    # and a margin at -tolerance is not beyond it
+    if tol > bound:
+        assert _classify([-tol], [bound], tol) is Status.INCONCLUSIVE
