@@ -42,6 +42,7 @@ from .spectrum import (
     solve_box,
     solve_fd_1d,
     solve_oscillator_basis,
+    solve_sine_basis,
     spectrum_from_csv,
     spectrum_to_csv,
     tail_bound,

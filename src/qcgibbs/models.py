@@ -8,9 +8,10 @@ scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu) for radial
 power laws) the entry at h = 1 is the base that every h rescales; tabulated
 wells have none and are solved at each h. The potential alone picks the
 solver: closed forms for the box, the oscillator (nu = 2) and the wedge
-(nu = 1), an oscillator basis for the other even integer nu, and finite
-differences otherwise. One level law per source (`level_energy`) sizes
-tabulated solves and names the depth a level cap still reaches.
+(nu = 1), an oscillator basis for the other even integer nu, the box's sine
+basis for tabulated wells, and finite differences for odd and non-integer
+nu. One level law per source (`level_energy`) sizes tabulated solves and
+names the depth a level cap still reaches.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .spectrum import (
     solve_box,
     solve_fd_1d,
     solve_oscillator_basis,
+    solve_sine_basis,
     wedge_spectrum,
     weyl_energy,
     weyl_level_count,
@@ -51,6 +53,11 @@ LEVEL_CAP = 2_000_000
 # build at this many levels takes about 30 s at nu = 4 (70 s at nu = 20) on
 # two cores, so deeper sweeps are refused before anything is allocated
 BASIS_CAP = 20_000
+# tabulated wells are solved in a dense sine basis of 2 * count + 64 states;
+# its two full eigh passes cost O(size^3), and one solve at this many levels
+# (3,064 states) takes about 5 s and 290 MB on two cores
+SINE_BASIS_CAP = 1_500
+BASIS_CAPS = {"oscillator": BASIS_CAP, "sine": SINE_BASIS_CAP}
 
 
 @dataclass
@@ -160,7 +167,9 @@ class ModelFamily:
             c1 = self.level_energy(1, planck) - vmin
             count = max(8, int(math.ceil(math.sqrt(max(e_target - vmin, 0.0) / c1))))
             self._check_cap(count, planck)
-            return solve_fd_1d(pot, planck, count=count, refinements=2)
+            self._check_cap(count, planck, basis="sine")
+            return solve_sine_basis(pot, planck, count=count,
+                                    max_size=2 * SINE_BASIS_CAP + 64)
         if pot.kind is PotentialKind.BOX:
             if pot.dimension == 1:
                 c1 = (math.pi / pot.lengths[0]) ** 2 / (2.0 * mass)
@@ -192,7 +201,7 @@ class ModelFamily:
         count = int(math.ceil(weyl_level_count(nu, mass, 1.0, e_target) * 1.06)) + 8
         self._check_cap(count)
         if nu.is_integer() and nu % 2 == 0:
-            self._check_cap(count, basis=True)
+            self._check_cap(count, basis="oscillator")
             return solve_oscillator_basis(pot, 1.0, count=count)
         half_width = (1.25 * e_target + 10.0) ** (1.0 / nu)
         # resolve the dominant band E ~ 3.5/lambda well; higher levels carry
@@ -206,12 +215,14 @@ class ModelFamily:
             pot, 1.0, grid=(half_width, points), count=count, refinements=2,
         )
 
-    def _check_cap(self, count: int, planck: float = 1.0, basis: bool = False) -> None:
-        cap = BASIS_CAP if basis else self.level_cap
+    def _check_cap(self, count: int, planck: float = 1.0, basis: str | None = None) -> None:
+        """Refuse `count` levels above the level cap, or above the named
+        basis's own cap (a key of BASIS_CAPS), before anything is built."""
+        cap = self.level_cap if basis is None else BASIS_CAPS[basis]
         if count > cap:
             raise ResourceError(
                 f"{self.label}: sweep needs {count} levels, above the " + (
-                    f"oscillator-basis cap {cap}; shrink the sweep" if basis
+                    f"{basis}-basis cap {cap}; shrink the sweep" if basis
                     else f"cap {cap}; raise the cap or shrink the sweep"
                 ) + f" (the cap supports beta * phi(h) down to about "
                 f"{LAMBDA_DEPTH / self.level_energy(cap, planck):.3g})"

@@ -4,7 +4,11 @@ Levels come from closed forms where they exist (box multi-index sums, the r^2
 oscillator, the |x| wedge via Airy-function zeros). Even power laws x^nu
 (nu = 4, 6, ...) are solved by Rayleigh-Ritz in a harmonic-oscillator basis,
 where the Hamiltonian is banded, with level errors from two nested basis
-sizes. Every other well falls back to a second-order central
+sizes. Tabulated wells are solved by Rayleigh-Ritz in the sine eigenbasis of
+the box on the table's interval, where the piecewise-linear V has closed-form
+matrix elements; each level's bar is the gap to a Schur-complement lower
+bound, so every Ritz level and its bar bracket the exact level. Odd and
+non-integer power laws fall back to a second-order central
 finite-difference discretization on a uniform grid with Dirichlet ends,
 sharpened by Richardson extrapolation. A power-law growth
 model E_n ~ C n^gamma fitted to the top quartile of the computed levels
@@ -21,8 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as sc
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigh, eigvalsh_tridiagonal
 
 from .errors import (
     AccuracyError,
@@ -40,6 +45,7 @@ class SpectrumSource(enum.Enum):
     ANALYTIC_AIRY = "analytic_airy"
     FINITE_DIFFERENCE = "finite_difference"
     OSCILLATOR_BASIS = "oscillator_basis"
+    SINE_BASIS = "sine_basis"
     RESCALED = "rescaled"
 
 
@@ -483,6 +489,121 @@ def solve_oscillator_basis(
     norm_h = 2.0 * sum(peaks) - peaks[0]  # the diagonal once, off-diagonals twice
     estimate = np.abs(coarse - value) + 5e-14 * (np.abs(value) + norm_h)
     return Spectrum(value, planck, SpectrumSource.OSCILLATOR_BASIS, level_errors=estimate)
+
+
+# ---------------------------------------------------------------------------
+# box sine basis for tabulated wells
+
+
+def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 cos(q pi u) f(u) du for q = 0..qmax, for f = V and f = V^2,
+    where V is the piecewise-linear interpolant of the samples (u, v) on [0, 1].
+
+    Integrating by parts on each segment (slope s_j) leaves, since V and V^2
+    are continuous and sin(q pi) = 0, C(q) = sum_j s_j [cos(k u)]_j / k^2 and
+    C2(q) = sum_j 2 s_j [V cos(k u)]_j / k^2 - 2 s_j^2 [sin(k u)]_j / k^3
+    with k = q pi and [g]_j = g(u_{j+1}) - g(u_j).
+    """
+    du = np.diff(u)
+    slope = np.diff(v) / du
+    c = np.empty(qmax + 1)
+    c2 = np.empty(qmax + 1)
+    c[0] = np.dot(du, v[:-1] + v[1:]) / 2.0
+    c2[0] = np.dot(du, v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0
+    rows = max(1, 2**13 // u.size)  # bounds the q x node work arrays
+    for lo in range(1, qmax + 1, rows):
+        k = math.pi * np.arange(lo, min(lo + rows, qmax + 1), dtype=float)
+        phase = np.outer(k, u)
+        cos = np.cos(phase)
+        diff_cos = np.diff(cos, axis=1)
+        diff_vcos = np.diff(cos * v, axis=1)
+        diff_sin = np.diff(np.sin(phase), axis=1)
+        c[lo:lo + k.size] = diff_cos @ slope / k**2
+        c2[lo:lo + k.size] = 2.0 * (diff_vcos @ slope) / k**2 - 2.0 * (diff_sin @ slope**2) / k**3
+    return c, c2
+
+
+def _sine_matrix(c: np.ndarray, size: int) -> np.ndarray:
+    """<phi_k| f |phi_l> = C(|k - l|) - C(k + l), k, l = 1..size, from the
+    cosine moments C of f (2 sin a sin b = cos(a - b) - cos(a + b)).
+
+    The Toeplitz and Hankel terms are strided windows over C, so the
+    difference is the only size x size array allocated.
+    """
+    toeplitz = sliding_window_view(np.concatenate((c[size - 1:0:-1], c[:size])), size)[::-1]
+    hankel = sliding_window_view(c[2:2 * size + 1], size)
+    return toeplitz - hankel
+
+
+def solve_sine_basis(
+    potential: Potential,
+    planck: float = 1.0,
+    count: int = 1,
+    mass: float | None = None,
+    size: int | None = None,
+    max_size: int | None = None,
+) -> Spectrum:
+    """Levels of a tabulated well by Rayleigh-Ritz in the box eigenbasis
+    phi_k = sqrt(2/L) sin(k pi (x - a)/L) on the table's interval [a, b].
+
+    H_kl = delta_kl h^2 pi^2 k^2 / (2 m L^2) + C(|k - l|) - C(k + l), with C
+    the closed-form cosine moments of the piecewise-linear V that np.interp
+    defines. The basis holds `size` states, by default the larger of
+    2 * count + 64 and the smallest N with c1 (N + 1)^2 + min V above
+    c1 count^2 + max V >= theta_count (c1 = h^2 pi^2 / (2 m L^2)), so that the
+    omitted block lies above every returned level; a size above `max_size`
+    raises ResourceError. The Ritz values theta_i are upper bounds and are
+    the levels.
+
+    The kinetic term is diagonal, so only V couples the basis to the omitted
+    states, and W = (V^2)_NN - (V_NN)^2 = P V Q V P >= 0. The omitted block
+    lies at or above g = h^2 pi^2 (N + 1)^2 / (2 m L^2) + min V, so for
+    t = theta_count < g Loewdin partitioning and Haynsworth inertia give
+    E_i >= lambda_i(H_NN - W / (g - t)) for i <= count. level_errors hold
+    theta_i - lambda_i plus the rounding floor 5e-14 * (|E| + ||H||); t >= g
+    raises AccuracyError.
+    """
+    if potential.kind is not PotentialKind.TABULATED:
+        raise ValueError("the sine basis solves tabulated wells")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    m = potential.mass if mass is None else float(mass)
+    xs, vs = potential.grid_x, potential.grid_v
+    span = float(xs[-1] - xs[0])
+    kin = (planck * math.pi / span) ** 2 / (2.0 * m)
+    vmin = float(vs.min())
+    if size is None:
+        walls = math.sqrt(count**2 + (float(vs.max()) - vmin) / kin)
+        size = max(2 * count + 64, math.ceil(walls))
+    if size < count:
+        raise ValueError("need count <= size")
+    if max_size is not None and size > max_size:
+        raise ResourceError(
+            f"the well's walls need a {size}-state sine basis for {count} levels "
+            f"at h={planck:g}, above the {max_size}-state limit"
+        )
+
+    c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
+    ham = _sine_matrix(c, size)  # V_NN until the kinetic diagonal is added
+    coupling = _sine_matrix(c2, size)
+    coupling -= ham @ ham  # W
+    ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
+    theta = eigh(ham, eigvals_only=True, driver="ev", check_finite=False)
+    value = theta[:count]
+    top = float(value[-1])
+    gap = kin * (size + 1) ** 2 + vmin
+    if top >= gap:
+        raise AccuracyError(
+            f"level {count}: Ritz value {top:.6g} is not below the omitted "
+            f"sine states' floor {gap:.6g}; no lower bound holds"
+        )
+    coupling *= 1.0 / (gap - top)
+    ham -= coupling
+    lower = eigh(ham, eigvals_only=True, driver="ev", overwrite_a=True,
+                 check_finite=False)[:count]
+    norm_h = max(abs(theta[0]), abs(theta[-1]))
+    estimate = (value - lower) + 5e-14 * (np.abs(value) + norm_h)
+    return Spectrum(value, planck, SpectrumSource.SINE_BASIS, level_errors=estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -378,7 +378,7 @@ def test_usage_error_on_bad_flag(capsys):
 
 
 # ---------------------------------------------------------------------------
-# tabulated wells: one FD solve per h
+# tabulated wells: one sine-basis solve per h
 
 
 @pytest.fixture
@@ -391,15 +391,15 @@ def double_well(double_well_potential, tmp_path):
 
 @pytest.fixture
 def fd_solves(monkeypatch):
-    """Counts the FD solves ModelFamily issues."""
+    """Counts the tabulated-well solves (sine basis) ModelFamily issues."""
     calls = []
-    solve = models_mod.solve_fd_1d
+    solve = models_mod.solve_sine_basis
 
     def counting(potential, planck, **kwargs):
         calls.append((planck, kwargs["count"]))
         return solve(potential, planck, **kwargs)
 
-    monkeypatch.setattr(models_mod, "solve_fd_1d", counting)
+    monkeypatch.setattr(models_mod, "solve_sine_basis", counting)
     return calls
 
 
@@ -480,6 +480,22 @@ def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
     reachable = models_mod.LAMBDA_DEPTH / weyl_energy(4.0, 1.0, 1.0, models_mod.BASIS_CAP)
     assert out.rstrip().endswith(
         f"above the oscillator-basis cap {models_mod.BASIS_CAP}; shrink the sweep "
+        f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+
+
+def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, capsys):
+    # 45 / 1e-6 needs about 12,000 levels at h = 1: below the level cap, above
+    # the dense sine basis's
+    start = time.perf_counter()
+    code, out, _ = run(
+        ["table", "--model", "tabulated", "--table", str(double_well),
+         "--beta", "1e-6", "--h", "1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERICAL and fd_solves == []
+    fam = tabulated_family(load_tabulated_csv(double_well))
+    reachable = models_mod.LAMBDA_DEPTH / fam.level_energy(models_mod.SINE_BASIS_CAP, 1.0)
+    assert out.rstrip().endswith(
+        f"above the sine-basis cap {models_mod.SINE_BASIS_CAP}; shrink the sweep "
         f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
 
 

@@ -44,7 +44,7 @@ def test_box_law_lies_below_every_level(lengths):
 
 
 def test_tabulated_law_lies_below_every_level(double_well_potential):
-    # min-max against the box on the same interval, outside the FD error bars
+    # min-max against the box on the same interval, outside the level bars
     fam = tabulated_family(double_well_potential)
     for planck in (0.25, 1.0, 2.0):
         spec = fam.spectrum(planck, 0.5)

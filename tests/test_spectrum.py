@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcgibbs.cli import EXIT_OK, main
 from qcgibbs import (
@@ -19,9 +20,11 @@ from qcgibbs import (
     oscillator_basis_eigenvalues,
     oscillator_spectrum,
     rescale,
+    save_tabulated_csv,
     solve_box,
     solve_fd_1d,
     solve_oscillator_basis,
+    solve_sine_basis,
     spectrum_from_csv,
     spectrum_to_csv,
     tabulated,
@@ -193,6 +196,83 @@ def test_basis_source_through_cli_and_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# sine basis for tabulated wells
+
+
+def _noisy_double_well(seed: int):
+    """A seeded noisy double well on [-2, 2] with walls at 40, drawn like the
+    benchmark's tabulated workload."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-2.0, 2.0, 161)
+    vs = (rng.uniform(2.5, 3.5) * (xs**2 - 1.0) ** 2 + rng.uniform(-0.3, 0.3) * xs
+          + 1.0 + rng.uniform(-0.05, 0.05, xs.size))
+    vs[[0, -1]] = 40.0
+    return tabulated(xs, vs)
+
+
+@pytest.fixture
+def tabulated_well(request, double_well_potential):
+    """The conftest double well ("fixture") or a noisy one ("seed N")."""
+    if request.param == "fixture":
+        return double_well_potential
+    return _noisy_double_well(int(request.param.split()[1]))
+
+
+@pytest.mark.parametrize("planck", [2.0, 1.0, 0.5, 0.25, 0.125])
+@pytest.mark.parametrize("tabulated_well", ["fixture", "seed 0", "seed 3"], indirect=True)
+def test_sine_basis_bars_bracket_a_larger_basis(tabulated_well, planck):
+    # a 4x larger basis lies at or below each Ritz level (interlacing) and at
+    # or above the exact level, so E - bar <= E_ref <= E + floor
+    count, size = 40, 2 * 40 + 64
+    spec = solve_sine_basis(tabulated_well, planck, count=count)
+    assert spec.source is SpectrumSource.SINE_BASIS
+    ref = solve_sine_basis(tabulated_well, planck, count=count, size=4 * size).levels
+    span = tabulated_well.grid_x[-1] - tabulated_well.grid_x[0]
+    norm_h = (planck * math.pi * size / span) ** 2 / 2.0 + tabulated_well.grid_v.max()
+    floor = 5e-14 * (np.abs(spec.levels) + norm_h)
+    levels, bars = spec.levels, spec.level_errors
+    assert np.all(levels - bars <= ref)
+    assert np.all(ref <= levels + floor)
+    # and tight: a few times the error it covers
+    assert np.all(bars <= 3.0 * (levels - ref) + floor)
+
+
+@pytest.mark.parametrize("tabulated_well, planck", [("fixture", 0.5), ("seed 3", 0.25)],
+                         indirect=["tabulated_well"])
+def test_fd_approaches_the_sine_basis_at_second_order(tabulated_well, planck):
+    # an independent check: the raw FD gaps to the basis levels shrink 4x per
+    # halving of the spacing (levels 21-30, where they clear FD's rounding)
+    count = 30
+    basis = solve_sine_basis(tabulated_well, planck, count=count, size=1000).levels[20:]
+    gaps = [fd_eigenvalues(tabulated_well, planck, points=p, count=count)[20:] - basis
+            for p in (20001, 40003, 80007)]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        np.testing.assert_allclose(coarse / fine, 4.0, rtol=0.03)
+
+
+def test_sine_basis_grows_past_high_walls():
+    # walls at 200 around a narrow pit: 2 * count + 64 states leave the 20th
+    # Ritz level above the omitted states' floor, so the basis grows until the
+    # floor clears count^2 c1 + max V, and the bars still bracket
+    xs = np.linspace(0.0, 1.0, 101)
+    pit = tabulated(xs, np.where(np.abs(xs - 0.5) < 0.06, 0.0, 200.0))
+    with pytest.raises(AccuracyError, match="level 20"):
+        solve_sine_basis(pit, 0.05, count=20, size=104)
+    spec = solve_sine_basis(pit, 0.05, count=20)
+    ref = solve_sine_basis(pit, 0.05, count=20, size=600).levels
+    assert np.all(spec.levels - spec.level_errors <= ref)
+    assert np.all(ref <= spec.levels * (1.0 + 1e-13))
+
+
+def test_sine_basis_source_through_cli(double_well_potential, tmp_path, capsys):
+    table = tmp_path / "well.csv"
+    save_tabulated_csv(double_well_potential, table)
+    argv = ["spectrum", "--model", "tabulated", "--table", str(table), "--count", "5"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("# h=1\n# source=sine_basis\nn,E\n")
+
+
+# ---------------------------------------------------------------------------
 # analytic oscillator and wedge
 
 
@@ -330,6 +410,22 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.levels, spec.levels)
     assert back.planck == spec.planck
     assert back.source is spec.source
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=st.sampled_from(list(SpectrumSource)), planck=positive,
+       levels=st.lists(positive, min_size=1, max_size=24))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, source, planck, levels):
+    spec = Spectrum(np.sort(levels), planck, source)
+    path = tmp_path_factory.mktemp("csv") / "spec.csv"
+    spectrum_to_csv(spec, path)
+    back = spectrum_from_csv(path)
+    assert back.levels.tobytes() == spec.levels.tobytes()
+    assert back.planck == planck
+    assert back.source is source
 
 
 def test_csv_rejects_disorder(tmp_path):

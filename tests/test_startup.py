@@ -1,6 +1,7 @@
-"""The modules a command loads: scipy.integrate and the scipy.optimize it
-pulls in cost about a third of start-up, and only `verify --claims t31`
-needs them."""
+"""The modules a command loads: scipy.integrate and the scipy.optimize,
+scipy.sparse and scipy.fft it pulls in cost about a third of start-up, and
+only `verify --claims t31` needs them. The spectrum solvers (the sine basis
+of tabulated wells included) run on scipy.linalg and scipy.special alone."""
 
 import json
 import os
@@ -17,7 +18,7 @@ SRC = Path(qcgibbs.__file__).resolve().parents[1]
 # its exit code and which of the heavy modules sys.modules holds
 SCRIPT = """
 import json, sys
-HEAVY = ("scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft")
 loaded = lambda: [m for m in HEAVY if m in sys.modules]
 from qcgibbs.cli import main
 steps = [("import", 0, loaded())]
@@ -52,4 +53,5 @@ def test_only_t31_loads_scipy_integrate(double_well_potential, tmp_path):
     assert steps["import"] == (0, [])
     assert steps["table"] == (0, [])
     assert steps["verify"] == (0, [])
-    assert steps["t31"] == (0, ["scipy.integrate", "scipy.optimize"])
+    assert steps["t31"] == (0, ["scipy.integrate", "scipy.optimize",
+                                "scipy.sparse", "scipy.fft"])
