@@ -31,9 +31,11 @@ from .potential import (
     scaling_exponents,
 )
 from .spectrum import (
+    SINE_BASIS_MAX_STATES,
     Spectrum,
     oscillator_spectrum,
     rescale,
+    sine_basis_level_cap,
     solve_box,
     solve_fd_1d,
     solve_oscillator_basis,
@@ -53,11 +55,9 @@ LEVEL_CAP = 2_000_000
 # build at this many levels takes about 30 s at nu = 4 (70 s at nu = 20) on
 # two cores, so deeper sweeps are refused before anything is allocated
 BASIS_CAP = 20_000
-# tabulated wells are solved in a dense sine basis of 2 * count + 64 states;
-# its two full eigh passes cost O(size^3), and one solve at this many levels
-# (3,064 states) takes about 5 s and 290 MB on two cores
-SINE_BASIS_CAP = 1_500
-BASIS_CAPS = {"oscillator": BASIS_CAP, "sine": SINE_BASIS_CAP}
+# tabulated wells are solved in a dense sine basis of at most
+# SINE_BASIS_MAX_STATES states, which caps the levels at each h
+# (sine_basis_level_cap: 1,500 levels, fewer where tall walls add states)
 
 
 @dataclass
@@ -168,8 +168,7 @@ class ModelFamily:
             count = max(8, int(math.ceil(math.sqrt(max(e_target - vmin, 0.0) / c1))))
             self._check_cap(count, planck)
             self._check_cap(count, planck, basis="sine")
-            return solve_sine_basis(pot, planck, count=count,
-                                    max_size=2 * SINE_BASIS_CAP + 64)
+            return solve_sine_basis(pot, planck, count=count)
         if pot.kind is PotentialKind.BOX:
             if pot.dimension == 1:
                 c1 = (math.pi / pot.lengths[0]) ** 2 / (2.0 * mass)
@@ -216,17 +215,27 @@ class ModelFamily:
         )
 
     def _check_cap(self, count: int, planck: float = 1.0, basis: str | None = None) -> None:
-        """Refuse `count` levels above the level cap, or above the named
-        basis's own cap (a key of BASIS_CAPS), before anything is built."""
-        cap = self.level_cap if basis is None else BASIS_CAPS[basis]
-        if count > cap:
+        """Refuse `count` levels above the level cap, or above the cap of the
+        "oscillator" or "sine" basis at h, before anything is built."""
+        if basis is None:
+            cap, where = self.level_cap, "cap"
+        elif basis == "oscillator":
+            cap, where = BASIS_CAP, "oscillator-basis cap"
+        else:
+            cap, where = sine_basis_level_cap(self.potential, planck), "sine-basis cap"
+        if count <= cap:
+            return
+        head = f"{self.label}: sweep needs {count} levels, above the {where} {cap}"
+        if basis == "sine" and cap < 8:  # fewer than the tail fit needs
             raise ResourceError(
-                f"{self.label}: sweep needs {count} levels, above the " + (
-                    f"{basis}-basis cap {cap}; shrink the sweep" if basis
-                    else f"cap {cap}; raise the cap or shrink the sweep"
-                ) + f" (the cap supports beta * phi(h) down to about "
-                f"{LAMBDA_DEPTH / self.level_energy(cap, planck):.3g})"
+                f"{head} at h={planck:g}: the table's walls alone fill the "
+                f"{SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V"
             )
+        raise ResourceError(
+            f"{head}; " + ("shrink the sweep" if basis else "raise the cap or shrink the sweep")
+            + f" (the cap supports beta * phi(h) down to about "
+            f"{LAMBDA_DEPTH / self.level_energy(cap, planck):.3g})"
+        )
 
 
 def box_family(lengths, mass: float = 1.0) -> ModelFamily:

@@ -281,15 +281,8 @@ def _auto_grid(potential: Potential, planck: float, mass: float, count: int) -> 
         span = 2.0 * half_width
         points = max(1500, int(math.ceil(span * k_top / 0.33)))
         return half_width, points
-    # box or tabulated: the interval is fixed by the potential
-    a, b = _domain_interval(potential, None)
-    if potential.kind is PotentialKind.BOX:
-        points = max(1500, 12 * count)
-    else:
-        vmax = float(potential.grid_v.max())
-        k_top = math.sqrt(2.0 * mass * (vmax + weyl_energy(2.0, mass, planck, count) + 10.0)) / planck
-        points = max(1500, int(math.ceil((b - a) * k_top / 0.33)), 12 * count)
-    return None, points
+    # the box fixes its own interval
+    return None, max(1500, 12 * count)
 
 
 def solve_fd_1d(
@@ -303,9 +296,13 @@ def solve_fd_1d(
 ) -> Spectrum:
     """Finite-difference levels with Richardson-extrapolated error control.
 
+    Boxes and power-law wells only: tabulated wells are solved in the sine
+    basis, whose bars are bounds (solve_sine_basis); fd_eigenvalues still
+    discretizes them on one grid.
+
     grid = (half_width, points): half_width fixes the Dirichlet walls at +-R
-    for potentials on the whole line (ignored for box and tabulated domains,
-    which carry their own interval); `points` is the interior node count of
+    for potentials on the whole line (ignored for the box, which carries its
+    own interval); `points` is the interior node count of
     the coarsest grid. With grid=None both are sized heuristically so that the
     walls sit where V exceeds the top requested level by a 25% margin plus 10
     energy units and the top level is still resolved.
@@ -316,6 +313,8 @@ def solve_fd_1d(
     `accuracy_rtol` is given, any level whose estimate exceeds
     accuracy_rtol * max(|E|, 1) raises AccuracyError naming the level.
     """
+    if potential.kind is PotentialKind.TABULATED:
+        raise ValueError("tabulated wells are solved in the sine basis (solve_sine_basis)")
     if refinements not in (1, 2):
         raise ValueError("refinements must be 1 or 2")
     m = potential.mass if mass is None else float(mass)
@@ -494,6 +493,11 @@ def solve_oscillator_basis(
 # ---------------------------------------------------------------------------
 # box sine basis for tabulated wells
 
+# the dense basis's two full eigh passes cost O(size^3); one solve at this
+# many states (1,500 levels at 2 * count + 64) takes about 5 s and 290 MB on
+# two cores, so larger bases are refused before anything is built
+SINE_BASIS_MAX_STATES = 3_064
+
 
 def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray, np.ndarray]:
     """int_0^1 cos(q pi u) f(u) du for q = 0..qmax, for f = V and f = V^2,
@@ -502,10 +506,16 @@ def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray
     Integrating by parts on each segment (slope s_j) leaves, since V and V^2
     are continuous and sin(q pi) = 0, C(q) = sum_j s_j [cos(k u)]_j / k^2 and
     C2(q) = sum_j 2 s_j [V cos(k u)]_j / k^2 - 2 s_j^2 [sin(k u)]_j / k^3
-    with k = q pi and [g]_j = g(u_{j+1}) - g(u_j).
+    with k = q pi and [g]_j = g(u_{j+1}) - g(u_j). Summed by parts over the
+    nodes these are sums of cos(k u_j) and sin(k u_j) against the slope
+    jumps w_j = s_{j-1} - s_j (s_{-1} = s_n = 0), one pass per node and q.
     """
     du = np.diff(u)
     slope = np.diff(v) / du
+    padded = np.concatenate(([0.0], slope, [0.0]))
+    jumps = -np.diff(padded)
+    cos_weights = np.stack((jumps, 2.0 * v * jumps), axis=1)
+    sin_weights = 2.0 * np.diff(padded**2)  # -2 (s_{j-1}^2 - s_j^2)
     c = np.empty(qmax + 1)
     c2 = np.empty(qmax + 1)
     c[0] = np.dot(du, v[:-1] + v[1:]) / 2.0
@@ -514,12 +524,9 @@ def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray
     for lo in range(1, qmax + 1, rows):
         k = math.pi * np.arange(lo, min(lo + rows, qmax + 1), dtype=float)
         phase = np.outer(k, u)
-        cos = np.cos(phase)
-        diff_cos = np.diff(cos, axis=1)
-        diff_vcos = np.diff(cos * v, axis=1)
-        diff_sin = np.diff(np.sin(phase), axis=1)
-        c[lo:lo + k.size] = diff_cos @ slope / k**2
-        c2[lo:lo + k.size] = 2.0 * (diff_vcos @ slope) / k**2 - 2.0 * (diff_sin @ slope**2) / k**3
+        cos_sums = np.cos(phase) @ cos_weights
+        c[lo:lo + k.size] = cos_sums[:, 0] / k**2
+        c2[lo:lo + k.size] = cos_sums[:, 1] / k**2 + (np.sin(phase) @ sin_weights) / k**3
     return c, c2
 
 
@@ -535,25 +542,49 @@ def _sine_matrix(c: np.ndarray, size: int) -> np.ndarray:
     return toeplitz - hankel
 
 
+def _wall_states(potential: Potential, planck: float, mass: float) -> float:
+    """(max V - min V) / c1 with c1 = h^2 pi^2 / (2 m L^2): the squared number
+    of sine states the table's walls add to the basis."""
+    span = float(potential.grid_x[-1] - potential.grid_x[0])
+    kin = (planck * math.pi / span) ** 2 / (2.0 * mass)
+    return float(potential.grid_v.max() - potential.grid_v.min()) / kin
+
+
+def _sine_basis_size(
+    potential: Potential, planck: float, count: int, mass: float | None = None,
+) -> int:
+    """States the sine basis takes for `count` levels at h: the larger of
+    2 * count + 64 and the smallest N with c1 (N + 1)^2 + min V above
+    c1 count^2 + max V >= theta_count, so that the omitted block lies above
+    every returned level."""
+    m = potential.mass if mass is None else float(mass)
+    return max(2 * count + 64, math.ceil(math.sqrt(count**2 + _wall_states(potential, planck, m))))
+
+
+def sine_basis_level_cap(potential: Potential, planck: float, mass: float | None = None) -> int:
+    """The most levels at h whose sine basis fits in SINE_BASIS_MAX_STATES:
+    1,500 for low walls, fewer where max V - min V adds states, and 0 where
+    the walls alone need more."""
+    m = potential.mass if mass is None else float(mass)
+    room = SINE_BASIS_MAX_STATES**2 - _wall_states(potential, planck, m)
+    return min((SINE_BASIS_MAX_STATES - 64) // 2, int(math.sqrt(max(room, 0.0))))
+
+
 def solve_sine_basis(
     potential: Potential,
     planck: float = 1.0,
     count: int = 1,
     mass: float | None = None,
     size: int | None = None,
-    max_size: int | None = None,
 ) -> Spectrum:
     """Levels of a tabulated well by Rayleigh-Ritz in the box eigenbasis
     phi_k = sqrt(2/L) sin(k pi (x - a)/L) on the table's interval [a, b].
 
     H_kl = delta_kl h^2 pi^2 k^2 / (2 m L^2) + C(|k - l|) - C(k + l), with C
     the closed-form cosine moments of the piecewise-linear V that np.interp
-    defines. The basis holds `size` states, by default the larger of
-    2 * count + 64 and the smallest N with c1 (N + 1)^2 + min V above
-    c1 count^2 + max V >= theta_count (c1 = h^2 pi^2 / (2 m L^2)), so that the
-    omitted block lies above every returned level; a size above `max_size`
-    raises ResourceError. The Ritz values theta_i are upper bounds and are
-    the levels.
+    defines. The basis holds `size` states, by default _sine_basis_size; a
+    size above SINE_BASIS_MAX_STATES raises ResourceError. The Ritz values
+    theta_i are upper bounds and are the levels.
 
     The kinetic term is diagonal, so only V couples the basis to the omitted
     states, and W = (V^2)_NN - (V_NN)^2 = P V Q V P >= 0. The omitted block
@@ -573,14 +604,13 @@ def solve_sine_basis(
     kin = (planck * math.pi / span) ** 2 / (2.0 * m)
     vmin = float(vs.min())
     if size is None:
-        walls = math.sqrt(count**2 + (float(vs.max()) - vmin) / kin)
-        size = max(2 * count + 64, math.ceil(walls))
+        size = _sine_basis_size(potential, planck, count, m)
     if size < count:
         raise ValueError("need count <= size")
-    if max_size is not None and size > max_size:
+    if size > SINE_BASIS_MAX_STATES:
         raise ResourceError(
-            f"the well's walls need a {size}-state sine basis for {count} levels "
-            f"at h={planck:g}, above the {max_size}-state limit"
+            f"{count} levels at h={planck:g} need a {size}-state sine basis, "
+            f"above the {SINE_BASIS_MAX_STATES}-state limit"
         )
 
     c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)

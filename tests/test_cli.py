@@ -20,8 +20,8 @@ from qcgibbs.cli import (
 )
 from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
 from qcgibbs.models import tabulated_family
-from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv
-from qcgibbs.spectrum import weyl_energy
+from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
+from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap, weyl_energy
 from qcgibbs.util import MAX_GRID_POINTS
 
 
@@ -493,10 +493,41 @@ def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, cap
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERICAL and fd_solves == []
     fam = tabulated_family(load_tabulated_csv(double_well))
-    reachable = models_mod.LAMBDA_DEPTH / fam.level_energy(models_mod.SINE_BASIS_CAP, 1.0)
+    cap = sine_basis_level_cap(fam.potential, 1.0)
+    assert cap == 1500  # the walls at 28 add no states here
+    reachable = models_mod.LAMBDA_DEPTH / fam.level_energy(cap, 1.0)
     assert out.rstrip().endswith(
-        f"above the sine-basis cap {models_mod.SINE_BASIS_CAP}; shrink the sweep "
+        f"above the sine-basis cap {cap}; shrink the sweep "
         f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+
+
+@pytest.mark.parametrize("wall", [27_760.0, 1e6])
+def test_tall_walls_lower_the_sine_basis_cap(wall, fd_solves, tmp_path, capsys):
+    # a pit of V = 1 on [1, 9] inside walls: at h = 1/4 each level needs
+    # about (wall - 1) / c1 more states, so walls near 2.8e4 leave room for
+    # 622 levels (beta = 0.01 needs 1,208) and walls at 1e6 for none
+    xs = np.linspace(0.0, 10.0, 101)
+    table = tmp_path / "pit.csv"
+    pot = tabulated(xs, np.where(np.abs(xs - 5.0) <= 4.0, 1.0, wall))
+    save_tabulated_csv(pot, table)
+    start = time.perf_counter()
+    code, out, _ = run(
+        ["table", "--model", "tabulated", "--table", str(table),
+         "--beta", "0.01", "--h", "0.25"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_NUMERICAL and fd_solves == []
+    cap = sine_basis_level_cap(pot, 0.25)
+    if wall < 1e5:
+        assert cap == 622
+        reachable = models_mod.LAMBDA_DEPTH / tabulated_family(pot).level_energy(cap, 0.25)
+        assert out.rstrip().endswith(
+            f"above the sine-basis cap {cap}; shrink the sweep "
+            f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+    else:
+        assert cap == 0
+        assert out.rstrip().endswith(
+            f"above the sine-basis cap 0 at h=0.25: the table's walls alone fill "
+            f"the {SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V")
 
 
 def test_t41_h_is_not_applicable_on_tabulated_wells(double_well, tmp_path, capsys):

@@ -31,6 +31,7 @@ from qcgibbs import (
     tail_bound,
     wedge_spectrum,
 )
+from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap
 
 PI2 = math.pi**2
 
@@ -122,16 +123,15 @@ def test_fd_accuracy_error_names_level():
 
 def test_fd_operator_normalization():
     # -(h^2/2m) u'' + V with (h, m) equals (h^2/m) times the unit-coefficient
-    # problem -(1/2) u'' + (m/h^2) V; checked on a tabulated rescaling of x^2
+    # problem -(1/2) u'' + (m/h^2) V; checked on a tabulated rescaling of x^2,
+    # discretized on the same 3000 nodes of [-8, 8]
     h, m = 2.0, 3.0
     xs = np.linspace(-8.0, 8.0, 4001)
-    direct = solve_fd_1d(homogeneous(2, mass=m), planck=h, grid=(8.0, 3000), count=3)
+    direct = fd_eigenvalues(homogeneous(2, mass=m), h, half_width=8.0, points=3000, count=3)
     scaled_pot = tabulated(xs, (m / h**2) * xs**2, mass=1.0)
-    probabilist = solve_fd_1d(scaled_pot, planck=1.0, grid=(None, 3000), count=3)
+    probabilist = fd_eigenvalues(scaled_pot, 1.0, points=3000, count=3)
     # tolerance dominated by the interpolant's dx^2/6 defect, not the solver
-    np.testing.assert_allclose(
-        direct.levels, (h**2 / m) * probabilist.levels, rtol=1e-5
-    )
+    np.testing.assert_allclose(direct, (h**2 / m) * probabilist, rtol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +262,20 @@ def test_sine_basis_grows_past_high_walls():
     ref = solve_sine_basis(pit, 0.05, count=20, size=600).levels
     assert np.all(spec.levels - spec.level_errors <= ref)
     assert np.all(ref <= spec.levels * (1.0 + 1e-13))
+
+
+def test_sine_basis_refuses_bases_above_the_state_limit(double_well_potential):
+    cap = sine_basis_level_cap(double_well_potential, 1.0)
+    assert cap == (SINE_BASIS_MAX_STATES - 64) // 2
+    with pytest.raises(ResourceError, match=f"{SINE_BASIS_MAX_STATES}-state limit"):
+        solve_sine_basis(double_well_potential, 1.0, count=cap + 1)
+    with pytest.raises(ResourceError, match=f"{SINE_BASIS_MAX_STATES}-state limit"):
+        solve_sine_basis(double_well_potential, 1.0, count=8, size=SINE_BASIS_MAX_STATES + 1)
+
+
+def test_fd_refuses_tabulated_wells(double_well_potential):
+    with pytest.raises(ValueError, match="sine basis"):
+        solve_fd_1d(double_well_potential, 1.0, count=4)
 
 
 def test_sine_basis_source_through_cli(double_well_potential, tmp_path, capsys):
