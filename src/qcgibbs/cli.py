@@ -83,7 +83,6 @@ class RunConfig:
     h: tuple[float, ...] = (1.0,)
     count: int = 10
     max_levels: int = 2_000_000
-    tail_rtol: float = 1e-10
     format: str = "csv"
     output: str | None = None
     seed: int = 0
@@ -137,7 +136,7 @@ _CONFIG_KEYS = {
     "model": str, "dimension": int,
     "lengths": lambda text: tuple(float(x) for x in text.split(",")),
     "nu": float, "mass": float, "table": str, "beta": _parse_grid, "h": _parse_grid,
-    "count": int, "max_levels": int, "tail_rtol": float, "format": str,
+    "count": int, "max_levels": int, "format": str,
     "output": str, "seed": int,
 }
 
@@ -220,15 +219,13 @@ def _write_or_print(text: str, path: Path | None) -> None:
 def cmd_spectrum(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     h = cfg.h[0]
-    # provision level `count` at the depth, lambda * E_count = LAMBDA_DEPTH:
+    # provision at the depth of level `count`'s law, lambda (E_count - min V)
+    # = LAMBDA_DEPTH, which the count rule meets with at least `count` levels:
     # at h for a tabulated well, at h = 1 for the base of a scaling family
     tabulated = fam.potential.kind is PotentialKind.TABULATED
-    lam = LAMBDA_DEPTH / fam.level_energy(cfg.count, h if tabulated else 1.0)
-    while True:
-        spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
-        if spec.count >= cfg.count:
-            break
-        lam /= 2.0  # an N-D box base may reach the depth below level `count`
+    e_count = fam.level_energy(cfg.count, h if tabulated else 1.0)
+    lam = LAMBDA_DEPTH / (e_count - fam.min_potential)
+    spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
     _write_or_print(spectrum_text(spec, cfg.count), _resolve_output(cfg.output))
     return EXIT_OK
 
@@ -242,7 +239,7 @@ def cmd_table(cfg: RunConfig) -> int:
         beta, h = bh
         try:
             spec = fam.spectrum(h, lam_min)
-            point = thermo_point(fam.potential, spec, beta, cfg.tail_rtol)
+            point = thermo_point(fam.potential, spec, beta)
             return _thermo_row(beta, h, point), "ok"
         except _NUMERICAL_ERRORS as exc:
             return _thermo_row(beta, h, None), f"error: {exc}"
@@ -359,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", help="comma list or lo:hi[:per_decade] log range")
         p.add_argument("--count", type=int, help="number of levels")
         p.add_argument("--max-levels", type=int, dest="max_levels")
-        p.add_argument("--tail-rtol", type=float, dest="tail_rtol")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--output", "-o")
         p.add_argument("--seed", type=int)
@@ -398,14 +394,14 @@ def _merge_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, parse(value))
     # basic validation shared by every command
-    if cfg.tail_rtol <= 0.0:
-        raise ValueError("tail_rtol must be positive")
     if not cfg.beta or not cfg.h:
         raise ValueError("grids must be non-empty")
     if not all(math.isfinite(x) and x > 0 for x in cfg.beta + cfg.h):
         raise ValueError("beta and h grid values must be finite and positive")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
+    if cfg.max_levels < 8:
+        raise ValueError("max_levels must be at least 8, the fewest levels a solve takes")
     return cfg
 
 

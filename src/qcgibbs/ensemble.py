@@ -1,13 +1,13 @@
 """Canonical-ensemble statistics, quantum and classical.
 
 Quantum quantities are Boltzmann sums over a Spectrum with explicit truncation
-control: every truncated sum is gated on tail/sum below a relative threshold
-(default 1e-10), and sums are evaluated relative to the ground level so that
-beta sweeps spanning several decades never underflow prematurely. Every
-quantum quantity and error bound is read from one weight pass per
-(spectrum, beta), a BoltzmannPass; the public functions are thin readers of
-it, and each thread keeps its last pass, so a caller that reads several
-quantities at one point makes one pass.
+control: every truncated sum is gated on tail/sum below one relative
+threshold, TAIL_RTOL = 1e-10, and sums are evaluated relative to the ground
+level so that beta sweeps spanning several decades never underflow
+prematurely. Every quantum quantity and error bound is read from one weight
+pass per (spectrum, beta), a BoltzmannPass; the public functions are thin
+readers of it, and each thread keeps its last pass, so a caller that reads
+several quantities at one point makes one pass.
 Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
@@ -54,9 +54,11 @@ class BoltzmannPass:
     evaluated: w = exp(-beta (E_n - E_1)), relative to the ground level.
     The mean, the tail bounds and the error terms are derived on first read,
     so each reader pays only for what it reads. Log tails are -inf for level
-    sets under 8 levels, which are taken as complete finite systems. z_err,
-    e_err and s_err are the absolute uncertainties of Z_q, E_q and S_q: tail
-    bounds plus first-order propagation of the per-level error estimates.
+    sets under 8 levels, which are taken as complete finite systems. s_q is
+    the direct sum -sum P_n log P_n, cross-checked against the identity
+    beta (E_q - E_1) + log sum w_n. z_err, e_err and s_err are the absolute
+    uncertainties of Z_q, E_q and S_q: tail bounds plus first-order
+    propagation of the per-level error estimates.
     """
 
     def __init__(self, spectrum: Spectrum, beta: float):
@@ -85,6 +87,24 @@ class BoltzmannPass:
     @cached_property
     def e_q(self) -> float:
         return self.e0 + self.e_shift
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """The Gibbs probabilities P_n = w_n / sum w."""
+        return self.w / self.sw
+
+    @cached_property
+    def s_q(self) -> float:
+        s_direct = -float(xlogy(self.p, self.p).sum())
+        s_identity = self.beta * self.e_shift + math.log(self.sw)
+        if abs(s_direct - s_identity) > 1e-10 * max(1.0, abs(s_identity)):
+            raise AccuracyError(
+                f"entropy identity violated: {s_direct!r} vs {s_identity!r}"
+            )
+        total = float(self.p.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise AccuracyError(f"probabilities sum to {total!r}")
+        return s_direct
 
     def _log_tail(self, power: int) -> float:
         if self.spectrum.count < 8:
@@ -136,70 +156,50 @@ def boltzmann_pass(spectrum: Spectrum, beta: float) -> BoltzmannPass:
     return m
 
 
-def log_z_quantum(
-    spectrum: Spectrum, beta: float, tail_rtol: float = TAIL_RTOL
-) -> tuple[float, float]:
+def log_z_quantum(spectrum: Spectrum, beta: float) -> tuple[float, float]:
     """(log Z_q, log tail bound) for Z_q = sum_n exp(-beta E_n(h)).
 
-    Raises TruncationError when the tail bound exceeds tail_rtol times the
+    Raises TruncationError when the tail bound exceeds TAIL_RTOL times the
     partial sum.
     """
     m = boltzmann_pass(spectrum, beta)
-    if m.log_tail - m.log_z >= math.log(tail_rtol):
+    if m.log_tail - m.log_z >= math.log(TAIL_RTOL):
         raise TruncationError(
             f"Boltzmann tail/sum ~ {math.exp(min(m.log_tail - m.log_z, 50.0)):.2e} "
-            f"at beta={beta:g} exceeds {tail_rtol:g}; increase the level count"
+            f"at beta={beta:g} exceeds {TAIL_RTOL:g}; increase the level count"
         )
     return m.log_z, m.log_tail
 
 
-def z_quantum(
-    spectrum: Spectrum, beta: float, tail_rtol: float = TAIL_RTOL
-) -> tuple[float, float]:
+def z_quantum(spectrum: Spectrum, beta: float) -> tuple[float, float]:
     """(Z_q, tail bound). The value can underflow to 0 when beta E_1 > ~745;
     use log_z_quantum for such regimes."""
-    log_z, log_tail = log_z_quantum(spectrum, beta, tail_rtol)
+    log_z, log_tail = log_z_quantum(spectrum, beta)
     value = math.exp(log_z) if log_z < 700.0 else math.inf
     tail = math.exp(log_tail) if log_tail > -700.0 else 0.0
     return value, tail
 
 
-def mean_energy_quantum(
-    spectrum: Spectrum, beta: float, tail_rtol: float = TAIL_RTOL
-) -> float:
+def mean_energy_quantum(spectrum: Spectrum, beta: float) -> float:
     """E_q = sum E_n exp(-beta E_n) / Z_q, gated on both the plain and the
-    energy-weighted truncation tails."""
+    energy-weighted truncation tails; the energy-weighted sum is Z_q E_q."""
     m = boltzmann_pass(spectrum, beta)
-    log_num = -beta * m.e0 + math.log(float((spectrum.levels * m.w).sum()))
-    if m.log_wtail - log_num >= math.log(tail_rtol):
+    if m.log_wtail - m.log_z - math.log(m.e_q) >= math.log(TAIL_RTOL):
         raise TruncationError(
-            f"energy-weighted tail at beta={beta:g} exceeds {tail_rtol:g} "
+            f"energy-weighted tail at beta={beta:g} exceeds {TAIL_RTOL:g} "
             "of the partial sum; increase the level count"
         )
-    log_z_quantum(spectrum, beta, tail_rtol)  # plain-tail gate
+    log_z_quantum(spectrum, beta)  # plain-tail gate
     return m.e_q
 
 
-def entropy_quantum(
-    spectrum: Spectrum, beta: float, tail_rtol: float = TAIL_RTOL
-) -> tuple[float, np.ndarray]:
-    """(S_q, P_n) with P_n = exp(-beta E_n)/Z_q and S_q = -sum P_n log P_n.
-
-    The direct sum is cross-checked against beta E_q + log Z_q to 1e-10.
-    """
+def entropy_quantum(spectrum: Spectrum, beta: float) -> tuple[float, np.ndarray]:
+    """(S_q, P_n) with P_n = exp(-beta E_n)/Z_q and S_q = -sum P_n log P_n,
+    the direct sum that BoltzmannPass.s_q cross-checks against
+    beta E_q + log Z_q."""
     m = boltzmann_pass(spectrum, beta)
-    p = m.w / m.sw
-    s_direct = -float(xlogy(p, p).sum())
-    s_identity = beta * m.e_shift + math.log(m.sw)
-    if abs(s_direct - s_identity) > 1e-10 * max(1.0, abs(s_identity)):
-        raise AccuracyError(
-            f"entropy identity violated: {s_direct!r} vs {s_identity!r}"
-        )
-    log_z_quantum(spectrum, beta, tail_rtol)
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise AccuracyError(f"probabilities sum to {total!r}")
-    return s_direct, p
+    log_z_quantum(spectrum, beta)
+    return m.s_q, m.p
 
 
 def log_entropy_quantum(spectrum: Spectrum, beta: float) -> float:
@@ -214,8 +214,7 @@ def log_entropy_quantum(spectrum: Spectrum, beta: float) -> float:
         return -math.inf
     log_r = logsumexp(-beta * dd)  # r = sum_{n>=2} w_n
     if log_r > -30.0:  # also every degenerate ground level, where r >= 1
-        s, _ = entropy_quantum(spectrum, beta, tail_rtol=math.inf)
-        return math.log(s)
+        return math.log(boltzmann_pass(spectrum, beta).s_q)
     # log(sum w) ~ r and beta*A ~ beta * sum d w; both tiny
     log_a_num = logsumexp(np.log(dd) - beta * dd)
     return float(np.logaddexp(math.log(beta) + log_a_num, log_r))
@@ -354,10 +353,13 @@ def mean_energy_classical(potential: Potential, beta: float) -> float:
 
 def entropy_classical(potential: Potential, beta: float, planck: float) -> float:
     """S_c = beta E_c + log Z_c - N log(2 pi h)."""
+    zc, _ = z_classical(potential, beta)
+    return _s_classical(potential, beta, planck, zc, mean_energy_classical(potential, beta))
+
+
+def _s_classical(potential: Potential, beta: float, planck: float, zc: float, ec: float) -> float:
     if planck <= 0.0:
         raise ValueError("planck must be positive")
-    zc, _ = z_classical(potential, beta)
-    ec = mean_energy_classical(potential, beta)
     return beta * ec + math.log(zc) - potential.dimension * math.log(2.0 * math.pi * planck)
 
 
@@ -436,27 +438,21 @@ class ThermoPoint:
 
     @property
     def probabilities(self) -> np.ndarray:
-        """Gibbs occupation probabilities P_n, recomputed on demand."""
-        m = boltzmann_pass(self._spectrum, self.beta)
-        return m.w / m.sw
+        """Gibbs occupation probabilities P_n, read from the Boltzmann pass."""
+        return boltzmann_pass(self._spectrum, self.beta).p
 
 
 def _log_zq_scaled(n_dim: int, planck: float, log_zq: float) -> float:
     return n_dim * math.log(2.0 * math.pi * planck) + log_zq
 
 
-def thermo_point(
-    potential: Potential,
-    spectrum: Spectrum,
-    beta: float,
-    tail_rtol: float = TAIL_RTOL,
-) -> ThermoPoint:
+def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> ThermoPoint:
     """Assemble a ThermoPoint, checking the entropy identities on the way.
 
     Raises FloatingPointError when Z_q or (2 pi h)^N Z_q lies outside the
     normal double range, where the table would show inf or 0.
     """
-    log_zq, log_tail = log_z_quantum(spectrum, beta, tail_rtol)
+    log_zq, log_tail = log_z_quantum(spectrum, beta)
     log_scaled = _log_zq_scaled(potential.dimension, spectrum.planck, log_zq)
     lo, hi = _LOG_RANGE
     if not (lo < log_zq < hi and lo < log_scaled < hi):
@@ -465,16 +461,11 @@ def thermo_point(
             f"beta={beta:g}, h={spectrum.planck:g} leaves the double range "
             f"({lo:.6g}, {hi:.6g})"
         )
-    eq = mean_energy_quantum(spectrum, beta, tail_rtol)
-    sq, _ = entropy_quantum(spectrum, beta, tail_rtol)
+    eq = mean_energy_quantum(spectrum, beta)
+    sq, _ = entropy_quantum(spectrum, beta)
     zc, zc_err = z_classical(potential, beta)
     ec = mean_energy_classical(potential, beta)
     h = spectrum.planck
-    sc = entropy_classical(potential, beta, h)
-    n_dim = potential.dimension
-    sc_identity = beta * ec + math.log(zc) - n_dim * math.log(2.0 * math.pi * h)
-    if abs(sc - sc_identity) > 1e-10 * max(1.0, abs(sc)):
-        raise AccuracyError("classical entropy identity violated")
     # S_q once more from the unshifted E_q and log Z_q, as tabulated
     sq_identity = beta * eq + log_zq
     if abs(sq - sq_identity) > 1e-10 * max(1.0, abs(sq_identity)):
@@ -482,7 +473,7 @@ def thermo_point(
     return ThermoPoint(
         beta=beta,
         planck=h,
-        dimension=n_dim,
+        dimension=potential.dimension,
         z_quantum=math.exp(log_zq),
         z_quantum_tail=math.exp(log_tail) if log_tail > -700.0 else 0.0,
         log_z_quantum=log_zq,
@@ -491,7 +482,7 @@ def thermo_point(
         e_quantum=eq,
         e_classical=ec,
         s_quantum=sq,
-        s_classical=sc,
+        s_classical=_s_classical(potential, beta, h, zc, ec),
         _spectrum=spectrum,
     )
 

@@ -1,7 +1,8 @@
 """Model families: a potential plus its spectrum provider and scaling law.
 
-A family provisions levels so that lambda * E_M >= LAMBDA_DEPTH at the
-smallest Boltzmann exponent lambda = beta * phi(h) of a sweep. One memo maps
+A family provisions at least 8 levels so that lambda * (E_M - min V) >=
+LAMBDA_DEPTH at the smallest Boltzmann exponent lambda = beta * phi(h) of a
+sweep (min V is 0 except for tabulated wells). One memo maps
 h to the deepest spectrum solved there, under one lock per h; a shallower
 request gets the stored solve, a deeper one replaces it. With the exact
 scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu) for radial
@@ -10,12 +11,14 @@ wells have none and are solved at each h. The potential alone picks the
 solver: closed forms for the box, the oscillator (nu = 2) and the wedge
 (nu = 1), an oscillator basis for the other even integer nu, the box's sine
 basis for tabulated wells, and finite differences for odd and non-integer
-nu. One level law per source (`level_energy`) sizes tabulated solves and
-names the depth a level cap still reaches.
+nu. One level law per source (`level_energy`) and one count rule
+(`level_count`) size every solve, and the law names the depth a level cap
+still reaches.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass, field
@@ -42,11 +45,10 @@ from .spectrum import (
     solve_sine_basis,
     wedge_spectrum,
     weyl_energy,
-    weyl_level_count,
 )
 
-# levels are provisioned so that lambda * E_M >= LAMBDA_DEPTH at the smallest
-# lambda of a sweep, pushing tail/sum far below every gate in use
+# levels are provisioned so that lambda * (E_M - min V) >= LAMBDA_DEPTH at the
+# smallest lambda of a sweep, pushing tail/sum far below the TAIL_RTOL gate
 LAMBDA_DEPTH = 45.0
 
 LEVEL_CAP = 2_000_000
@@ -110,6 +112,14 @@ class ModelFamily:
 
     # -- provisioning -----------------------------------------------------
 
+    @property
+    def min_potential(self) -> float:
+        """min V, the floor the provisioning depth is measured from: 0 except
+        for tabulated wells."""
+        if self.potential.kind is PotentialKind.TABULATED:
+            return float(self.potential.grid_v.min())
+        return 0.0
+
     def level_energy(self, m: int, planck: float = 1.0) -> float:
         """Energy of level m at h by this source's law: a lower bound on E_m
         for boxes, the oscillator and tabulated wells, Weyl's law otherwise."""
@@ -126,10 +136,23 @@ class ModelFamily:
         if pot.kind is PotentialKind.TABULATED:
             # min-max against the box on the same interval
             span = float(pot.grid_x[-1] - pot.grid_x[0])
-            return float(pot.grid_v.min()) + (planck * math.pi * m / span) ** 2 / (2.0 * pot.mass)
+            return self.min_potential + (planck * math.pi * m / span) ** 2 / (2.0 * pot.mass)
         if pot.exponent == 2.0:
             return planck * math.sqrt(2.0 / pot.mass) * (m - 0.5)
         return weyl_energy(pot.exponent, pot.mass, planck, m)
+
+    def level_count(self, planck: float, lambda_min: float) -> int:
+        """Levels a solve at h takes: the smallest m >= 8 whose law level
+        reaches min V + LAMBDA_DEPTH / lambda_min, plus 6% + 8 levels of
+        headroom where the law is Weyl's estimate rather than a bound."""
+        target = self.min_potential + LAMBDA_DEPTH / lambda_min
+        # the laws increase with m, so bisect for the first one at the target
+        m = 8 + bisect.bisect_left(
+            range(8, 2**62), target, key=lambda k: self.level_energy(k, planck))
+        pot = self.potential
+        if pot.kind is PotentialKind.HOMOGENEOUS and pot.exponent != 2.0:
+            m += math.ceil(0.06 * m) + 8
+        return m
 
     def base_spectrum(self, lambda_min: float) -> Spectrum:
         """Base levels at h = 1 deep enough that lambda_min * E_M >= LAMBDA_DEPTH."""
@@ -143,70 +166,47 @@ class ModelFamily:
         return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
 
     def _provision(self, planck: float, lambda_min: float) -> Spectrum:
-        """The memo entry at h if its top level reaches LAMBDA_DEPTH /
-        lambda_min, else a deeper solve that replaces it."""
+        """The memo entry at h if its top level reaches min V + 0.999
+        LAMBDA_DEPTH / lambda_min, else a deeper solve that replaces it."""
         if lambda_min <= 0.0:
             raise ValueError("lambda_min must be positive")
-        e_target = LAMBDA_DEPTH / lambda_min
+        needed = self.min_potential + 0.999 * LAMBDA_DEPTH / lambda_min
         # one lock per h (setdefault is atomic): threads that need the same h
         # wait for one solve, while different h still solve in parallel
         with self._locks.setdefault(planck, threading.Lock()):
             spec = self._memo.get(planck)
-            if spec is None or spec.levels[-1] < e_target * 0.999:
-                spec = self._memo[planck] = self._solve(planck, e_target)
+            if spec is None or spec.levels[-1] < needed:
+                spec = self._memo[planck] = self._solve(planck, lambda_min)
             return spec
 
-    def _solve(self, planck: float, e_target: float) -> Spectrum:
-        """Levels at h reaching about e_target; h is 1 unless the well is tabulated."""
+    def _solve(self, planck: float, lambda_min: float) -> Spectrum:
+        """level_count(h, lambda_min) levels at h; h is 1 unless the well is
+        tabulated."""
         pot = self.potential
         mass = pot.mass
+        if pot.kind is PotentialKind.HOMOGENEOUS and pot.dimension != 1:
+            raise ValueError("spectra for power-law potentials are one-dimensional")
+        count = self.level_count(planck, lambda_min)
+        self._check_cap(count, planck)
         if pot.kind is PotentialKind.TABULATED:
-            # the smallest m whose law level reaches the target, and at least
-            # the 8 levels the tail fit needs
-            vmin = self.level_energy(0, planck)
-            c1 = self.level_energy(1, planck) - vmin
-            count = max(8, int(math.ceil(math.sqrt(max(e_target - vmin, 0.0) / c1))))
-            self._check_cap(count, planck)
-            self._check_cap(count, planck, basis="sine")
             return solve_sine_basis(pot, planck, count=count)
         if pot.kind is PotentialKind.BOX:
-            if pot.dimension == 1:
-                c1 = (math.pi / pot.lengths[0]) ** 2 / (2.0 * mass)
-                count = int(math.ceil(math.sqrt(e_target / c1))) + 2
-                self._check_cap(count)
-                return solve_box(1, pot.lengths, mass, 1.0, count)
-            count = 64
-            while True:
-                self._check_cap(count)
-                spec = solve_box(pot.dimension, pot.lengths, mass, 1.0, count,
-                                 max_states=self.level_cap * 4)
-                if spec.levels[-1] >= e_target:
-                    return spec
-                count *= 2
-
+            return solve_box(pot.dimension, pot.lengths, mass, 1.0, count,
+                             max_states=self.level_cap * 4)
         nu = pot.exponent
-        if pot.dimension != 1:
-            raise ValueError("spectra for power-law potentials are one-dimensional")
         if nu == 2.0:
-            omega = math.sqrt(2.0 / mass)
-            count = int(math.ceil(e_target / omega + 0.5)) + 2
-            self._check_cap(count)
             return oscillator_spectrum(count, mass)
         if nu == 1.0:
-            count = int(math.ceil(weyl_level_count(1.0, mass, 1.0, e_target) * 1.05)) + 8
-            self._check_cap(count)
             return wedge_spectrum(count, mass)
-
-        count = int(math.ceil(weyl_level_count(nu, mass, 1.0, e_target) * 1.06)) + 8
-        self._check_cap(count)
-        if nu.is_integer() and nu % 2 == 0:
-            self._check_cap(count, basis="oscillator")
+        if _basis_solved(nu):
             return solve_oscillator_basis(pot, 1.0, count=count)
-        half_width = (1.25 * e_target + 10.0) ** (1.0 / nu)
+        # Dirichlet walls where V(R) >= 1.25 E_M + 10: Weyl's law counts level
+        # M at M rather than M - 1/2 and lies above E_M
+        half_width = (1.25 * self.level_energy(count) + 10.0) ** (1.0 / nu)
         # resolve the dominant band E ~ 3.5/lambda well; higher levels carry
         # exponentially small weight and their larger error estimates are
         # propagated, not hidden
-        e_char = max(3.5 * e_target / LAMBDA_DEPTH, weyl_energy(nu, mass, 1.0, 8))
+        e_char = max(3.5 / lambda_min, self.level_energy(8))
         dx = 0.21 / math.sqrt(2.0 * mass * e_char)
         points = int(math.ceil(2.0 * half_width / dx))
         points = int(min(max(points, 2000, 3 * count), 250_000))
@@ -214,28 +214,35 @@ class ModelFamily:
             pot, 1.0, grid=(half_width, points), count=count, refinements=2,
         )
 
-    def _check_cap(self, count: int, planck: float = 1.0, basis: str | None = None) -> None:
-        """Refuse `count` levels above the level cap, or above the cap of the
-        "oscillator" or "sine" basis at h, before anything is built."""
-        if basis is None:
-            cap, where = self.level_cap, "cap"
-        elif basis == "oscillator":
-            cap, where = BASIS_CAP, "oscillator-basis cap"
-        else:
-            cap, where = sine_basis_level_cap(self.potential, planck), "sine-basis cap"
-        if count <= cap:
-            return
-        head = f"{self.label}: sweep needs {count} levels, above the {where} {cap}"
-        if basis == "sine" and cap < 8:  # fewer than the tail fit needs
+    def _check_cap(self, count: int, planck: float) -> None:
+        """Refuse `count` levels at h above the level cap, or above the cap of
+        the basis the potential is solved in, before anything is built."""
+        pot = self.potential
+        caps = [(self.level_cap, "cap")]
+        if pot.kind is PotentialKind.TABULATED:
+            caps.append((sine_basis_level_cap(pot, planck), "sine-basis cap"))
+        elif pot.kind is PotentialKind.HOMOGENEOUS and _basis_solved(pot.exponent):
+            caps.append((BASIS_CAP, "oscillator-basis cap"))
+        for cap, where in caps:
+            if count <= cap:
+                continue
+            head = f"{self.label}: sweep needs {count} levels, above the {where} {cap}"
+            if where == "sine-basis cap" and cap < 8:  # fewer than any solve takes
+                raise ResourceError(
+                    f"{head} at h={planck:g}: the table's walls alone fill the "
+                    f"{SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V"
+                )
+            depth = LAMBDA_DEPTH / (self.level_energy(cap, planck) - self.min_potential)
             raise ResourceError(
-                f"{head} at h={planck:g}: the table's walls alone fill the "
-                f"{SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V"
+                f"{head}; "
+                + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
+                + f" (the cap supports beta * phi(h) down to about {depth:.3g})"
             )
-        raise ResourceError(
-            f"{head}; " + ("shrink the sweep" if basis else "raise the cap or shrink the sweep")
-            + f" (the cap supports beta * phi(h) down to about "
-            f"{LAMBDA_DEPTH / self.level_energy(cap, planck):.3g})"
-        )
+
+
+def _basis_solved(nu: float) -> bool:
+    """Whether r^nu is solved in the oscillator basis: even integer nu but 2."""
+    return nu.is_integer() and nu % 2 == 0 and nu != 2.0
 
 
 def box_family(lengths, mass: float = 1.0) -> ModelFamily:

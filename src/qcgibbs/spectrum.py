@@ -258,16 +258,9 @@ def _weyl_integral(nu: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.gamma(1.0 + 1.0 / nu) / math.gamma(1.5 + 1.0 / nu)
 
 
-def weyl_level_count(nu: float, mass: float, planck: float, energy: float) -> float:
-    """Semiclassical count of levels of -(h^2/2m)u'' + |x|^nu u below `energy`."""
-    if energy <= 0.0:
-        return 0.0
-    pref = 2.0 * math.sqrt(2.0 * mass) / (math.pi * planck) * _weyl_integral(nu)
-    return pref * energy ** (0.5 + 1.0 / nu)
-
-
 def weyl_energy(nu: float, mass: float, planck: float, count: int) -> float:
-    """Inverse of weyl_level_count: rough energy of level number `count`."""
+    """Rough energy of level number `count` of -(h^2/2m)u'' + |x|^nu u: the
+    energy below which Weyl's semiclassical law counts `count` levels."""
     pref = 2.0 * math.sqrt(2.0 * mass) / (math.pi * planck) * _weyl_integral(nu)
     return (count / pref) ** (1.0 / (0.5 + 1.0 / nu))
 

@@ -205,12 +205,11 @@ def check_c11(
     family: ModelFamily,
     betas=None,
     hs=None,
-    tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """(2 pi h)^N Z_q <= Z_c at every grid point, margins beyond error bounds."""
 
     def point(spec, beta, h):
-        zq, _ = z_quantum(spec, beta, tail_rtol)
+        zq, _ = z_quantum(spec, beta)
         zc, zc_err = z_classical(family.potential, beta)
         scale = _scale(family, h)
         bound = scale * z_quantum_error(spec, beta) + zc_err + 64.0 * np.finfo(float).eps * zc
@@ -223,12 +222,11 @@ def check_c12(
     family: ModelFamily,
     betas=None,
     hs=None,
-    tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """E_q >= E_c pointwise; evidence-gathering (the general claim is open)."""
 
     def point(spec, beta, h):
-        eq = mean_energy_quantum(spec, beta, tail_rtol)
+        eq = mean_energy_quantum(spec, beta)
         ec = mean_energy_classical(family.potential, beta)
         return eq - ec, mean_energy_quantum_error(spec, beta) + 1e-13 * abs(ec), ec
 
@@ -265,7 +263,6 @@ def check_c13(
     family: ModelFamily,
     h: float = 1.0,
     betas=None,
-    tail_rtol: float = 1e-12,
 ) -> list[VerificationReport]:
     """Ratios (2 pi h)^N Z_q / Z_c and E_q / E_c along beta -> 0.
 
@@ -282,9 +279,9 @@ def check_c13(
     rows = []
     for beta in betas:
         beta = float(beta)
-        zq, _ = z_quantum(spec, beta, tail_rtol)
+        zq, _ = z_quantum(spec, beta)
         zc, zc_err = z_classical(family.potential, beta)
-        eq = mean_energy_quantum(spec, beta, tail_rtol)
+        eq = mean_energy_quantum(spec, beta)
         ec = mean_energy_classical(family.potential, beta)
         r_z = scale * zq / zc
         err_z = (scale * z_quantum_error(spec, beta) + r_z * zc_err) / zc
@@ -328,7 +325,6 @@ def check_t31(
     h: float = 1.0,
     beta: float = 1.0,
     tau: float | None = None,
-    tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference.
 
@@ -344,7 +340,7 @@ def check_t31(
     pot = family.potential
 
     def integrand(gamma: float) -> float:
-        return mean_energy_quantum(spec, gamma, tail_rtol) - mean_energy_classical(pot, gamma)
+        return mean_energy_quantum(spec, gamma) - mean_energy_classical(pot, gamma)
 
     if tau == beta:
         lhs, quad_err = 0.0, 0.0
@@ -360,7 +356,7 @@ def check_t31(
     n_log = pot.dimension * math.log(2.0 * math.pi * h)
 
     def log_ratio(gamma: float) -> tuple[float, float]:
-        log_zq, _ = log_z_quantum(spec, gamma, tail_rtol)
+        log_zq, _ = log_z_quantum(spec, gamma)
         zc, zc_err = z_classical(pot, gamma)
         value = math.log(zc) - n_log - log_zq
         err = zc_err / zc + z_quantum_error(spec, gamma) / math.exp(min(log_zq, 700.0))
@@ -461,7 +457,6 @@ def check_c41_and_props(
     family: ModelFamily,
     beta: float = 1.0,
     hs=None,
-    tail_rtol: float = 1e-12,
 ) -> list[VerificationReport]:
     """Power-law potentials: h^N Z_q decreasing in h; the log-derivative
     identity d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with
@@ -476,7 +471,7 @@ def check_c41_and_props(
     lam_min = family.lambda_min([beta], hs) * (1.0 - 2.0 * delta)
 
     def log_g(h: float) -> float:
-        log_zq, _ = log_z_quantum(family.spectrum(h, lam_min), beta, tail_rtol)
+        log_zq, _ = log_z_quantum(family.spectrum(h, lam_min), beta)
         return n_dim * math.log(h) + log_zq
 
     # one row per h: log h^N Z_q and its relative error, E_q and its error, and
@@ -485,9 +480,9 @@ def check_c41_and_props(
     for h in hs:
         h = float(h)
         spec = family.spectrum(h, lam_min)
-        log_zq, _ = log_z_quantum(spec, beta, tail_rtol)
+        log_zq, _ = log_z_quantum(spec, beta)
         rel_z = z_quantum_error(spec, beta) / math.exp(min(log_zq, 700.0))
-        eq = mean_energy_quantum(spec, beta, tail_rtol)
+        eq = mean_energy_quantum(spec, beta)
         e_err = mean_energy_quantum_error(spec, beta)
         d_coarse = (log_g(h * (1 + delta)) - log_g(h * (1 - delta))) / (2 * h * delta)
         d_fine = (log_g(h * (1 + delta / 2)) - log_g(h * (1 - delta / 2))) / (h * delta)
@@ -550,7 +545,6 @@ def check_wehrl(
     family: ModelFamily,
     beta: float = 1.0,
     hs=None,
-    tail_rtol: float = 1e-12,
 ) -> VerificationReport:
     """E_q -> E_c, (2 pi h)^N Z_q -> Z_c, and S_q - S_c -> 0 as h decreases.
 
@@ -568,9 +562,9 @@ def check_wehrl(
         h = float(h)
         spec = family.spectrum(h, lam_min)
         scale = _scale(family, h)
-        zq, _ = z_quantum(spec, beta, tail_rtol)
-        eq = mean_energy_quantum(spec, beta, tail_rtol)
-        sq, _ = entropy_quantum(spec, beta, tail_rtol)
+        zq, _ = z_quantum(spec, beta)
+        eq = mean_energy_quantum(spec, beta)
+        sq, _ = entropy_quantum(spec, beta)
         sc = entropy_classical(pot, beta, h)
         rows.append((
             abs(eq - ec) / abs(ec), mean_energy_quantum_error(spec, beta) / abs(ec),

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcgibbs.models as models_mod
 from qcgibbs.cli import (
+    _CONFIG_KEYS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -117,7 +120,8 @@ def test_table_json_mirror(tmp_path, capsys):
 
 
 def test_table_truncation_failure_exit_code(capsys):
-    # tiny level budget cannot cover beta = 1e-4: rows flagged, exit 3
+    # tiny level budget cannot cover beta = 1e-4: rows flagged, exit 3; the
+    # sweep needs the smallest m with (pi m)^2 / 2 >= 45 / 1e-4, m = 302
     code, out, _ = run(
         ["table", "--model", "box", "--L", "1", "--beta", "0.0001", "--h", "1",
          "--max-levels", "64"], capsys)
@@ -125,7 +129,7 @@ def test_table_truncation_failure_exit_code(capsys):
     lines = out.strip().splitlines()
     assert lines[0].endswith(",status")
     assert lines[1] == (
-        "0.0001,1,nan,nan,nan,nan,nan,nan,error: box1: sweep needs 304 levels, "
+        "0.0001,1,nan,nan,nan,nan,nan,nan,error: box1: sweep needs 302 levels, "
         "above the cap 64; raise the cap or shrink the sweep (the cap supports "
         "beta * phi(h) down to about 0.00223)"
     )
@@ -143,20 +147,20 @@ def test_spectrum_overflow_is_a_numerical_error(h, capsys):
 
 
 def test_table_marks_rows_outside_the_double_range(capsys):
-    # Z_q = exp(-4.93e306) underflows at h = 1e153, and so does exp(-4935) at
+    # Z_q = exp(-4.93e304) underflows at h = 1e152, and so does exp(-4935) at
     # beta = 1000, h = 1; beta E_n itself overflows at both. Each row fails
     # with a message, none reads 0 or inf, and numpy warns of nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, _ = run(
-            ["table", "--model", "box", "--beta", "1,1000", "--h", "1,1e153"], capsys)
+            ["table", "--model", "box", "--beta", "1,1000", "--h", "1,1e152"], capsys)
     assert code == EXIT_NUMERICAL
     rows = out.strip().splitlines()[1:]
     assert rows[0].endswith(",ok")
     failed = ",nan,nan,nan,nan,nan,nan,error: "
-    assert rows[1].startswith("1,1e+153" + failed + "log((2 pi h)^N Z_q) = -4.9348e+306")
+    assert rows[1].startswith("1,1e+152" + failed + "log((2 pi h)^N Z_q) = -4.9348e+304")
     assert rows[2].startswith("1000,1" + failed + "log((2 pi h)^N Z_q) = -4932.96")
-    assert rows[3] == "1000,1e+153" + failed + "beta E_n leaves the double range at beta=1000"
+    assert rows[3] == "1000,1e+152" + failed + "beta E_n leaves the double range at beta=1000"
 
 
 class _RecordingPool:
@@ -347,6 +351,30 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_tail_threshold_is_not_an_option(tmp_path, capsys):
+    # every tail is gated at the one TAIL_RTOL; no flag or key moves it
+    code, _, _ = run(["table", "--model", "box", "--tail-rtol", "1"], capsys)
+    assert code == EXIT_USAGE
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("tail_rtol = 1\n")
+    code, _, err = run(["table", "--config", str(cfg_file)], capsys)
+    assert code == EXIT_USAGE
+    assert "unknown config key: 'tail_rtol'" in err
+
+
+@pytest.mark.parametrize("max_levels", ["0", "7"])
+def test_max_levels_below_the_floor_exits_2(max_levels, capsys):
+    code, out, err = run(["table", "--model", "box", "--max-levels", max_levels], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: max_levels must be at least 8, the fewest levels a solve takes\n"
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Config file keys: `([^`]*)`", readme).group(1)
+    assert [key.strip() for key in listed.split(",")] == list(_CONFIG_KEYS)
+
+
 def test_grid_range_syntax():
     cfg = parse_config("beta = 0.01:10:9\n")
     assert len(cfg.beta) == 28
@@ -421,6 +449,21 @@ def test_tabulated_table_solves_each_h_once(double_well, fd_solves, capsys):
     assert out == _table_text(rows, "csv", ["ok"] * len(rows))
 
 
+def test_offset_well_table_reaches_the_depth(tmp_path, capsys):
+    # a harmonic well lifted to min V = 50: the depth is measured from min V,
+    # so every row's tail passes the gate
+    xs = np.linspace(-5.0, 5.0, 101)
+    table = tmp_path / "offset.csv"
+    save_tabulated_csv(tabulated(xs, 50.0 + 0.2 * xs**2), table)
+    code, out, _ = run(
+        ["table", "--model", "tabulated", "--table", str(table),
+         "--beta", "2,5", "--h", "0.25,1"], capsys)
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "beta,h,Zq_scaled,Zc,Eq,Ec,Sq,Sc" and len(lines) == 5
+    assert all("nan" not in line for line in lines)
+
+
 def test_tabulated_memo_resolves_when_the_count_changes(double_well, fd_solves):
     fam = tabulated_family(load_tabulated_csv(double_well))
     shallow = fam.spectrum(1.0, 1.0)
@@ -459,11 +502,11 @@ def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys)
          "--beta", "0.01", "--h", "0.5", "--max-levels", "40"], capsys)
     assert code == EXIT_NUMERICAL and fd_solves == []
     assert out.splitlines()[1].startswith("0.01,0.5,nan,")
-    # the reachable depth is 45 / (min V + c1 40^2) with c1 = (h pi / 4)^2 / 2
-    # at h = 0.5
+    # the reachable depth is 45 / (c1 40^2), since the depth is measured from
+    # min V, with c1 = (h pi / 4)^2 / 2 at h = 0.5
     assert out.rstrip().endswith(
         "above the cap 40; raise the cap or shrink the sweep (the cap supports "
-        "beta * phi(h) down to about 0.362)")
+        "beta * phi(h) down to about 0.365)")
 
 
 def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
@@ -495,7 +538,7 @@ def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, cap
     fam = tabulated_family(load_tabulated_csv(double_well))
     cap = sine_basis_level_cap(fam.potential, 1.0)
     assert cap == 1500  # the walls at 28 add no states here
-    reachable = models_mod.LAMBDA_DEPTH / fam.level_energy(cap, 1.0)
+    reachable = models_mod.LAMBDA_DEPTH / (fam.level_energy(cap, 1.0) - fam.min_potential)
     assert out.rstrip().endswith(
         f"above the sine-basis cap {cap}; shrink the sweep "
         f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
@@ -519,7 +562,8 @@ def test_tall_walls_lower_the_sine_basis_cap(wall, fd_solves, tmp_path, capsys):
     cap = sine_basis_level_cap(pot, 0.25)
     if wall < 1e5:
         assert cap == 622
-        reachable = models_mod.LAMBDA_DEPTH / tabulated_family(pot).level_energy(cap, 0.25)
+        fam = tabulated_family(pot)
+        reachable = models_mod.LAMBDA_DEPTH / (fam.level_energy(cap, 0.25) - fam.min_potential)
         assert out.rstrip().endswith(
             f"above the sine-basis cap {cap}; shrink the sweep "
             f"(the cap supports beta * phi(h) down to about {reachable:.3g})")

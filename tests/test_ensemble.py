@@ -287,15 +287,12 @@ def test_entropy_quantum_three_levels():
 
 
 def test_entropy_identity_everywhere(rng):
-    inf = math.inf  # toy level sets are complete systems, no truncation gate
+    # toy level sets are complete systems: read the pass, past the tail gate
     for _ in range(25):
         levels = np.sort(rng.uniform(0.1, 10.0, size=rng.integers(2, 30)))
         beta = rng.uniform(0.05, 5.0)
-        spec = toy(levels)
-        s, _ = entropy_quantum(spec, beta, tail_rtol=inf)
-        lz, _ = log_z_quantum(spec, beta, tail_rtol=inf)
-        eq = mean_energy_quantum(spec, beta, tail_rtol=inf)
-        assert abs(s - (beta * eq + lz)) < 1e-10
+        m = boltzmann_pass(toy(levels), beta)
+        assert abs(m.s_q - (beta * m.e_q + m.log_z)) < 1e-10
 
 
 def test_entropy_classical_box():
@@ -460,7 +457,8 @@ def test_thermo_point_identities():
 def test_gibbs_maximizes_entropy_under_energy_constraint(rng):
     spec = toy(np.linspace(1.0, 4.0, 12))
     beta = 0.9
-    s_q, p = entropy_quantum(spec, beta, tail_rtol=math.inf)
+    m = boltzmann_pass(spec, beta)  # a complete system, past the tail gate
+    s_q, p = m.s_q, m.p
     e = spec.levels
     for _ in range(200):
         d = rng.normal(size=p.size)

@@ -1,13 +1,16 @@
-"""The provisioning contract of ModelFamily: every solve reaches the depth
-lambda * E_M >= LAMBDA_DEPTH, and the level law lies below the levels of
-each source it bounds."""
+"""The provisioning contract of ModelFamily: every solve takes at least 8
+levels and reaches the depth lambda * (E_M - min V) >= LAMBDA_DEPTH, the
+level law lies below the levels of each source it bounds, and finite
+differences place their walls above the top level."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcgibbs import box_family, homogeneous_family, solve_box, tabulated_family
+import qcgibbs.models as models_mod
+from qcgibbs import box_family, homogeneous_family, solve_box, tabulated, tabulated_family
 from qcgibbs.models import LAMBDA_DEPTH
+from qcgibbs.potential import PotentialKind
 
 SCALING_FAMILIES = {
     "box": lambda: box_family([1.0]),
@@ -18,20 +21,50 @@ SCALING_FAMILIES = {
     "quartic": lambda: homogeneous_family(4.0),
 }
 
+# a harmonic well lifted far above zero: its depth is measured from min V = 50
+_XS = np.linspace(-5.0, 5.0, 101)
+OFFSET_WELL = tabulated(_XS, 50.0 + 0.2 * _XS**2)
 
-@settings(max_examples=40, deadline=None)
+
+@settings(max_examples=60, deadline=None)
 @given(
-    source=st.sampled_from([*SCALING_FAMILIES, "double well"]),
+    source=st.sampled_from([*SCALING_FAMILIES, "2-D box", "double well", "offset well"]),
     lam=st.floats(0.05, 5.0),
     planck=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    side=st.floats(0.3, 3.0),
 )
-def test_every_solve_reaches_the_depth(double_well_potential, source, lam, planck):
+def test_every_solve_reaches_the_depth(double_well_potential, source, lam, planck, side):
     # a scaling family's base at h = 1, a tabulated well's solve at h
     if source in SCALING_FAMILIES:
-        spec = SCALING_FAMILIES[source]().base_spectrum(lam)
+        fam = SCALING_FAMILIES[source]()
+    elif source == "2-D box":
+        fam = box_family([1.0, side])
     else:
-        spec = tabulated_family(double_well_potential).spectrum(planck, lam)
-    assert spec.levels[-1] * lam >= 0.999 * LAMBDA_DEPTH
+        fam = tabulated_family(
+            double_well_potential if source == "double well" else OFFSET_WELL)
+    if fam.potential.kind is PotentialKind.TABULATED:
+        spec = fam.spectrum(planck, lam)
+    else:
+        spec = fam.base_spectrum(lam)
+    assert spec.count >= 8
+    assert lam * (spec.levels[-1] - fam.min_potential) >= 0.999 * LAMBDA_DEPTH
+
+
+@pytest.mark.parametrize("nu, lam", [(5.0, 0.5), (3.0, 1.0)])
+def test_fd_walls_lie_above_the_top_level(nu, lam, monkeypatch):
+    # the Dirichlet walls at +-R of a finite-difference solve obey
+    # V(R) >= 1.25 E_M + 10 for the levels it returns
+    grids = []
+    solve = models_mod.solve_fd_1d
+
+    def reading(potential, planck, **kwargs):
+        grids.append(kwargs["grid"])
+        return solve(potential, planck, **kwargs)
+
+    monkeypatch.setattr(models_mod, "solve_fd_1d", reading)
+    spec = homogeneous_family(nu).base_spectrum(lam)
+    (half_width, _), = grids
+    assert half_width**nu >= 1.25 * spec.levels[-1] + 10.0
 
 
 @pytest.mark.parametrize("lengths", [(1.0,), (1.0, 1.3), (1.0, 1.0, 1.0), (1.0, 0.7, 1.2, 1.0)])
