@@ -16,23 +16,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import game as game_mod
 from .ensemble import _table_text, _thermo_row, thermo_point
-from .errors import (
-    AccuracyError,
-    ContractError,
-    ConvergenceError,
-    IntegrabilityError,
-    QCGibbsError,
-    ResourceError,
-    TailModelError,
-    TruncationError,
-)
+from .errors import QCGibbsError
 from .models import (
     LAMBDA_DEPTH,
     ModelFamily,
@@ -56,22 +47,14 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATED = 4
 
-# ArithmeticError: a float overflow, e.g. h^a at an extreme h
-_NUMERICAL_ERRORS = (
-    ArithmeticError,
-    TruncationError,
-    AccuracyError,
-    IntegrabilityError,
-    TailModelError,
-    ResourceError,
-    ConvergenceError,
-    ContractError,
-)
+# ArithmeticError: a float overflow, e.g. h^a at an extreme h; main catches
+# ValueError (DomainError included) first, as a usage error
+_NUMERICAL_ERRORS = (ArithmeticError, QCGibbsError)
 
 
 @dataclass
 class RunConfig:
-    """Declarative run description; round-trips through the flat config format."""
+    """Declarative run description, read from flags and the flat config format."""
 
     model: str = "box"
     dimension: int = 1
@@ -86,19 +69,6 @@ class RunConfig:
     format: str = "csv"
     output: str | None = None
     seed: int = 0
-
-    def to_text(self) -> str:
-        """One key = value line per field; table and output only when set."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = ",".join(fmt17(x) for x in value)
-            elif isinstance(value, float):
-                value = fmt17(value)
-            if value not in (None, ""):
-                lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -191,8 +161,6 @@ def _build_family(cfg: RunConfig) -> ModelFamily:
             raise ValueError("number of lengths must match the dimension N")
         fam = box_family(lengths, cfg.mass)
     elif cfg.model == "homogeneous":
-        if cfg.nu <= 0.0:
-            raise ValueError("exponent nu must be positive")
         fam = homogeneous_family(cfg.nu, cfg.mass)
     elif cfg.model == "tabulated":
         if not cfg.table:
@@ -431,9 +399,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except QCGibbsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -149,10 +149,15 @@ class ModelFamily:
         # the laws increase with m, so bisect for the first one at the target
         m = 8 + bisect.bisect_left(
             range(8, 2**62), target, key=lambda k: self.level_energy(k, planck))
+        return m + self._headroom(m)
+
+    def _headroom(self, m: int) -> int:
+        """Levels added past law level m: 6% + 8 where the law is Weyl's
+        estimate (power laws but the oscillator), none where it is a bound."""
         pot = self.potential
         if pot.kind is PotentialKind.HOMOGENEOUS and pot.exponent != 2.0:
-            m += math.ceil(0.06 * m) + 8
-        return m
+            return math.ceil(0.06 * m) + 8
+        return 0
 
     def base_spectrum(self, lambda_min: float) -> Spectrum:
         """Base levels at h = 1 deep enough that lambda_min * E_M >= LAMBDA_DEPTH."""
@@ -210,9 +215,7 @@ class ModelFamily:
         dx = 0.21 / math.sqrt(2.0 * mass * e_char)
         points = int(math.ceil(2.0 * half_width / dx))
         points = int(min(max(points, 2000, 3 * count), 250_000))
-        return solve_fd_1d(
-            pot, 1.0, grid=(half_width, points), count=count, refinements=2,
-        )
+        return solve_fd_1d(pot, 1.0, half_width, points, count)
 
     def _check_cap(self, count: int, planck: float) -> None:
         """Refuse `count` levels at h above the level cap, or above the cap of
@@ -227,17 +230,26 @@ class ModelFamily:
             if count <= cap:
                 continue
             head = f"{self.label}: sweep needs {count} levels, above the {where} {cap}"
-            if where == "sine-basis cap" and cap < 8:  # fewer than any solve takes
-                raise ResourceError(
-                    f"{head} at h={planck:g}: the table's walls alone fill the "
-                    f"{SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V"
-                )
-            depth = LAMBDA_DEPTH / (self.level_energy(cap, planck) - self.min_potential)
+            # the deepest law level whose count with headroom fits the cap
+            top = bisect.bisect_right(range(cap + 1), cap, key=lambda k: k + self._headroom(k)) - 1
+            if top < 8:  # fewer than any solve takes
+                why = (f"the table's walls alone fill the {SINE_BASIS_MAX_STATES}-state "
+                       "basis; raise h or lower max V" if where == "sine-basis cap" else
+                       f"every solve takes at least {8 + self._headroom(8)} levels; raise the cap")
+                raise ResourceError(f"{head} at h={planck:g}: {why}")
+            depth = LAMBDA_DEPTH / (self.level_energy(top, planck) - self.min_potential)
             raise ResourceError(
                 f"{head}; "
                 + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
-                + f" (the cap supports beta * phi(h) down to about {depth:.3g})"
+                + f" (the cap supports beta * phi(h) down to about {_round_up(depth):.3g})"
             )
+
+
+def _round_up(x: float, digits: int = 3) -> float:
+    """x rounded up to `digits` significant figures, so that a depth named
+    in a message is one the cap still reaches."""
+    scale = 10.0 ** (math.floor(math.log10(x)) - digits + 1)
+    return math.ceil(x / scale) * scale
 
 
 def _basis_solved(nu: float) -> bool:

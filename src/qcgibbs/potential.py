@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -39,10 +40,14 @@ class ScalingExponents(NamedTuple):
 
 def scaling_exponents(nu: float) -> ScalingExponents:
     """Exponents (2/(2+nu), 2*nu/(2+nu)) for a power-law potential r^nu."""
-    if nu <= 0.0:
-        raise ValueError("exponent nu must be positive")
+    if not _finite_positive(nu):
+        raise ValueError(f"exponent nu must be finite and positive, got {nu!r}")
     sub = 2.0 / (2.0 + nu)
     return ScalingExponents(sub, nu * sub)
+
+
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0.0
 
 
 @dataclass(frozen=True)
@@ -71,16 +76,17 @@ class Potential:
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
+        if not _finite_positive(self.mass):
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
         if self.kind is PotentialKind.BOX:
             if self.lengths is None or len(self.lengths) != self.dimension:
                 raise ValueError("box potential needs one length per axis")
-            if any(L <= 0.0 for L in self.lengths):
-                raise ValueError("box lengths must be positive")
+            if not all(_finite_positive(L) for L in self.lengths):
+                raise ValueError(f"box lengths must be finite and positive, got {self.lengths!r}")
         elif self.kind is PotentialKind.HOMOGENEOUS:
-            if self.exponent is None or self.exponent <= 0.0:
-                raise ValueError("exponent nu must be positive")
+            if self.exponent is None or not _finite_positive(self.exponent):
+                raise ValueError(
+                    f"exponent nu must be finite and positive, got {self.exponent!r}")
         elif self.kind is PotentialKind.TABULATED:
             if self.dimension != 1:
                 raise ValueError("tabulated potentials are one-dimensional")
@@ -108,8 +114,6 @@ def box(lengths: Sequence[float], mass: float = 1.0) -> Potential:
 
 def homogeneous(nu: float, dimension: int = 1, mass: float = 1.0) -> Potential:
     """Radial power law V(r) = r^nu on all of R^N."""
-    if nu <= 0.0:
-        raise ValueError("exponent nu must be positive")
     return Potential(PotentialKind.HOMOGENEOUS, dimension, mass, exponent=float(nu))
 
 

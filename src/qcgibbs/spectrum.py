@@ -9,8 +9,9 @@ the box on the table's interval, where the piecewise-linear V has closed-form
 matrix elements; each level's bar is the gap to a Schur-complement lower
 bound, so every Ritz level and its bar bracket the exact level. Odd and
 non-integer power laws fall back to a second-order central
-finite-difference discretization on a uniform grid with Dirichlet ends,
-sharpened by Richardson extrapolation. A power-law growth
+finite-difference discretization on uniform grids with Dirichlet ends at
+walls the caller places, solved on three nested grids and sharpened by two
+Richardson steps. A power-law growth
 model E_n ~ C n^gamma fitted to the top quartile of the computed levels
 bounds the Boltzmann tail left out by truncation, and the exact scaling law
 E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
@@ -228,7 +229,6 @@ def fd_eigenvalues(
     planck: float = 1.0,
     half_width: float | None = None,
     points: int = 2000,
-    mass: float | None = None,
     count: int = 1,
 ) -> np.ndarray:
     """Lowest `count` eigenvalues of the tridiagonal discretization on one grid.
@@ -240,11 +240,10 @@ def fd_eigenvalues(
         raise ValueError("the finite-difference solver is one-dimensional")
     if count < 1 or count > points:
         raise ValueError("need 1 <= count <= points")
-    m = potential.mass if mass is None else float(mass)
     a, b = _domain_interval(potential, half_width)
     dx = (b - a) / (points + 1)
     xs = a + dx * np.arange(1, points + 1)
-    kin = planck**2 / (m * dx**2)
+    kin = planck**2 / (potential.mass * dx**2)
     diag = kin + _potential_values(potential, xs)
     off = np.full(points - 1, -0.5 * kin)
     return eigvalsh_tridiagonal(
@@ -265,27 +264,12 @@ def weyl_energy(nu: float, mass: float, planck: float, count: int) -> float:
     return (count / pref) ** (1.0 / (0.5 + 1.0 / nu))
 
 
-def _auto_grid(potential: Potential, planck: float, mass: float, count: int) -> tuple[float | None, int]:
-    if potential.kind is PotentialKind.HOMOGENEOUS:
-        nu = potential.exponent
-        e_top = weyl_energy(nu, mass, planck, count) * 1.3 + 10.0
-        half_width = (1.25 * e_top + 10.0) ** (1.0 / nu)
-        k_top = math.sqrt(2.0 * mass * e_top) / planck
-        span = 2.0 * half_width
-        points = max(1500, int(math.ceil(span * k_top / 0.33)))
-        return half_width, points
-    # the box fixes its own interval
-    return None, max(1500, 12 * count)
-
-
 def solve_fd_1d(
     potential: Potential,
-    planck: float = 1.0,
-    grid: tuple[float | None, int] | None = None,
-    mass: float | None = None,
-    count: int = 1,
-    refinements: int = 1,
-    accuracy_rtol: float | None = None,
+    planck: float,
+    half_width: float | None,
+    points: int,
+    count: int,
 ) -> Spectrum:
     """Finite-difference levels with Richardson-extrapolated error control.
 
@@ -293,76 +277,28 @@ def solve_fd_1d(
     basis, whose bars are bounds (solve_sine_basis); fd_eigenvalues still
     discretizes them on one grid.
 
-    grid = (half_width, points): half_width fixes the Dirichlet walls at +-R
-    for potentials on the whole line (ignored for the box, which carries its
-    own interval); `points` is the interior node count of
-    the coarsest grid. With grid=None both are sized heuristically so that the
-    walls sit where V exceeds the top requested level by a 25% margin plus 10
-    energy units and the top level is still resolved.
-
-    The scheme is solved on `points` and 2*points+1 nodes (and 4*points+3 when
-    refinements=2); levels are Richardson extrapolations and level_errors hold
-    the per-level estimates from the final extrapolation step. If
-    `accuracy_rtol` is given, any level whose estimate exceeds
-    accuracy_rtol * max(|E|, 1) raises AccuracyError naming the level.
+    Dirichlet walls sit at +-half_width for potentials on the whole line (the
+    box carries its own interval and ignores it); the caller places them.
+    The scheme is solved on `points`, 2 points + 1 and 4 points + 3 interior
+    nodes, and two Richardson steps extrapolate the levels; level_errors hold
+    the change made by the second step plus the rounding floor
+    5e-14 * (|E| + ||T||), with T the kinetic term on the finest grid.
     """
     if potential.kind is PotentialKind.TABULATED:
         raise ValueError("tabulated wells are solved in the sine basis (solve_sine_basis)")
-    if refinements not in (1, 2):
-        raise ValueError("refinements must be 1 or 2")
-    m = potential.mass if mass is None else float(mass)
-    auto = grid is None
-    if auto:
-        half_width, points = _auto_grid(potential, planck, m, count)
-    else:
-        half_width, points = grid
-        points = int(points)
-        if half_width is not None:
-            half_width = float(half_width)
-
-    for _attempt in range(4):
-        e0 = fd_eigenvalues(potential, planck, half_width, points, m, count)
-        e1 = fd_eigenvalues(potential, planck, half_width, 2 * points + 1, m, count)
-        r1 = (4.0 * e1 - e0) / 3.0
-        if refinements == 1:
-            value = r1
-            estimate = np.abs(e1 - e0) / 3.0
-            n_fine = 2 * points + 1
-        else:
-            e2 = fd_eigenvalues(potential, planck, half_width, 4 * points + 3, m, count)
-            r1b = (4.0 * e2 - e1) / 3.0
-            value = (16.0 * r1b - r1) / 15.0
-            estimate = np.abs(r1b - r1)
-            n_fine = 4 * points + 3
-        a, b = _domain_interval(potential, half_width)
-        dx_fine = (b - a) / (n_fine + 1)
-        norm_t = planck**2 / (m * dx_fine**2)
-        estimate = estimate + 5e-14 * (np.abs(value) + norm_t)
-
-        if not auto or potential.kind is not PotentialKind.HOMOGENEOUS:
-            break
-        # wall-placement rule: V(R) must clear the top level by 25% plus 10
-        nu = potential.exponent
-        needed = 1.25 * float(value[-1]) + 10.0
-        if nu * math.log(half_width) >= math.log(needed):
-            break
-        half_width *= 1.4
-    else:
-        raise AccuracyError("could not place the domain walls after 4 attempts")
-
+    e0, e1, e2 = (fd_eigenvalues(potential, planck, half_width, n, count)
+                  for n in (points, 2 * points + 1, 4 * points + 3))
+    r1 = (4.0 * e1 - e0) / 3.0
+    r1b = (4.0 * e2 - e1) / 3.0
+    value = (16.0 * r1b - r1) / 15.0
+    a, b = _domain_interval(potential, half_width)
+    dx_fine = (b - a) / (4 * points + 4)
+    norm_t = planck**2 / (potential.mass * dx_fine**2)
+    estimate = np.abs(r1b - r1) + 5e-14 * (np.abs(value) + norm_t)
     # extrapolation can jitter near-degenerate pairs below estimate size
     order = np.argsort(value, kind="stable")
-    value = value[order]
-    estimate = estimate[order]
-    if accuracy_rtol is not None:
-        rel = estimate / np.maximum(np.abs(value), 1.0)
-        bad = int(np.argmax(rel))
-        if rel[bad] > accuracy_rtol:
-            raise AccuracyError(
-                f"level {bad + 1}: Richardson error estimate {estimate[bad]:.3e} "
-                f"exceeds tolerance {accuracy_rtol:.1e} * max(|E|, 1)"
-            )
-    return Spectrum(value, planck, SpectrumSource.FINITE_DIFFERENCE, level_errors=estimate)
+    return Spectrum(value[order], planck, SpectrumSource.FINITE_DIFFERENCE,
+                    level_errors=estimate[order])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +368,6 @@ def oscillator_basis_eigenvalues(
     planck: float = 1.0,
     scale: float = 1.0,
     size: int = 100,
-    mass: float | None = None,
     count: int = 1,
 ) -> np.ndarray:
     """Lowest `count` Rayleigh-Ritz levels of -(h^2/2m) u'' + x^nu u (even nu)
@@ -446,15 +381,14 @@ def oscillator_basis_eigenvalues(
         raise ValueError("need 1 <= count <= size")
     if scale <= 0.0:
         raise ValueError("the basis length scale must be positive")
-    m = potential.mass if mass is None else float(mass)
-    return _banded_levels(_oscillator_bands(nu, planck, m, scale, size), size, count)
+    bands = _oscillator_bands(nu, planck, potential.mass, scale, size)
+    return _banded_levels(bands, size, count)
 
 
 def solve_oscillator_basis(
     potential: Potential,
     planck: float = 1.0,
     count: int = 1,
-    mass: float | None = None,
 ) -> Spectrum:
     """Levels of -(h^2/2m) u'' + x^nu u (even nu) in an oscillator basis.
 
@@ -469,7 +403,7 @@ def solve_oscillator_basis(
     nu = _even_exponent(potential)
     if count < 1:
         raise ValueError("count must be at least 1")
-    m = potential.mass if mass is None else float(mass)
+    m = potential.mass
     e_t = 1.3 * weyl_energy(nu, m, planck, count)
     scale = math.sqrt(planck * e_t ** (1.0 / nu) / math.sqrt(2.0 * m * e_t))
     n2 = 2 * count + 64
@@ -535,31 +469,27 @@ def _sine_matrix(c: np.ndarray, size: int) -> np.ndarray:
     return toeplitz - hankel
 
 
-def _wall_states(potential: Potential, planck: float, mass: float) -> float:
+def _wall_states(potential: Potential, planck: float) -> float:
     """(max V - min V) / c1 with c1 = h^2 pi^2 / (2 m L^2): the squared number
     of sine states the table's walls add to the basis."""
     span = float(potential.grid_x[-1] - potential.grid_x[0])
-    kin = (planck * math.pi / span) ** 2 / (2.0 * mass)
+    kin = (planck * math.pi / span) ** 2 / (2.0 * potential.mass)
     return float(potential.grid_v.max() - potential.grid_v.min()) / kin
 
 
-def _sine_basis_size(
-    potential: Potential, planck: float, count: int, mass: float | None = None,
-) -> int:
+def _sine_basis_size(potential: Potential, planck: float, count: int) -> int:
     """States the sine basis takes for `count` levels at h: the larger of
     2 * count + 64 and the smallest N with c1 (N + 1)^2 + min V above
     c1 count^2 + max V >= theta_count, so that the omitted block lies above
     every returned level."""
-    m = potential.mass if mass is None else float(mass)
-    return max(2 * count + 64, math.ceil(math.sqrt(count**2 + _wall_states(potential, planck, m))))
+    return max(2 * count + 64, math.ceil(math.sqrt(count**2 + _wall_states(potential, planck))))
 
 
-def sine_basis_level_cap(potential: Potential, planck: float, mass: float | None = None) -> int:
+def sine_basis_level_cap(potential: Potential, planck: float) -> int:
     """The most levels at h whose sine basis fits in SINE_BASIS_MAX_STATES:
     1,500 for low walls, fewer where max V - min V adds states, and 0 where
     the walls alone need more."""
-    m = potential.mass if mass is None else float(mass)
-    room = SINE_BASIS_MAX_STATES**2 - _wall_states(potential, planck, m)
+    room = SINE_BASIS_MAX_STATES**2 - _wall_states(potential, planck)
     return min((SINE_BASIS_MAX_STATES - 64) // 2, int(math.sqrt(max(room, 0.0))))
 
 
@@ -567,7 +497,6 @@ def solve_sine_basis(
     potential: Potential,
     planck: float = 1.0,
     count: int = 1,
-    mass: float | None = None,
     size: int | None = None,
 ) -> Spectrum:
     """Levels of a tabulated well by Rayleigh-Ritz in the box eigenbasis
@@ -591,13 +520,12 @@ def solve_sine_basis(
         raise ValueError("the sine basis solves tabulated wells")
     if count < 1:
         raise ValueError("count must be at least 1")
-    m = potential.mass if mass is None else float(mass)
     xs, vs = potential.grid_x, potential.grid_v
     span = float(xs[-1] - xs[0])
-    kin = (planck * math.pi / span) ** 2 / (2.0 * m)
+    kin = (planck * math.pi / span) ** 2 / (2.0 * potential.mass)
     vmin = float(vs.min())
     if size is None:
-        size = _sine_basis_size(potential, planck, count, m)
+        size = _sine_basis_size(potential, planck, count)
     if size < count:
         raise ValueError("need count <= size")
     if size > SINE_BASIS_MAX_STATES:

@@ -300,7 +300,7 @@ def test_criterion_7_game_module(rng):
 def test_criterion_8_spectrum_oracles():
     """FD box ground level at 1e-5 with observed second-order convergence;
     oscillator level scaling E_1(h) = h E_1(1) at 1e-4."""
-    spec = solve_fd_1d(box_potential([1.0]), grid=(None, 4000), count=1)
+    spec = solve_fd_1d(box_potential([1.0]), 1.0, None, 4000, 1)
     e1_ok = abs(spec.levels[0] - PI2 / 2) < 1e-5
 
     exact = PI2 / 2
@@ -309,10 +309,10 @@ def test_criterion_8_spectrum_oracles():
     ratio = (exact - e_p) / (exact - e_2p)
     order_ok = 3.5 <= ratio <= 4.5
 
-    base = solve_fd_1d(homogeneous(2), planck=1.0, count=1).levels[0]
+    base = solve_fd_1d(homogeneous(2), 1.0, 5.2, 1500, 1).levels[0]
     scaling_ok = True
     for h in (0.5, 2.0):
-        eh = solve_fd_1d(homogeneous(2), planck=h, count=1).levels[0]
+        eh = solve_fd_1d(homogeneous(2), h, 5.2, 1500, 1).levels[0]
         scaling_ok = scaling_ok and abs(eh / base - h) < 1e-4
     ok = e1_ok and order_ok and scaling_ok
     report(

@@ -17,14 +17,13 @@ from qcgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     main,
     parse_config,
 )
 from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
-from qcgibbs.models import tabulated_family
+from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
-from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap, weyl_energy
+from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap
 from qcgibbs.util import MAX_GRID_POINTS
 
 
@@ -65,6 +64,18 @@ def test_spectrum_rejects_negative_nu(capsys):
         ["spectrum", "--model", "homogeneous", "--nu", "-1", "--count", "3"], capsys)
     assert code == EXIT_USAGE
     assert "nu" in err
+
+
+@pytest.mark.parametrize("flags, name", [
+    ("--model homogeneous --nu inf", "nu"),
+    ("--model homogeneous --nu nan", "nu"),
+    ("--mass inf", "mass"),
+    ("--L inf", "lengths"),
+])
+def test_non_finite_model_parameters_exit_2(flags, name, capsys):
+    code, out, err = run(["table", *flags.split()], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and f"{name} must be finite and positive" in err
 
 
 def test_spectrum_writes_file(tmp_path, capsys):
@@ -326,13 +337,6 @@ def test_game_seed_determinism(tmp_path, capsys):
 # config handling
 
 
-def test_config_round_trip():
-    cfg = RunConfig(model="homogeneous", nu=4.0, beta=(0.5, 1.0),
-                    h=(0.25, 1.0, 4.0), count=7, seed=3, output="x.csv")
-    back = parse_config(cfg.to_text())
-    assert back == cfg
-
-
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("model = box\nlengths = 1\nbeta = 1\nh = 1\ncount = 3\n")
@@ -520,10 +524,26 @@ def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
         capsys)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERICAL
-    reachable = models_mod.LAMBDA_DEPTH / weyl_energy(4.0, 1.0, 1.0, models_mod.BASIS_CAP)
+    assert f"above the oscillator-basis cap {models_mod.BASIS_CAP}; shrink the sweep" in out
+    # the 6% + 8 levels of headroom count against the cap too
+    _assert_depth_is_reachable(out, homogeneous_family(4.0), 1.0, models_mod.BASIS_CAP)
+
+
+def test_cap_below_any_solve_names_no_depth(capsys):
+    # a Weyl-law source takes at least 8 + 8 headroom + 1 levels, so a cap of
+    # 8 reaches no depth at all
+    code, out, _ = run(["table", "--model", "homogeneous", "--nu", "3", "--beta", "0.01",
+                        "--max-levels", "8"], capsys)
+    assert code == EXIT_NUMERICAL
     assert out.rstrip().endswith(
-        f"above the oscillator-basis cap {models_mod.BASIS_CAP}; shrink the sweep "
-        f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+        "above the cap 8 at h=1: every solve takes at least 17 levels; raise the cap")
+
+
+def _assert_depth_is_reachable(out, fam, planck, cap):
+    # a sweep down to the depth the message names fits the cap, and one 1%
+    # deeper does not
+    depth = float(re.search(r"down to about (\S+)\)$", out.rstrip()).group(1))
+    assert fam.level_count(planck, depth) <= cap < fam.level_count(planck, 0.99 * depth)
 
 
 def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, capsys):
@@ -538,10 +558,8 @@ def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, cap
     fam = tabulated_family(load_tabulated_csv(double_well))
     cap = sine_basis_level_cap(fam.potential, 1.0)
     assert cap == 1500  # the walls at 28 add no states here
-    reachable = models_mod.LAMBDA_DEPTH / (fam.level_energy(cap, 1.0) - fam.min_potential)
-    assert out.rstrip().endswith(
-        f"above the sine-basis cap {cap}; shrink the sweep "
-        f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+    assert f"above the sine-basis cap {cap}; shrink the sweep" in out
+    _assert_depth_is_reachable(out, fam, 1.0, cap)
 
 
 @pytest.mark.parametrize("wall", [27_760.0, 1e6])
@@ -562,11 +580,8 @@ def test_tall_walls_lower_the_sine_basis_cap(wall, fd_solves, tmp_path, capsys):
     cap = sine_basis_level_cap(pot, 0.25)
     if wall < 1e5:
         assert cap == 622
-        fam = tabulated_family(pot)
-        reachable = models_mod.LAMBDA_DEPTH / (fam.level_energy(cap, 0.25) - fam.min_potential)
-        assert out.rstrip().endswith(
-            f"above the sine-basis cap {cap}; shrink the sweep "
-            f"(the cap supports beta * phi(h) down to about {reachable:.3g})")
+        assert f"above the sine-basis cap {cap}; shrink the sweep" in out
+        _assert_depth_is_reachable(out, tabulated_family(pot), 0.25, cap)
     else:
         assert cap == 0
         assert out.rstrip().endswith(
@@ -707,4 +722,45 @@ def test_grid_text_never_escapes_main(beta, h, capsys):
         except ValueError:
             pass
     if not all(math.isfinite(x) for x in values):
+        assert code == EXIT_USAGE
+
+
+# values for each key that run fast: small counts and dimensions, exponents
+# the solvers reach in milliseconds, and the bad forms of each
+_CONFIG_VALUES = {
+    "model": st.sampled_from(["box", "homogeneous", "tabulated", "cube", ""]),
+    "dimension": st.sampled_from(["1", "2", "3", "0", "-1", "1.5", "x"]),
+    "lengths": st.sampled_from(["1", "1,2", "0.5,1,2", "0", "-1", "inf", "nan", "1,x", ""]),
+    "nu": st.sampled_from(["1", "1.5", "2", "3", "4", "0", "-2", "inf", "nan", "1e400", "x"]),
+    "mass": st.sampled_from(["1", "0.5", "3", "0", "-1", "inf", "nan", "x"]),
+    "table": st.sampled_from(["", "missing.csv"]),
+    "beta": _GRID_TEXT,
+    "h": _GRID_TEXT,
+    "count": st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["1e3", "x", ""])),
+    "max_levels": st.sampled_from(["8", "7", "20", "2000000", "x"]),
+    "format": st.sampled_from(["csv", "json", "xml"]),
+    "seed": st.sampled_from(["0", "-1", "7", "x"]),
+}
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(sorted(_CONFIG_VALUES)).flatmap(
+        lambda key: _CONFIG_VALUES[key].map(lambda value: f"{key} = {value}")),
+    st.sampled_from(["# a comment", "", "modle = box", "output", "tail_rtol = 1", "= 1"]),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_CONFIG_LINE, max_size=6))
+def test_config_text_never_escapes_main(lines, tmp_path, capsys):
+    # any key = value text either runs or exits 2 with a one-line message
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["spectrum", "--config", str(cfg_file)], capsys)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), err
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    try:
+        parse_config(cfg_file.read_text())
+    except ValueError:
         assert code == EXIT_USAGE

@@ -513,7 +513,7 @@ def test_oscillator_closed_form_cross_check():
 @pytest.fixture(scope="module")
 def pass_spectra():
     quartic = homogeneous(4)
-    base = solve_fd_1d(quartic, 1.0, count=40, refinements=2)
+    base = solve_fd_1d(quartic, 1.0, 4.3, 1500, 40)
     return [
         (box([1.0]), toy([1.0, 2.0, 3.0]), 1.0),
         (box([1.0]), solve_box(1, [1.0], count=200), 0.7),

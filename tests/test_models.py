@@ -57,13 +57,13 @@ def test_fd_walls_lie_above_the_top_level(nu, lam, monkeypatch):
     grids = []
     solve = models_mod.solve_fd_1d
 
-    def reading(potential, planck, **kwargs):
-        grids.append(kwargs["grid"])
-        return solve(potential, planck, **kwargs)
+    def reading(potential, planck, half_width, points, count):
+        grids.append(half_width)
+        return solve(potential, planck, half_width, points, count)
 
     monkeypatch.setattr(models_mod, "solve_fd_1d", reading)
     spec = homogeneous_family(nu).base_spectrum(lam)
-    (half_width, _), = grids
+    half_width, = grids
     assert half_width**nu >= 1.25 * spec.levels[-1] + 10.0
 
 

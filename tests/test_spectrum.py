@@ -49,7 +49,7 @@ def test_box_1d_matches_fd_oracle():
     # oracle: Richardson-extrapolated finite differences converge to the
     # analytic values under grid refinement
     analytic = solve_box(1, [1.0], count=3).levels
-    fd = solve_fd_1d(box([1.0]), grid=(None, 3000), count=3)
+    fd = solve_fd_1d(box([1.0]), 1.0, None, 3000, 3)  # the box fixes its walls
     np.testing.assert_allclose(fd.levels, analytic, rtol=1e-8)
 
 
@@ -80,7 +80,7 @@ def test_box_resource_cap():
 
 
 def test_fd_box_ground_level():
-    spec = solve_fd_1d(box([1.0]), grid=(None, 4000), count=1)
+    spec = solve_fd_1d(box([1.0]), 1.0, None, 4000, 1)
     assert abs(spec.levels[0] - PI2 / 2) < 1e-5
     assert spec.level_errors is not None and spec.level_errors[0] < 1e-4
 
@@ -95,30 +95,25 @@ def test_fd_second_order_convergence():
 
 
 def test_fd_oscillator_spacing():
-    spec = solve_fd_1d(homogeneous(2), count=2)
+    spec = solve_fd_1d(homogeneous(2), 1.0, 5.2, 1500, 2)
     gap = spec.levels[1] - spec.levels[0]
     assert abs(gap - math.sqrt(2.0)) / math.sqrt(2.0) < 1e-5
 
 
 def test_fd_oscillator_h_scaling():
-    e1 = solve_fd_1d(homogeneous(2), planck=1.0, count=1).levels[0]
-    e2 = solve_fd_1d(homogeneous(2), planck=2.0, count=1).levels[0]
+    e1 = solve_fd_1d(homogeneous(2), 1.0, 5.2, 1500, 1).levels[0]
+    e2 = solve_fd_1d(homogeneous(2), 2.0, 5.2, 1500, 1).levels[0]
     assert abs(e2 / e1 - 2.0) < 1e-4  # phi(h) = h^(2*2/(2+2)) = h
 
 
 def test_fd_matches_rescaled_base():
-    base = solve_fd_1d(homogeneous(2), count=16)
-    direct = solve_fd_1d(homogeneous(2), planck=2.0, count=16)
+    base = solve_fd_1d(homogeneous(2), 1.0, 9.8, 1500, 16)
+    direct = solve_fd_1d(homogeneous(2), 2.0, 9.8, 1500, 16)
     scaled = rescale(base, 2.0, 1.0)
     half = 8
     np.testing.assert_allclose(
         direct.levels[:half], scaled.levels[:half], rtol=1e-4
     )
-
-
-def test_fd_accuracy_error_names_level():
-    with pytest.raises(AccuracyError, match="level"):
-        solve_fd_1d(box([1.0]), grid=(None, 30), count=5, accuracy_rtol=1e-12)
 
 
 def test_fd_operator_normalization():
@@ -158,11 +153,10 @@ def test_basis_levels_nest():
 
 
 def _wide_fd(nu: float, basis: Spectrum) -> Spectrum:
-    # walls where V = 4 E_M: FD's automatic walls (V = 1.25 E_M + 10) shift the
-    # top levels by more than its Richardson estimate covers
+    # walls where V = 4 E_M: ModelFamily's walls (V = 1.25 E_M + 10) shift the
+    # top levels by more than FD's Richardson estimate covers
     half_width = (4.0 * basis.levels[-1]) ** (1.0 / nu)
-    return solve_fd_1d(homogeneous(nu), grid=(half_width, 4000), count=basis.count,
-                       refinements=2)
+    return solve_fd_1d(homogeneous(nu), 1.0, half_width, 4000, basis.count)
 
 
 def test_basis_levels_inside_fd_error_bars():
@@ -275,7 +269,7 @@ def test_sine_basis_refuses_bases_above_the_state_limit(double_well_potential):
 
 def test_fd_refuses_tabulated_wells(double_well_potential):
     with pytest.raises(ValueError, match="sine basis"):
-        solve_fd_1d(double_well_potential, 1.0, count=4)
+        solve_fd_1d(double_well_potential, 1.0, None, 1500, 4)
 
 
 def test_sine_basis_source_through_cli(double_well_potential, tmp_path, capsys):
@@ -300,7 +294,7 @@ def test_wedge_levels_against_fd():
     # the |x| kink caps Richardson convergence on even states near 1e-5 at
     # this resolution; the solver's own estimates must cover the true error
     analytic = wedge_spectrum(8)
-    fd = solve_fd_1d(homogeneous(1), count=8, refinements=2)
+    fd = solve_fd_1d(homogeneous(1), 1.0, 32.0, 1500, 8)
     np.testing.assert_allclose(fd.levels, analytic.levels, rtol=2e-5)
     assert np.all(np.abs(fd.levels - analytic.levels) <= fd.level_errors)
 
