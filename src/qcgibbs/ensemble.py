@@ -12,8 +12,10 @@ Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
 rounding bound, and exact piecewise integrals of the interpolant for tabulated
-profiles. No classical quantity needs quadrature, so importing this module
-loads neither scipy.integrate nor scipy.optimize.
+profiles, summed in expm1 forms that keep their digits on flat segments. No
+classical quantity needs quadrature, and nothing here needs scipy.special:
+the Gamma closed forms run on math.lgamma and S_q's P log P on a masked
+numpy log, so this module imports nothing from scipy.
 
 Entropies follow the identities
     S_q = beta E_q + log Z_q
@@ -31,12 +33,11 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
 
 from .errors import AccuracyError, IntegrabilityError, TruncationError
 from .potential import Potential, PotentialKind, volume
 from .spectrum import Spectrum, log_tail_bound
-from .util import fmt17, logsumexp
+from .util import LGAMMA_EPS, fmt17, logsumexp
 
 TAIL_RTOL = 1e-10
 
@@ -95,7 +96,8 @@ class BoltzmannPass:
 
     @cached_property
     def s_q(self) -> float:
-        s_direct = -float(xlogy(self.p, self.p).sum())
+        p = self.p
+        s_direct = -float((p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum())
         s_identity = self.beta * self.e_shift + math.log(self.sw)
         if abs(s_direct - s_identity) > 1e-10 * max(1.0, abs(s_identity)):
             raise AccuracyError(
@@ -235,40 +237,78 @@ def _sphere_surface(n: int) -> float:
 def _radial_config_integral(nu: float, n_dim: int, beta: float) -> tuple[float, float]:
     """(value, rounding bound) of int_0^inf exp(-beta r^nu) r^(N-1) dr, which
     is Gamma(a) / (nu beta^a) with a = N/nu, evaluated as exp(x) with
-    x = gammaln(a) - a log(beta) - log(nu).
+    x = lgamma(a) - a log(beta) - log(nu).
 
     The bound is a first-order rounding analysis in units of eps: a carries
     eps/2 and log(beta) eps, so a log(beta) is within 2 eps of its size;
-    gammaln is within 4 eps of max(1, |gammaln|) (absolute below a = 3,
-    relative above) and moves by a |psi(a)| eps/2 with the rounding of a;
-    log(nu) is within eps; the two subtractions add eps/2 of their results;
-    exp adds eps relative.
+    math.lgamma is within LGAMMA_EPS eps of max(1, |lgamma|) and moves by
+    a |psi(a)| eps/2 with the rounding of a, where |psi(a)| <= |ln a| + 1/a
+    since ln a - 1/a < psi(a) < ln a - 1/(2a); log(nu) is within eps; the
+    two subtractions add eps/2 of their results; exp adds eps relative.
     """
     a = n_dim / nu
-    g = float(gammaln(a))
+    g = math.lgamma(a)
     t = a * math.log(beta)
     ln = math.log(nu)
     x = g - t - ln
     dx = _EPS * (
-        5.0 * max(1.0, abs(g)) + a * abs(float(digamma(a))) + 3.0 * abs(t) + abs(ln) + abs(x)
+        (LGAMMA_EPS + 1.0) * max(1.0, abs(g)) + a * abs(math.log(a)) + 1.0
+        + 3.0 * abs(t) + abs(ln) + abs(x)
     )
     value = math.exp(x)
     return value, value * (math.expm1(dx) + 2.0 * _EPS)
 
 
-def _tabulated_config_integral(potential: Potential, beta: float) -> tuple[float, float]:
-    """Exact integral of exp(-beta V) for the piecewise-linear interpolant."""
-    xs = potential.grid_x
+def _tabulated_segments(potential: Potential, beta: float):
+    """Per segment of the piecewise-linear interpolant: the weight
+    dx exp(-beta v_lo) at its lower end v_lo, v_lo, the rise |dV| and
+    u = beta |dV|, and phi(u) = int_0^1 exp(-u t) dt = -expm1(-u) / u.
+
+    On a segment V = v_lo + |dV| t after reflection, so int exp(-beta V) dx
+    is weight * phi(u): exp never grows and nothing cancels, however flat or
+    steep the segment is.
+    """
     vs = potential.grid_v
-    dx = np.diff(xs)
-    w0 = np.exp(-beta * vs[:-1])
-    w1 = np.exp(-beta * vs[1:])
-    z = -beta * np.diff(vs)  # exp exponent across each segment
-    small = np.abs(z) < 1e-8
+    v_lo = np.minimum(vs[:-1], vs[1:])
+    rise = np.abs(np.diff(vs))
+    weight = np.diff(potential.grid_x) * np.exp(-beta * v_lo)
+    u = beta * rise
+    with np.errstate(invalid="ignore"):
+        phi = np.where(u > 0.0, -np.expm1(-u) / u, 1.0)
+    return weight, v_lo, rise, u, phi
+
+
+# chi(u) = int_0^1 t exp(-u t) dt = sum_k (-u)^k / (k! (k + 2)) below
+# _CHI_SERIES_U, where 17 terms leave less than 1e-23 out
+_CHI_SERIES_U = 0.5
+_CHI_COEFFS = np.array(
+    [(-1.0) ** k / (math.factorial(k) * (k + 2)) for k in range(17)])[::-1]
+
+
+def _chi(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """int_0^1 t exp(-u t) dt: its series below _CHI_SERIES_U, above it
+    (phi(u) - exp(-u)) / u, where cancellation amplifies rounding by
+    (phi + exp(-u)) / (phi - exp(-u)) < 8."""
+    small = u < _CHI_SERIES_U
     with np.errstate(divide="ignore", invalid="ignore"):
-        seg = np.where(small, dx * w0 * (1.0 + z / 2.0 + z * z / 6.0), dx * (w1 - w0) / z)
-    value = float(seg.sum())
-    return value, 1e-14 * value * len(dx)
+        closed = (phi - np.exp(-u)) / u
+    return np.where(small, np.polyval(_CHI_COEFFS, np.where(small, u, 0.0)), closed)
+
+
+def _tabulated_config_integral(potential: Potential, beta: float) -> tuple[float, float]:
+    """(value, rounding bound) of the exact integral of exp(-beta V) over the
+    piecewise-linear interpolant, summed over _tabulated_segments.
+
+    Each term is within eps (7 + beta |v_lo|) relative: dx and u round by
+    eps/2 and eps, the exponent beta v_lo by eps/2 of its size, exp and expm1
+    by eps each (numpy's measure below 0.6 eps), the division and the two
+    products by eps/2 each; phi's relative change never exceeds u's. The sum
+    of the n positive terms adds at most n eps relative.
+    """
+    weight, v_lo, _, _, phi = _tabulated_segments(potential, beta)
+    value = float((weight * phi).sum())
+    spread = beta * float(np.abs(v_lo).max())
+    return value, value * _EPS * (len(phi) + 7.0 + spread)
 
 
 def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
@@ -303,32 +343,12 @@ def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
 
 
 def _tabulated_mean_v(potential: Potential, beta: float) -> float:
-    """<V> for the piecewise-linear interpolant, per-segment closed forms."""
-    xs = potential.grid_x
-    vs = potential.grid_v
-    dx = np.diff(xs)
-    v0 = vs[:-1]
-    v1 = vs[1:]
-    w0 = np.exp(-beta * v0)
-    w1 = np.exp(-beta * v1)
-    dv = v1 - v0
-    s = dv / dx
-    small = np.abs(beta * dv) < 1e-8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # int (V) e^{-beta V} dx over a segment = (1/s) int_{v0}^{v1} y e^{-beta y} dy
-        anti0 = (v0 / beta + 1.0 / beta**2) * w0
-        anti1 = (v1 / beta + 1.0 / beta**2) * w1
-        num_seg = np.where(
-            small,
-            dx * 0.5 * (v0 + v1) * np.exp(-beta * 0.5 * (v0 + v1)),
-            (anti0 - anti1) / s,
-        )
-        den_seg = np.where(
-            small,
-            dx * w0 * (1.0 - beta * dv / 2.0),
-            dx * (w1 - w0) / (-beta * dv),
-        )
-    return float(num_seg.sum()) / float(den_seg.sum())
+    """<V> for the piecewise-linear interpolant: on each segment
+    int V exp(-beta V) dx = weight (v_lo phi(u) + |dV| chi(u)), over the
+    sum of weight phi(u) (_tabulated_segments)."""
+    weight, v_lo, rise, u, phi = _tabulated_segments(potential, beta)
+    num = weight * (v_lo * phi + rise * _chi(u, phi))
+    return float(num.sum()) / float((weight * phi).sum())
 
 
 def mean_energy_classical(potential: Potential, beta: float) -> float:

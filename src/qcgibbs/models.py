@@ -57,6 +57,12 @@ LEVEL_CAP = 2_000_000
 # build at this many levels takes about 30 s at nu = 4 (70 s at nu = 20) on
 # two cores, so deeper sweeps are refused before anything is allocated
 BASIS_CAP = 20_000
+# x^nu spectra are solved for nu in this range: below it the Gamma(3/2 + 1/nu)
+# of Weyl's law nears the double range (it overflows below nu = 1/170.1);
+# above it an even nu's nu/2 + 1 oscillator bands near the smallest basis
+# (80 states), and the basis already fails from nu = 48 on
+# (solve_oscillator_basis)
+NU_RANGE = (1.0 / 128.0, 64.0)
 # tabulated wells are solved in a dense sine basis of at most
 # SINE_BASIS_MAX_STATES states, which caps the levels at each h
 # (sine_basis_level_cap: 1,500 levels, fewer where tall walls add states)
@@ -264,7 +270,13 @@ def box_family(lengths, mass: float = 1.0) -> ModelFamily:
 
 
 def homogeneous_family(nu: float, mass: float = 1.0) -> ModelFamily:
-    return ModelFamily(homogeneous(nu, 1, mass), f"homogeneous_nu{nu:g}")
+    potential = homogeneous(nu, 1, mass)
+    lo, hi = NU_RANGE
+    if not lo <= nu <= hi:
+        raise ValueError(
+            f"nu={nu:g} lies outside [{lo:g}, {hi:g}], the power laws whose "
+            "spectra qcgibbs solves")
+    return ModelFamily(potential, f"homogeneous_nu{nu:g}")
 
 
 def tabulated_family(potential: Potential, label: str = "tabulated") -> ModelFamily:

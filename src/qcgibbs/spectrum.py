@@ -27,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special as sc
-from scipy.linalg import eig_banded, eigh, eigvalsh_tridiagonal
+from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .errors import (
     AccuracyError,
@@ -194,8 +193,11 @@ def wedge_spectrum(count: int, mass: float = 1.0, planck: float = 1.0) -> Spectr
     if count < 1:
         raise ValueError("count must be at least 1")
     scale = (planck**2 / (2.0 * mass)) ** (1.0 / 3.0)
+    # imported here: no other solver needs scipy.special, which costs start-up
+    from scipy.special import ai_zeros
+
     half = (count + 1) // 2
-    a, ap, _, _ = sc.ai_zeros(half)
+    a, ap, _, _ = ai_zeros(half)
     levels = np.empty(count)
     levels[0::2] = np.abs(ap)[: (count + 1) // 2]
     levels[1::2] = np.abs(a)[: count // 2]
@@ -398,7 +400,9 @@ def solve_oscillator_basis(
     N2 = 2 * count + 64 and N1 = 3/4 N2 with the same s, and the N2 levels
     are returned; level_errors hold |E(N1) - E(N2)| plus the rounding floor
     5e-14 * (|E| + ||H||) used by the finite-difference solver, with ||H||
-    bounded above by the absolute row sums of the N2 bands.
+    bounded above by the absolute row sums of the N2 bands. A ground level
+    that rounding leaves non-positive (even nu from 48 on) raises
+    AccuracyError.
     """
     nu = _even_exponent(potential)
     if count < 1:
@@ -413,6 +417,11 @@ def solve_oscillator_basis(
     value = _banded_levels(bands, n2, count)
     peaks = [float(np.abs(b).max()) for b in bands]
     norm_h = 2.0 * sum(peaks) - peaks[0]  # the diagonal once, off-diagonals twice
+    if value[0] <= 0.0:  # a Ritz value of a positive operator, lost to rounding
+        raise AccuracyError(
+            f"nu={nu}: the oscillator basis's rounding floor 5e-14 ||H|| = "
+            f"{5e-14 * norm_h:.3g} swamps the ground level, computed as {value[0]:.6g}"
+        )
     estimate = np.abs(coarse - value) + 5e-14 * (np.abs(value) + norm_h)
     return Spectrum(value, planck, SpectrumSource.OSCILLATOR_BASIS, level_errors=estimate)
 
@@ -539,7 +548,8 @@ def solve_sine_basis(
     coupling = _sine_matrix(c2, size)
     coupling -= ham @ ham  # W
     ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
-    theta = eigh(ham, eigvals_only=True, driver="ev", check_finite=False)
+    # numpy's LAPACK, as for ham @ ham above: one BLAS thread pool per process
+    theta = np.linalg.eigvalsh(ham)
     value = theta[:count]
     top = float(value[-1])
     gap = kin * (size + 1) ** 2 + vmin
@@ -550,8 +560,7 @@ def solve_sine_basis(
         )
     coupling *= 1.0 / (gap - top)
     ham -= coupling
-    lower = eigh(ham, eigvals_only=True, driver="ev", overwrite_a=True,
-                 check_finite=False)[:count]
+    lower = np.linalg.eigvalsh(ham)[:count]
     norm_h = max(abs(theta[0]), abs(theta[-1]))
     estimate = (value - lower) + 5e-14 * (np.abs(value) + norm_h)
     return Spectrum(value, planck, SpectrumSource.SINE_BASIS, level_errors=estimate)

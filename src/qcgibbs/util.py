@@ -5,8 +5,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sc
 
+_EPS = float(np.finfo(float).eps)
+
+# math.lgamma(a) is within this many eps of max(1, |lgamma(a)|): 40-digit
+# mpmath puts its worst error at 7.3 eps (near a = 3.35, over 2.5e5 samples of
+# a in (1e-12, 100] and a log sweep to 1e300), and this doubles it
+LGAMMA_EPS = 16.0
 
 # a log grid holds at most this many points; a longer range is refused
 # before anything is allocated
@@ -44,33 +49,91 @@ def fmt17(x: float) -> str:
 
 
 def log_upper_gamma(a: float, x: float) -> float:
-    """log of the upper incomplete gamma Gamma(a, x).
+    """An upper bound on log Gamma(a, x), the upper incomplete gamma function.
 
-    For large x, where scipy's regularized gammaincc underflows, switches to
-    the geometric-series majorant x^(a-1) e^(-x) / (1 - (a-1)/x), which is an
-    upper bound; the returned value therefore never underestimates the tail.
+    For a >= 0.3 it exceeds the exact value by less than 1e-12 of
+    max(1, |log Gamma(a, x)|) (against 40-digit mpmath, 1.2e-13 at worst);
+    for smaller a, 1 - P cancels where Q is small and the slack grows as 1/Q.
+
+    Gamma(a, x) = Gamma(a) Q(a, x). For x < a + 1, Q = 1 - P with P from its
+    series, P = x^a e^(-x) / Gamma(a) sum_n x^n / (a (a + 1) ... (a + n));
+    otherwise Gamma(a, x) = x^a e^(-x) F, with F Legendre's continued
+    fraction evaluated by the modified Lentz method (Press et al., Numerical
+    Recipes, 6.2). The second form is assembled in log space, so nothing
+    underflows at any x.
+
+    The slack added to the result covers truncation and rounding. Stopping
+    the series early lowers P, which only raises Q. Each of the n series
+    terms and each of the n Lentz steps carries at most 2 eps of rounding;
+    the Lentz loop stops once a step moves F by less than eps, so the omitted
+    steps move it by less than another n eps. math.lgamma is within
+    LGAMMA_EPS eps of max(1, |lgamma|), and every other operation rounds by
+    eps of the largest term it combines, which 2 eps per term covers.
     """
     if a <= 0.0:
         raise ValueError("log_upper_gamma requires a > 0")
+    lg = math.lgamma(a)
+    lg_err = LGAMMA_EPS * _EPS * max(1.0, abs(lg))
     if x <= 0.0:
-        return float(sc.gammaln(a))
-    if x < 680.0:
-        g = sc.gammaincc(a, x)
-        if g > 0.0:
-            return math.log(g) + float(sc.gammaln(a))
-    slack = 0.0
-    if a > 1.0:
-        if x <= 2.0 * (a - 1.0):
-            # far from the asymptotic regime but too large for direct exp:
-            # gammaincc is O(1) here, no underflow possible
-            return math.log(sc.gammaincc(a, x)) + float(sc.gammaln(a))
-        slack = -math.log1p(-(a - 1.0) / x)
-    return (a - 1.0) * math.log(x) - x + slack
+        return lg + lg_err
+    a_log_x = a * math.log(x)
+    n = 0
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        while term >= total * _EPS:
+            n += 1
+            term *= x / (a + n)
+            total += term
+        log_total = math.log(total)
+        log_p = log_total + a_log_x - x - lg
+        err_log_p = lg_err + 2.0 * _EPS * (
+            n + 1.0 + abs(log_total) + abs(a_log_x) + x + abs(lg))
+        p = math.exp(log_p)
+        q_hi = min(1.0, 1.0 - p + p * math.expm1(err_log_p) + 2.0 * _EPS)
+        value = math.log(q_hi) + lg
+        return value + lg_err + 2.0 * _EPS * (1.0 + abs(math.log(q_hi)) + abs(value))
+    tiny = 1e-300  # stands in for a zero denominator
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    frac = d
+    while True:
+        n += 1
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        step = d * c
+        frac *= step
+        if abs(step - 1.0) < _EPS:
+            break
+    log_frac = math.log(frac)
+    value = a_log_x - x + log_frac
+    return value + 2.0 * _EPS * (
+        3.0 * n + 1.0 + abs(a_log_x) + x + abs(log_frac) + abs(value))
 
 
 def logsumexp(values: np.ndarray) -> float:
-    """log(sum(exp(values))) without overflow; -inf for an empty array."""
+    """log(sum(exp(values))) without overflow; -inf for an empty array.
+
+    scipy.special.logsumexp's formula, bit for bit: the m terms equal to the
+    maximum v_max leave the sum, and the result is log1p(s / m) + log(m) +
+    v_max with s the sum of exp(v - v_max) over the rest; where that is not
+    finite, log(sum(exp(values))).
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return -math.inf
-    return float(sc.logsumexp(values))
+    top = values.max()
+    at_top = values == top
+    m = np.float64(np.count_nonzero(at_top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_top, -np.inf, values) - top).sum()
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out):
+            out = np.log(np.exp(values).sum())
+    return float(out)

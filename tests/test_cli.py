@@ -66,6 +66,29 @@ def test_spectrum_rejects_negative_nu(capsys):
     assert "nu" in err
 
 
+def test_spectrum_fails_closed_where_rounding_swamps_the_ground_level(capsys):
+    # the x^48 band entries reach 7e20, and rounding leaves the ground level
+    # negative; x^46 still resolves it
+    code, out, err = run(
+        ["spectrum", "--model", "homogeneous", "--nu", "48", "--count", "3"], capsys)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "nu=48" in err and "swamps the ground level" in err
+    code, out, _ = run(
+        ["spectrum", "--model", "homogeneous", "--nu", "46", "--count", "3"], capsys)
+    assert code == EXIT_OK
+    ground = float(out.splitlines()[3].split(",")[1])
+    assert 0.96 < ground < 0.97
+
+
+@pytest.mark.parametrize("nu", ["1e-300", "1e300"])
+def test_spectrum_names_the_nu_range(nu, capsys):
+    code, out, err = run(
+        ["spectrum", "--model", "homogeneous", "--nu", nu, "--count", "3"], capsys)
+    lo, hi = models_mod.NU_RANGE
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"nu={float(nu):g} lies outside [{lo:g}, {hi:g}]" in err
+
+
 @pytest.mark.parametrize("flags, name", [
     ("--model homogeneous --nu inf", "nu"),
     ("--model homogeneous --nu nan", "nu"),

@@ -202,6 +202,51 @@ def test_z_classical_underflow_is_an_error():
         z_classical(homogeneous(0.5, dimension=3), 1e200)
 
 
+@pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 1.5, 3.0, 4.0, 6.0, 20.0])
+def test_radial_closed_form_within_its_rounding_bound(nu):
+    # math.lgamma is worst for a in (2, 4), which nu = 0.3 reaches at N = 1
+    for n_dim in (1, 2, 3):
+        for beta in (1e-3, 0.37, 1.0, 2.9, 1e3):
+            value, bound = ensemble._radial_config_integral(nu, n_dim, beta)
+            with mpmath.workdps(40):
+                a = mpmath.mpf(n_dim) / mpmath.mpf(nu)
+                exact = mpmath.gamma(a) / (mpmath.mpf(nu) * mpmath.mpf(beta) ** a)
+                assert abs(mpmath.mpf(value) - exact) <= bound, (n_dim, beta)
+            assert bound < 1e-12 * value
+
+
+def _mp_tabulated_classical(xs, vs, beta):
+    """(Z_c configuration integral, <V>) of the piecewise-linear interpolant
+    at 40 digits, segment by segment from the exact doubles."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        z = num = mpmath.mpf(0)
+        for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vs[:-1], vs[1:]):
+            x0, x1, v0, v1 = map(mpmath.mpf, (x0, x1, v0, v1))
+            s = (v1 - v0) / (x1 - x0)
+            if s == 0:
+                z += (x1 - x0) * mpmath.exp(-b * v0)
+                num += (x1 - x0) * v0 * mpmath.exp(-b * v0)
+                continue
+            anti = lambda y: -(y / b + 1 / b**2) * mpmath.exp(-b * y)
+            z += (mpmath.exp(-b * v0) - mpmath.exp(-b * v1)) / (b * s)
+            num += (anti(v1) - anti(v0)) / s
+        return z, num / z
+
+
+@pytest.mark.parametrize("amplitude", [1e-6, 1e-9, 1e-3, 1.0])
+def test_flat_tabulated_segments_keep_their_digits(amplitude):
+    # |beta dV| ~ 7e-8 per segment at amplitude 1e-6, where (w1 - w0) / z
+    # cancelled to about 1e-11
+    xs = np.linspace(-1.0, 1.0, 201)
+    pot = tabulated(xs, 1.0 + amplitude * np.sin(7.0 * xs))
+    z_ref, mean_v_ref = _mp_tabulated_classical(xs, pot.grid_v, 1.0)
+    z, z_err = ensemble._tabulated_config_integral(pot, 1.0)
+    assert abs(mpmath.mpf(z) - z_ref) <= z_err
+    mean_v = ensemble._tabulated_mean_v(pot, 1.0)
+    assert abs(mpmath.mpf(mean_v) - mean_v_ref) <= 1e-13 * abs(mean_v_ref)
+
+
 # ---------------------------------------------------------------------------
 # mean energies
 

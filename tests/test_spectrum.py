@@ -244,6 +244,31 @@ def test_fd_approaches_the_sine_basis_at_second_order(tabulated_well, planck):
         np.testing.assert_allclose(coarse / fine, 4.0, rtol=0.03)
 
 
+def test_sine_basis_matches_a_scipy_reference(double_well_potential):
+    # the same Ritz matrix and Schur bound solved by scipy's LAPACK driver
+    from scipy.linalg import eigh
+
+    from qcgibbs.spectrum import _cosine_moments, _sine_basis_size, _sine_matrix
+
+    pot, planck, count = double_well_potential, 0.5, 60
+    spec = solve_sine_basis(pot, planck, count=count)
+    xs, vs = pot.grid_x, pot.grid_v
+    span = float(xs[-1] - xs[0])
+    kin = (planck * math.pi / span) ** 2 / 2.0
+    size = _sine_basis_size(pot, planck, count)
+    c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
+    v = _sine_matrix(c, size)
+    ham = v + np.diag(kin * np.arange(1, size + 1, dtype=float) ** 2)
+    theta = eigh(ham, eigvals_only=True)
+    gap = kin * (size + 1) ** 2 + vs.min()
+    lower = eigh(ham - (_sine_matrix(c2, size) - v @ v) / (gap - theta[count - 1]),
+                 eigvals_only=True)[:count]
+    floor = 5e-14 * (np.abs(theta[:count]) + max(abs(theta[0]), abs(theta[-1])))
+    assert np.all(np.abs(spec.levels - theta[:count]) <= floor)
+    ref_bars = theta[:count] - lower + floor
+    assert np.all(np.abs(spec.level_errors - ref_bars) <= floor)
+
+
 def test_sine_basis_grows_past_high_walls():
     # walls at 200 around a narrow pit: 2 * count + 64 states leave the 20th
     # Ritz level above the omitted states' floor, so the basis grows until the

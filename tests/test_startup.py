@@ -1,7 +1,9 @@
 """The modules a command loads: scipy.integrate and the scipy.optimize,
 scipy.sparse and scipy.fft it pulls in cost about a third of start-up, and
-only `verify --claims t31` needs them. The spectrum solvers (the sine basis
-of tabulated wells included) run on scipy.linalg and scipy.special alone."""
+only `verify --claims t31` needs them. scipy.special loads only for the
+wedge's Airy zeros and for scipy.integrate. Every other command runs on
+numpy and scipy.linalg (the oscillator basis's banded solver and FD's
+tridiagonal one); the sine basis of tabulated wells runs on numpy's LAPACK."""
 
 import json
 import os
@@ -18,7 +20,8 @@ SRC = Path(qcgibbs.__file__).resolve().parents[1]
 # its exit code and which of the heavy modules sys.modules holds
 SCRIPT = """
 import json, sys
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft")
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
+         "scipy.special")
 loaded = lambda: [m for m in HEAVY if m in sys.modules]
 from qcgibbs.cli import main
 steps = [("import", 0, loaded())]
@@ -39,6 +42,8 @@ def test_only_t31_loads_scipy_integrate(double_well_potential, tmp_path):
         ("verify", ["verify", "--model", "homogeneous", "--nu", "4",
                     "--claims", "c11,c12,t41,c41", "--beta", "0.5,1,2",
                     "--h", "0.5,1", "-o", out]),
+        ("wedge", ["table", "--model", "homogeneous", "--nu", "1", "--beta", "1",
+                   "--h", "1", "-o", out]),
         ("t31", ["verify", "--model", "box", "--claims", "t31", "-o", out]),
     ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -53,5 +58,6 @@ def test_only_t31_loads_scipy_integrate(double_well_potential, tmp_path):
     assert steps["import"] == (0, [])
     assert steps["table"] == (0, [])
     assert steps["verify"] == (0, [])
+    assert steps["wedge"] == (0, ["scipy.special"])
     assert steps["t31"] == (0, ["scipy.integrate", "scipy.optimize",
-                                "scipy.sparse", "scipy.fft"])
+                                "scipy.sparse", "scipy.fft", "scipy.special"])

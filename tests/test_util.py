@@ -1,0 +1,77 @@
+"""The numpy and stdlib special functions of qcgibbs.util against scipy and
+mpmath, which serve here as oracles only."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.special import logsumexp as scipy_logsumexp
+
+from qcgibbs.util import log_upper_gamma, logsumexp
+
+
+def _logsumexp_cases():
+    rng = np.random.default_rng(11)
+    cases = [
+        np.array([1.0]),
+        np.array([-1e300]),
+        np.array([700.0, 700.0]),  # a tie at the top
+        np.array([3.0, 3.0, 3.0, -2.0]),
+        np.array([-745.0, -1e4, 3.0]),
+        np.array([-np.inf, 0.0]),
+        np.array([1e308, 1e308]),  # log1p + log m + max overflows; direct path
+        -np.linspace(0.0, 1e5, 10_001),  # a wide spread
+    ]
+    for k in range(300):
+        size = int(rng.integers(1, 300))
+        v = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 3.0), size)
+        if k % 3 == 0:
+            v[rng.integers(0, size, max(1, size // 4))] = v.max()
+        if k % 5 == 0:
+            v = np.round(v)
+        cases.append(v)
+    return cases
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    for values in _logsumexp_cases():
+        ours = logsumexp(values)
+        ref = float(scipy_logsumexp(values))
+        assert ours == ref or (math.isnan(ours) and math.isnan(ref)), values[:4]
+
+
+def test_logsumexp_of_nothing_is_minus_infinity():
+    assert logsumexp(np.array([])) == -math.inf
+
+
+# a from the Weyl exponents (1/2, 3/4, 3/2, ...) to large; x from the series
+# range x < a + 1 through the continued fraction's, past x = 680 where the
+# regularized Q underflows, and below 2 (a - 1) for the larger a
+_GAMMA_A = (0.3, 0.5, 0.75, 1.0, 1.5, 1.75, 2.5, 3.35, 10.0, 60.0, 400.0)
+_GAMMA_X = (1e-6, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 100.0, 679.0, 680.0,
+            700.0, 1500.0, 1e5)
+
+
+@pytest.mark.parametrize("a", _GAMMA_A)
+def test_log_upper_gamma_is_a_tight_upper_bound(a):
+    reached_far, reached_below = False, False
+    with mpmath.workdps(40):
+        for x in _GAMMA_X + (a / 2.0, a + 0.5, a + 1.0, 1.5 * a):
+            exact = mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x)))
+            ours = log_upper_gamma(a, x)
+            assert mpmath.mpf(ours) >= exact, (a, x)
+            assert mpmath.mpf(ours) - exact <= 1e-12 * max(1.0, abs(exact)), (a, x)
+            reached_far |= x >= 680.0
+            reached_below |= x <= 2.0 * (a - 1.0)
+    assert reached_far and (a <= 1.5 or reached_below)
+
+
+def test_log_upper_gamma_at_zero_is_log_gamma():
+    with mpmath.workdps(40):
+        for a in _GAMMA_A:
+            exact = mpmath.loggamma(a)
+            ours = log_upper_gamma(a, 0.0)
+            assert exact <= ours <= exact + 1e-14 * max(1.0, abs(exact))
+    with pytest.raises(ValueError):
+        log_upper_gamma(0.0, 1.0)
