@@ -53,15 +53,18 @@ LAMBDA_DEPTH = 45.0
 
 LEVEL_CAP = 2_000_000
 # even power laws are solved in an oscillator basis whose largest parity block
-# holds one state per level; its band reduction costs O(size^2 nu/2), and one
-# build at this many levels takes about 30 s at nu = 4 (70 s at nu = 20) on
-# two cores, so deeper sweeps are refused before anything is allocated
+# holds 0.65 (nu = 4) to 0.81 (nu = 28) states per level; its band reduction
+# costs O(size^2 nu/2), and one build at this many levels took 14 s at nu = 4
+# (55 s at nu = 20) on two cores, so deeper sweeps are refused before
+# anything is allocated
 BASIS_CAP = 20_000
 # x^nu spectra are solved for nu in this range: below it the Gamma(3/2 + 1/nu)
 # of Weyl's law nears the double range (it overflows below nu = 1/170.1);
 # above it an even nu's nu/2 + 1 oscillator bands near the smallest basis
-# (80 states), and the basis already fails from nu = 48 on
-# (solve_oscillator_basis)
+# (78 states for 8 levels at nu = 64). Inside it a solve still exits 3 where
+# the ground level's bar reaches E_1: even nu from 30 on (the oscillator
+# basis's rounding floor) and nu <= 0.1 (finite differences under the
+# 250,000-node cap)
 NU_RANGE = (1.0 / 128.0, 64.0)
 # tabulated wells are solved in a dense sine basis of at most
 # SINE_BASIS_MAX_STATES states, which caps the levels at each h

@@ -4,16 +4,16 @@ Levels come from closed forms where they exist (box multi-index sums, the r^2
 oscillator, the |x| wedge via Airy-function zeros). Even power laws x^nu
 (nu = 4, 6, ...) are solved by Rayleigh-Ritz in a harmonic-oscillator basis,
 where the Hamiltonian is banded, with level errors from two nested basis
-sizes. Tabulated wells are solved by Rayleigh-Ritz in the sine eigenbasis of
-the box on the table's interval, where the piecewise-linear V has closed-form
-matrix elements; each level's bar is the gap to a Schur-complement lower
-bound, so every Ritz level and its bar bracket the exact level. Odd and
-non-integer power laws fall back to a second-order central
-finite-difference discretization on uniform grids with Dirichlet ends at
-walls the caller places, solved on three nested grids and sharpened by two
-Richardson steps. A power-law growth
-model E_n ~ C n^gamma fitted to the top quartile of the computed levels
-bounds the Boltzmann tail left out by truncation, and the exact scaling law
+sizes set by the phase-space area of the top level. Tabulated wells are
+solved by Rayleigh-Ritz in the sine eigenbasis of the box on the table's
+interval, where the piecewise-linear V has closed-form matrix elements; each
+level's bar is the gap to a Schur-complement lower bound, so every Ritz level
+and its bar bracket the exact level. Odd and non-integer power laws fall back
+to a second-order central finite-difference discretization on uniform grids
+with Dirichlet ends at walls the caller places, solved on three nested grids
+and sharpened by two Richardson steps. A power-law growth model
+E_n ~ C n^gamma fitted to the top quartile of the computed levels bounds the
+Boltzmann tail left out by truncation, and the exact scaling law
 E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
 """
 
@@ -108,6 +108,17 @@ def fit_tail_model(levels: np.ndarray) -> tuple[float, float]:
     A = np.column_stack([np.ones_like(n), np.log(n)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[1]), float(math.exp(coef[0]))
+
+
+def _check_ground_level(value: np.ndarray, estimate: np.ndarray, what: str) -> None:
+    """Raise AccuracyError where an estimated bar on the ground level reaches
+    down to min V, which is 0 for the box and the power laws: such a solve
+    resolves no digit of E_1."""
+    if not estimate[0] < value[0]:  # also catches NaN
+        raise AccuracyError(
+            f"{what}: a bar of {estimate[0]:.3g} swamps the ground level "
+            f"E_1 = {value[0]:.6g} (E_1 - min V = {value[0]:.3g})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,10 @@ def solve_fd_1d(
     The scheme is solved on `points`, 2 points + 1 and 4 points + 3 interior
     nodes, and two Richardson steps extrapolate the levels; level_errors hold
     the change made by the second step plus the rounding floor
-    5e-14 * (|E| + ||T||), with T the kinetic term on the finest grid.
+    5e-14 * (|E| + ||T||), with T the kinetic term on the finest grid. A
+    ground level whose bar reaches 0 (walls so far out that the grid cannot
+    resolve it, as for nu <= 0.1 under ModelFamily's node cap) raises
+    AccuracyError.
     """
     if potential.kind is PotentialKind.TABULATED:
         raise ValueError("tabulated wells are solved in the sine basis (solve_sine_basis)")
@@ -299,8 +313,11 @@ def solve_fd_1d(
     estimate = np.abs(r1b - r1) + 5e-14 * (np.abs(value) + norm_t)
     # extrapolation can jitter near-degenerate pairs below estimate size
     order = np.argsort(value, kind="stable")
-    return Spectrum(value[order], planck, SpectrumSource.FINITE_DIFFERENCE,
-                    level_errors=estimate[order])
+    value, estimate = value[order], estimate[order]
+    what = ("box" if potential.kind is PotentialKind.BOX
+            else f"nu={potential.exponent:g}") + " by finite differences"
+    _check_ground_level(value, estimate, what)
+    return Spectrum(value, planck, SpectrumSource.FINITE_DIFFERENCE, level_errors=estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +404,21 @@ def oscillator_basis_eigenvalues(
     return _banded_levels(bands, size, count)
 
 
+def _phase_space_ratio(nu: int) -> float:
+    """Basis states per level at the top of a converged x^nu solve:
+    r = pi c^2 / (4 I_nu).
+
+    In units of x_E = E^(1/nu) and p_E = sqrt(2 m E) the allowed region
+    u^nu + w^2 <= 1 has area 4 I_nu (I_nu = _weyl_integral), and the
+    smallest circle that holds it has radius c with
+    c^2 = max(u^2 + 1 - u^nu) = 1 + (1 - 2/nu) (2/nu)^(2/(nu - 2)). Counting
+    states by phase-space area (Weyl's law) puts r * M basis states in that
+    circle when M levels lie in the region: r = 1.123 at nu = 4, 1.418 at 30.
+    """
+    c2 = 1.0 + (1.0 - 2.0 / nu) * (2.0 / nu) ** (2.0 / (nu - 2.0))
+    return math.pi * c2 / (4.0 * _weyl_integral(nu))
+
+
 def solve_oscillator_basis(
     potential: Potential,
     planck: float = 1.0,
@@ -396,13 +428,15 @@ def solve_oscillator_basis(
 
     The basis length scale s balances the classically allowed region at
     E_t = 1.3 * (Weyl energy of level `count`): s^2 = h x_t / p_t with
-    x_t = E_t^(1/nu), p_t = sqrt(2 m E_t). The levels are solved at sizes
-    N2 = 2 * count + 64 and N1 = 3/4 N2 with the same s, and the N2 levels
-    are returned; level_errors hold |E(N1) - E(N2)| plus the rounding floor
+    x_t = E_t^(1/nu), p_t = sqrt(2 m E_t). A Ritz level converges once the
+    basis ellipse in phase space holds the allowed region of the top level,
+    which takes about r(nu) * count states (_phase_space_ratio), so the
+    levels are solved at sizes N2 = ceil(1.15 r count) + 64 and
+    N1 = ceil(1.05 r count) + 48 with the same s, and the N2 levels are
+    returned; level_errors hold |E(N1) - E(N2)| plus the rounding floor
     5e-14 * (|E| + ||H||) used by the finite-difference solver, with ||H||
     bounded above by the absolute row sums of the N2 bands. A ground level
-    that rounding leaves non-positive (even nu from 48 on) raises
-    AccuracyError.
+    whose bar reaches 0 (even nu from 30 on) raises AccuracyError.
     """
     nu = _even_exponent(potential)
     if count < 1:
@@ -410,19 +444,16 @@ def solve_oscillator_basis(
     m = potential.mass
     e_t = 1.3 * weyl_energy(nu, m, planck, count)
     scale = math.sqrt(planck * e_t ** (1.0 / nu) / math.sqrt(2.0 * m * e_t))
-    n2 = 2 * count + 64
-    n1 = 3 * n2 // 4
+    ratio = _phase_space_ratio(nu)
+    n2 = math.ceil(1.15 * ratio * count) + 64
+    n1 = math.ceil(1.05 * ratio * count) + 48
     bands = _oscillator_bands(nu, planck, m, scale, n2)
     coarse = _banded_levels(bands, n1, count)
     value = _banded_levels(bands, n2, count)
     peaks = [float(np.abs(b).max()) for b in bands]
     norm_h = 2.0 * sum(peaks) - peaks[0]  # the diagonal once, off-diagonals twice
-    if value[0] <= 0.0:  # a Ritz value of a positive operator, lost to rounding
-        raise AccuracyError(
-            f"nu={nu}: the oscillator basis's rounding floor 5e-14 ||H|| = "
-            f"{5e-14 * norm_h:.3g} swamps the ground level, computed as {value[0]:.6g}"
-        )
     estimate = np.abs(coarse - value) + 5e-14 * (np.abs(value) + norm_h)
+    _check_ground_level(value, estimate, f"nu={nu}")
     return Spectrum(value, planck, SpectrumSource.OSCILLATOR_BASIS, level_errors=estimate)
 
 

@@ -67,17 +67,29 @@ def test_spectrum_rejects_negative_nu(capsys):
 
 
 def test_spectrum_fails_closed_where_rounding_swamps_the_ground_level(capsys):
-    # the x^48 band entries reach 7e20, and rounding leaves the ground level
-    # negative; x^46 still resolves it
-    code, out, err = run(
-        ["spectrum", "--model", "homogeneous", "--nu", "48", "--count", "3"], capsys)
-    assert (code, out) == (EXIT_NUMERICAL, "")
-    assert "nu=48" in err and "swamps the ground level" in err
+    # the rounding floor 5e-14 ||H|| grows with the x^nu band entries: at
+    # nu = 30 the ground level's bar is 4.3 E_1, at nu = 48 rounding leaves
+    # E_1 = 0.97 with a bar of 5e7; x^28 still resolves it (bar 0.73 E_1)
+    for nu in ("30", "48"):
+        code, out, err = run(
+            ["spectrum", "--model", "homogeneous", "--nu", nu, "--count", "3"], capsys)
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert f"nu={nu}: a bar of" in err and "swamps the ground level E_1 = " in err
     code, out, _ = run(
-        ["spectrum", "--model", "homogeneous", "--nu", "46", "--count", "3"], capsys)
+        ["spectrum", "--model", "homogeneous", "--nu", "28", "--count", "3"], capsys)
     assert code == EXIT_OK
     ground = float(out.splitlines()[3].split(",")[1])
-    assert 0.96 < ground < 0.97
+    assert 0.88 < ground < 0.89
+
+
+def test_spectrum_fails_closed_where_finite_differences_miss_the_ground_level(capsys):
+    # the walls of x^0.01 sit where V = 1.25 E_M + 10, astronomically far out,
+    # and the node cap leaves a grid whose bar (3.3) is 15 times E_1 = 0.22
+    code, out, err = run(
+        ["spectrum", "--model", "homogeneous", "--nu", "0.01", "--count", "3"], capsys)
+    assert (code, out) == (EXIT_NUMERICAL, "")
+    assert "nu=0.01 by finite differences: a bar of" in err
+    assert "swamps the ground level E_1 = 0.22" in err
 
 
 @pytest.mark.parametrize("nu", ["1e-300", "1e300"])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcgibbs import (
     DomainError,
@@ -134,6 +135,21 @@ def test_csv_round_trip(tmp_path):
     back = load_tabulated_csv(path, mass=2.0)
     np.testing.assert_array_equal(back.grid_x, pot.grid_x)
     np.testing.assert_array_equal(back.grid_v, pot.grid_v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.floats(1e-9, 1e9), min_size=1, max_size=40),
+       start=st.floats(-1e9, 1e9),
+       values=st.lists(st.floats(0.0, 1e12), min_size=41, max_size=41))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, steps, start, values):
+    xs = start + np.concatenate(([0.0], np.cumsum(steps)))
+    assume(np.all(np.diff(xs) > 0.0))  # a step can vanish in rounding
+    pot = tabulated(xs, values[: xs.size])
+    path = tmp_path_factory.mktemp("csv") / "pot.csv"
+    save_tabulated_csv(pot, path)
+    back = load_tabulated_csv(path)
+    assert back.grid_x.tobytes() == pot.grid_x.tobytes()
+    assert back.grid_v.tobytes() == pot.grid_v.tobytes()
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -31,6 +31,7 @@ from qcgibbs import (
     tail_bound,
     wedge_spectrum,
 )
+import qcgibbs.spectrum as spectrum_mod
 from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap
 
 PI2 = math.pi**2
@@ -164,6 +165,48 @@ def test_basis_levels_inside_fd_error_bars():
     fd = _wide_fd(4.0, basis)
     assert np.all(np.abs(basis.levels - fd.levels) <= fd.level_errors)
     assert basis.level_errors.max() < 1e-3 * fd.level_errors.max()
+
+
+def _solver_basis(monkeypatch, nu: int, count: int) -> tuple[Spectrum, float, list[int]]:
+    """solve_oscillator_basis with the length scale it builds its bands at
+    and the basis sizes it solves, largest first."""
+    built, solved = [], []
+    bands, levels = spectrum_mod._oscillator_bands, spectrum_mod._banded_levels
+
+    def recording_bands(nu, planck, mass, scale, size):
+        built.append(scale)
+        return bands(nu, planck, mass, scale, size)
+
+    def recording_levels(bands, size, count):
+        solved.append(size)
+        return levels(bands, size, count)
+
+    monkeypatch.setattr(spectrum_mod, "_oscillator_bands", recording_bands)
+    monkeypatch.setattr(spectrum_mod, "_banded_levels", recording_levels)
+    spec = solve_oscillator_basis(homogeneous(nu), count=count)
+    monkeypatch.undo()
+    (scale,) = built
+    return spec, scale, sorted(solved, reverse=True)
+
+
+@pytest.mark.parametrize("count", [17, 50, 200, 583])
+@pytest.mark.parametrize("nu", [4, 6, 8, 12, 20, 28])
+def test_basis_levels_lie_within_their_bars_of_a_doubled_basis(monkeypatch, nu, count):
+    # the phase-space sizing leaves every returned level within its bar of
+    # the same basis at twice the size: the bars cover what the cut omits
+    spec, scale, (n2, _) = _solver_basis(monkeypatch, nu, count)
+    ref = oscillator_basis_eigenvalues(homogeneous(nu), scale=scale, size=2 * n2, count=count)
+    assert np.all(np.abs(spec.levels - ref) <= spec.level_errors)
+
+
+def test_quartic_verify_base_solves_the_phase_space_sizes(monkeypatch):
+    # quartic-verify's grid corners (beta 0.03, h 0.35) need 583 levels; the
+    # 2 M + 64 rule solved 1,230 and 922 states for them
+    fam = homogeneous_family(4.0)
+    count = fam.level_count(1.0, fam.lambda_min([0.03], [0.35]))
+    assert count == 583
+    _, _, sizes = _solver_basis(monkeypatch, 4, count)
+    assert sizes == [818, 736]
 
 
 def test_even_power_law_bases_come_from_the_basis():
@@ -366,6 +409,21 @@ def test_rescale_multiplicativity():
     np.testing.assert_allclose(
         once.levels, base.levels * 2.0**a * 3.0**a, rtol=1e-14
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=24),
+       rel_errors=st.lists(st.floats(0.0, 1e-3), min_size=24, max_size=24),
+       planck=st.floats(1e-3, 1e3), exponent=st.floats(0.05, 4.0))
+def test_rescale_scales_levels_and_errors_alike(levels, rel_errors, planck, exponent):
+    levels = np.sort(levels)
+    errors = levels * np.asarray(rel_errors[: levels.size])
+    base = Spectrum(levels, 1.0, SpectrumSource.OSCILLATOR_BASIS, level_errors=errors)
+    out = rescale(base, planck, exponent)
+    factor = planck**exponent
+    np.testing.assert_array_equal(out.levels, base.levels * factor)
+    np.testing.assert_array_equal(out.level_errors, base.level_errors * factor)
+    assert out.planck == planck
 
 
 def test_rescale_contract():

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from qcgibbs import (
     check_t41,
     check_wehrl,
     homogeneous_family,
+    load_tabulated_csv,
     reports_to_json,
     run_claims,
+    tabulated_family,
 )
 from qcgibbs.ensemble import entropy_classical, entropy_quantum, z_classical, z_quantum
 from qcgibbs.verify import THEOREM_CLAIMS, _classify, report_from_dict
@@ -87,6 +90,17 @@ def test_c12_cold_limit_margin_is_ground_level(box1):
     rep = check_c12(box1, np.array([beta]), np.array([1.0]))
     e1 = math.pi**2 / 2
     assert rep.worst_margin == pytest.approx(e1 - 1 / (2 * beta), rel=1e-8)
+
+
+def test_c12_violated_on_the_seed0_double_well():
+    # the benchmark's seed-0 noisy double well (perfbench.workloads.double_well_rows
+    # on random.Random("tabulated-table/0")) breaks E_q >= E_c by 0.76% at the
+    # worst point of the default verify grid, against a bound of 2.8e-9
+    well = load_tabulated_csv(Path(__file__).parent / "data" / "seed0_double_well.csv")
+    rep = check_c12(tabulated_family(well), np.array([0.046415888336127774]),
+                    np.array([0.6851754923600619]))
+    assert rep.status is Status.VIOLATED
+    assert rep.notes["worst_point"]["relative_margin"] < -0.007
 
 
 # ---------------------------------------------------------------------------
