@@ -62,8 +62,9 @@ class RunConfig:
     nu: float = 2.0
     mass: float = 1.0
     table: str | None = None
-    beta: tuple[float, ...] = (1.0,)
-    h: tuple[float, ...] = (1.0,)
+    # None: not given; spectrum and table then use 1, verify each claim's default grid
+    beta: tuple[float, ...] | None = None
+    h: tuple[float, ...] | None = None
     count: int = 10
     max_levels: int = 2_000_000
     format: str = "csv"
@@ -186,7 +187,7 @@ def _write_or_print(text: str, path: Path | None) -> None:
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
-    h = cfg.h[0]
+    h = cfg.h[0] if cfg.h else 1.0
     # provision at the depth of level `count`'s law, lambda (E_count - min V)
     # = LAMBDA_DEPTH, which the count rule meets with at least `count` levels:
     # at h for a tabulated well, at h = 1 for the base of a scaling family
@@ -200,8 +201,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
-    lam_min = fam.lambda_min(cfg.beta, cfg.h)
-    points = [(float(b), float(h)) for b in cfg.beta for h in cfg.h]
+    betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
+    lam_min = fam.lambda_min(betas, hs)
+    points = [(float(b), float(h)) for b in betas for h in hs]
 
     def one(bh):
         beta, h = bh
@@ -220,34 +222,36 @@ def cmd_table(cfg: RunConfig) -> int:
     return EXIT_OK if all(s == "ok" for s in statuses) else EXIT_NUMERICAL
 
 
+# the grids a claim rules on through differences of neighbouring points
+_SWEPT_GRIDS = {"c13": ("beta",), "t41": ("beta", "h"), "c41": ("h",), "wehrl": ("h",)}
+
+
 def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
+    # a given grid reaches the checks whatever its length; an omitted one
+    # (None) selects each check's default
     for key in claims:
         if key not in CLAIM_CHECKS:
             raise ValueError(f"unknown claim id {key!r}; expected one of {sorted(CLAIM_CHECKS)}")
+        for flag in _SWEPT_GRIDS.get(key, ()):
+            grid = getattr(cfg, flag)
+            if grid is not None and len(grid) < 2:
+                raise ValueError(
+                    f"claim {key} compares neighbouring grid points and needs at "
+                    f"least two values of --{flag}, got {len(grid)}")
     fam = _build_family(cfg)
-    overrides: dict = {}
-    betas = np.asarray(cfg.beta) if len(cfg.beta) > 1 else None
-    hs = np.asarray(cfg.h) if len(cfg.h) > 1 else None
-    for key in claims:
-        opts: dict = {}
-        if key in ("c11", "c12", "t41"):
-            if betas is not None:
-                opts["betas"] = betas
-            if hs is not None:
-                opts["hs"] = hs
-        elif key == "c13":
-            opts["h"] = float(cfg.h[0])
-            if betas is not None:
-                opts["betas"] = betas
-        elif key == "t31":
-            opts["h"] = float(cfg.h[0])
-            opts["beta"] = float(max(cfg.beta))
-        elif key in ("c41", "wehrl"):
-            opts["beta"] = float(cfg.beta[0])
-            if hs is not None:
-                opts["hs"] = hs
-        if opts:
-            overrides[key] = opts
+    grids = {"betas": None if cfg.beta is None else np.asarray(cfg.beta),
+             "hs": None if cfg.h is None else np.asarray(cfg.h)}
+    # the one-point checks take the first value (t31: the largest beta)
+    first_h = {} if cfg.h is None else {"h": float(cfg.h[0])}
+    first_beta = {} if cfg.beta is None else {"beta": float(cfg.beta[0])}
+    top_beta = {} if cfg.beta is None else {"beta": float(max(cfg.beta))}
+    overrides = {
+        "c11": grids, "c12": grids, "t41": grids,
+        "c13": {"betas": grids["betas"], **first_h},
+        "t31": {**first_h, **top_beta},
+        "c41": {**first_beta, "hs": grids["hs"]},
+        "wehrl": {**first_beta, "hs": grids["hs"]},
+    }
     reports = run_claims(fam, claims, **overrides)
     text = reports_to_json(reports) + "\n"
     out = _resolve_output(cfg.output)
@@ -312,35 +316,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p):
-        p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--model", choices=("box", "homogeneous", "tabulated"))
-        p.add_argument("--N", type=int, dest="dimension", help="coordinate dimension")
-        p.add_argument("--L", dest="lengths", metavar="L", help="comma list of box lengths")
-        p.add_argument("--nu", type=float, help="power-law exponent")
-        p.add_argument("--mass", type=float)
-        p.add_argument("--table", help="x,V CSV for tabulated potentials")
-        p.add_argument("--beta", help="comma list or lo:hi[:per_decade] log range")
-        p.add_argument("--h", help="comma list or lo:hi[:per_decade] log range")
-        p.add_argument("--count", type=int, help="number of levels")
-        p.add_argument("--max-levels", type=int, dest="max_levels")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--output", "-o")
-        p.add_argument("--seed", type=int)
+    # the model flags, declared once and copied into every subcommand
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--config", help="flat key=value config file; flags override")
+    model.add_argument("--model", choices=("box", "homogeneous", "tabulated"))
+    model.add_argument("--N", type=int, dest="dimension", help="coordinate dimension")
+    model.add_argument("--L", dest="lengths", metavar="L", help="comma list of box lengths")
+    model.add_argument("--nu", type=float, help="power-law exponent")
+    model.add_argument("--mass", type=float)
+    model.add_argument("--table", help="x,V CSV for tabulated potentials")
+    model.add_argument("--beta", help="comma list or lo:hi[:per_decade] log range")
+    model.add_argument("--h", help="comma list or lo:hi[:per_decade] log range")
+    model.add_argument("--count", type=int, help="number of levels")
+    model.add_argument("--max-levels", type=int, dest="max_levels")
+    model.add_argument("--format", choices=("csv", "json"))
+    model.add_argument("--output", "-o")
+    model.add_argument("--seed", type=int)
 
-    p_spec = sub.add_parser("spectrum", help="write an n,E level table")
-    add_model_flags(p_spec)
-
-    p_table = sub.add_parser("table", help="thermodynamic table over a (beta, h) grid")
-    add_model_flags(p_table)
-
-    p_verify = sub.add_parser("verify", help="run claim checks and emit a JSON report")
-    add_model_flags(p_verify)
+    sub.add_parser("spectrum", parents=[model], help="write an n,E level table")
+    sub.add_parser("table", parents=[model],
+                   help="thermodynamic table over a (beta, h) grid")
+    p_verify = sub.add_parser("verify", parents=[model],
+                              help="run claim checks and emit a JSON report")
     p_verify.add_argument("--claims", required=True,
                           help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
 
-    p_game = sub.add_parser("game", help="stationary distribution, minors, ascent trace")
-    add_model_flags(p_game)
+    p_game = sub.add_parser("game", parents=[model],
+                            help="stationary distribution, minors, ascent trace")
     p_game.add_argument("--levels", help="comma list of level energies")
     p_game.add_argument("--levels-file", help="file with one level per line")
     p_game.add_argument("--lambda", type=float, dest="lam", default=-1.0,
@@ -362,9 +364,7 @@ def _merge_config(args) -> RunConfig:
         if value is not None:
             setattr(cfg, key, parse(value))
     # basic validation shared by every command
-    if not cfg.beta or not cfg.h:
-        raise ValueError("grids must be non-empty")
-    if not all(math.isfinite(x) and x > 0 for x in cfg.beta + cfg.h):
+    if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")

@@ -475,25 +475,38 @@ def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray
     C2(q) = sum_j 2 s_j [V cos(k u)]_j / k^2 - 2 s_j^2 [sin(k u)]_j / k^3
     with k = q pi and [g]_j = g(u_{j+1}) - g(u_j). Summed by parts over the
     nodes these are sums of cos(k u_j) and sin(k u_j) against the slope
-    jumps w_j = s_{j-1} - s_j (s_{-1} = s_n = 0), one pass per node and q.
+    jumps w_j = s_{j-1} - s_j (s_{-1} = s_n = 0).
+
+    The node sums go by angle addition: with q = b B + r, B = isqrt(qmax + 1)
+    + 1, e^{i pi q u} = e^{i pi b B u} e^{i pi r u}, so all three weighted
+    sums for every q are one complex product of the weighted coarse phases
+    (3 x blocks, node) with the fine phases (node, B), and a node costs about
+    2 sqrt(qmax) complex exponentials instead of 2 qmax cos and sin.
     """
     du = np.diff(u)
     slope = np.diff(v) / du
     padded = np.concatenate(([0.0], slope, [0.0]))
     jumps = -np.diff(padded)
-    cos_weights = np.stack((jumps, 2.0 * v * jumps), axis=1)
-    sin_weights = 2.0 * np.diff(padded**2)  # -2 (s_{j-1}^2 - s_j^2)
+    # -2 (s_{j-1}^2 - s_j^2) for the sin sum
+    weights = np.stack((jumps, 2.0 * v * jumps, 2.0 * np.diff(padded**2)))
+    step = math.isqrt(qmax + 1) + 1
+    blocks = -(-(qmax + 1) // step)
+    sums = np.zeros((3 * blocks, step), dtype=complex)
+    chunk = max(1, 2**16 // (3 * blocks))  # bounds the block x node work arrays
+    for lo in range(0, u.size, chunk):
+        uj = math.pi * u[lo:lo + chunk]
+        coarse = np.exp(1j * np.outer(step * np.arange(blocks, dtype=float), uj))
+        fine = np.exp(1j * np.outer(uj, np.arange(step, dtype=float)))
+        weighted = weights[:, None, lo:lo + chunk] * coarse
+        sums += weighted.reshape(3 * blocks, -1) @ fine
+    sums = sums.reshape(3, -1)[:, 1:qmax + 1]
+    k = math.pi * np.arange(1, qmax + 1, dtype=float)
     c = np.empty(qmax + 1)
     c2 = np.empty(qmax + 1)
     c[0] = np.dot(du, v[:-1] + v[1:]) / 2.0
     c2[0] = np.dot(du, v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3.0
-    rows = max(1, 2**13 // u.size)  # bounds the q x node work arrays
-    for lo in range(1, qmax + 1, rows):
-        k = math.pi * np.arange(lo, min(lo + rows, qmax + 1), dtype=float)
-        phase = np.outer(k, u)
-        cos_sums = np.cos(phase) @ cos_weights
-        c[lo:lo + k.size] = cos_sums[:, 0] / k**2
-        c2[lo:lo + k.size] = cos_sums[:, 1] / k**2 + (np.sin(phase) @ sin_weights) / k**3
+    c[1:] = sums[0].real / k**2
+    c2[1:] = sums[1].real / k**2 + sums[2].imag / k**3
     return c, c2
 
 
@@ -519,17 +532,19 @@ def _wall_states(potential: Potential, planck: float) -> float:
 
 def _sine_basis_size(potential: Potential, planck: float, count: int) -> int:
     """States the sine basis takes for `count` levels at h: the larger of
-    2 * count + 64 and the smallest N with c1 (N + 1)^2 + min V above
-    c1 count^2 + max V >= theta_count, so that the omitted block lies above
-    every returned level."""
-    return max(2 * count + 64, math.ceil(math.sqrt(count**2 + _wall_states(potential, planck))))
+    2 * count + 64 and the smallest N with (N + 1)^2 >= 2 count^2 + 2 (max V
+    - min V) / c1. Then the omitted block's floor g, measured from min V, is
+    at least twice the a-priori bound c1 count^2 + max V on theta_count, so
+    the Schur term W / (g - theta_count) stays small."""
+    floor = 2 * count**2 + 2.0 * _wall_states(potential, planck)
+    return max(2 * count + 64, math.ceil(math.sqrt(floor)) - 1)
 
 
 def sine_basis_level_cap(potential: Potential, planck: float) -> int:
-    """The most levels at h whose sine basis fits in SINE_BASIS_MAX_STATES:
-    1,500 for low walls, fewer where max V - min V adds states, and 0 where
-    the walls alone need more."""
-    room = SINE_BASIS_MAX_STATES**2 - _wall_states(potential, planck)
+    """The most levels at h whose sine basis fits in SINE_BASIS_MAX_STATES
+    (_sine_basis_size inverted): 1,500 for low walls, fewer where max V -
+    min V adds states, and 0 where the walls alone need more."""
+    room = (SINE_BASIS_MAX_STATES + 1) ** 2 / 2.0 - _wall_states(potential, planck)
     return min((SINE_BASIS_MAX_STATES - 64) // 2, int(math.sqrt(max(room, 0.0))))
 
 

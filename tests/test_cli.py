@@ -17,6 +17,7 @@ from qcgibbs.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_config,
 )
@@ -292,6 +293,48 @@ def test_verify_c12_oscillator(capsys):
     assert reports[0]["status"] == "Holds"
 
 
+def test_verify_rules_on_a_one_value_grid(tmp_path, capsys):
+    # the worst C1_2 point of the seed-0 double well, alone
+    well = Path(__file__).parent / "data" / "seed0_double_well.csv"
+    out_file = tmp_path / "reports.json"
+    code, _, _ = run(
+        ["verify", "--model", "tabulated", "--table", str(well), "--claims", "c12",
+         "--beta", "0.046415888336127774", "--h", "0.6851754923600619",
+         "-o", str(out_file)], capsys)
+    assert code == EXIT_OK  # C1_2 gathers evidence only
+    (report,) = json.loads(out_file.read_text())
+    assert report["notes"]["points"] == 1
+    assert report["grid"] == {"beta": [0.046415888336127774], "h": [0.6851754923600619]}
+    assert report["status"] == "Violated"
+
+
+def test_verify_takes_a_one_value_grid_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = box\nbeta = 0.5\n")
+    code, out, _ = run(["verify", "--config", str(cfg), "--claims", "c11,t31"], capsys)
+    assert code == EXIT_OK
+    c11, t31 = json.loads(out)
+    assert c11["grid"]["beta"] == [0.5] and len(c11["grid"]["h"]) > 1  # default h
+    assert c11["notes"]["points"] == len(c11["grid"]["h"])
+    assert (t31["grid"]["beta"], t31["grid"]["h"]) == ([0.5], [1.0])
+
+
+@pytest.mark.parametrize("claim, flags, named", [
+    ("c13", ["--beta", "0.5"], "--beta"),
+    ("t41", ["--beta", "0.5,1", "--h", "1"], "--h"),
+    ("t41", ["--beta", "0.5"], "--beta"),
+    ("c41", ["--h", "1"], "--h"),
+    ("wehrl", ["--h", "0.5"], "--h"),
+])
+def test_verify_refuses_one_point_where_a_claim_compares_points(claim, flags, named,
+                                                                capsys):
+    code, out, err = run(["verify", "--model", "homogeneous", "--nu", "2",
+                          "--claims", claim, *flags], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert f"claim {claim} compares neighbouring grid points and needs at least two " \
+           f"values of {named}, got 1" in err
+
+
 def test_verify_unknown_claim(capsys):
     code, _, err = run(
         ["verify", "--model", "box", "--L", "1", "--claims", "c99"], capsys)
@@ -437,6 +480,43 @@ def test_threads_env_same_output(capsys, monkeypatch):
     code2, out2, _ = run(args, capsys)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
+
+
+# each model flag, a value for it, and the dest and value it parses to
+_MODEL_FLAGS = [
+    ("--config", "run.cfg", "config", "run.cfg"),
+    ("--model", "tabulated", "model", "tabulated"),
+    ("--N", "2", "dimension", 2),
+    ("--L", "1,2", "lengths", "1,2"),
+    ("--nu", "4", "nu", 4.0),
+    ("--mass", "0.5", "mass", 0.5),
+    ("--table", "well.csv", "table", "well.csv"),
+    ("--beta", "0.1:10", "beta", "0.1:10"),
+    ("--h", "0.5,1", "h", "0.5,1"),
+    ("--count", "7", "count", 7),
+    ("--max-levels", "99", "max_levels", 99),
+    ("--format", "json", "format", "json"),
+    ("--output", "out.csv", "output", "out.csv"),
+    ("-o", "out.csv", "output", "out.csv"),
+    ("--seed", "3", "seed", 3),
+]
+_COMMAND_ARGS = {"spectrum": [], "table": [], "verify": ["--claims", "c11"],
+                 "game": ["--levels", "1,2"]}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_every_command_takes_the_model_flags(command, capsys):
+    parser = build_parser()
+    base = [command, *_COMMAND_ARGS[command]]
+    omitted = parser.parse_args(base)
+    for flag, text, dest, value in _MODEL_FLAGS:
+        assert getattr(omitted, dest) is None
+        assert getattr(parser.parse_args([*base, flag, text]), dest) == value
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--help"])
+    listed = capsys.readouterr().out
+    for flag, _, _, _ in _MODEL_FLAGS:
+        assert re.search(rf"(^|[ ,\[]){re.escape(flag)}\b", listed), flag
 
 
 def test_usage_error_on_bad_flag(capsys):
@@ -599,9 +679,9 @@ def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, cap
 
 @pytest.mark.parametrize("wall", [27_760.0, 1e6])
 def test_tall_walls_lower_the_sine_basis_cap(wall, fd_solves, tmp_path, capsys):
-    # a pit of V = 1 on [1, 9] inside walls: at h = 1/4 each level needs
-    # about (wall - 1) / c1 more states, so walls near 2.8e4 leave room for
-    # 622 levels (beta = 0.01 needs 1,208) and walls at 1e6 for none
+    # a pit of V = 1 on [1, 9] inside walls: the basis keeps (N + 1)^2 >=
+    # 2 count^2 + 2 (wall - 1) / c1, so at h = 0.35 walls near 2.8e4 leave
+    # room for 324 levels (beta = 0.01 needs 863) and walls at 1e6 for none
     xs = np.linspace(0.0, 10.0, 101)
     table = tmp_path / "pit.csv"
     pot = tabulated(xs, np.where(np.abs(xs - 5.0) <= 4.0, 1.0, wall))
@@ -609,18 +689,18 @@ def test_tall_walls_lower_the_sine_basis_cap(wall, fd_solves, tmp_path, capsys):
     start = time.perf_counter()
     code, out, _ = run(
         ["table", "--model", "tabulated", "--table", str(table),
-         "--beta", "0.01", "--h", "0.25"], capsys)
+         "--beta", "0.01", "--h", "0.35"], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_NUMERICAL and fd_solves == []
-    cap = sine_basis_level_cap(pot, 0.25)
+    cap = sine_basis_level_cap(pot, 0.35)
     if wall < 1e5:
-        assert cap == 622
+        assert cap == 324
         assert f"above the sine-basis cap {cap}; shrink the sweep" in out
-        _assert_depth_is_reachable(out, tabulated_family(pot), 0.25, cap)
+        _assert_depth_is_reachable(out, tabulated_family(pot), 0.35, cap)
     else:
         assert cap == 0
         assert out.rstrip().endswith(
-            f"above the sine-basis cap 0 at h=0.25: the table's walls alone fill "
+            f"above the sine-basis cap 0 at h=0.35: the table's walls alone fill "
             f"the {SINE_BASIS_MAX_STATES}-state basis; raise h or lower max V")
 
 

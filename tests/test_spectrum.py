@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,10 +313,63 @@ def test_sine_basis_matches_a_scipy_reference(double_well_potential):
     assert np.all(np.abs(spec.level_errors - ref_bars) <= floor)
 
 
+def _direct_moments(u, v, qmax, dtype):
+    # the by-parts sums of _cosine_moments with one cos and one sin per
+    # (moment, node) pair, in `dtype`: the reference in long double, and in
+    # float the direct kernel whose error the angle-addition sums must match
+    u, v = np.asarray(u, dtype), np.asarray(v, dtype)
+    slope = np.diff(v) / np.diff(u)
+    padded = np.concatenate(([dtype(0)], slope, [dtype(0)]))
+    jumps, sin_w = -np.diff(padded), 2 * np.diff(padded**2)
+    pi = dtype("3.14159265358979323846264338327950288")
+    c, c2 = np.empty(qmax + 1, dtype), np.empty(qmax + 1, dtype)
+    du = np.diff(u)
+    c[0] = np.dot(du, v[:-1] + v[1:]) / 2
+    c2[0] = np.dot(du, v[:-1] ** 2 + v[:-1] * v[1:] + v[1:] ** 2) / 3
+    for q in range(1, qmax + 1):
+        k = pi * q
+        cos, sin = np.cos(k * u), np.sin(k * u)
+        c[q] = np.dot(cos, jumps) / k**2
+        c2[q] = np.dot(cos, 2 * v * jumps) / k**2 + np.dot(sin, sin_w) / k**3
+    return c, c2, jumps, sin_w
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs a long double wider than double")
+@pytest.mark.parametrize("grid", ["uniform", "graded"])
+def test_cosine_moments_match_a_long_double_reference(grid):
+    from qcgibbs.spectrum import _cosine_moments
+
+    table = np.loadtxt(Path(__file__).parent / "data" / "seed0_double_well.csv",
+                       delimiter=",", skiprows=1)
+    u = (table[:, 0] - table[0, 0]) / (table[-1, 0] - table[0, 0])
+    v = table[:, 1]
+    if grid == "graded":  # Chebyshev-spaced nodes, dense at the walls
+        u_new = (1.0 - np.cos(np.pi * np.linspace(0.0, 1.0, 161))) / 2.0
+        u, v = u_new, np.interp(u_new, u, v)
+    qmax = 436  # the benchmark's basis of 218 states at h = 1/2
+    ref_c, ref_c2, jumps, sin_w = _direct_moments(u, v, qmax, np.longdouble)
+    old_c, old_c2, _, _ = _direct_moments(u, v, qmax, float)
+    c, c2 = _cosine_moments(u, v, qmax)
+    # the rounding scale of each moment: eps times the weights' absolute sum,
+    # with the phase k u rounded to eps k u
+    eps, k = np.finfo(float).eps, math.pi * np.arange(1, qmax + 1)
+    jumps, sin_w = np.abs(jumps.astype(float)), np.abs(sin_w.astype(float))
+    scale = eps * (1 + k) * jumps.sum() / k**2
+    scale2 = eps * (1 + k) * (np.dot(2 * np.abs(v), jumps) / k**2 + sin_w.sum() / k**3)
+    for new, old, ref, size in ((c, old_c, ref_c, scale), (c2, old_c2, ref_c2, scale2)):
+        assert abs(new[0] - ref[0]) <= 4 * np.spacing(abs(float(ref[0])))  # closed form
+        err = np.abs((new - ref)[1:].astype(float)) / size
+        err_old = np.abs((old - ref)[1:].astype(float)) / size
+        # at the rounding scale, and no larger than the direct sums' error
+        assert err.max() < 0.5
+        assert err.max() <= err_old.max() + 0.02
+
+
 def test_sine_basis_grows_past_high_walls():
     # walls at 200 around a narrow pit: 2 * count + 64 states leave the 20th
     # Ritz level above the omitted states' floor, so the basis grows until the
-    # floor clears count^2 c1 + max V, and the bars still bracket
+    # floor clears twice count^2 c1 + max V (182 states), and the bars bracket
     xs = np.linspace(0.0, 1.0, 101)
     pit = tabulated(xs, np.where(np.abs(xs - 0.5) < 0.06, 0.0, 200.0))
     with pytest.raises(AccuracyError, match="level 20"):
@@ -324,6 +378,10 @@ def test_sine_basis_grows_past_high_walls():
     ref = solve_sine_basis(pit, 0.05, count=20, size=600).levels
     assert np.all(spec.levels - spec.level_errors <= ref)
     assert np.all(ref <= spec.levels * (1.0 + 1e-13))
+    # and tight: a floor only just above theta_20 (129 states) leaves the
+    # ground level E_1 = 1.003 a bar of 510, and the others bars of 14 to 81
+    assert spec.level_errors[0] < 2e-3
+    assert np.all(spec.level_errors < 0.25)
 
 
 def test_sine_basis_refuses_bases_above_the_state_limit(double_well_potential):
