@@ -4,17 +4,21 @@ Levels come from closed forms where they exist (box multi-index sums, the r^2
 oscillator, the |x| wedge via Airy-function zeros). Even power laws x^nu
 (nu = 4, 6, ...) are solved by Rayleigh-Ritz in a harmonic-oscillator basis,
 where the Hamiltonian is banded, with level errors from two nested basis
-sizes set by the phase-space area of the top level. Tabulated wells are
-solved by Rayleigh-Ritz in the sine eigenbasis of the box on the table's
-interval, where the piecewise-linear V has closed-form matrix elements; each
-level's bar is the gap to a Schur-complement lower bound, so every Ritz level
-and its bar bracket the exact level. Odd and non-integer power laws fall back
-to a second-order central finite-difference discretization on uniform grids
-with Dirichlet ends at walls the caller places, solved on three nested grids
-and sharpened by two Richardson steps. A power-law growth model
-E_n ~ C n^gamma fitted to the top quartile of the computed levels bounds the
-Boltzmann tail left out by truncation, and the exact scaling law
-E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
+sizes set by the phase-space area of the top level; LAPACK's DSBEV solves
+each parity block. Tabulated wells are solved by Rayleigh-Ritz in the sine
+eigenbasis of the box on the table's interval, where the piecewise-linear V
+has closed-form matrix elements; each level's bar is the gap to a
+Schur-complement lower bound, so every Ritz level and its bar bracket the
+exact level. Odd and non-integer power laws fall back to a second-order
+central finite-difference discretization on uniform grids with Dirichlet
+ends at walls the caller places, solved on three nested grids by LAPACK's
+DSTEBZ bisection and sharpened by two Richardson steps. Both LAPACK drivers
+come from the OpenBLAS numpy has loaded (qcgibbs.lapack), so this module
+imports nothing from scipy; only the wedge imports scipy.special, when it
+solves. A power-law growth model E_n ~ C n^gamma fitted to the top quartile
+of the computed levels bounds the Boltzmann tail left out by truncation, and
+the exact scaling law E_n(h) = h^a E_n(1) transports a base spectrum across
+Planck parameters.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import eig_banded, eigvalsh_tridiagonal
 
 from .errors import (
     AccuracyError,
@@ -35,6 +38,7 @@ from .errors import (
     ResourceError,
     TailModelError,
 )
+from .lapack import banded_eigenvalues, tridiagonal_lowest
 from .potential import Potential, PotentialKind
 from .util import fmt17, log_upper_gamma
 
@@ -247,7 +251,9 @@ def fd_eigenvalues(
     """Lowest `count` eigenvalues of the tridiagonal discretization on one grid.
 
     `points` interior nodes with Dirichlet values at both interval ends; this
-    is the raw second-order scheme without extrapolation.
+    is the raw second-order scheme without extrapolation. LAPACK's DSTEBZ
+    bisection (tridiagonal_lowest) finds the levels to about eps times the
+    matrix norm.
     """
     if potential.dimension != 1:
         raise ValueError("the finite-difference solver is one-dimensional")
@@ -259,10 +265,7 @@ def fd_eigenvalues(
     kin = planck**2 / (potential.mass * dx**2)
     diag = kin + _potential_values(potential, xs)
     off = np.full(points - 1, -0.5 * kin)
-    return eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1),
-        check_finite=False, lapack_driver="stebz",
-    )
+    return tridiagonal_lowest(diag, off, count)
 
 
 def _weyl_integral(nu: float) -> float:
@@ -369,7 +372,9 @@ def _banded_levels(bands: list[np.ndarray], size: int, count: int) -> np.ndarray
     matrix whose upper diagonals 0, 2, 4, ... are `bands`.
 
     Only even offsets couple, so the even and the odd states form two blocks
-    of bandwidth len(bands) - 1, each solved with eig_banded.
+    of bandwidth len(bands) - 1, each passed in lower band storage to
+    LAPACK's DSBEV (banded_eigenvalues), which reduces it to tridiagonal
+    form and finds all its eigenvalues.
     """
     blocks = []
     for parity in (0, 1):
@@ -378,7 +383,7 @@ def _banded_levels(bands: list[np.ndarray], size: int, count: int) -> np.ndarray
         for j, band in enumerate(bands):
             diag = band[: max(size - 2 * j, 0)][parity::2]
             ab[j, : diag.size] = diag
-        blocks.append(eig_banded(ab, lower=True, eigvals_only=True, check_finite=False)[:count])
+        blocks.append(banded_eigenvalues(ab)[:count])
     return np.sort(np.concatenate(blocks))[:count]
 
 

@@ -234,6 +234,106 @@ def test_basis_source_through_cli_and_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the LAPACK drivers, against scipy.linalg as the reference
+
+EPS = np.finfo(float).eps
+
+
+@pytest.fixture(params=["numpy openblas", "scipy fallback"])
+def lapack_route(request, monkeypatch):
+    """Each LAPACK route in turn: numpy's OpenBLAS, and scipy.linalg where
+    the lookup finds no library beside numpy."""
+    import qcgibbs.lapack as lapack_mod
+
+    lapack_mod._lapacke.cache_clear()
+    if request.param == "scipy fallback":
+        monkeypatch.setattr(lapack_mod, "_openblas_paths", lambda: [])
+    elif lapack_mod._lapacke() is None:
+        pytest.skip("numpy bundles no OpenBLAS with LAPACKE here")
+    yield request.param
+    monkeypatch.undo()
+    lapack_mod._lapacke.cache_clear()
+
+
+def _recording(monkeypatch, name: str) -> list:
+    """Wrap spectrum_mod.<name> so each call's arguments and result are kept."""
+    calls, solve = [], getattr(spectrum_mod, name)
+
+    def recording(*args):
+        out = solve(*args)
+        calls.append((tuple(np.array(a) for a in args), out))
+        return out
+
+    monkeypatch.setattr(spectrum_mod, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("count", [50, 583])
+@pytest.mark.parametrize("nu", [4, 6, 8, 20, 28])
+def test_band_solve_matches_scipy_eig_banded(monkeypatch, lapack_route, nu, count):
+    from scipy.linalg import eig_banded
+
+    calls = _recording(monkeypatch, "banded_eigenvalues")
+    solve_oscillator_basis(homogeneous(nu), count=count)
+    assert len(calls) == 4  # two basis sizes, two parity blocks each
+    for (ab,), levels in calls:
+        ref = eig_banded(ab, lower=True, eigvals_only=True)
+        assert levels.shape == ref.shape
+        assert np.max(np.abs(levels - ref)) <= 4 * EPS * np.max(np.abs(ref))
+
+
+def test_fd_solve_matches_scipy_stebz(monkeypatch, lapack_route):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    calls = _recording(monkeypatch, "tridiagonal_lowest")
+    levels = fd_eigenvalues(homogeneous(3), half_width=6.0, points=2000, count=200)
+    ((diag, off, count), got), = calls
+    assert diag.size == 2000 and count == 200 and got is levels
+    ref = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                               lapack_driver="stebz")
+    assert levels.shape == ref.shape
+    assert np.max(np.abs(levels - ref)) <= 4 * EPS * np.max(np.abs(ref))
+
+
+def test_non_finite_matrices_raise_accuracy_error(lapack_route):
+    from qcgibbs.lapack import banded_eigenvalues, tridiagonal_lowest
+
+    band = np.ones((3, 10))
+    band[1, 4] = np.nan
+    with pytest.raises(AccuracyError, match="dsbev"):
+        banded_eigenvalues(band)
+    diag = np.full(10, 2.0)
+    diag[7] = np.nan
+    with pytest.raises(AccuracyError, match="dstebz"):
+        tridiagonal_lowest(diag, np.ones(9), 3)
+
+
+def test_lapack_info_maps_to_accuracy_and_usage_errors():
+    from qcgibbs.lapack import _check_info
+
+    _check_info("dsbev", 0)
+    with pytest.raises(AccuracyError, match=r"dsbev did not converge \(LAPACK info=9\)"):
+        _check_info("dsbev", 9)
+    with pytest.raises(ValueError, match="dstebz: argument 3"):
+        _check_info("dstebz", -3)
+
+
+def test_a_non_finite_basis_exits_numerical(monkeypatch, capsys):
+    # a NaN in the bands is a numerical failure (exit 3), not a usage error
+    bands = spectrum_mod._oscillator_bands
+
+    def poisoned(*args):
+        out = bands(*args)
+        out[-1][3] = np.nan
+        return out
+
+    monkeypatch.setattr(spectrum_mod, "_oscillator_bands", poisoned)
+    argv = ["spectrum", "--model", "homogeneous", "--nu", "4", "--count", "5"]
+    assert main(argv) == 3
+    assert "numerical error: dsbev" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # sine basis for tabulated wells
 
 

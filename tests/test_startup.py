@@ -1,9 +1,12 @@
-"""The modules a command loads: scipy.integrate and the scipy.optimize,
-scipy.sparse and scipy.fft it pulls in cost about a third of start-up, and
-only `verify --claims t31` needs them. scipy.special loads only for the
-wedge's Airy zeros and for scipy.integrate. Every other command runs on
-numpy and scipy.linalg (the oscillator basis's banded solver and FD's
-tridiagonal one); the sine basis of tabulated wells runs on numpy's LAPACK."""
+"""The modules a command loads. Importing scipy costs more than the rest of a
+command's start-up, so no command loads any of it except two:
+`verify --claims t31`, whose quadrature needs scipy.integrate (with the
+scipy.optimize, scipy.sparse, scipy.fft and scipy.special it pulls in), and
+the wedge, whose Airy zeros come from scipy.special. The oscillator basis's
+band solver and finite differences' tridiagonal one call LAPACK through the
+OpenBLAS that numpy has loaded (qcgibbs.lapack), which is looked up at the
+first solve, not at import; the sine basis of tabulated wells runs on
+numpy.linalg."""
 
 import json
 import os
@@ -11,53 +14,107 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qcgibbs
 from qcgibbs.potential import save_tabulated_csv
 
 SRC = Path(qcgibbs.__file__).resolve().parents[1]
 
 # one fresh interpreter walks every command in turn and records, after each,
-# its exit code and which of the heavy modules sys.modules holds
+# its exit code, every scipy module sys.modules holds, and how many times
+# qcgibbs.lapack has looked its library up
 SCRIPT = """
 import json, sys
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
-         "scipy.special")
-loaded = lambda: [m for m in HEAVY if m in sys.modules]
+scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from qcgibbs.cli import main
-steps = [("import", 0, loaded())]
+from qcgibbs.lapack import _lapacke
+steps = [("import", 0, scipy(), _lapacke.cache_info().misses)]
 for name, argv in json.loads(sys.argv[1]):
     code = main(argv)
-    steps.append((name, code, loaded()))
+    steps.append((name, code, scipy(), _lapacke.cache_info().misses))
 print(json.dumps(steps))
 """
 
+T31_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
+             "scipy.special")
 
-def test_only_t31_loads_scipy_integrate(double_well_potential, tmp_path):
+
+def _env() -> dict:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+
+def _walk(commands: list) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(commands)],
+        capture_output=True, text=True, env=_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name: (code, loaded, lookups)
+            for name, code, loaded, lookups in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
     well = tmp_path / "well.csv"
     save_tabulated_csv(double_well_potential, well)
     out = str(tmp_path / "out")
-    commands = [
-        ("table", ["table", "--model", "tabulated", "--table", str(well),
-                   "--beta", "0.5,2", "--h", "0.5,1", "-o", out]),
-        ("verify", ["verify", "--model", "homogeneous", "--nu", "4",
-                    "--claims", "c11,c12,t41,c41", "--beta", "0.5,1,2",
-                    "--h", "0.5,1", "-o", out]),
+    grid = ["--beta", "0.5,2", "--h", "0.5,1", "-o", out]
+    steps = _walk([
+        ("tabulated table", ["table", "--model", "tabulated", "--table", str(well)] + grid),
+        ("quartic verify", ["verify", "--model", "homogeneous", "--nu", "4",
+                            "--claims", "c11,c12,t41,c41", "--beta", "0.5,1,2",
+                            "--h", "0.5,1", "-o", out]),
+        ("box table", ["table", "--model", "box"] + grid),
+        ("oscillator table", ["table", "--model", "homogeneous", "--nu", "2"] + grid),
+        ("cubic spectrum", ["spectrum", "--model", "homogeneous", "--nu", "3",
+                            "--count", "20", "-o", out]),
+    ])
+    assert steps["import"] == (0, [], 0)  # nor is the LAPACK library looked up
+    for name in ("tabulated table", "quartic verify", "box table", "oscillator table",
+                 "cubic spectrum"):
+        assert steps[name][:2] == (0, []), name
+    assert steps["quartic verify"][2] == 1
+
+
+def test_only_t31_loads_scipy_integrate(tmp_path):
+    out = str(tmp_path / "out")
+    steps = _walk([
         ("wedge", ["table", "--model", "homogeneous", "--nu", "1", "--beta", "1",
                    "--h", "1", "-o", out]),
         ("t31", ["verify", "--model", "box", "--claims", "t31", "-o", out]),
-    ]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    ])
+    code, loaded, _ = steps["wedge"]
+    assert code == 0 and "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.linalg",) + T31_HEAVY[:-1])]
+    code, loaded, _ = steps["t31"]
+    assert code == 0 and set(T31_HEAVY) <= set(loaded)
+
+
+# the OpenBLAS files mapped into a fresh interpreter once numpy is imported,
+# and again after a quartic solve through qcgibbs.lapack
+MAPS_SCRIPT = """
+import json
+import numpy
+mapped = lambda: sorted({line.split()[-1] for line in open("/proc/self/maps")
+                         if "openblas" in line.rsplit("/", 1)[-1]})
+before = mapped()
+from qcgibbs.cli import main
+code = main(["spectrum", "--model", "homogeneous", "--nu", "4", "--count", "583",
+             "-o", __import__("os").devnull])
+print(json.dumps([before, code, mapped()]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_band_solves_run_on_numpys_openblas():
+    # binding scipy's own OpenBLAS would start a second BLAS runtime, with its
+    # own thread pool and resident memory
+    proc = subprocess.run([sys.executable, "-c", MAPS_SCRIPT], capture_output=True,
+                          text=True, env=_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    steps = {name: (code, loaded)
-             for name, code, loaded in json.loads(proc.stdout.splitlines()[-1])}
-    assert steps["import"] == (0, [])
-    assert steps["table"] == (0, [])
-    assert steps["verify"] == (0, [])
-    assert steps["wedge"] == (0, ["scipy.special"])
-    assert steps["t31"] == (0, ["scipy.integrate", "scipy.optimize",
-                                "scipy.sparse", "scipy.fft", "scipy.special"])
+    before, code, after = json.loads(proc.stdout.splitlines()[-1])
+    if not before:
+        pytest.skip("numpy loads no OpenBLAS here")
+    assert code == 0
+    assert after == before
