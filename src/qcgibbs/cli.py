@@ -3,8 +3,8 @@
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win). Relative output paths are resolved against
 QCGIBBS_OUTDIR when set; QCGIBBS_THREADS > 1 parallelizes table rows over at
-most min(QCGIBBS_THREADS, CPU count, rows) threads (output order stays fixed
-by grid index), and a value that is not an integer >= 1 exits 2. Exit codes:
+most min(QCGIBBS_THREADS, usable CPUs, rows) threads (output order stays
+fixed by grid index), and a value that is not an integer >= 1 exits 2. Exit codes:
 0 success, 2 usage or validation, 3 numerical failure (truncation,
 quadrature, accuracy, overflow), 4 a theorem-class claim reported Violated.
 """
@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .models import (
 )
 from .potential import PotentialKind, load_tabulated_csv
 from .spectrum import spectrum_text
-from .util import fmt17, log_grid
+from .util import fmt17, log_grid, thread_map
 from .verify import (
     THEOREM_CLAIMS,
     CLAIM_CHECKS,
@@ -140,13 +139,9 @@ def _thread_count() -> int:
 
 
 def _grid_map(fn, items):
-    """Evaluate fn over items on at most min(QCGIBBS_THREADS, CPU count,
+    """Evaluate fn over items on at most min(QCGIBBS_THREADS, usable CPUs,
     len(items)) threads, preserving order."""
-    workers = min(_thread_count(), os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return thread_map(fn, items, limit=_thread_count())
 
 
 def _build_family(cfg: RunConfig) -> ModelFamily:
@@ -204,9 +199,21 @@ def cmd_table(cfg: RunConfig) -> int:
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
     lam_min = fam.lambda_min(betas, hs)
     points = [(float(b), float(h)) for b in betas for h in hs]
+    # a tabulated well is solved at each h: solve each distinct h here,
+    # before the rows start, so that row threads only read the memo and no
+    # two dense solves (each sets the process's BLAS thread count) overlap
+    failed = {}
+    if fam.potential.kind is PotentialKind.TABULATED:
+        for h in dict.fromkeys(h for _, h in points):
+            try:
+                fam.spectrum(h, lam_min)
+            except _NUMERICAL_ERRORS as exc:
+                failed[h] = exc
 
     def one(bh):
         beta, h = bh
+        if h in failed:  # each row of that h reports the error; none re-solves
+            return _thermo_row(beta, h, None), f"error: {failed[h]}"
         try:
             spec = fam.spectrum(h, lam_min)
             point = thermo_point(fam.potential, spec, beta)

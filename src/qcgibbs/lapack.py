@@ -1,4 +1,5 @@
-"""Two LAPACK eigenvalue drivers through the OpenBLAS that numpy has loaded.
+"""Two LAPACK eigenvalue drivers, and the BLAS thread count, through the
+OpenBLAS that numpy has loaded.
 
 The oscillator basis needs the eigenvalues of a symmetric band matrix
 (DSBEV) and finite differences need selected eigenvalues of a symmetric
@@ -13,29 +14,46 @@ starts. The lookup happens at the first call, never at import. The integer
 width is read from the symbol name: a `64_` suffix marks 64-bit LAPACK
 integers.
 
+The same library's thread-count functions let a block of code run at a set
+number of BLAS threads (blas_threads): OpenBLAS wakes its threads for
+matrices of a few hundred rows, where one thread is as fast and the others
+spin on after the call. Independent solves go to the spare cores instead
+(map_solves): ctypes releases the GIL for the length of each call.
+
 Where numpy bundles no such library (numpy built against MKL, Accelerate or
 a system LAPACK), both routines are called through scipy.linalg.lapack
-instead, imported at that first call.
+instead, imported at that first call, and the thread count is left to that
+library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
-from typing import Callable, NamedTuple
+import threading
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import AccuracyError
+from .util import thread_map
 
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR in lapacke.h
+
+# OpenBLAS's thread count is one setting for the whole process, so blocks run
+# under blas_threads in different threads take turns
+_BLAS_COUNT_LOCK = threading.RLock()
 
 
 class _Lapacke(NamedTuple):
     dsbev: Callable
     dstebz: Callable
     int_type: type
+    # openblas_{set,get}_num_threads, both None where the library lacks them
+    set_threads: Callable | None
+    get_threads: Callable | None
 
 
 def _openblas_paths() -> list[str]:
@@ -50,17 +68,18 @@ def _openblas_paths() -> list[str]:
     return paths
 
 
-def _bind(lib: ctypes.CDLL, name: str, argtypes: list, int_type: type) -> Callable:
+def _bind(lib: ctypes.CDLL, name: str, argtypes: list, restype) -> Callable:
     fn = getattr(lib, name)
     fn.argtypes = argtypes
-    fn.restype = int_type
+    fn.restype = restype
     return fn
 
 
 @functools.cache
 def _lapacke() -> _Lapacke | None:
-    """LAPACKE_dsbev and LAPACKE_dstebz from numpy's OpenBLAS, or None when
-    numpy bundles no library that exports both."""
+    """LAPACKE_dsbev and LAPACKE_dstebz, with the thread-count functions
+    beside them, from numpy's OpenBLAS, or None when numpy bundles no library
+    that exports both drivers."""
     for path in _openblas_paths():
         try:
             lib = ctypes.CDLL(path)
@@ -84,8 +103,41 @@ def _lapacke() -> _Lapacke | None:
                     char, char, lint, dbl, dbl, lint, lint, dbl, ptr, ptr,
                     ctypes.POINTER(lint), ctypes.POINTER(lint), ptr, ptr, ptr,
                 ], lint)
-                return _Lapacke(dsbev, dstebz, lint)
+                set_name = f"{prefix}openblas_set_num_threads{suffix}"
+                get_name = f"{prefix}openblas_get_num_threads{suffix}"
+                threads = (None, None)
+                if hasattr(lib, set_name) and hasattr(lib, get_name):
+                    threads = (_bind(lib, set_name, [ctypes.c_int], None),
+                               _bind(lib, get_name, [], ctypes.c_int))
+                return _Lapacke(dsbev, dstebz, lint, *threads)
     return None
+
+
+@contextlib.contextmanager
+def blas_threads(count: int) -> Iterator[None]:
+    """Run the block with OpenBLAS at `count` threads, then restore the prior
+    count. The count is process-wide, so such blocks in different threads
+    run one at a time. Where numpy bundles no OpenBLAS this does nothing."""
+    lapacke = _lapacke()
+    if lapacke is None or lapacke.set_threads is None:
+        yield
+        return
+    with _BLAS_COUNT_LOCK:
+        prior = lapacke.get_threads()
+        lapacke.set_threads(count)
+        try:
+            yield
+        finally:
+            lapacke.set_threads(prior)
+
+
+def map_solves(solve: Callable, jobs: list) -> list:
+    """[solve(job) for job in jobs] on min(len(jobs), usable CPUs) threads
+    (util.thread_map), where each job is one independent call into this
+    module. The library is looked up first, in the calling thread, so that
+    no two workers bind it."""
+    _lapacke()
+    return thread_map(solve, jobs)
 
 
 def _check_info(routine: str, info: int) -> None:

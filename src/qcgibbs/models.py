@@ -186,7 +186,8 @@ class ModelFamily:
             raise ValueError("lambda_min must be positive")
         needed = self.min_potential + 0.999 * LAMBDA_DEPTH / lambda_min
         # one lock per h (setdefault is atomic): threads that need the same h
-        # wait for one solve, while different h still solve in parallel
+        # wait for one solve, while different h take no lock of each other
+        # (sine-basis solves still take turns on the BLAS thread count)
         with self._locks.setdefault(planck, threading.Lock()):
             spec = self._memo.get(planck)
             if spec is None or spec.levels[-1] < needed:

@@ -15,7 +15,10 @@ ends at walls the caller places, solved on three nested grids by LAPACK's
 DSTEBZ bisection and sharpened by two Richardson steps. Both LAPACK drivers
 come from the OpenBLAS numpy has loaded (qcgibbs.lapack), so this module
 imports nothing from scipy; only the wedge imports scipy.special, when it
-solves. A power-law growth model E_n ~ C n^gamma fitted to the top quartile
+solves. The parity blocks of the oscillator basis and the grids of finite
+differences are independent LAPACK calls, solved side by side on the usable
+CPUs; the dense sine basis runs on one BLAS thread up to
+SINE_BASIS_SERIAL_STATES and on every usable CPU above it. A power-law growth model E_n ~ C n^gamma fitted to the top quartile
 of the computed levels bounds the Boltzmann tail left out by truncation, and
 the exact scaling law E_n(h) = h^a E_n(1) transports a base spectrum across
 Planck parameters.
@@ -38,9 +41,9 @@ from .errors import (
     ResourceError,
     TailModelError,
 )
-from .lapack import banded_eigenvalues, tridiagonal_lowest
+from .lapack import banded_eigenvalues, blas_threads, map_solves, tridiagonal_lowest
 from .potential import Potential, PotentialKind
-from .util import fmt17, log_upper_gamma
+from .util import fmt17, log_upper_gamma, usable_cpus
 
 
 class SpectrumSource(enum.Enum):
@@ -305,8 +308,11 @@ def solve_fd_1d(
     """
     if potential.kind is PotentialKind.TABULATED:
         raise ValueError("tabulated wells are solved in the sine basis (solve_sine_basis)")
-    e0, e1, e2 = (fd_eigenvalues(potential, planck, half_width, n, count)
-                  for n in (points, 2 * points + 1, 4 * points + 3))
+    # the grids are independent and solved side by side, the finest (4/7 of
+    # the work) first, so that the other two share a second core
+    e2, e1, e0 = map_solves(
+        lambda n: fd_eigenvalues(potential, planck, half_width, n, count),
+        [4 * points + 3, 2 * points + 1, points])
     r1 = (4.0 * e1 - e0) / 3.0
     r1b = (4.0 * e2 - e1) / 3.0
     value = (16.0 * r1b - r1) / 15.0
@@ -367,24 +373,29 @@ def _oscillator_bands(
     return bands
 
 
-def _banded_levels(bands: list[np.ndarray], size: int, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of the leading size x size block of the
-    matrix whose upper diagonals 0, 2, 4, ... are `bands`.
+def _banded_levels(bands: list[np.ndarray], sizes: list[int], count: int) -> list[np.ndarray]:
+    """For each size in `sizes`, the lowest `count` eigenvalues of the leading
+    size x size block of the matrix whose upper diagonals 0, 2, 4, ... are
+    `bands`.
 
     Only even offsets couple, so the even and the odd states form two blocks
     of bandwidth len(bands) - 1, each passed in lower band storage to
     LAPACK's DSBEV (banded_eigenvalues), which reduces it to tridiagonal
-    form and finds all its eigenvalues.
+    form and finds all its eigenvalues. The blocks of every size are
+    independent and are solved side by side.
     """
     blocks = []
-    for parity in (0, 1):
-        rows = len(range(parity, size, 2))
-        ab = np.zeros((len(bands), rows))  # lower band storage
-        for j, band in enumerate(bands):
-            diag = band[: max(size - 2 * j, 0)][parity::2]
-            ab[j, : diag.size] = diag
-        blocks.append(banded_eigenvalues(ab)[:count])
-    return np.sort(np.concatenate(blocks))[:count]
+    for size in sizes:
+        for parity in (0, 1):
+            rows = len(range(parity, size, 2))
+            ab = np.zeros((len(bands), rows))  # lower band storage
+            for j, band in enumerate(bands):
+                diag = band[: max(size - 2 * j, 0)][parity::2]
+                ab[j, : diag.size] = diag
+            blocks.append(ab)
+    solved = map_solves(lambda ab: banded_eigenvalues(ab)[:count], blocks)
+    return [np.sort(np.concatenate(solved[i:i + 2]))[:count]
+            for i in range(0, len(solved), 2)]
 
 
 def oscillator_basis_eigenvalues(
@@ -406,7 +417,7 @@ def oscillator_basis_eigenvalues(
     if scale <= 0.0:
         raise ValueError("the basis length scale must be positive")
     bands = _oscillator_bands(nu, planck, potential.mass, scale, size)
-    return _banded_levels(bands, size, count)
+    return _banded_levels(bands, [size], count)[0]
 
 
 def _phase_space_ratio(nu: int) -> float:
@@ -453,8 +464,7 @@ def solve_oscillator_basis(
     n2 = math.ceil(1.15 * ratio * count) + 64
     n1 = math.ceil(1.05 * ratio * count) + 48
     bands = _oscillator_bands(nu, planck, m, scale, n2)
-    coarse = _banded_levels(bands, n1, count)
-    value = _banded_levels(bands, n2, count)
+    value, coarse = _banded_levels(bands, [n2, n1], count)
     peaks = [float(np.abs(b).max()) for b in bands]
     norm_h = 2.0 * sum(peaks) - peaks[0]  # the diagonal once, off-diagonals twice
     estimate = np.abs(coarse - value) + 5e-14 * (np.abs(value) + norm_h)
@@ -469,6 +479,11 @@ def solve_oscillator_basis(
 # many states (1,500 levels at 2 * count + 64) takes about 5 s and 290 MB on
 # two cores, so larger bases are refused before anything is built
 SINE_BASIS_MAX_STATES = 3_064
+# up to this many states the basis is solved on one BLAS thread: on two
+# cores a second thread saves no time below about 280 states (it only spins
+# on after the call, which costs CPU), 3% at 300, and 7% at 400, 28% at 700
+# and 35-41% from 1,000 to 3,000 states
+SINE_BASIS_SERIAL_STATES = 300
 
 
 def _cosine_moments(u: np.ndarray, v: np.ndarray, qmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -575,6 +590,9 @@ def solve_sine_basis(
     E_i >= lambda_i(H_NN - W / (g - t)) for i <= count. level_errors hold
     theta_i - lambda_i plus the rounding floor 5e-14 * (|E| + ||H||); t >= g
     raises AccuracyError.
+
+    The solve holds the process's BLAS thread count (qcgibbs.lapack's
+    blas_threads), so solves in different threads run one at a time.
     """
     if potential.kind is not PotentialKind.TABULATED:
         raise ValueError("the sine basis solves tabulated wells")
@@ -594,24 +612,26 @@ def solve_sine_basis(
             f"above the {SINE_BASIS_MAX_STATES}-state limit"
         )
 
-    c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
-    ham = _sine_matrix(c, size)  # V_NN until the kinetic diagonal is added
-    coupling = _sine_matrix(c2, size)
-    coupling -= ham @ ham  # W
-    ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
-    # numpy's LAPACK, as for ham @ ham above: one BLAS thread pool per process
-    theta = np.linalg.eigvalsh(ham)
-    value = theta[:count]
-    top = float(value[-1])
-    gap = kin * (size + 1) ** 2 + vmin
-    if top >= gap:
-        raise AccuracyError(
-            f"level {count}: Ritz value {top:.6g} is not below the omitted "
-            f"sine states' floor {gap:.6g}; no lower bound holds"
-        )
-    coupling *= 1.0 / (gap - top)
-    ham -= coupling
-    lower = np.linalg.eigvalsh(ham)[:count]
+    # numpy's BLAS and LAPACK (the OpenBLAS qcgibbs.lapack binds): one
+    # thread up to SINE_BASIS_SERIAL_STATES, every usable core above
+    with blas_threads(1 if size <= SINE_BASIS_SERIAL_STATES else usable_cpus()):
+        c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
+        ham = _sine_matrix(c, size)  # V_NN until the kinetic diagonal is added
+        coupling = _sine_matrix(c2, size)
+        coupling -= ham @ ham  # W
+        ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
+        theta = np.linalg.eigvalsh(ham)
+        value = theta[:count]
+        top = float(value[-1])
+        gap = kin * (size + 1) ** 2 + vmin
+        if top >= gap:
+            raise AccuracyError(
+                f"level {count}: Ritz value {top:.6g} is not below the omitted "
+                f"sine states' floor {gap:.6g}; no lower bound holds"
+            )
+        coupling *= 1.0 / (gap - top)
+        ham -= coupling
+        lower = np.linalg.eigvalsh(ham)[:count]
     norm_h = max(abs(theta[0]), abs(theta[-1]))
     estimate = (value - lower) + 5e-14 * (np.abs(value) + norm_h)
     return Spectrum(value, planck, SpectrumSource.SINE_BASIS, level_errors=estimate)

@@ -1,8 +1,11 @@
-"""Small shared numerical helpers: grids, formatting, incomplete-gamma bounds."""
+"""Small shared helpers: grids, formatting, incomplete-gamma bounds, and an
+order-preserving map over threads."""
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -137,3 +140,49 @@ def logsumexp(values: np.ndarray) -> float:
         if not np.isfinite(out):
             out = np.log(np.exp(values).sum())
     return float(out)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so `taskset` narrows it), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def thread_map(fn, items, limit: int | None = None) -> list:
+    """[fn(x) for x in items], computed on min(limit, usable_cpus(),
+    len(items)) threads, the calling thread among them; each thread takes
+    the next item not yet taken. Threads overlap only where fn releases the
+    GIL, as numpy and ctypes calls into LAPACK do. An exception from fn is
+    raised once every item is done: the one from the first failing item."""
+    items = list(items)
+    workers = min(limit or len(items), usable_cpus(), len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    errors: list = [None] * len(items)
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # raised again in the calling thread
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

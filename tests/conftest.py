@@ -1,6 +1,9 @@
 """Shared fixtures: model families are session-scoped, so each deep base
 spectrum is built once per run and shared by every test that sweeps it."""
 
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,24 @@ def double_well_potential():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def blas_spy(monkeypatch):
+    """The OpenBLAS thread count: `.count()` reads it, and `.sets` holds the
+    (thread, count) of every change qcgibbs.lapack makes. Skips where numpy
+    bundles no OpenBLAS."""
+    import qcgibbs.lapack as lapack_mod
+
+    real = lapack_mod._lapacke()
+    if real is None or real.set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread-count functions here")
+    sets = []
+
+    def set_threads(count):
+        sets.append((threading.current_thread(), count))
+        real.set_threads(count)
+
+    spied = real._replace(set_threads=set_threads)
+    monkeypatch.setattr(lapack_mod, "_lapacke", lambda: spied)
+    return SimpleNamespace(count=real.get_threads, sets=sets)

@@ -1,17 +1,24 @@
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qcgibbs.models as models_mod
+import qcgibbs.util as util_mod
 from qcgibbs.cli import (
     _CONFIG_KEYS,
     EXIT_NUMERICAL,
@@ -210,32 +217,36 @@ def test_table_marks_rows_outside_the_double_range(capsys):
     assert rows[3] == "1000,1e+152" + failed + "beta E_n leaves the double range at beta=1000"
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+class _RecordingThread:
+    """Stands in for threading.Thread in qcgibbs.util: records each worker's
+    target and runs it at start(), so every map runs serially."""
 
-    sizes: list = []
+    targets: list = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self, target):
+        self.targets.append(target)
+        self._target = target
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self._target()
 
-    def __exit__(self, *exc):
-        return False
+    def join(self):
+        pass
 
-    def map(self, fn, items):
-        return map(fn, items)
+    @classmethod
+    def sizes(cls) -> list:
+        """Threads per map, the calling thread included: each map starts
+        its workers on one target of its own."""
+        return [1 + n for n in Counter(cls.targets).values()]
 
 
 @pytest.fixture
 def pool(monkeypatch):
-    import qcgibbs.cli as cli_mod
-
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 4)
-    return _RecordingPool
+    monkeypatch.setattr(_RecordingThread, "targets", [])
+    monkeypatch.setattr(util_mod, "threading",
+                        SimpleNamespace(Thread=_RecordingThread, Lock=threading.Lock))
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 4)
+    return _RecordingThread
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
@@ -248,11 +259,11 @@ def test_threads_env_rejects_bad_values(value, pool, monkeypatch, capsys):
             capsys)
         assert code == EXIT_USAGE and out == ""
         assert "QCGIBBS_THREADS" in err
-    assert pool.sizes == []
+    assert pool.sizes() == []
 
 
 def test_threads_env_caps_workers(pool, monkeypatch, capsys):
-    # workers = min(QCGIBBS_THREADS, cpu_count (4 here), rows)
+    # workers = min(QCGIBBS_THREADS, usable CPUs (4 here), rows)
     args = ["table", "--model", "box", "--L", "1", "--beta", "0.5,1,2", "--h", "0.5,1"]
     monkeypatch.delenv("QCGIBBS_THREADS", raising=False)
     _, serial, _ = run(args, capsys)
@@ -263,7 +274,7 @@ def test_threads_env_caps_workers(pool, monkeypatch, capsys):
         assert out == serial
     monkeypatch.setenv("QCGIBBS_THREADS", "64")
     assert run(args[:5] + ["--beta", "1", "--h", "0.5,1"], capsys)[0] == EXIT_OK
-    assert pool.sizes == [4, 3, 2]
+    assert pool.sizes() == [4, 3, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +610,7 @@ def test_tabulated_memo_resolves_when_the_count_changes(double_well, fd_solves):
 
 def test_tabulated_table_threads_match_serial(double_well, fd_solves, monkeypatch,
                                               capsys):
-    import qcgibbs.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # a real 2-thread pool
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
     args = ["table", "--model", "tabulated", "--table", str(double_well),
             "--beta", "0.5,1,2", "--h", "0.5,1"]
     outs = []
@@ -613,6 +622,64 @@ def test_tabulated_table_threads_match_serial(double_well, fd_solves, monkeypatc
         assert sorted(planck for planck, _ in fd_solves) == [0.5, 1.0]
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_tabulated_rows_run_no_dense_solve(double_well, blas_spy, monkeypatch, capsys):
+    # each h is solved in the calling thread before the row threads start,
+    # so no row thread sets the BLAS thread count
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
+    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    code, _, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
+                      "--beta", "0.5,1,2", "--h", "0.5,0.75,1"], capsys)
+    assert code == EXIT_OK
+    assert len(blas_spy.sets) == 6  # one thread, then the prior count, per h
+    assert {thread for thread, _ in blas_spy.sets} == {threading.main_thread()}
+
+
+def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
+    from qcgibbs.errors import AccuracyError
+
+    solves, solve = [], models_mod.solve_sine_basis
+
+    def failing_at_half(potential, planck, **kwargs):
+        solves.append(planck)
+        if planck == 0.5:
+            raise AccuracyError("no bound at h=0.5")
+        return solve(potential, planck, **kwargs)
+
+    monkeypatch.setattr(models_mod, "solve_sine_basis", failing_at_half)
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
+    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    code, out, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
+                        "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert sorted(solves) == [0.5, 1.0]  # the failed h is not solved again
+    rows = out.splitlines()[1:]
+    assert len(rows) == 6
+    for row in rows:
+        h, status = row.split(",", 8)[1::7]
+        assert status == ("error: no bound at h=0.5" if h == "0.5" else "ok")
+
+
+def test_tabulated_table_is_the_same_at_any_thread_count():
+    # small sine bases solve on one BLAS thread whatever OpenBLAS would take,
+    # and the rows' threads only read the solves
+    well = Path(__file__).parent / "data" / "seed0_double_well.csv"
+    argv = ["table", "--model", "tabulated", "--table", str(well),
+            "--beta", "0.1,10", "--h", "0.5,1"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    outs = {}
+    for var, value in itertools.product(("OPENBLAS_NUM_THREADS", "QCGIBBS_THREADS"),
+                                        ("1", "2")):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "QCGIBBS_THREADS")}
+        env.update({var: value, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
+        proc = subprocess.run([sys.executable, "-m", "qcgibbs", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs[var, value] = proc.stdout
+    assert len(set(outs.values())) == 1
 
 
 def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys):
@@ -760,8 +827,6 @@ def test_t41_solves_only_the_swept_h(double_well, fd_solves, capsys):
 
 def test_table_threads_build_the_base_once(monkeypatch, capsys):
     # threads that need the base wait on its lock instead of each building it
-    import qcgibbs.cli as cli_mod
-
     counts = []
     build = models_mod.oscillator_spectrum
 
@@ -770,7 +835,7 @@ def test_table_threads_build_the_base_once(monkeypatch, capsys):
         return build(count, mass)
 
     monkeypatch.setattr(models_mod, "oscillator_spectrum", counting)
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 2)  # a real 2-thread pool
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
     monkeypatch.setenv("QCGIBBS_THREADS", "2")
     code, _, _ = run(
         ["table", "--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2",

@@ -178,9 +178,9 @@ def _solver_basis(monkeypatch, nu: int, count: int) -> tuple[Spectrum, float, li
         built.append(scale)
         return bands(nu, planck, mass, scale, size)
 
-    def recording_levels(bands, size, count):
-        solved.append(size)
-        return levels(bands, size, count)
+    def recording_levels(bands, sizes, count):
+        solved.extend(sizes)
+        return levels(bands, sizes, count)
 
     monkeypatch.setattr(spectrum_mod, "_oscillator_bands", recording_bands)
     monkeypatch.setattr(spectrum_mod, "_banded_levels", recording_levels)
@@ -331,6 +331,75 @@ def test_a_non_finite_basis_exits_numerical(monkeypatch, capsys):
     argv = ["spectrum", "--model", "homogeneous", "--nu", "4", "--count", "5"]
     assert main(argv) == 3
     assert "numerical error: dsbev" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# threads: independent LAPACK calls side by side, small dense solves on one
+# BLAS thread
+
+
+def _one_worker(monkeypatch):
+    import qcgibbs.util as util_mod
+
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 1)
+
+
+@pytest.mark.parametrize("count", [17, 583])
+@pytest.mark.parametrize("nu", [4, 6, 20])
+def test_concurrent_band_blocks_match_one_worker(monkeypatch, nu, count):
+    spec = solve_oscillator_basis(homogeneous(nu), count=count)
+    _one_worker(monkeypatch)
+    serial = solve_oscillator_basis(homogeneous(nu), count=count)
+    assert np.array_equal(spec.levels, serial.levels)
+    assert np.array_equal(spec.level_errors, serial.level_errors)
+
+
+def test_concurrent_fd_grids_match_one_worker(monkeypatch):
+    count = 200
+    half_width = (1.25 * homogeneous_family(3).level_energy(count) + 10.0) ** (1.0 / 3.0)
+    args = (homogeneous(3), 1.0, half_width, 2000, count)
+    spec = solve_fd_1d(*args)
+    _one_worker(monkeypatch)
+    serial = solve_fd_1d(*args)
+    assert np.array_equal(spec.levels, serial.levels)
+    assert np.array_equal(spec.level_errors, serial.level_errors)
+
+
+def _counts_inside_eigvalsh(monkeypatch, blas_spy) -> list:
+    """The BLAS thread count at each numpy.linalg.eigvalsh call from here on."""
+    inside, eigvalsh = [], np.linalg.eigvalsh
+
+    def spying(a):
+        inside.append(blas_spy.count())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spying)
+    return inside
+
+
+def test_small_sine_bases_solve_on_one_blas_thread(monkeypatch, blas_spy,
+                                                   double_well_potential):
+    inside = _counts_inside_eigvalsh(monkeypatch, blas_spy)
+    prior = blas_spy.count()
+    size = spectrum_mod._sine_basis_size(double_well_potential, 1.0, 20)
+    assert size <= spectrum_mod.SINE_BASIS_SERIAL_STATES
+    solve_sine_basis(double_well_potential, 1.0, count=20)
+    assert inside == [1, 1]
+    assert blas_spy.count() == prior
+    assert [count for _, count in blas_spy.sets] == [1, prior]
+
+
+def test_large_sine_bases_solve_on_every_usable_core(monkeypatch, blas_spy,
+                                                     double_well_potential):
+    from qcgibbs.lapack import blas_threads
+    from qcgibbs.util import usable_cpus
+
+    inside = _counts_inside_eigvalsh(monkeypatch, blas_spy)
+    with blas_threads(1):
+        solve_sine_basis(double_well_potential, 1.0, count=20,
+                         size=spectrum_mod.SINE_BASIS_SERIAL_STATES + 1)
+        assert blas_spy.count() == 1
+    assert inside == [usable_cpus()] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,19 @@ from qcgibbs.potential import save_tabulated_csv
 SRC = Path(qcgibbs.__file__).resolve().parents[1]
 
 # one fresh interpreter walks every command in turn and records, after each,
-# its exit code, every scipy module sys.modules holds, and how many times
-# qcgibbs.lapack has looked its library up
+# its exit code, every scipy module sys.modules holds, how many times
+# qcgibbs.lapack has looked its library up, and whether concurrent.futures
+# is loaded
 SCRIPT = """
 import json, sys
 scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+state = lambda: (scipy(), _lapacke.cache_info().misses, "concurrent.futures" in sys.modules)
 from qcgibbs.cli import main
 from qcgibbs.lapack import _lapacke
-steps = [("import", 0, scipy(), _lapacke.cache_info().misses)]
+steps = [("import", 0, *state())]
 for name, argv in json.loads(sys.argv[1]):
     code = main(argv)
-    steps.append((name, code, scipy(), _lapacke.cache_info().misses))
+    steps.append((name, code, *state()))
 print(json.dumps(steps))
 """
 
@@ -41,7 +43,8 @@ T31_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
 
 
 def _env() -> dict:
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {k: v for k, v in os.environ.items() if k != "QCGIBBS_THREADS"}
+    return dict(env, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 
@@ -51,8 +54,7 @@ def _walk(commands: list) -> dict:
         capture_output=True, text=True, env=_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return {name: (code, loaded, lookups)
-            for name, code, loaded, lookups in json.loads(proc.stdout.splitlines()[-1])}
+    return {name: tuple(step) for name, *step in json.loads(proc.stdout.splitlines()[-1])}
 
 
 def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
@@ -61,20 +63,27 @@ def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
     out = str(tmp_path / "out")
     grid = ["--beta", "0.5,2", "--h", "0.5,1", "-o", out]
     steps = _walk([
-        ("tabulated table", ["table", "--model", "tabulated", "--table", str(well)] + grid),
+        # first, so that the library is first looked up by band blocks that
+        # are solved on several threads
         ("quartic verify", ["verify", "--model", "homogeneous", "--nu", "4",
                             "--claims", "c11,c12,t41,c41", "--beta", "0.5,1,2",
                             "--h", "0.5,1", "-o", out]),
+        ("tabulated table", ["table", "--model", "tabulated", "--table", str(well)] + grid),
         ("box table", ["table", "--model", "box"] + grid),
         ("oscillator table", ["table", "--model", "homogeneous", "--nu", "2"] + grid),
         ("cubic spectrum", ["spectrum", "--model", "homogeneous", "--nu", "3",
                             "--count", "20", "-o", out]),
     ])
-    assert steps["import"] == (0, [], 0)  # nor is the LAPACK library looked up
+    # nor is the LAPACK library looked up, nor a thread pool module loaded
+    assert steps["import"] == (0, [], 0, False)
     for name in ("tabulated table", "quartic verify", "box table", "oscillator table",
                  "cubic spectrum"):
         assert steps[name][:2] == (0, []), name
-    assert steps["quartic verify"][2] == 1
+    # once, though the quartic's band blocks and the cubic's grids are
+    # solved on several threads
+    assert steps["quartic verify"][2] == steps["cubic spectrum"][2] == 1
+    # table rows and concurrent solves run on plain threads
+    assert not steps["tabulated table"][3] and not steps["quartic verify"][3]
 
 
 def test_only_t31_loads_scipy_integrate(tmp_path):
@@ -84,10 +93,10 @@ def test_only_t31_loads_scipy_integrate(tmp_path):
                    "--h", "1", "-o", out]),
         ("t31", ["verify", "--model", "box", "--claims", "t31", "-o", out]),
     ])
-    code, loaded, _ = steps["wedge"]
+    code, loaded, *_ = steps["wedge"]
     assert code == 0 and "scipy.special" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.linalg",) + T31_HEAVY[:-1])]
-    code, loaded, _ = steps["t31"]
+    code, loaded, *_ = steps["t31"]
     assert code == 0 and set(T31_HEAVY) <= set(loaded)
 
 

@@ -1,14 +1,19 @@
 """The numpy and stdlib special functions of qcgibbs.util against scipy and
-mpmath, which serve here as oracles only."""
+mpmath, which serve here as oracles only; and its map over threads."""
 
 import math
+import os
+import sys
+import threading
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from qcgibbs.util import log_upper_gamma, logsumexp
+import qcgibbs.util as util_mod
+from qcgibbs.util import log_upper_gamma, logsumexp, thread_map, usable_cpus
 
 
 def _logsumexp_cases():
@@ -75,3 +80,66 @@ def test_log_upper_gamma_at_zero_is_log_gamma():
             assert exact <= ours <= exact + 1e-14 * max(1.0, abs(exact))
     with pytest.raises(ValueError):
         log_upper_gamma(0.0, 1.0)
+
+
+def test_thread_map_keeps_order_and_runs_each_item_once(monkeypatch):
+    # more threads than cores and a short switch interval: every item is
+    # taken by exactly one thread and lands at its own index
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 8)
+    seen, threads = Counter(), set()
+
+    def square(x):
+        seen[x] += 1
+        threads.add(threading.current_thread())
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = thread_map(square, range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == [x * x for x in range(400)]
+    assert seen == Counter(range(400))
+    assert len(threads) <= 8
+    assert not [t for t in threads if t.is_alive() and t is not threading.main_thread()]
+
+
+def test_thread_map_raises_the_first_failing_items_error(monkeypatch):
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 4)
+    done = []
+
+    def fail_at_3_and_7(x):
+        done.append(x)
+        if x in (3, 7):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 3"):
+        thread_map(fail_at_3_and_7, range(10))
+    assert sorted(done) == list(range(10))  # the other items still ran
+
+
+@pytest.mark.parametrize("limit, items, workers",
+                         [(None, 5, 3), (2, 5, 2), (None, 2, 2), (1, 5, 1)])
+def test_thread_map_runs_on_the_fewest_of_limit_cpus_and_items(monkeypatch, limit,
+                                                               items, workers):
+    # the first `workers` items wait for each other, so they need that many
+    # threads at once; the barrier breaks after 30 s if there are fewer
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 3)
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def thread_of(x):
+        if x < workers:
+            barrier.wait()
+        return threading.current_thread()
+
+    assert len(set(thread_map(thread_of, range(items), limit))) == workers
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    # what `taskset -c 3` leaves the process, whatever the machine's count
+    monkeypatch.setattr(util_mod.os, "sched_getaffinity", lambda pid: {3})
+    monkeypatch.setattr(util_mod.os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 1
