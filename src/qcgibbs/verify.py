@@ -14,6 +14,14 @@ worst signed margin:
   P4_3       sign(E_q - E_c) = -sign(N - alpha beta E_q) pointwise
   WEHRL_S    E_q -> E_c, (2 pi h)^N Z_q -> Z_c, S_q - S_c -> 0 as h -> 0
 
+Every check is called as check(family, betas=None, hs=None); check_t31 also
+takes tau. A grid left as None selects the check's default grid. A check that
+holds one axis fixed takes the first value of that grid: C1_3 its h, C4_1 and
+WEHRL_S their beta, T3_1 its h. T3_1's beta, the top of its integral, takes
+the largest value instead. A fixed axis left as None is 1.
+
+Each (beta, h) a check reads is one _Point, where every comparison of the
+quantum side with the classical one, and its error bound, is formed once.
 A verdict of Holds requires every margin to clear the combined numerical error
 bound at its own grid point; margins inside the error band downgrade to
 Inconclusive rather than passing on noise. Checks never use the same code path
@@ -26,6 +34,8 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
 from .ensemble import (
@@ -154,83 +164,151 @@ def _classify(
     return Status.INCONCLUSIVE
 
 
-def _grid_dict(betas, hs) -> dict:
-    return {"beta": [float(b) for b in np.atleast_1d(betas)],
-            "h": [float(x) for x in np.atleast_1d(hs)]}
+# ---------------------------------------------------------------------------
+# grids, points and reports
 
 
-def _scale(family: ModelFamily, h: float) -> float:
-    return (2.0 * math.pi * h) ** family.potential.dimension
+def _grid(values, default) -> np.ndarray:
+    """A swept axis: the given values, or the check's default grid for None."""
+    return default() if values is None else np.atleast_1d(np.asarray(values, dtype=float))
+
+
+def _first(values) -> float:
+    """A fixed axis: the first given value, or 1 for None."""
+    return 1.0 if values is None else float(np.atleast_1d(values)[0])
+
+
+class _Point:
+    """One (beta, h) on one spectrum. Each comparison is read on first use:
+    z, e and s as (gap, bound, reference), log_z and log_s as (value, bound).
+    Within each, the quantum value is read before the classical one and the
+    error terms last."""
+
+    def __init__(self, family: ModelFamily, spec, beta: float, h: float):
+        self.potential, self.spec, self.beta, self.h = family.potential, spec, beta, h
+
+    @cached_property
+    def zc(self) -> tuple[float, float]:
+        return z_classical(self.potential, self.beta)
+
+    @cached_property
+    def z(self) -> tuple[float, float, float]:
+        """Z_c - (2 pi h)^N Z_q, with Z_c as reference."""
+        zq, _ = z_quantum(self.spec, self.beta)
+        zc, zc_err = self.zc
+        scale = (2.0 * math.pi * self.h) ** self.potential.dimension
+        zq_err = z_quantum_error(self.spec, self.beta)
+        return zc - scale * zq, scale * zq_err + zc_err + 64.0 * np.finfo(float).eps * zc, zc
+
+    @cached_property
+    def eq(self) -> float:
+        return mean_energy_quantum(self.spec, self.beta)
+
+    @cached_property
+    def eq_err(self) -> float:
+        return mean_energy_quantum_error(self.spec, self.beta)
+
+    @cached_property
+    def e(self) -> tuple[float, float, float]:
+        """E_q - E_c, with E_c as reference."""
+        eq = self.eq
+        ec = mean_energy_classical(self.potential, self.beta)
+        return eq - ec, self.eq_err + 1e-13 * abs(ec), ec
+
+    @cached_property
+    def s(self) -> tuple[float, float, float]:
+        """S_q - S_c, with S_c as reference."""
+        sq, _ = entropy_quantum(self.spec, self.beta)
+        sc = entropy_classical(self.potential, self.beta, self.h)
+        zc, zc_err = self.zc
+        return sq - sc, entropy_quantum_error(self.spec, self.beta) + zc_err / zc, sc
+
+    @cached_property
+    def log_z(self) -> tuple[float, float]:
+        """log Z_q and the relative bound of Z_q."""
+        log_zq, _ = log_z_quantum(self.spec, self.beta)
+        return log_zq, z_quantum_error(self.spec, self.beta) / math.exp(min(log_zq, 700.0))
+
+    @cached_property
+    def log_s(self) -> tuple[float, float]:
+        """log S_q, which stays meaningful where ground-state domination pushes
+        S_q under the smallest positive float, and its bound: S_q depends on
+        level differences only, so the log-scale uncertainty is beta times the
+        leading-gap and Boltzmann-weighted level errors."""
+        value = log_entropy_quantum(self.spec, self.beta)
+        err = 1e-12 * (1.0 + abs(value))
+        errs = self.spec.level_errors
+        if errs is not None:
+            m = boltzmann_pass(self.spec, self.beta)
+            err += self.beta * (float(errs[:2].sum()) + float((errs * m.w).sum()) / m.sw)
+        return value, err
+
+
+def _relative(comparison) -> tuple[float, float]:
+    """(|gap| / |reference|, bound / |reference|) of a (gap, bound, reference)."""
+    gap, bound, reference = comparison
+    return abs(gap) / abs(reference), bound / abs(reference)
+
+
+def _sweep(family: ModelFamily, betas, hs):
+    """The _Point of every (beta, h), h outer. Each h's spectrum is fetched
+    once, and only one is held at a time."""
+    lam_min = family.lambda_min(betas, hs)
+    for h in hs:
+        h = float(h)
+        spec = family.spectrum(h, lam_min)
+        for beta in betas:
+            yield _Point(family, spec, float(beta), h)
+
+
+def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,
+            worst: float, tolerance: float, notes: dict, **grid) -> VerificationReport:
+    grid = {"beta": [float(b) for b in np.atleast_1d(betas)],
+            "h": [float(x) for x in np.atleast_1d(hs)], **grid}
+    return VerificationReport(claim, family.descriptor(), grid, status, worst,
+                              tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
 # C1_1 and C1_2: pointwise inequalities
 
 
-def _pointwise_sweep(claim: ClaimId, family: ModelFamily, betas, hs, point) -> VerificationReport:
-    """Run point(spec, beta, h) -> (margin, bound, reference) over the (beta, h)
-    grid; a numerical failure at a point is recorded, not raised, and keeps
-    the verdict from Holds."""
-    betas = default_beta_grid() if betas is None else np.atleast_1d(betas)
-    hs = default_h_grid() if hs is None else np.atleast_1d(hs)
-    lam_min = family.lambda_min(betas, hs)
+def _pointwise(claim: ClaimId, family: ModelFamily, betas, hs, read) -> VerificationReport:
+    """Rule on read(point) -> (margin, bound, reference) at every (beta, h) of
+    the grids (default_beta_grid and default_h_grid for None); a numerical
+    failure at a point is recorded, not raised, and keeps the verdict from
+    Holds."""
+    betas = _grid(betas, default_beta_grid)
+    hs = _grid(hs, default_h_grid)
     margins, bounds, failed = [], [], []
     worst = (math.inf, None)
-    for h in hs:
-        h = float(h)
-        spec = family.spectrum(h, lam_min)
-        for beta in betas:
-            beta = float(beta)
-            try:
-                margin, bound, reference = point(spec, beta, h)
-            except QCGibbsError as exc:
-                failed.append({"beta": beta, "h": h, "error": str(exc)})
-                continue
-            margins.append(margin)
-            bounds.append(bound)
-            if margin < worst[0]:
-                worst = (margin, {"beta": beta, "h": h, "bound": bound,
-                                  "relative_margin": margin / reference})
+    for point in _sweep(family, betas, hs):
+        try:
+            margin, bound, reference = read(point)
+        except QCGibbsError as exc:
+            failed.append({"beta": point.beta, "h": point.h, "error": str(exc)})
+            continue
+        margins.append(margin)
+        bounds.append(bound)
+        if margin < worst[0]:
+            worst = (margin, {"beta": point.beta, "h": point.h, "bound": bound,
+                              "relative_margin": margin / reference})
     status = _classify(np.asarray(margins), np.asarray(bounds), 0.0, len(failed))
     notes = {"worst_point": worst[1], "points": len(margins)}
     if failed:
         notes["failed_points"] = failed
-    return VerificationReport(
-        claim, family.descriptor(), _grid_dict(betas, hs),
-        status, worst[0] if margins else math.nan, 0.0, notes,
-    )
+    return _report(claim, family, betas, hs, status,
+                   worst[0] if margins else math.nan, 0.0, notes)
 
 
-def check_c11(
-    family: ModelFamily,
-    betas=None,
-    hs=None,
-) -> VerificationReport:
+def check_c11(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
     """(2 pi h)^N Z_q <= Z_c at every grid point, margins beyond error bounds."""
-
-    def point(spec, beta, h):
-        zq, _ = z_quantum(spec, beta)
-        zc, zc_err = z_classical(family.potential, beta)
-        scale = _scale(family, h)
-        bound = scale * z_quantum_error(spec, beta) + zc_err + 64.0 * np.finfo(float).eps * zc
-        return zc - scale * zq, bound, zc
-
-    return _pointwise_sweep(ClaimId.C1_1, family, betas, hs, point)
+    return _pointwise(ClaimId.C1_1, family, betas, hs, lambda point: point.z)
 
 
-def check_c12(
-    family: ModelFamily,
-    betas=None,
-    hs=None,
-) -> VerificationReport:
+def check_c12(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
     """E_q >= E_c pointwise; evidence-gathering (the general claim is open)."""
-
-    def point(spec, beta, h):
-        eq = mean_energy_quantum(spec, beta)
-        ec = mean_energy_classical(family.potential, beta)
-        return eq - ec, mean_energy_quantum_error(spec, beta) + 1e-13 * abs(ec), ec
-
-    return _pointwise_sweep(ClaimId.C1_2, family, betas, hs, point)
+    return _pointwise(ClaimId.C1_2, family, betas, hs, lambda point: point.e)
 
 
 # ---------------------------------------------------------------------------
@@ -259,35 +337,19 @@ def _window_approach(series) -> tuple[Status, float, bool]:
     return status, float(slacks.min()) if slacks.size else math.nan, reached
 
 
-def check_c13(
-    family: ModelFamily,
-    h: float = 1.0,
-    betas=None,
-) -> list[VerificationReport]:
-    """Ratios (2 pi h)^N Z_q / Z_c and E_q / E_c along beta -> 0.
+def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
+    """Ratios (2 pi h)^N Z_q / Z_c and E_q / E_c along beta -> 0 (default
+    betas 1 down to 1/256) at the first h.
 
     Worst margin is the smallest consecutive shrink of |ratio - 1| (negative
     means the ratio moved away from 1). Holds additionally requires the final
     gap below the 2% window; a monotone approach that has not yet reached the
     window reports Inconclusive, not Violated.
     """
-    betas = default_c13_betas() if betas is None else np.atleast_1d(betas)
-    betas = np.sort(np.asarray(betas, dtype=float))[::-1]  # decreasing
-    lam_min = family.lambda_min(betas, [h])
-    spec = family.spectrum(float(h), lam_min)
-    scale = _scale(family, float(h))
-    rows = []
-    for beta in betas:
-        beta = float(beta)
-        zq, _ = z_quantum(spec, beta)
-        zc, zc_err = z_classical(family.potential, beta)
-        eq = mean_energy_quantum(spec, beta)
-        ec = mean_energy_classical(family.potential, beta)
-        r_z = scale * zq / zc
-        err_z = (scale * z_quantum_error(spec, beta) + r_z * zc_err) / zc
-        rows.append((abs(r_z - 1.0), err_z,
-                     abs(eq / ec - 1.0), mean_energy_quantum_error(spec, beta) / ec))
-    table = np.array(rows).reshape(-1, 4)
+    betas = np.sort(_grid(betas, default_c13_betas))[::-1]  # decreasing
+    h = _first(hs)
+    table = np.array([(*_relative(p.z), *_relative(p.e))
+                      for p in _sweep(family, betas, [h])]).reshape(-1, 4)
 
     reports = []
     for claim, col in ((ClaimId.C1_3_Z, 0), (ClaimId.C1_3_E, 2)):
@@ -298,21 +360,13 @@ def check_c13(
             mask = gaps > 0
             slope = float(np.polyfit(np.log(betas[mask]), np.log(gaps[mask]), 1)[0]) \
                 if mask.sum() >= 2 else math.nan
-        reports.append(VerificationReport(
-            claim_id=claim,
-            model=family.descriptor(),
-            grid=_grid_dict(betas, [h]),
-            status=status,
-            worst_margin=worst,
-            tolerance=ASYMPTOTIC_WINDOW,
-            notes={
-                "gaps": [float(g) for g in gaps],
-                "final_gap": float(gaps[-1]),
-                "window": ASYMPTOTIC_WINDOW,
-                "window_reached": reached,
-                "loglog_slope": slope,
-            },
-        ))
+        reports.append(_report(claim, family, betas, [h], status, worst, ASYMPTOTIC_WINDOW, {
+            "gaps": [float(g) for g in gaps],
+            "final_gap": float(gaps[-1]),
+            "window": ASYMPTOTIC_WINDOW,
+            "window_reached": reached,
+            "loglog_slope": slope,
+        }))
     return reports
 
 
@@ -320,23 +374,21 @@ def check_c13(
 # T3_1: the integrated energy-difference identity
 
 
-def check_t31(
-    family: ModelFamily,
-    h: float = 1.0,
-    beta: float = 1.0,
-    tau: float | None = None,
-) -> VerificationReport:
-    """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference.
+def check_t31(family: ModelFamily, betas=None, hs=None,
+              tau: float | None = None) -> VerificationReport:
+    """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference,
+    with beta the largest of betas and the first h (default tau = 1e-3 beta).
 
     The two sides run through independent code paths (energy-weighted sums vs
     partition sums). Also asserts the integral is >= -1e-3, its small-tau
     non-negativity."""
+    beta = 1.0 if betas is None else float(np.max(betas))
+    h = _first(hs)
     if tau is None:
         tau = 1e-3 * beta
     if not (0.0 < tau <= beta):
         raise ValueError("need 0 < tau <= beta")
-    lam_min = family.lambda_min([tau], [h])
-    spec = family.spectrum(float(h), lam_min)
+    spec = family.spectrum(h, family.lambda_min([tau], [h]))
     pot = family.potential
 
     def integrand(gamma: float) -> float:
@@ -356,11 +408,10 @@ def check_t31(
     n_log = pot.dimension * math.log(2.0 * math.pi * h)
 
     def log_ratio(gamma: float) -> tuple[float, float]:
-        log_zq, _ = log_z_quantum(spec, gamma)
-        zc, zc_err = z_classical(pot, gamma)
-        value = math.log(zc) - n_log - log_zq
-        err = zc_err / zc + z_quantum_error(spec, gamma) / math.exp(min(log_zq, 700.0))
-        return value, err
+        point = _Point(family, spec, gamma, h)
+        log_zq, rel_z = point.log_z
+        zc, zc_err = point.zc
+        return math.log(zc) - n_log - log_zq, zc_err / zc + rel_z
 
     top, top_err = log_ratio(beta)
     bot, bot_err = log_ratio(tau)
@@ -370,12 +421,11 @@ def check_t31(
     nonneg_margin = lhs + 1e-3
     margins = np.array([residual_margin, nonneg_margin])
     bounds = np.array([quad_err + top_err + bot_err, quad_err])
-    status = _classify(margins, bounds, 0.0)
-    return VerificationReport(
-        ClaimId.T3_1, family.descriptor(),
-        {"beta": [float(beta)], "h": [float(h)], "tau": float(tau)},
-        status, float(margins.min()), tol,
+    return _report(
+        ClaimId.T3_1, family, beta, h, _classify(margins, bounds, 0.0),
+        float(margins.min()), tol,
         {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs, "quad_error": quad_err},
+        tau=float(tau),
     )
 
 
@@ -383,69 +433,36 @@ def check_t31(
 # T4_1: entropy monotonicity
 
 
-def check_t41(
-    family: ModelFamily,
-    betas=None,
-    hs=None,
-) -> list[VerificationReport]:
+def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
     """S_q strictly decreasing along beta at fixed h and along h at fixed beta.
 
-    Monotonicity is checked on log S_q, which stays meaningful where massive
-    ground-state domination pushes S_q under the smallest positive float.
-    The h direction rests on the exact scaling law, so on tabulated wells
-    T4_1_h is reported Inconclusive with notes["applicable"] = False.
+    Monotonicity is checked on log S_q (_Point.log_s). The h direction rests
+    on the exact scaling law, so on tabulated wells T4_1_h is reported
+    Inconclusive with notes["applicable"] = False.
     """
-    betas = np.sort(default_beta_grid() if betas is None else np.atleast_1d(betas))
-    hs = np.sort(default_h_grid() if hs is None else np.atleast_1d(hs))
-    lam_min = family.lambda_min(betas, hs)
-    vacuous = False  # some swept spectrum has fewer than two levels
-
-    log_s = np.empty((len(betas), len(hs)))
-    err = np.empty_like(log_s)
-    for j, h in enumerate(hs):
-        spec = family.spectrum(float(h), lam_min)
-        vacuous = vacuous or spec.count < 2
-        for i, beta in enumerate(betas):
-            beta = float(beta)
-            log_s[i, j] = log_entropy_quantum(spec, beta)
-            # S_q depends on level differences only; the log-scale uncertainty is
-            # beta times the leading-gap and Boltzmann-weighted level errors
-            err[i, j] = 1e-12 * (1.0 + abs(log_s[i, j]))
-            if spec.level_errors is not None:
-                m = boltzmann_pass(spec, beta)
-                werr = float((spec.level_errors * m.w).sum()) / m.sw
-                err[i, j] += beta * (float(spec.level_errors[:2].sum()) + werr)
+    betas = np.sort(_grid(betas, default_beta_grid))
+    hs = np.sort(_grid(hs, default_h_grid))
+    rows, vacuous = [], False  # vacuous: some swept spectrum has fewer than two levels
+    for point in _sweep(family, betas, hs):
+        vacuous = vacuous or point.spec.count < 2
+        rows.append(point.log_s)
+    log_s, err = np.array(rows).reshape(len(hs), len(betas), 2).T  # [beta, h]
 
     reports = []
     for claim, axis in ((ClaimId.T4_1_beta, 0), (ClaimId.T4_1_h, 1)):
+        status, worst = Status.INCONCLUSIVE, math.nan
         notes = {"margin_scale": "log S_q differences", "vacuous": vacuous}
         if axis == 1 and family.potential.kind is PotentialKind.TABULATED:
-            status = Status.INCONCLUSIVE
-            worst = math.nan
             notes = {"applicable": False, "reason": (
                 "S_q is monotone in h for wells with the exact scaling law "
                 "E_n(h) = h^a E_n(1); a tabulated well has none")}
-        elif vacuous:
-            status = Status.INCONCLUSIVE
-            worst = math.nan
-        else:
+        elif not vacuous:
             diffs = -np.diff(log_s, axis=axis)  # positive where S decreases
             pair_err = err[:-1, :] + err[1:, :] if axis == 0 else err[:, :-1] + err[:, 1:]
-            if not np.all(np.isfinite(diffs)):
-                status = Status.INCONCLUSIVE
-                worst = math.nan
-            else:
+            if np.all(np.isfinite(diffs)):
                 status = _classify(diffs.ravel(), pair_err.ravel(), 0.0)
-                worst = float(diffs.min())
-        reports.append(VerificationReport(
-            claim_id=claim,
-            model=family.descriptor(),
-            grid=_grid_dict(betas, hs),
-            status=status,
-            worst_margin=worst,
-            tolerance=0.0,
-            notes=notes,
-        ))
+                worst = float(diffs.min()) if diffs.size else math.nan
+        reports.append(_report(claim, family, betas, hs, status, worst, 0.0, notes))
     return reports
 
 
@@ -453,18 +470,15 @@ def check_t41(
 # C4_1 and the power-law propositions
 
 
-def check_c41_and_props(
-    family: ModelFamily,
-    beta: float = 1.0,
-    hs=None,
-) -> list[VerificationReport]:
-    """Power-law potentials: h^N Z_q decreasing in h; the log-derivative
-    identity d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with
-    alpha = 2 nu / (2 + nu); and the sign equivalence
-    E_q > E_c  <=>  d/dh (h^N Z_q) < 0."""
+def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
+    """Power-law potentials, at the first beta over hs (default 0.5 to 4):
+    h^N Z_q decreasing in h; the log-derivative identity
+    d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with alpha = 2 nu / (2 + nu);
+    and the sign equivalence E_q > E_c  <=>  d/dh (h^N Z_q) < 0."""
     if family.potential.kind is not PotentialKind.HOMOGENEOUS:
         raise ValueError("check_c41_and_props applies to power-law potentials")
-    hs = np.sort(default_c41_hs() if hs is None else np.atleast_1d(hs))
+    hs = np.sort(_grid(hs, default_c41_hs))
+    beta = _first(betas)
     alpha = family.energy_exponent
     n_dim = family.potential.dimension
     delta = 1e-4
@@ -474,51 +488,46 @@ def check_c41_and_props(
         log_zq, _ = log_z_quantum(family.spectrum(h, lam_min), beta)
         return n_dim * math.log(h) + log_zq
 
-    # one row per h: log h^N Z_q and its relative error, E_q and its error, and
-    # the P4_1 derivative residual relative to the analytic side with its bound
+    # one row per h: log h^N Z_q and its relative error, E_q and its error,
+    # E_q - E_c, and the P4_1 derivative residual relative to the analytic
+    # side with its bound
     rows = []
     for h in hs:
         h = float(h)
-        spec = family.spectrum(h, lam_min)
-        log_zq, _ = log_z_quantum(spec, beta)
-        rel_z = z_quantum_error(spec, beta) / math.exp(min(log_zq, 700.0))
-        eq = mean_energy_quantum(spec, beta)
-        e_err = mean_energy_quantum_error(spec, beta)
+        point = _Point(family, family.spectrum(h, lam_min), beta, h)
+        log_zq, rel_z = point.log_z
+        eq, e_err = point.eq, point.eq_err
         d_coarse = (log_g(h * (1 + delta)) - log_g(h * (1 - delta))) / (2 * h * delta)
         d_fine = (log_g(h * (1 + delta / 2)) - log_g(h * (1 - delta / 2))) / (h * delta)
         analytic = (n_dim - alpha * beta * eq) / h
         fd_trunc = abs(d_fine - d_coarse) / 3.0
         rows.append((
-            n_dim * math.log(h) + log_zq, rel_z, eq, e_err,
+            n_dim * math.log(h) + log_zq, rel_z, eq, e_err, point.e[0],
             abs(d_fine - analytic) / max(abs(analytic), 1e-30),
             (fd_trunc + alpha * beta * e_err / h + 2 * rel_z / (h * delta))
             / max(abs(analytic), 1e-30),
         ))
-    table = np.array(rows).reshape(-1, 6).T
-    log_g_grid, zq_rel_err, eq_vals, eq_errs, residuals, fd_bounds = table
-    ec = mean_energy_classical(family.potential, beta)
+    table = np.array(rows).reshape(-1, 7).T
+    log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale
     slacks = log_g_grid[:-1] - log_g_grid[1:]
     pair_bounds = zq_rel_err[:-1] + zq_rel_err[1:] + 1e-13
-    c41 = VerificationReport(
-        ClaimId.C4_1, family.descriptor(), _grid_dict([beta], hs),
-        _classify(slacks, pair_bounds, 0.0),
+    c41 = _report(
+        ClaimId.C4_1, family, beta, hs, _classify(slacks, pair_bounds, 0.0),
         float(slacks.min()) if slacks.size else math.nan, 0.0,
         {"margin_scale": "log(h^N Z_q) differences"},
     )
 
     p41_tol = 1e-5
     p41_margins = p41_tol - residuals
-    p41 = VerificationReport(
-        ClaimId.P4_1, family.descriptor(), _grid_dict([beta], hs),
-        _classify(p41_margins, fd_bounds, 0.0),
+    p41 = _report(
+        ClaimId.P4_1, family, beta, hs, _classify(p41_margins, fd_bounds, 0.0),
         float(p41_margins.min()), p41_tol,
         {"max_residual": float(residuals.max()), "fd_step": delta},
     )
 
     # P4_3: sign equivalence, margin +1 for opposite signs, -1 for matching
-    a_vals = eq_vals - ec
     b_vals = n_dim - alpha * beta * eq_vals
     prod = -a_vals * b_vals
     denom = np.abs(a_vals) * np.abs(b_vals) + 1e-300
@@ -528,9 +537,8 @@ def check_c41_and_props(
         2.0,  # sign not resolvable at this point
         1e-9,
     )
-    p43 = VerificationReport(
-        ClaimId.P4_3, family.descriptor(), _grid_dict([beta], hs),
-        _classify(margins43, bounds43, 0.5),
+    p43 = _report(
+        ClaimId.P4_3, family, beta, hs, _classify(margins43, bounds43, 0.5),
         float(margins43.min()), 0.5,
         {"signs_opposite_everywhere": bool(np.all(margins43 > 0))},
     )
@@ -541,50 +549,26 @@ def check_c41_and_props(
 # the h -> 0 classical limit
 
 
-def check_wehrl(
-    family: ModelFamily,
-    beta: float = 1.0,
-    hs=None,
-) -> VerificationReport:
-    """E_q -> E_c, (2 pi h)^N Z_q -> Z_c, and S_q - S_c -> 0 as h decreases.
+def check_wehrl(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
+    """E_q -> E_c, (2 pi h)^N Z_q -> Z_c, and S_q - S_c -> 0 as h decreases
+    (default hs 1 down to 1/64) at the first beta.
 
     Holds when all three gaps shrink monotonically over the last four points
     and the final gaps sit inside the 2% window (relative for energies and
     partition sums, absolute for the entropy difference)."""
-    hs = default_wehrl_hs() if hs is None else np.atleast_1d(hs)
-    hs = np.sort(np.asarray(hs, dtype=float))[::-1]  # decreasing h
-    lam_min = family.lambda_min([beta], hs)
-    pot = family.potential
-    zc, zc_err = z_classical(pot, beta)
-    ec = mean_energy_classical(pot, beta)
-    rows = []
-    for h in hs:
-        h = float(h)
-        spec = family.spectrum(h, lam_min)
-        scale = _scale(family, h)
-        zq, _ = z_quantum(spec, beta)
-        eq = mean_energy_quantum(spec, beta)
-        sq, _ = entropy_quantum(spec, beta)
-        sc = entropy_classical(pot, beta, h)
-        rows.append((
-            abs(eq - ec) / abs(ec), mean_energy_quantum_error(spec, beta) / abs(ec),
-            abs(scale * zq / zc - 1.0), (scale * z_quantum_error(spec, beta) + zc_err) / zc,
-            abs(sq - sc), entropy_quantum_error(spec, beta) + zc_err / zc,
-        ))
-    table = np.array(rows).reshape(-1, 6)
+    hs = np.sort(_grid(hs, default_wehrl_hs))[::-1]  # decreasing h
+    beta = _first(betas)
+    table = np.array([(*_relative(p.z), *_relative(p.e), abs(p.s[0]), p.s[1])
+                      for p in _sweep(family, [beta], hs)]).reshape(-1, 6)
     status, worst, final_ok = _window_approach(
         [(table[-4:, k], table[-4:, k + 1]) for k in (0, 2, 4)]
     )
-    return VerificationReport(
-        ClaimId.WEHRL_S, family.descriptor(), _grid_dict([beta], hs),
-        status, worst, ASYMPTOTIC_WINDOW,
-        {
-            "energy_gaps": [float(x) for x in table[:, 0]],
-            "partition_gaps": [float(x) for x in table[:, 2]],
-            "entropy_gaps": [float(x) for x in table[:, 4]],
-            "final_gaps_in_window": final_ok,
-        },
-    )
+    return _report(ClaimId.WEHRL_S, family, beta, hs, status, worst, ASYMPTOTIC_WINDOW, {
+        "energy_gaps": [float(x) for x in table[:, 2]],
+        "partition_gaps": [float(x) for x in table[:, 0]],
+        "entropy_gaps": [float(x) for x in table[:, 4]],
+        "final_gaps_in_window": final_ok,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +586,21 @@ CLAIM_CHECKS = {
 }
 
 
-def run_claims(family: ModelFamily, keys, **overrides) -> list[VerificationReport]:
-    """Run the named checks (c11, c12, c13, t31, t41, c41, wehrl) on one family."""
+def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[VerificationReport]:
+    """Run the named checks (c11, c12, c13, t31, t41, c41, wehrl) on one family,
+    each over the grids given (None: its default). The keys are checked
+    before any check runs: at least one, each known, none twice."""
+    keys = list(keys)
+    expected = f"expected one of {sorted(CLAIM_CHECKS)}"
+    if not keys:
+        raise ValueError(f"no claim to check; {expected}")
+    for i, key in enumerate(keys):
+        if key not in CLAIM_CHECKS:
+            raise ValueError(f"unknown claim id {key!r}; {expected}")
+        if key in keys[:i]:
+            raise ValueError(f"claim {key} is named twice")
     reports: list[VerificationReport] = []
     for key in keys:
-        try:
-            fn = CLAIM_CHECKS[key]
-        except KeyError:
-            raise ValueError(f"unknown claim id {key!r}; "
-                             f"expected one of {sorted(CLAIM_CHECKS)}") from None
-        out = fn(family, **overrides.get(key, {}))
-        if isinstance(out, VerificationReport):
-            reports.append(out)
-        else:
-            reports.extend(out)
+        out = CLAIM_CHECKS[key](family, betas, hs)
+        reports.extend([out] if isinstance(out, VerificationReport) else out)
     return reports

@@ -79,7 +79,7 @@ def test_criterion_2_high_temperature_ratios(box1):
     h = 1.0
     betas = halving_grid(1.0, 2.0**-13)
     t0 = time.monotonic()
-    reps = check_c13(box1, h=h, betas=betas)
+    reps = check_c13(box1, betas, [h])
     elapsed = time.monotonic() - t0
     monotone_tail = all(
         all(a > b for a, b in zip(r.notes["gaps"][-4:], r.notes["gaps"][-3:]))
@@ -112,7 +112,7 @@ def test_criterion_3_integrated_energy_identity(box1, oscillator):
     oks = []
     details = []
     for fam in (box1, oscillator):
-        rep = check_t31(fam, h=1.0, beta=1.0, tau=1e-3)
+        rep = check_t31(fam, [1.0], [1.0], tau=1e-3)
         resid_ok = abs(rep.notes["residual"]) < 1e-3 * max(1.0, abs(rep.notes["rhs"]))
         nonneg_ok = rep.notes["lhs"] >= -1e-3
         oks.append(rep.status is Status.HOLDS and resid_ok and nonneg_ok)
@@ -154,7 +154,7 @@ def test_criterion_4_entropy_profile_and_monotonicity(box1, oscillator, quartic,
 def test_criterion_5_powerlaw_derivative_identity(oscillator):
     """nu=2, beta=1: derivative identity residual < 1e-5 on h in [0.5, 4],
     sign equivalence at every point, h^N Z_q monotone decreasing."""
-    c41, p41, p43 = check_c41_and_props(oscillator, beta=1.0)
+    c41, p41, p43 = check_c41_and_props(oscillator, [1.0])
     ok = (
         c41.status is Status.HOLDS
         and p41.status is Status.HOLDS

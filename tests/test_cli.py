@@ -353,12 +353,43 @@ def test_verify_unknown_claim(capsys):
     assert "unknown claim" in err
 
 
+@pytest.mark.parametrize("claims, message", [
+    (",", "no claim to check"),
+    ("c11,c11", "claim c11 is named twice"),
+])
+def test_verify_refuses_a_claim_list_that_checks_nothing_or_repeats(claims, message,
+                                                                    capsys, monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a spectrum was requested")
+
+    monkeypatch.setattr(models_mod.ModelFamily, "spectrum", no_solve)
+    monkeypatch.setattr(models_mod.ModelFamily, "base_spectrum", no_solve)
+    code, out, err = run(["verify", "--model", "box", "--claims", claims], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
+
+
+def test_verify_writes_what_the_library_returns(tmp_path, capsys):
+    # the one-point values (first h, first beta, largest beta for t31) are
+    # chosen in verify, so the CLI adds nothing to the library call
+    from qcgibbs.verify import reports_to_json, run_claims
+
+    out_file = tmp_path / "reports.json"
+    code, _, _ = run(["verify", "--model", "homogeneous", "--nu", "2",
+                      "--claims", "c13,t31,c41,wehrl", "--beta", "2,1,0.5",
+                      "--h", "0.5,1", "-o", str(out_file)], capsys)
+    assert code == EXIT_OK
+    reports = run_claims(homogeneous_family(2.0), ["c13", "t31", "c41", "wehrl"],
+                         [2, 1, 0.5], [0.5, 1])
+    assert out_file.read_text() == reports_to_json(reports) + "\n"
+
+
 def test_verify_exit_4_on_theorem_violation(capsys, monkeypatch):
     # wire-level check: a Violated theorem-class report must exit 4
     import qcgibbs.cli as cli_mod
     from qcgibbs.verify import ClaimId, Status, VerificationReport
 
-    def fake_run_claims(family, keys, **overrides):
+    def fake_run_claims(family, keys, betas=None, hs=None):
         return [VerificationReport(ClaimId.C1_1, {}, {}, Status.VIOLATED,
                                    -1.0, 0.0, {})]
 

@@ -148,20 +148,20 @@ def test_c13_self_comparison_is_identity(box1):
 
 
 def test_t31_box(box1):
-    rep = check_t31(box1, h=1.0, beta=1.0)
+    rep = check_t31(box1, [1.0], [1.0])
     assert rep.status is Status.HOLDS
     assert rep.notes["lhs"] > 0
     assert abs(rep.notes["residual"]) < 1e-3 * max(1.0, abs(rep.notes["rhs"]))
 
 
 def test_t31_empty_interval(box1):
-    rep = check_t31(box1, h=1.0, beta=1.0, tau=1.0)
+    rep = check_t31(box1, [1.0], [1.0], tau=1.0)
     assert rep.notes["lhs"] == 0.0
     assert rep.notes["rhs"] == 0.0
 
 
 def test_t31_oscillator(oscillator):
-    rep = check_t31(oscillator, h=1.0, beta=2.0, tau=2e-3)
+    rep = check_t31(oscillator, [2.0], [1.0], tau=2e-3)
     assert rep.status is Status.HOLDS
 
 
@@ -169,7 +169,7 @@ def test_t31_holds_on_every_family(box1, wedge, oscillator, quartic):
     # theorem-class: must hold on every shipped family (tau kept above the
     # depth the level cap supports for the slowly-growing wedge spectrum)
     for fam in (box1, wedge, oscillator, quartic):
-        rep = check_t31(fam, h=1.0, beta=1.0, tau=5e-3)
+        rep = check_t31(fam, [1.0], [1.0], tau=5e-3)
         assert rep.status is Status.HOLDS, fam.label
 
 
@@ -221,6 +221,13 @@ def test_base_cache_keeps_the_deeper_base():
     assert deeper.count > deep.count and fam._memo[1.0] is deeper
 
 
+def test_t41_single_beta_is_inconclusive_along_beta(oscillator):
+    # one beta gives no neighbour along beta; the h direction still rules
+    beta_rep, h_rep = check_t41(oscillator, [1.0], [1.0, 2.0])
+    assert beta_rep.status is Status.INCONCLUSIVE and math.isnan(beta_rep.worst_margin)
+    assert h_rep.status is Status.HOLDS
+
+
 def test_t41_single_level_is_inconclusive(monkeypatch):
     import qcgibbs.models as models_mod
 
@@ -238,7 +245,7 @@ def test_t41_single_level_is_inconclusive(monkeypatch):
 
 
 def test_c41_and_props_oscillator(oscillator):
-    c41, p41, p43 = check_c41_and_props(oscillator, beta=1.0)
+    c41, p41, p43 = check_c41_and_props(oscillator, [1.0])
     assert c41.claim_id is ClaimId.C4_1 and c41.status is Status.HOLDS
     assert p41.claim_id is ClaimId.P4_1 and p41.status is Status.HOLDS
     assert p41.notes["max_residual"] < 1e-5
@@ -286,6 +293,32 @@ def test_wehrl_single_point_is_inconclusive(oscillator):
     assert math.isnan(rep.worst_margin)
 
 
+@pytest.mark.parametrize("make", [lambda: box_family([1.0]), lambda: homogeneous_family(2.0)])
+def test_c13_and_wehrl_share_gaps_and_bounds_at_beta_1_h_1(make, monkeypatch):
+    # both checks form the partition and energy gaps, and their bounds, by
+    # one formula each; WEHRL_S runs first, so C1_3 reuses its deeper base
+    # and both sum the same levels
+    import qcgibbs.verify as verify_mod
+
+    firsts = []  # (gap, bound) at the first point of every series ruled on
+    real = verify_mod._window_approach
+
+    def spy(series):
+        firsts.append([(float(g[0]), float(e[0])) for g, e in series])
+        return real(series)
+
+    monkeypatch.setattr(verify_mod, "_window_approach", spy)
+    fam = make()
+    wehrl = check_wehrl(fam, [1.0], [1.0, 0.5])
+    c13_z, c13_e = check_c13(fam, [1.0, 0.5], [1.0])
+    assert (wehrl.grid["beta"][0], wehrl.grid["h"][0]) == (1.0, 1.0)
+    assert (c13_z.grid["beta"][0], c13_z.grid["h"][0]) == (1.0, 1.0)
+    assert wehrl.notes["partition_gaps"][0] == c13_z.notes["gaps"][0]
+    assert wehrl.notes["energy_gaps"][0] == c13_e.notes["gaps"][0]
+    (from_wehrl, [from_c13_z], [from_c13_e]) = firsts
+    assert from_c13_z in from_wehrl and from_c13_e in from_wehrl
+
+
 def test_wehrl_identity_composition(box1):
     # S_q - S_c recomputed through the partition/energy gaps agrees to 1e-10
     beta, h = 1.0, 0.125
@@ -307,8 +340,7 @@ def test_wehrl_identity_composition(box1):
 
 
 def test_reports_serialize_and_round_trip(box1):
-    reps = run_claims(box1, ["c11", "t31"],
-                      c11={"betas": SMALL_BETAS, "hs": SMALL_HS})
+    reps = run_claims(box1, ["c11", "t31"], SMALL_BETAS, SMALL_HS)
     text = reports_to_json(reps)
     data = json.loads(text)
     assert len(data) == 2
