@@ -2,11 +2,11 @@
 
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win). Relative output paths are resolved against
-QCGIBBS_OUTDIR when set; QCGIBBS_THREADS > 1 parallelizes table rows over at
-most min(QCGIBBS_THREADS, usable CPUs, rows) threads (output order stays
-fixed by grid index), and a value that is not an integer >= 1 exits 2. Exit codes:
-0 success, 2 usage or validation, 3 numerical failure (truncation,
-quadrature, accuracy, overflow), 4 a theorem-class claim reported Violated.
+QCGIBBS_OUTDIR when set. A table's rows run on min(usable CPUs, rows)
+threads where its spectra reach TABLE_THREAD_LEVELS levels, serially below
+(output order stays fixed by grid index). Exit codes: 0 success, 2 usage or
+validation, 3 numerical failure (truncation, quadrature, accuracy,
+overflow), 4 a theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ EXIT_VIOLATED = 4
 # ArithmeticError: a float overflow, e.g. h^a at an extreme h; main catches
 # ValueError (DomainError included) first, as a usage error
 _NUMERICAL_ERRORS = (ArithmeticError, QCGibbsError)
+
+# a table's rows run on util.thread_map where the spectra they read reach this
+# many levels, serially below: 48 rows of oscillator rescale + thermo_point,
+# 2 threads / serial time, median of 7 runs on two cores: 10k levels 1.36,
+# 20k 0.98, 30k 0.92, 40k 0.78, 70k 0.70, 100k 0.65, 200k 0.61
+TABLE_THREAD_LEVELS = 40_000
 
 
 @dataclass
@@ -126,24 +132,6 @@ def _resolve_output(path_str: str | None) -> Path | None:
     return path
 
 
-def _thread_count() -> int:
-    """QCGIBBS_THREADS, default 1; anything but an integer >= 1 is a usage error."""
-    raw = os.environ.get("QCGIBBS_THREADS") or "1"
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"QCGIBBS_THREADS must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def _grid_map(fn, items):
-    """Evaluate fn over items on at most min(QCGIBBS_THREADS, usable CPUs,
-    len(items)) threads, preserving order."""
-    return thread_map(fn, items, limit=_thread_count())
-
-
 def _build_family(cfg: RunConfig) -> ModelFamily:
     if cfg.model in ("homogeneous", "tabulated") and cfg.dimension != 1:
         raise ValueError(
@@ -199,21 +187,24 @@ def cmd_table(cfg: RunConfig) -> int:
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
     lam_min = fam.lambda_min(betas, hs)
     points = [(float(b), float(h)) for b in betas for h in hs]
-    # a tabulated well is solved at each h: solve each distinct h here,
-    # before the rows start, so that row threads only read the memo and no
-    # two dense solves (each sets the process's BLAS thread count) overlap
-    failed = {}
-    if fam.potential.kind is PotentialKind.TABULATED:
-        for h in dict.fromkeys(h for _, h in points):
-            try:
-                fam.spectrum(h, lam_min)
-            except _NUMERICAL_ERRORS as exc:
-                failed[h] = exc
+    # solve what the rows read once, here, before they start: each distinct
+    # h of a tabulated well, the base of a scaling family. Row threads then
+    # only read the memo, no two dense solves (each sets the process's BLAS
+    # thread count) overlap, and a failed solve is not retried
+    tabulated = fam.potential.kind is PotentialKind.TABULATED
+    levels, failed = 0, {}
+    for h in dict.fromkeys(h for _, h in points) if tabulated else (1.0,):
+        try:
+            spec = fam.spectrum(h, lam_min) if tabulated else fam.base_spectrum(lam_min)
+            levels = max(levels, spec.count)
+        except _NUMERICAL_ERRORS as exc:
+            failed[h] = exc
 
     def one(bh):
         beta, h = bh
-        if h in failed:  # each row of that h reports the error; none re-solves
-            return _thermo_row(beta, h, None), f"error: {failed[h]}"
+        exc = failed.get(h if tabulated else 1.0)
+        if exc is not None:  # each row the solve serves reports its error
+            return _thermo_row(beta, h, None), f"error: {exc}"
         try:
             spec = fam.spectrum(h, lam_min)
             point = thermo_point(fam.potential, spec, beta)
@@ -221,7 +212,8 @@ def cmd_table(cfg: RunConfig) -> int:
         except _NUMERICAL_ERRORS as exc:
             return _thermo_row(beta, h, None), f"error: {exc}"
 
-    rows, statuses = zip(*_grid_map(one, points))
+    threaded = levels >= TABLE_THREAD_LEVELS
+    rows, statuses = zip(*(thread_map(one, points) if threaded else map(one, points)))
     text = _table_text(rows, cfg.format, statuses)
     if cfg.format == "json":
         text += "\n"
@@ -373,7 +365,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = _merge_config(args)
-        _thread_count()  # validate QCGIBBS_THREADS before any work
         if args.command == "spectrum":
             return cmd_spectrum(cfg)
         if args.command == "table":

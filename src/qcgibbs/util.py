@@ -150,14 +150,14 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def thread_map(fn, items, limit: int | None = None) -> list:
-    """[fn(x) for x in items], computed on min(limit, usable_cpus(),
-    len(items)) threads, the calling thread among them; each thread takes
+def thread_map(fn, items) -> list:
+    """[fn(x) for x in items], computed on min(usable_cpus(), len(items))
+    threads, the calling thread among them; each thread takes
     the next item not yet taken. Threads overlap only where fn releases the
     GIL, as numpy and ctypes calls into LAPACK do. An exception from fn is
     raised once every item is done: the one from the first failing item."""
     items = list(items)
-    workers = min(limit or len(items), usable_cpus(), len(items))
+    workers = min(usable_cpus(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     results: list = [None] * len(items)

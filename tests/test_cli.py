@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qcgibbs.cli as cli_mod
 import qcgibbs.models as models_mod
 import qcgibbs.util as util_mod
 from qcgibbs.cli import (
@@ -249,32 +249,22 @@ def pool(monkeypatch):
     return _RecordingThread
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-3"])
-def test_threads_env_rejects_bad_values(value, pool, monkeypatch, capsys):
-    # every command checks the variable before doing any work
-    monkeypatch.setenv("QCGIBBS_THREADS", value)
-    for command in ("table", "spectrum", "verify --claims c11"):
-        code, out, err = run(
-            [*command.split(), "--model", "box", "--L", "1", "--beta", "1,2", "--h", "1"],
-            capsys)
-        assert code == EXIT_USAGE and out == ""
-        assert "QCGIBBS_THREADS" in err
+def test_rows_go_on_threads_above_the_crossover(pool, monkeypatch, capsys):
+    # with the crossover at 1,000 levels, a box table down to beta = 0.5
+    # (9 levels a row) starts no pool, and one down to beta = 1e-6 (6,040)
+    # runs on min(usable CPUs (4 here), rows) threads
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 1_000)
+    box = ["table", "--model", "box", "--L", "1", "--h", "0.5,1"]
+    assert run(box + ["--beta", "0.5,1,2"], capsys)[0] == EXIT_OK
     assert pool.sizes() == []
-
-
-def test_threads_env_caps_workers(pool, monkeypatch, capsys):
-    # workers = min(QCGIBBS_THREADS, usable CPUs (4 here), rows)
-    args = ["table", "--model", "box", "--L", "1", "--beta", "0.5,1,2", "--h", "0.5,1"]
-    monkeypatch.delenv("QCGIBBS_THREADS", raising=False)
-    _, serial, _ = run(args, capsys)
-    for threads in ("64", "3"):
-        monkeypatch.setenv("QCGIBBS_THREADS", threads)
-        code, out, _ = run(args, capsys)
-        assert code == EXIT_OK
-        assert out == serial
-    monkeypatch.setenv("QCGIBBS_THREADS", "64")
-    assert run(args[:5] + ["--beta", "1", "--h", "0.5,1"], capsys)[0] == EXIT_OK
-    assert pool.sizes() == [4, 3, 2]
+    deep = box + ["--beta", "1e-6,1e-5,1e-4"]
+    code, threaded, _ = run(deep, capsys)
+    assert code == EXIT_OK
+    assert run(box + ["--beta", "1e-6"], capsys)[0] == EXIT_OK
+    assert pool.sizes() == [4, 2]
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 10**9)
+    assert run(deep, capsys) == (EXIT_OK, threaded, "")
+    assert pool.sizes() == [4, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +508,8 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
 def test_threads_env_same_output(capsys, monkeypatch):
     args = ["table", "--model", "box", "--L", "1", "--beta", "0.5,1,2", "--h", "0.5,1"]
     code1, out1, _ = run(args, capsys)
-    monkeypatch.setenv("QCGIBBS_THREADS", "4")
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 4)  # a real 4-thread pool
     code2, out2, _ = run(args, capsys)
     assert code1 == code2 == EXIT_OK
     assert out1 == out2
@@ -645,8 +636,8 @@ def test_tabulated_table_threads_match_serial(double_well, fd_solves, monkeypatc
     args = ["table", "--model", "tabulated", "--table", str(double_well),
             "--beta", "0.5,1,2", "--h", "0.5,1"]
     outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("QCGIBBS_THREADS", threads)
+    for crossover in (10**9, 0):  # rows serial, then on threads
+        monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", crossover)
         fd_solves.clear()
         code, out, _ = run(args, capsys)
         assert code == EXIT_OK
@@ -659,7 +650,7 @@ def test_tabulated_rows_run_no_dense_solve(double_well, blas_spy, monkeypatch, c
     # each h is solved in the calling thread before the row threads start,
     # so no row thread sets the BLAS thread count
     monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
     code, _, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
                       "--beta", "0.5,1,2", "--h", "0.5,0.75,1"], capsys)
     assert code == EXIT_OK
@@ -680,7 +671,7 @@ def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
 
     monkeypatch.setattr(models_mod, "solve_sine_basis", failing_at_half)
     monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
     code, out, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
                         "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
     assert code == EXIT_NUMERICAL
@@ -693,23 +684,19 @@ def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
 
 
 def test_tabulated_table_is_the_same_at_any_thread_count():
-    # small sine bases solve on one BLAS thread whatever OpenBLAS would take,
-    # and the rows' threads only read the solves
+    # small sine bases solve on one BLAS thread whatever OpenBLAS would take
     well = Path(__file__).parent / "data" / "seed0_double_well.csv"
     argv = ["table", "--model", "tabulated", "--table", str(well),
             "--beta", "0.1,10", "--h", "0.5,1"]
     src = Path(__file__).resolve().parents[1] / "src"
     outs = {}
-    for var, value in itertools.product(("OPENBLAS_NUM_THREADS", "QCGIBBS_THREADS"),
-                                        ("1", "2")):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "QCGIBBS_THREADS")}
-        env.update({var: value, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH"))))})
+    for value in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=value, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
         proc = subprocess.run([sys.executable, "-m", "qcgibbs", *argv], env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        outs[var, value] = proc.stdout
+        outs[value] = proc.stdout
     assert len(set(outs.values())) == 1
 
 
@@ -857,7 +844,7 @@ def test_t41_solves_only_the_swept_h(double_well, fd_solves, capsys):
 
 
 def test_table_threads_build_the_base_once(monkeypatch, capsys):
-    # threads that need the base wait on its lock instead of each building it
+    # the base is built before the row threads start, which only read it
     counts = []
     build = models_mod.oscillator_spectrum
 
@@ -867,11 +854,30 @@ def test_table_threads_build_the_base_once(monkeypatch, capsys):
 
     monkeypatch.setattr(models_mod, "oscillator_spectrum", counting)
     monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setenv("QCGIBBS_THREADS", "2")
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
     code, _, _ = run(
         ["table", "--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2",
          "--h", "0.5,1"], capsys)
     assert code == EXIT_OK and len(counts) == 1
+
+
+def test_a_failed_base_is_solved_once_and_fails_every_row(monkeypatch, capsys):
+    # at nu = 40 the oscillator basis's rounding swamps the ground level: the
+    # base is not solved again for each row, and every row reports the error
+    solves, solve = [], models_mod.solve_oscillator_basis
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(models_mod, "solve_oscillator_basis", counting)
+    code, out, _ = run(["table", "--model", "homogeneous", "--nu", "40",
+                        "--beta", "1,2,3", "--h", "1,2"], capsys)
+    assert code == EXIT_NUMERICAL and len(solves) == 1
+    error = ("error: nu=40: a bar of 3.68e+04 swamps the ground level "
+             "E_1 = 0.943558 (E_1 - min V = 0.944)")
+    assert out.splitlines()[1:] == [f"{beta},{h},nan,nan,nan,nan,nan,nan,{error}"
+                                    for beta in (1, 2, 3) for h in (1, 2)]
 
 
 # ---------------------------------------------------------------------------

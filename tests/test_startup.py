@@ -43,8 +43,7 @@ T31_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
 
 
 def _env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "QCGIBBS_THREADS"}
-    return dict(env, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
 
 

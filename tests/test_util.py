@@ -120,13 +120,13 @@ def test_thread_map_raises_the_first_failing_items_error(monkeypatch):
     assert sorted(done) == list(range(10))  # the other items still ran
 
 
-@pytest.mark.parametrize("limit, items, workers",
-                         [(None, 5, 3), (2, 5, 2), (None, 2, 2), (1, 5, 1)])
-def test_thread_map_runs_on_the_fewest_of_limit_cpus_and_items(monkeypatch, limit,
+@pytest.mark.parametrize("cpus, items, workers",
+                         [(3, 5, 3), (2, 5, 2), (3, 2, 2), (1, 5, 1)])
+def test_thread_map_runs_on_the_fewest_of_limit_cpus_and_items(monkeypatch, cpus,
                                                                items, workers):
     # the first `workers` items wait for each other, so they need that many
     # threads at once; the barrier breaks after 30 s if there are fewer
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: cpus)
     barrier = threading.Barrier(workers, timeout=30)
 
     def thread_of(x):
@@ -134,7 +134,7 @@ def test_thread_map_runs_on_the_fewest_of_limit_cpus_and_items(monkeypatch, limi
             barrier.wait()
         return threading.current_thread()
 
-    assert len(set(thread_map(thread_of, range(items), limit))) == workers
+    assert len(set(thread_map(thread_of, range(items)))) == workers
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
