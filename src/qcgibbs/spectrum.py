@@ -18,10 +18,10 @@ imports nothing from scipy; only the wedge imports scipy.special, when it
 solves. The parity blocks of the oscillator basis and the grids of finite
 differences are independent LAPACK calls, solved side by side on the usable
 CPUs; the dense sine basis runs on one BLAS thread up to
-SINE_BASIS_SERIAL_STATES and on every usable CPU above it. A power-law growth model E_n ~ C n^gamma fitted to the top quartile
-of the computed levels bounds the Boltzmann tail left out by truncation, and
-the exact scaling law E_n(h) = h^a E_n(1) transports a base spectrum across
-Planck parameters.
+SINE_BASIS_SERIAL_STATES and on every usable CPU above it. A power-law growth
+model E_n ~ C n^gamma fitted to the top quartile of the computed levels bounds
+the Boltzmann tail left out by truncation, and the exact scaling law
+E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
 """
 
 from __future__ import annotations

@@ -18,10 +18,15 @@ Every check is called as check(family, betas=None, hs=None); check_t31 also
 takes tau. A grid left as None selects the check's default grid. A check that
 holds one axis fixed takes the first value of that grid: C1_3 its h, C4_1 and
 WEHRL_S their beta, T3_1 its h. T3_1's beta, the top of its integral, takes
-the largest value instead. A fixed axis left as None is 1.
+the largest value instead. A fixed axis left as None is 1. run_claims
+refuses a one-value grid that a claim compares neighbours along
+(COMPARED_GRIDS) before any check runs; a direct call reports Inconclusive.
 
 Each (beta, h) a check reads is one _Point, where every comparison of the
 quantum side with the classical one, and its error bound, is formed once.
+_sweep is the one loop over grid points (T3_1's integrand reads any beta):
+a point whose read raises QCGibbsError reads NaN, is listed in
+notes["failed_points"] of each report of its claim, and keeps them from Holds.
 A verdict of Holds requires every margin to clear the combined numerical error
 bound at its own grid point; margins inside the error band downgrade to
 Inconclusive rather than passing on noise. Checks never use the same code path
@@ -143,12 +148,7 @@ def default_c41_hs() -> np.ndarray:
     return log_grid(0.5, 4.0, 9)
 
 
-def _classify(
-    margins: np.ndarray,
-    bounds: np.ndarray,
-    tolerance: float,
-    failed_points: int = 0,
-) -> Status:
+def _classify(margins: np.ndarray, bounds: np.ndarray, tolerance: float) -> Status:
     """Violated if a margin is negative beyond both the tolerance and its own
     error bound; Holds only if every margin clears its own bound; otherwise
     Inconclusive."""
@@ -159,7 +159,7 @@ def _classify(
     violated = (margins < -tolerance) & (np.abs(margins) > bounds)
     if np.any(violated):
         return Status.VIOLATED
-    if failed_points == 0 and np.all(margins > bounds):
+    if np.all(margins > bounds):
         return Status.HOLDS
     return Status.INCONCLUSIVE
 
@@ -250,21 +250,35 @@ def _relative(comparison) -> tuple[float, float]:
     return abs(gap) / abs(reference), bound / abs(reference)
 
 
-def _sweep(family: ModelFamily, betas, hs):
-    """The _Point of every (beta, h), h outer. Each h's spectrum is fetched
-    once, and only one is held at a time."""
-    lam_min = family.lambda_min(betas, hs)
-    for h in hs:
+def _sweep(family: ModelFamily, betas, hs, read, width: int, depth: float | None = None):
+    """read(point) -> `width` floats at every (beta, h), h outer, as rows of an
+    array, NaN where the read raised QCGibbsError, and a record of each such
+    point. Each h's spectrum is fetched once, at depth (None: the grid's
+    lambda_min), and only one is held at a time."""
+    lam_min = family.lambda_min(betas, hs) if depth is None else depth
+    values = np.full((len(hs) * len(betas), width), math.nan)
+    failed = []
+    for i, h in enumerate(hs):
         h = float(h)
         spec = family.spectrum(h, lam_min)
-        for beta in betas:
-            yield _Point(family, spec, float(beta), h)
+        for j, beta in enumerate(betas):
+            point = _Point(family, spec, float(beta), h)
+            try:
+                values[i * len(betas) + j] = read(point)
+            except QCGibbsError as exc:
+                failed.append({"beta": point.beta, "h": h, "error": str(exc)})
+    return values, failed
 
 
 def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,
-            worst: float, tolerance: float, notes: dict, **grid) -> VerificationReport:
+            worst: float, tolerance: float, notes: dict, failed=(),
+            **grid) -> VerificationReport:
     grid = {"beta": [float(b) for b in np.atleast_1d(betas)],
             "h": [float(x) for x in np.atleast_1d(hs)], **grid}
+    if failed:  # a point that was not read keeps the verdict from Holds
+        notes = {**notes, "failed_points": list(failed)}
+        if status is Status.HOLDS:
+            status = Status.INCONCLUSIVE
     return VerificationReport(claim, family.descriptor(), grid, status, worst,
                               tolerance, notes)
 
@@ -275,30 +289,21 @@ def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,
 
 def _pointwise(claim: ClaimId, family: ModelFamily, betas, hs, read) -> VerificationReport:
     """Rule on read(point) -> (margin, bound, reference) at every (beta, h) of
-    the grids (default_beta_grid and default_h_grid for None); a numerical
-    failure at a point is recorded, not raised, and keeps the verdict from
-    Holds."""
+    the grids (default_beta_grid and default_h_grid for None)."""
     betas = _grid(betas, default_beta_grid)
     hs = _grid(hs, default_h_grid)
-    margins, bounds, failed = [], [], []
-    worst = (math.inf, None)
-    for point in _sweep(family, betas, hs):
-        try:
-            margin, bound, reference = read(point)
-        except QCGibbsError as exc:
-            failed.append({"beta": point.beta, "h": point.h, "error": str(exc)})
-            continue
-        margins.append(margin)
-        bounds.append(bound)
-        if margin < worst[0]:
-            worst = (margin, {"beta": point.beta, "h": point.h, "bound": bound,
-                              "relative_margin": margin / reference})
-    status = _classify(np.asarray(margins), np.asarray(bounds), 0.0, len(failed))
-    notes = {"worst_point": worst[1], "points": len(margins)}
-    if failed:
-        notes["failed_points"] = failed
-    return _report(claim, family, betas, hs, status,
-                   worst[0] if margins else math.nan, 0.0, notes)
+    values, failed = _sweep(family, betas, hs, read, 3)
+    margins, bounds, references = values.T
+    worst, worst_point = math.nan, None
+    if not np.all(np.isnan(margins)):
+        i = int(np.nanargmin(margins))
+        worst = float(margins[i])
+        worst_point = {"beta": float(betas[i % len(betas)]), "h": float(hs[i // len(betas)]),
+                       "bound": float(bounds[i]),
+                       "relative_margin": float(margins[i] / references[i])}
+    status = _classify(margins, bounds, 0.0)
+    notes = {"worst_point": worst_point, "points": len(margins) - len(failed)}
+    return _report(claim, family, betas, hs, status, worst, 0.0, notes, failed)
 
 
 def check_c11(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
@@ -348,8 +353,7 @@ def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
     """
     betas = np.sort(_grid(betas, default_c13_betas))[::-1]  # decreasing
     h = _first(hs)
-    table = np.array([(*_relative(p.z), *_relative(p.e))
-                      for p in _sweep(family, betas, [h])]).reshape(-1, 4)
+    table, failed = _sweep(family, betas, [h], lambda p: (*_relative(p.z), *_relative(p.e)), 4)
 
     reports = []
     for claim, col in ((ClaimId.C1_3_Z, 0), (ClaimId.C1_3_E, 2)):
@@ -366,7 +370,7 @@ def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
             "window": ASYMPTOTIC_WINDOW,
             "window_reached": reached,
             "loglog_slope": slope,
-        }))
+        }, failed))
     return reports
 
 
@@ -442,11 +446,9 @@ def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
     """
     betas = np.sort(_grid(betas, default_beta_grid))
     hs = np.sort(_grid(hs, default_h_grid))
-    rows, vacuous = [], False  # vacuous: some swept spectrum has fewer than two levels
-    for point in _sweep(family, betas, hs):
-        vacuous = vacuous or point.spec.count < 2
-        rows.append(point.log_s)
-    log_s, err = np.array(rows).reshape(len(hs), len(betas), 2).T  # [beta, h]
+    values, failed = _sweep(family, betas, hs, lambda p: (p.spec.count, *p.log_s), 3)
+    counts, log_s, err = values.reshape(len(hs), len(betas), 3).T  # [beta, h]
+    vacuous = bool(np.any(counts < 2))  # some swept spectrum has fewer than two levels
 
     reports = []
     for claim, axis in ((ClaimId.T4_1_beta, 0), (ClaimId.T4_1_h, 1)):
@@ -462,7 +464,7 @@ def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
             if np.all(np.isfinite(diffs)):
                 status = _classify(diffs.ravel(), pair_err.ravel(), 0.0)
                 worst = float(diffs.min()) if diffs.size else math.nan
-        reports.append(_report(claim, family, betas, hs, status, worst, 0.0, notes))
+        reports.append(_report(claim, family, betas, hs, status, worst, 0.0, notes, failed))
     return reports
 
 
@@ -482,33 +484,31 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     alpha = family.energy_exponent
     n_dim = family.potential.dimension
     delta = 1e-4
-    lam_min = family.lambda_min([beta], hs) * (1.0 - 2.0 * delta)
-
-    def log_g(h: float) -> float:
-        log_zq, _ = log_z_quantum(family.spectrum(h, lam_min), beta)
-        return n_dim * math.log(h) + log_zq
+    depth = family.lambda_min([beta], hs) * (1.0 - 2.0 * delta)
 
     # one row per h: log h^N Z_q and its relative error, E_q and its error,
     # E_q - E_c, and the P4_1 derivative residual relative to the analytic
     # side with its bound
-    rows = []
-    for h in hs:
-        h = float(h)
-        point = _Point(family, family.spectrum(h, lam_min), beta, h)
+    def read(point):
+        h = point.h
         log_zq, rel_z = point.log_z
         eq, e_err = point.eq, point.eq_err
-        d_coarse = (log_g(h * (1 + delta)) - log_g(h * (1 - delta))) / (2 * h * delta)
-        d_fine = (log_g(h * (1 + delta / 2)) - log_g(h * (1 - delta / 2))) / (h * delta)
+        log_g = [n_dim * math.log(x) + log_z_quantum(family.spectrum(x, depth), beta)[0]
+                 for x in (h * (1 + delta), h * (1 - delta),
+                           h * (1 + delta / 2), h * (1 - delta / 2))]
+        d_coarse = (log_g[0] - log_g[1]) / (2 * h * delta)
+        d_fine = (log_g[2] - log_g[3]) / (h * delta)
         analytic = (n_dim - alpha * beta * eq) / h
         fd_trunc = abs(d_fine - d_coarse) / 3.0
-        rows.append((
+        return (
             n_dim * math.log(h) + log_zq, rel_z, eq, e_err, point.e[0],
             abs(d_fine - analytic) / max(abs(analytic), 1e-30),
             (fd_trunc + alpha * beta * e_err / h + 2 * rel_z / (h * delta))
             / max(abs(analytic), 1e-30),
-        ))
-    table = np.array(rows).reshape(-1, 7).T
-    log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table
+        )
+
+    table, failed = _sweep(family, [beta], hs, read, 7, depth)
+    log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table.T
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale
     slacks = log_g_grid[:-1] - log_g_grid[1:]
@@ -516,7 +516,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     c41 = _report(
         ClaimId.C4_1, family, beta, hs, _classify(slacks, pair_bounds, 0.0),
         float(slacks.min()) if slacks.size else math.nan, 0.0,
-        {"margin_scale": "log(h^N Z_q) differences"},
+        {"margin_scale": "log(h^N Z_q) differences"}, failed,
     )
 
     p41_tol = 1e-5
@@ -524,7 +524,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     p41 = _report(
         ClaimId.P4_1, family, beta, hs, _classify(p41_margins, fd_bounds, 0.0),
         float(p41_margins.min()), p41_tol,
-        {"max_residual": float(residuals.max()), "fd_step": delta},
+        {"max_residual": float(residuals.max()), "fd_step": delta}, failed,
     )
 
     # P4_3: sign equivalence, margin +1 for opposite signs, -1 for matching
@@ -540,7 +540,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     p43 = _report(
         ClaimId.P4_3, family, beta, hs, _classify(margins43, bounds43, 0.5),
         float(margins43.min()), 0.5,
-        {"signs_opposite_everywhere": bool(np.all(margins43 > 0))},
+        {"signs_opposite_everywhere": bool(np.all(margins43 > 0))}, failed,
     )
     return [c41, p41, p43]
 
@@ -558,8 +558,8 @@ def check_wehrl(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
     partition sums, absolute for the entropy difference)."""
     hs = np.sort(_grid(hs, default_wehrl_hs))[::-1]  # decreasing h
     beta = _first(betas)
-    table = np.array([(*_relative(p.z), *_relative(p.e), abs(p.s[0]), p.s[1])
-                      for p in _sweep(family, [beta], hs)]).reshape(-1, 6)
+    table, failed = _sweep(family, [beta], hs,
+                           lambda p: (*_relative(p.z), *_relative(p.e), abs(p.s[0]), p.s[1]), 6)
     status, worst, final_ok = _window_approach(
         [(table[-4:, k], table[-4:, k + 1]) for k in (0, 2, 4)]
     )
@@ -568,7 +568,7 @@ def check_wehrl(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
         "partition_gaps": [float(x) for x in table[:, 0]],
         "entropy_gaps": [float(x) for x in table[:, 4]],
         "final_gaps_in_window": final_ok,
-    })
+    }, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -585,11 +585,15 @@ CLAIM_CHECKS = {
     "wehrl": check_wehrl,
 }
 
+#: the grids a claim rules on through differences of neighbouring points
+COMPARED_GRIDS = {"c13": ("beta",), "t41": ("beta", "h"), "c41": ("h",), "wehrl": ("h",)}
+
 
 def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[VerificationReport]:
     """Run the named checks (c11, c12, c13, t31, t41, c41, wehrl) on one family,
     each over the grids given (None: its default). The keys are checked
-    before any check runs: at least one, each known, none twice."""
+    before any check runs: at least one, each known, none twice, and each
+    given at least two values of every grid it compares neighbours along."""
     keys = list(keys)
     expected = f"expected one of {sorted(CLAIM_CHECKS)}"
     if not keys:
@@ -599,6 +603,12 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
             raise ValueError(f"unknown claim id {key!r}; {expected}")
         if key in keys[:i]:
             raise ValueError(f"claim {key} is named twice")
+        for axis in COMPARED_GRIDS.get(key, ()):
+            grid = {"beta": betas, "h": hs}[axis]
+            if grid is not None and np.size(grid) < 2:
+                raise ValueError(
+                    f"claim {key} compares neighbouring grid points and needs at "
+                    f"least two values of --{axis}, got {np.size(grid)}")
     reports: list[VerificationReport] = []
     for key in keys:
         out = CLAIM_CHECKS[key](family, betas, hs)

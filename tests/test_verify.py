@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -355,6 +356,57 @@ def test_run_claims_rejects_unknown_key(box1):
         run_claims(box1, ["nope"])
 
 
+@pytest.mark.parametrize("keys, betas, hs, named", [
+    (["t41"], [0.5], None, "claim t41 compares neighbouring grid points and needs at "
+                           "least two values of --beta, got 1"),
+    (["c11", "wehrl"], None, [0.5], "claim wehrl compares neighbouring grid points and "
+                                    "needs at least two values of --h, got 1"),
+], ids=["t41-beta", "wehrl-h"])
+def test_run_claims_refuses_one_point_before_any_solve(keys, betas, hs, named, monkeypatch):
+    import qcgibbs.models as models_mod
+
+    def no_solve(*args):
+        raise AssertionError("a spectrum was requested")
+
+    monkeypatch.setattr(models_mod.ModelFamily, "spectrum", no_solve)
+    monkeypatch.setattr(models_mod.ModelFamily, "base_spectrum", no_solve)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_claims(homogeneous_family(2.0), keys, betas, hs)
+
+
+@pytest.mark.parametrize("key, reader", [
+    ("c11", "z_quantum"),
+    ("c12", "mean_energy_quantum"),
+    ("c13", "z_quantum"),
+    ("t41", "log_entropy_quantum"),
+    ("c41", "log_z_quantum"),
+    ("wehrl", "entropy_quantum"),
+])
+def test_a_failed_point_is_listed_and_keeps_its_claim_from_holds(key, reader, monkeypatch):
+    # every sweeping claim records a point whose read raises and rules on the
+    # rest; h = 1 is the first of five hs, outside WEHRL_S's last four
+    import qcgibbs.verify as verify_mod
+    from qcgibbs.errors import TruncationError
+
+    betas, hs = [1.0, 0.5, 0.25], [1.0, 0.5, 0.25, 0.125, 0.0625]
+    clean = run_claims(homogeneous_family(2.0), [key], betas, hs)
+    assert all(rep.status is Status.HOLDS for rep in clean)
+    real = getattr(verify_mod, reader)
+
+    def failing(spec, beta):
+        if (beta, spec.planck) == (1.0, 1.0):
+            raise TruncationError("tail too heavy at beta = 1, h = 1")
+        return real(spec, beta)
+
+    monkeypatch.setattr(verify_mod, reader, failing)
+    reports = run_claims(homogeneous_family(2.0), [key], betas, hs)
+    assert len(reports) == len(clean)
+    for rep in reports:
+        assert rep.notes["failed_points"] == [
+            {"beta": 1.0, "h": 1.0, "error": "tail too heavy at beta = 1, h = 1"}]
+        assert rep.status is not Status.HOLDS
+
+
 def test_reports_deterministic(box1):
     a = check_c11(box1, SMALL_BETAS, SMALL_HS)
     b = check_c11(box1, SMALL_BETAS, SMALL_HS)
@@ -381,7 +433,6 @@ def test_classify_is_exact_at_the_bound(bound, tol):
     # one ulp past it does
     above = math.nextafter(bound, math.inf)
     assert _classify([above], [bound], tol) is Status.HOLDS
-    assert _classify([above], [bound], tol, failed_points=1) is Status.INCONCLUSIVE
     below = math.nextafter(-bound, -math.inf)
     expected = Status.VIOLATED if below < -tol else Status.INCONCLUSIVE
     assert _classify([below], [bound], tol) is expected
