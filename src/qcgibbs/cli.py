@@ -2,11 +2,11 @@
 
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win). Relative output paths are resolved against
-QCGIBBS_OUTDIR when set. A table's rows run on min(usable CPUs, rows)
-threads where its spectra reach TABLE_THREAD_LEVELS levels, serially below
-(output order stays fixed by grid index). Exit codes: 0 success, 2 usage or
-validation, 3 numerical failure (truncation, quadrature, accuracy,
-overflow), 4 a theorem-class claim reported Violated.
+QCGIBBS_OUTDIR when set. `table` and `verify` read grids through
+ModelFamily.sweep, a table's rows on threads where their h's spectrum reaches
+TABLE_THREAD_LEVELS levels. Exit codes: 0 success, 2 usage or validation, 3
+numerical failure (truncation, quadrature, accuracy, overflow; a failed grid
+point too), 4 a theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import game as game_mod
 from .ensemble import _table_text, _thermo_row, thermo_point
-from .errors import QCGibbsError
+from .errors import NUMERICAL_ERRORS
 from .models import (
     LAMBDA_DEPTH,
     ModelFamily,
@@ -32,7 +32,7 @@ from .models import (
 )
 from .potential import PotentialKind, load_tabulated_csv
 from .spectrum import spectrum_text
-from .util import fmt17, log_grid, thread_map
+from .util import fmt17, log_grid
 from .verify import (
     THEOREM_CLAIMS,
     CLAIM_CHECKS,
@@ -46,11 +46,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATED = 4
 
-# ArithmeticError: a float overflow, e.g. h^a at an extreme h; main catches
-# ValueError (DomainError included) first, as a usage error
-_NUMERICAL_ERRORS = (ArithmeticError, QCGibbsError)
-
-# a table's rows run on util.thread_map where the spectra they read reach this
+# the rows of an h run on util.thread_map where its spectrum reaches this
 # many levels, serially below: 48 rows of oscillator rescale + thermo_point,
 # 2 threads / serial time, median of 7 runs on two cores: 10k levels 1.36,
 # 20k 0.98, 30k 0.92, 40k 0.78, 70k 0.70, 100k 0.65, 200k 0.61
@@ -185,38 +181,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_table(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
-    lam_min = fam.lambda_min(betas, hs)
-    points = [(float(b), float(h)) for b in betas for h in hs]
-    # solve what the rows read once, here, before they start: each distinct
-    # h of a tabulated well, the base of a scaling family. Row threads then
-    # only read the memo, no two dense solves (each sets the process's BLAS
-    # thread count) overlap, and a failed solve is not retried
-    tabulated = fam.potential.kind is PotentialKind.TABULATED
-    levels, failed = 0, {}
-    for h in dict.fromkeys(h for _, h in points) if tabulated else (1.0,):
-        try:
-            spec = fam.spectrum(h, lam_min) if tabulated else fam.base_spectrum(lam_min)
-            levels = max(levels, spec.count)
-        except _NUMERICAL_ERRORS as exc:
-            failed[h] = exc
-
-    def one(bh):
-        beta, h = bh
-        exc = failed.get(h if tabulated else 1.0)
-        if exc is not None:  # each row the solve serves reports its error
-            return _thermo_row(beta, h, None), f"error: {exc}"
-        try:
-            spec = fam.spectrum(h, lam_min)
-            point = thermo_point(fam.potential, spec, beta)
-            return _thermo_row(beta, h, point), "ok"
-        except _NUMERICAL_ERRORS as exc:
-            return _thermo_row(beta, h, None), f"error: {exc}"
-
-    threaded = levels >= TABLE_THREAD_LEVELS
-    rows, statuses = zip(*(thread_map(one, points) if threaded else map(one, points)))
-    text = _table_text(rows, cfg.format, statuses)
-    if cfg.format == "json":
-        text += "\n"
+    out = fam.sweep(betas, hs, lambda spec, beta, h: _thermo_row(
+        beta, h, thermo_point(fam.potential, spec, beta)), thread_levels=TABLE_THREAD_LEVELS)
+    # the sweep runs h outer, the table beta outer
+    rows, statuses = zip(*(
+        (_thermo_row(c["beta"], c["h"], None), f"error: {c['error']}") if isinstance(c, dict)
+        else (c, "ok") for j in range(len(betas)) for c in out[j::len(betas)]))
+    text = _table_text(rows, cfg.format, statuses) + ("\n" if cfg.format == "json" else "")
     _write_or_print(text, _resolve_output(cfg.output))
     return EXIT_OK if all(s == "ok" for s in statuses) else EXIT_NUMERICAL
 
@@ -233,10 +204,13 @@ def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
             f"{r.claim_id.value:10s} {fam.label:20s} {r.status.value:13s} "
             f"margin={r.worst_margin:.6g} tol={r.tolerance:.3g}\n"
         )
-    violated = any(
-        r.status is Status.VIOLATED and r.claim_id in THEOREM_CLAIMS for r in reports
-    )
-    return EXIT_VIOLATED if violated else EXIT_OK
+    failed = [f"{r.claim_id.value} at beta={f['beta']:g}, h={f['h']:g}: {f['error']}"
+              for r in reports for f in r.notes.get("failed_points", ())]
+    if failed:
+        print(f"numerical error: {failed[0]}", file=sys.stderr)
+    violated = any(r.status is Status.VIOLATED and r.claim_id in THEOREM_CLAIMS
+                   for r in reports)
+    return EXIT_VIOLATED if violated else EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_game(args, cfg: RunConfig) -> int:
@@ -364,10 +338,10 @@ def main(argv=None) -> int:
                 raise ValueError("game needs --levels or --levels-file")
             return cmd_game(args, cfg)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

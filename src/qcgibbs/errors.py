@@ -38,3 +38,7 @@ class ContractError(QCGibbsError):
 
 class ConvergenceError(QCGibbsError):
     """An iterative scheme hit its iteration cap before converging."""
+
+
+#: what fails a grid point rather than the run (ArithmeticError: a float overflow)
+NUMERICAL_ERRORS = (ArithmeticError, QCGibbsError)

@@ -24,13 +24,13 @@ refuses a one-value grid that a claim compares neighbours along
 
 Each (beta, h) a check reads is one _Point, where every comparison of the
 quantum side with the classical one, and its error bound, is formed once.
-_sweep is the one loop over grid points (T3_1's integrand reads any beta):
-a point whose read raises QCGibbsError reads NaN, is listed in
-notes["failed_points"] of each report of its claim, and keeps them from Holds.
-A verdict of Holds requires every margin to clear the combined numerical error
-bound at its own grid point; margins inside the error band downgrade to
-Inconclusive rather than passing on noise. Checks never use the same code path
-for both sides of an identity.
+Every check but T3_1 (whose integrand reads any beta) reads its points through
+ModelFamily.sweep: a point whose solve, fetch or read failed reads NaN, is
+listed in notes["failed_points"] of each report of its claim, and keeps them
+from Holds. A verdict of Holds requires every margin to clear the combined
+numerical error bound at its own grid point; margins inside the error band
+downgrade to Inconclusive rather than passing on noise. Checks never use the
+same code path for both sides of an identity.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .ensemble import (
     z_quantum,
     z_quantum_error,
 )
-from .errors import QCGibbsError
 from .models import ModelFamily
 from .potential import PotentialKind
 from .util import halving_grid, log_grid
@@ -251,23 +250,13 @@ def _relative(comparison) -> tuple[float, float]:
 
 
 def _sweep(family: ModelFamily, betas, hs, read, width: int, depth: float | None = None):
-    """read(point) -> `width` floats at every (beta, h), h outer, as rows of an
-    array, NaN where the read raised QCGibbsError, and a record of each such
-    point. Each h's spectrum is fetched once, at depth (None: the grid's
-    lambda_min), and only one is held at a time."""
-    lam_min = family.lambda_min(betas, hs) if depth is None else depth
-    values = np.full((len(hs) * len(betas), width), math.nan)
-    failed = []
-    for i, h in enumerate(hs):
-        h = float(h)
-        spec = family.spectrum(h, lam_min)
-        for j, beta in enumerate(betas):
-            point = _Point(family, spec, float(beta), h)
-            try:
-                values[i * len(betas) + j] = read(point)
-            except QCGibbsError as exc:
-                failed.append({"beta": point.beta, "h": h, "error": str(exc)})
-    return values, failed
+    """read(point) -> `width` floats at every (beta, h) of family.sweep, h
+    outer, as rows of an array, NaN at a failed point, and the failed
+    points' records."""
+    out = family.sweep(betas, hs, lambda spec, b, h: read(_Point(family, spec, b, h)), depth)
+    values = [(math.nan,) * width if isinstance(r, dict) else r for r in out]
+    return (np.array(values, dtype=float).reshape(len(out), width),
+            [r for r in out if isinstance(r, dict)])
 
 
 def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,

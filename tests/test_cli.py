@@ -251,8 +251,9 @@ def pool(monkeypatch):
 
 def test_rows_go_on_threads_above_the_crossover(pool, monkeypatch, capsys):
     # with the crossover at 1,000 levels, a box table down to beta = 0.5
-    # (9 levels a row) starts no pool, and one down to beta = 1e-6 (6,040)
-    # runs on min(usable CPUs (4 here), rows) threads
+    # (9 levels an h) starts no pool, and one down to beta = 1e-6 (6,040)
+    # runs the rows of each h on min(usable CPUs (4 here), betas) threads,
+    # so one beta a row starts none
     monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 1_000)
     box = ["table", "--model", "box", "--L", "1", "--h", "0.5,1"]
     assert run(box + ["--beta", "0.5,1,2"], capsys)[0] == EXIT_OK
@@ -261,10 +262,10 @@ def test_rows_go_on_threads_above_the_crossover(pool, monkeypatch, capsys):
     code, threaded, _ = run(deep, capsys)
     assert code == EXIT_OK
     assert run(box + ["--beta", "1e-6"], capsys)[0] == EXIT_OK
-    assert pool.sizes() == [4, 2]
+    assert pool.sizes() == [3, 3]
     monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 10**9)
     assert run(deep, capsys) == (EXIT_OK, threaded, "")
-    assert pool.sizes() == [4, 2]
+    assert pool.sizes() == [3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +879,92 @@ def test_a_failed_base_is_solved_once_and_fails_every_row(monkeypatch, capsys):
              "E_1 = 0.943558 (E_1 - min V = 0.944)")
     assert out.splitlines()[1:] == [f"{beta},{h},nan,nan,nan,nan,nan,nan,{error}"
                                     for beta in (1, 2, 3) for h in (1, 2)]
+
+
+def test_table_fetches_each_h_once(monkeypatch, capsys):
+    # a 3-beta x 2-h oscillator table rescales the base once an h, not once
+    # a row, and its bytes are those of rows that each fetch their own h
+    fetches, rescales = [], []
+    fetch, rescale = models_mod.ModelFamily.spectrum, models_mod.rescale
+    monkeypatch.setattr(models_mod.ModelFamily, "spectrum",
+                        lambda self, *args: fetches.append(args) or fetch(self, *args))
+    monkeypatch.setattr(models_mod, "rescale",
+                        lambda *args: rescales.append(args) or rescale(*args))
+    betas, hs = (0.5, 1.0, 2.0), (0.5, 1.0)
+    code, out, _ = run(["table", "--model", "homogeneous", "--nu", "2",
+                        "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
+    assert code == EXIT_OK
+    assert len(fetches) == 2 and len(rescales) == 2
+    fam = homogeneous_family(2.0)
+    lam = fam.lambda_min(betas, hs)
+    rows = [_thermo_row(b, h, thermo_point(fam.potential, fetch(fam, h, lam), b))
+            for b in betas for h in hs]
+    assert out == _table_text(rows, "csv")
+
+
+def test_claim_sweeps_start_no_pool(monkeypatch, capsys):
+    # claim checks read their points serially, whatever the table crossover
+    def no_pool(fn, items):
+        raise AssertionError("a claim sweep started a thread pool")
+
+    monkeypatch.setattr(models_mod, "thread_map", no_pool)
+    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)
+    code, _, err = run(["verify", "--model", "homogeneous", "--nu", "2",
+                        "--claims", "c11,t41,c41", "--beta", "0.5,1", "--h", "0.5,1"],
+                       capsys)
+    assert code == EXIT_OK, err
+
+
+def _failed_points(out):
+    return [rep["notes"].get("failed_points") for rep in json.loads(out)]
+
+
+def test_verify_exits_3_when_a_point_failed(monkeypatch, capsys):
+    # a failed base fails every point it serves, is solved once, and the
+    # report is still written
+    solves, solve = [], models_mod.solve_oscillator_basis
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(models_mod, "solve_oscillator_basis", counting)
+    code, out, err = run(["verify", "--model", "homogeneous", "--nu", "40",
+                          "--claims", "c11", "--beta", "1,2", "--h", "1,2"], capsys)
+    assert code == EXIT_NUMERICAL and len(solves) == 1
+    error = "nu=40: a bar of 3.68e+04 swamps the ground level E_1 = 0.943558 (E_1 - min V = 0.944)"
+    assert _failed_points(out) == [[{"beta": b, "h": h, "error": error}
+                                    for h in (1.0, 2.0) for b in (1.0, 2.0)]]
+    assert err.endswith(f"numerical error: C1_1 at beta=1, h=1: {error}\n")
+
+
+def test_verify_rules_on_the_h_whose_solve_succeeds(capsys):
+    # h = 0.002 needs more levels than the seed-0 well's sine basis holds;
+    # C1_1 still rules on both points at h = 1
+    well = Path(__file__).parent / "data" / "seed0_double_well.csv"
+    code, out, err = run(["verify", "--model", "tabulated", "--table", str(well),
+                          "--claims", "c11", "--beta", "0.5,1", "--h", "1,0.002"], capsys)
+    assert code == EXIT_NUMERICAL
+    (report,) = json.loads(out)
+    assert report["notes"]["points"] == 2
+    assert report["notes"]["worst_point"]["h"] == 1.0
+    failed = report["notes"]["failed_points"]
+    assert [(f["beta"], f["h"]) for f in failed] == [(0.5, 0.002), (1.0, 0.002)]
+    for f in failed:
+        assert f["error"].startswith("tabulated: sweep needs 8542 levels, above the "
+                                     "sine-basis cap 0 at h=0.002")
+    assert "numerical error: C1_1 at beta=0.5, h=0.002: tabulated" in err
+
+
+def test_verify_fails_only_the_point_that_leaves_the_double_range(capsys):
+    # beta E_n overflows at beta = 1000, h = 1e152 alone: the run goes on
+    # past it, and each report lists that point
+    code, out, _ = run(["verify", "--model", "box", "--claims", "c11,t41",
+                        "--beta", "1,1000", "--h", "1,1e152"], capsys)
+    assert code == EXIT_NUMERICAL
+    point = {"beta": 1000.0, "h": 1e152,
+             "error": "beta E_n leaves the double range at beta=1000"}
+    assert _failed_points(out) == [[point]] * 3
 
 
 # ---------------------------------------------------------------------------
