@@ -1,12 +1,14 @@
-"""Command-line interface: spectra, thermodynamic tables, claim checks, game demos.
+"""Command-line interface: spectra, thermodynamic tables, claim checks, the game.
 
 Configuration comes from flags, optionally layered over a flat key=value
 config file (flags win). Relative output paths are resolved against
 QCGIBBS_OUTDIR when set. `table` and `verify` read grids through
 ModelFamily.sweep, a table's rows on threads where their h's spectrum reaches
-TABLE_THREAD_LEVELS levels. Exit codes: 0 success, 2 usage or validation, 3
-numerical failure (truncation, quadrature, accuracy, overflow; a failed grid
-point too), 4 a theorem-class claim reported Violated.
+TABLE_THREAD_LEVELS levels. `game` plays at the Gibbs state of one (beta, h),
+on the levels a one-point table row reads or on --levels. Exit codes: 0
+success, 2 usage or validation, 3 numerical failure (truncation, quadrature,
+accuracy, overflow; a failed grid point too), 4 a theorem-class claim
+reported Violated.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import game as game_mod
-from .ensemble import _table_text, _thermo_row, thermo_point
+from .ensemble import BoltzmannPass, _table_text, _thermo_row, thermo_point
 from .errors import NUMERICAL_ERRORS
 from .models import (
     LAMBDA_DEPTH,
@@ -31,7 +33,7 @@ from .models import (
     tabulated_family,
 )
 from .potential import PotentialKind, load_tabulated_csv
-from .spectrum import spectrum_text
+from .spectrum import Spectrum, SpectrumSource, spectrum_text
 from .util import fmt17, log_grid
 from .verify import (
     THEOREM_CLAIMS,
@@ -71,6 +73,8 @@ class RunConfig:
     format: str = "csv"
     output: str | None = None
     seed: int = 0
+    # the keys a flag or the config file named, whatever their values
+    given: set[str] = field(default_factory=set)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -87,6 +91,7 @@ def parse_config(text: str) -> RunConfig:
         if key not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key: {key!r}")
         setattr(cfg, key, _CONFIG_KEYS[key](value.strip()))
+        cfg.given.add(key)
     return cfg
 
 
@@ -164,15 +169,18 @@ def _write_or_print(text: str, path: Path | None) -> None:
 # subcommands
 
 
+def _count_depth(fam: ModelFamily, count: int, h: float) -> float:
+    """The depth of level `count`'s law, lambda (E_count - min V) =
+    LAMBDA_DEPTH, which the count rule meets with at least `count` levels:
+    at h for a tabulated well, at h = 1 for the base of a scaling family."""
+    tabulated = fam.potential.kind is PotentialKind.TABULATED
+    return LAMBDA_DEPTH / (fam.level_energy(count, h if tabulated else 1.0) - fam.min_potential)
+
+
 def cmd_spectrum(cfg: RunConfig) -> int:
     fam = _build_family(cfg)
     h = cfg.h[0] if cfg.h else 1.0
-    # provision at the depth of level `count`'s law, lambda (E_count - min V)
-    # = LAMBDA_DEPTH, which the count rule meets with at least `count` levels:
-    # at h for a tabulated well, at h = 1 for the base of a scaling family
-    tabulated = fam.potential.kind is PotentialKind.TABULATED
-    e_count = fam.level_energy(cfg.count, h if tabulated else 1.0)
-    lam = LAMBDA_DEPTH / (e_count - fam.min_potential)
+    lam = _count_depth(fam, cfg.count, h)
     spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
     _write_or_print(spectrum_text(spec, cfg.count), _resolve_output(cfg.output))
     return EXIT_OK
@@ -214,32 +222,35 @@ def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
 
 
 def cmd_game(args, cfg: RunConfig) -> int:
-    if args.levels_file:
-        levels = np.loadtxt(args.levels_file, ndmin=1)
+    if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
+        raise ValueError("game plays at one beta and one h")
+    beta, h = (cfg.beta or (1.0,))[0], (cfg.h or (1.0,))[0]
+    if args.levels is not None or args.levels_file is not None:
+        named = cfg.given & {"model", "dimension", "lengths", "nu", "mass", "table", "h",
+                             "max_levels"}
+        if named:
+            raise ValueError(f"game plays on --levels or on a model, not both: got {sorted(named)}")
+        levels = (np.loadtxt(args.levels_file, ndmin=1) if args.levels_file
+                  else [float(x) for x in args.levels.split(",")])
+        spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)
     else:
-        levels = np.asarray([float(x) for x in args.levels.split(",")])
-    lam = args.lam
-    if lam > 0:
-        raise ValueError("lambda = -beta must be <= 0")
-    weights = game_mod.stationary_point(levels, lam)
-    state = game_mod.GameState(levels, lam, weights)
-    f_val, e_val, s_val = game_mod.compromise(state)
-    p = state.probabilities
-    lines = ["n,P"]
-    lines += [f"{i},{fmt17(pi)}" for i, pi in enumerate(p, start=1)]
-    lines.append(f"F = {fmt17(f_val)}")
-    lines.append(f"E = {fmt17(e_val)}")
-    lines.append(f"S = {fmt17(s_val)}")
+        fam = _build_family(cfg)
+        lam = fam.lambda_min((beta,), (h,))
+        if args.minors > 0:  # deep enough for minors below the level count
+            lam = min(lam, _count_depth(fam, args.minors + 1, h))
+        spec = fam.spectrum(h, lam)
+    gibbs = BoltzmannPass(spec, beta)
+    lines = ["n,P", *(f"{i},{fmt17(pi)}" for i, pi in enumerate(gibbs.p, start=1)),
+             f"F = {fmt17(gibbs.log_z)}", f"E = {fmt17(gibbs.e_q)}",
+             f"S = {fmt17(gibbs.s_q + 0.0)}"]  # + 0.0 writes a -0.0 entropy as 0
     if args.minors:
-        if lam >= 0:
-            raise ValueError("minor signs need lambda < 0")
-        signs = game_mod.principal_minor_signs(levels, lam, args.minors)
+        signs = game_mod.principal_minor_signs(spec.levels, -beta, args.minors)
         lines.append("minor_signs = " + ",".join("+" if s > 0 else "-" for s in signs))
     sys.stdout.write("\n".join(lines) + "\n")
     if args.ascend:
         rng = np.random.default_rng(cfg.seed)
-        start = np.exp(rng.uniform(-1.0, 1.0, size=levels.size))
-        result = game_mod.ascend(levels, lam, start)
+        start = np.exp(rng.uniform(-1.0, 1.0, size=spec.count))
+        result = game_mod.ascend(spec.levels, -beta, start)
         sys.stdout.write(f"ascent_iterations = {result.iterations}\n")
         out = _resolve_output(cfg.output)
         if out is not None:
@@ -288,10 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_game = sub.add_parser("game", parents=[model],
                             help="stationary distribution, minors, ascent trace")
-    p_game.add_argument("--levels", help="comma list of level energies")
+    p_game.add_argument("--levels", help="comma list of ascending level energies, "
+                        "in place of the model's")
     p_game.add_argument("--levels-file", help="file with one level per line")
-    p_game.add_argument("--lambda", type=float, dest="lam", default=-1.0,
-                        help="lambda = -beta <= 0")
     p_game.add_argument("--minors", type=int, default=0,
                         help="report minor signs up to this order")
     p_game.add_argument("--ascend", action="store_true",
@@ -308,6 +318,7 @@ def _merge_config(args) -> RunConfig:
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, key, parse(value))
+            cfg.given.add(key)
     # basic validation shared by every command
     if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")
@@ -334,8 +345,6 @@ def main(argv=None) -> int:
             claims = [c.strip() for c in args.claims.split(",") if c.strip()]
             return cmd_verify(cfg, claims)
         if args.command == "game":
-            if not args.levels and not args.levels_file:
-                raise ValueError("game needs --levels or --levels-file")
             return cmd_game(args, cfg)
         raise ValueError(f"unknown command {args.command!r}")
     except (ValueError, OSError) as exc:  # DomainError included

@@ -54,6 +54,7 @@ class SpectrumSource(enum.Enum):
     OSCILLATOR_BASIS = "oscillator_basis"
     SINE_BASIS = "sine_basis"
     RESCALED = "rescaled"
+    GIVEN = "given"
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ from qcgibbs.cli import (
     main,
     parse_config,
 )
-from qcgibbs.ensemble import _table_text, _thermo_row, thermo_point
+from qcgibbs.ensemble import _table_text, _thermo_row, log_z_quantum, thermo_point
+from qcgibbs.game import principal_minor_signs
 from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
-from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap
+from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, oscillator_spectrum, sine_basis_level_cap
 from qcgibbs.util import MAX_GRID_POINTS
 
 
@@ -394,29 +395,81 @@ def test_verify_exit_4_on_theorem_violation(capsys, monkeypatch):
 # game command
 
 
+def _game_lines(out):
+    return dict(l.split(" = ") for l in out.splitlines() if " = " in l)
+
+
 def test_game_minor_signs(capsys):
     code, out, _ = run(
-        ["game", "--levels", "1,2,3", "--lambda", "-1", "--minors", "2"], capsys)
+        ["game", "--levels", "1,2,3", "--beta", "1", "--minors", "2"], capsys)
     assert code == EXIT_OK
     assert "minor_signs = -,+" in out
 
 
-def test_game_uniform_at_lambda_zero(capsys):
-    code, out, _ = run(["game", "--levels", "1,2", "--lambda", "0"], capsys)
+HALF_INTEGERS = [n + 0.5 for n in range(40)]
+
+
+@pytest.mark.parametrize("levels, beta, minors", [
+    (HALF_INTEGERS, "20", 2),  # exp(-beta E_n) underflows past E_n = 37.5
+    ([1.0, 2.0, 3.0], "800", 2),  # so does exp(-beta E_1)
+    (HALF_INTEGERS, "1", 35),  # tail shares down to e^-35, below eps
+    ([1.0, 2.0, 3.0], "1e-3", 2),  # a small beta parses as a plain number
+])
+def test_game_signs_where_weights_underflow_or_tails_are_tiny(levels, beta, minors, capsys):
+    code, out, _ = run(["game", "--levels", ",".join(map(str, levels)), "--beta", beta,
+                        "--minors", str(minors)], capsys)
+    theorem = [(-1) ** k for k in range(1, minors + 1)]
     assert code == EXIT_OK
-    lines = dict(
-        l.split(" = ") for l in out.splitlines() if " = " in l
-    )
-    assert float(lines["F"]) == pytest.approx(math.log(2.0), rel=1e-12)
-    p_rows = [l for l in out.splitlines() if l[:1].isdigit()]
-    probs = [float(r.split(",")[1]) for r in p_rows]
-    assert probs == pytest.approx([0.5, 0.5], rel=1e-12)
+    lines = _game_lines(out)
+    assert lines["minor_signs"] == ",".join("+" if s > 0 else "-" for s in theorem)
+    assert float(lines["F"]) == pytest.approx(
+        np.logaddexp.reduce(-float(beta) * np.asarray(levels)), rel=1e-14)
+    assert principal_minor_signs(levels, -float(beta), minors) == theorem
+
+
+def test_game_signs_on_200_oscillator_levels(tmp_path, capsys):
+    levels = oscillator_spectrum(200).levels
+    levels_file = tmp_path / "levels.txt"
+    np.savetxt(levels_file, levels, fmt="%.17g")
+    code, out, _ = run(["game", "--levels-file", str(levels_file), "--beta", "1",
+                        "--minors", "100"], capsys)
+    theorem = [(-1) ** k for k in range(1, 101)]
+    assert code == EXIT_OK
+    assert _game_lines(out)["minor_signs"] == ",".join("+" if s > 0 else "-" for s in theorem)
+    assert principal_minor_signs(levels, -1.0, 100) == theorem
+
+
+def test_game_plays_on_the_model_spectrum(quartic, capsys):
+    code, out, _ = run(["game", "--model", "homogeneous", "--nu", "4", "--h", "0.5",
+                        "--beta", "2", "--minors", "50"], capsys)
+    assert code == EXIT_OK
+    lines = _game_lines(out)
+    assert lines["minor_signs"].count(",") == 49
+    # the spectrum a one-point table row reads, fetched deeper for 50 minors
+    log_z, _ = log_z_quantum(quartic.spectrum(0.5, quartic.lambda_min((2.0,), (0.5,))), 2.0)
+    assert float(lines["F"]) == pytest.approx(log_z, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--levels", "1,2,3", "--nu", "4"],  # levels and a model, both
+    ["--levels", "1,2,3", "--h", "0.5"],
+    ["--levels", "1,2,3", "--beta", "1,2"],  # the game is played at one beta
+    ["--model", "box", "--h", "0.5,1"],
+    ["--levels", "1,2,3", "--minors", "3"],  # the K-th minor vanishes
+    ["--levels", "3,1,2"],  # levels ascend
+    ["--levels", "1,inf"],
+    ["--levels", "1,2,3", "--beta", "800", "--ascend"],  # no positive-double Gibbs state
+])
+def test_game_usage_errors(argv, capsys):
+    code, _, err = run(["game", *argv], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
 
 
 def test_game_ascent_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run(
-        ["game", "--levels", "1,2,3,4", "--lambda", "-0.5", "--ascend",
+        ["game", "--levels", "1,2,3,4", "--beta", "0.5", "--ascend",
          "--seed", "7", "--output", str(trace)], capsys)
     assert code == EXIT_OK
     lines = trace.read_text().strip().splitlines()
@@ -429,7 +482,7 @@ def test_game_levels_file(tmp_path, capsys):
     levels_file = tmp_path / "levels.txt"
     levels_file.write_text("1.0\n2.0\n3.0\n")
     code, out, _ = run(
-        ["game", "--levels-file", str(levels_file), "--lambda", "-1",
+        ["game", "--levels-file", str(levels_file), "--beta", "1",
          "--minors", "2"], capsys)
     assert code == EXIT_OK
     assert "minor_signs = -,+" in out
@@ -437,7 +490,7 @@ def test_game_levels_file(tmp_path, capsys):
 
 def test_game_seed_determinism(tmp_path, capsys):
     t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["game", "--levels", "1,2,3", "--lambda", "-1", "--ascend", "--seed", "11"]
+    args = ["game", "--levels", "1,2,3", "--beta", "1", "--ascend", "--seed", "11"]
     assert main(args + ["--output", str(t1)]) == EXIT_OK
     assert main(args + ["--output", str(t2)]) == EXIT_OK
     capsys.readouterr()

@@ -1,7 +1,10 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcgibbs import (
     AccuracyError,
@@ -18,7 +21,9 @@ from qcgibbs import (
     stationary_state,
     structured_det,
 )
-from qcgibbs.game import minor_log_magnitude, trace_to_csv
+from qcgibbs.ensemble import BoltzmannPass
+from qcgibbs.game import ASCENT_LOG_FLOOR, minor_log_magnitude, trace_to_csv
+from qcgibbs.spectrum import Spectrum, SpectrumSource
 
 
 def random_state(rng, k_max=8):
@@ -86,6 +91,8 @@ def test_state_validation():
         GameState(np.array([1.0]), 0.5, np.array([1.0]))
     with pytest.raises(ValueError):
         GameState(np.array([-1.0]), -1.0, np.array([1.0]))
+    with pytest.raises(ValueError, match="levels must be finite"):
+        GameState(np.array([1.0, np.inf]), -1.0, np.array([1.0, 1.0]))
 
 
 def test_probabilities_normalized(rng):
@@ -280,8 +287,55 @@ def test_minor_signs_five_levels_against_dense():
         assert abs(math.exp(log_abs) - abs(dense)) <= 1e-9 * abs(dense)
 
 
+def test_minor_log_magnitude_against_mpmath(rng):
+    # 50-digit determinants of the explicit Hessian at the same shifted weights
+    for _ in range(30):
+        size = int(rng.integers(2, 11))
+        levels = np.sort(rng.uniform(0.1, 10.0, size=size))
+        lam = -float(rng.uniform(0.05, 5.0))
+        with mpmath.workdps(50):
+            q = [mpmath.exp(lam * (mpmath.mpf(e) - mpmath.mpf(levels[0]))) for e in levels]
+            z = mpmath.fsum(q)
+            h = mpmath.matrix(size, size)
+            for i in range(size):
+                for j in range(size):
+                    h[i, j] = -(z - q[i]) / (q[i] * z**2) if i == j else 1 / z**2
+            for k in range(1, size):
+                exact = mpmath.det(h[:k, :k])
+                sign, log_abs = minor_log_magnitude(levels, lam, k)
+                assert sign == int(mpmath.sign(exact))
+                assert abs(mpmath.exp(log_abs) / abs(exact) - 1) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 100_000), lam=st.floats(-1e4, -1e-3),
+       depth=st.floats(1.0, 2_000.0), e1=st.floats(1e-3, 10.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=40, lam=-20.0, depth=780.0, e1=0.5, seed=0)
+@example(size=100_000, lam=-1e4, depth=2_000.0, e1=10.0, seed=0)
+def test_game_at_the_gibbs_state(size, lam, depth, e1, seed):
+    """Ascending distinct levels from E_1 = e1 up to lam (E_K - E_1) = -depth:
+    every minor below K has the theorem's sign, and where the Gibbs weights
+    are positive doubles the compromise there is the ensemble's log Z."""
+    gaps = np.random.default_rng(seed).uniform(0.5, 1.5, size=size - 1)
+    levels = e1 + depth / -lam * np.concatenate(([0.0], np.cumsum(gaps) / gaps.sum()))
+    assert principal_minor_signs(levels, lam, size - 1) == [(-1) ** k for k in range(1, size)]
+    if depth <= -ASCENT_LOG_FLOOR:
+        f, _, _ = compromise(stationary_state(levels, lam))
+        log_z = BoltzmannPass(Spectrum(levels, 1.0, SpectrumSource.GIVEN), -lam).log_z
+        assert abs(f - log_z) <= 1e-12 * max(1.0, abs(log_z))
+
+
+def test_minor_signs_at_a_hundred_thousand_levels():
+    levels = np.sort(np.random.default_rng(0).uniform(0.1, 1e3, size=100_000))
+    start = time.perf_counter()
+    signs = principal_minor_signs(levels, -1e4, levels.size - 1)
+    assert time.perf_counter() - start < 1.0
+    assert signs == [(-1) ** k for k in range(1, levels.size)]
+
+
 def test_minor_signs_contract_at_full_order():
-    with pytest.raises(ContractError):
+    with pytest.raises(ValueError, match="below the level count 2"):
         principal_minor_signs([1.0, 2.0], -1.0, 2)
     # the full determinant itself vanishes along the scale ray
     state = stationary_state(np.array([1.0, 2.0]), -1.0)
@@ -335,6 +389,18 @@ def test_ascend_iteration_cap():
     policy = StepPolicy(max_iterations=0, grad_tol=1e-300)
     with pytest.raises(ConvergenceError, match="gradient norm"):
         ascend([1.0, 2.0], -1.0, [5.0, 1.0], policy)
+
+
+def test_ascend_reaches_gibbs_weights_far_below_one():
+    # exp(-300 E_n) underflows from E_n = 2.5; the weights relative to E_1 do not
+    result = ascend([1.0, 2.0, 3.0], -300.0, [1.0, 1.0, 1.0])
+    target = stationary_state([1.0, 2.0, 3.0], -300.0).probabilities
+    np.testing.assert_allclose(result.weights / result.weights.sum(), target, rtol=1e-12)
+
+
+def test_ascend_refuses_gibbs_weights_past_the_doubles():
+    with pytest.raises(ValueError, match=r"lam \(E_max - E_min\) >= -700.*got -1600"):
+        ascend([1.0, 2.0, 3.0], -800.0, [1.0, 1.0, 1.0])
 
 
 def test_ascend_rejects_nonnegative_lambda():
