@@ -225,6 +225,9 @@ def cmd_game(args, cfg: RunConfig) -> int:
     if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
         raise ValueError("game plays at one beta and one h")
     beta, h = (cfg.beta or (1.0,))[0], (cfg.h or (1.0,))[0]
+    unused = cfg.given & {"format", "count", "output"} - ({"output"} if args.ascend else set())
+    if unused:
+        raise ValueError(f"game does not use {sorted(unused)} (output only with --ascend)")
     if args.levels is not None or args.levels_file is not None:
         named = cfg.given & {"model", "dimension", "lengths", "nu", "mass", "table", "h",
                              "max_levels"}
@@ -242,7 +245,7 @@ def cmd_game(args, cfg: RunConfig) -> int:
     gibbs = BoltzmannPass(spec, beta)
     lines = ["n,P", *(f"{i},{fmt17(pi)}" for i, pi in enumerate(gibbs.p, start=1)),
              f"F = {fmt17(gibbs.log_z)}", f"E = {fmt17(gibbs.e_q)}",
-             f"S = {fmt17(gibbs.s_q + 0.0)}"]  # + 0.0 writes a -0.0 entropy as 0
+             f"S = {fmt17(gibbs.s_q)}"]
     if args.minors:
         signs = game_mod.principal_minor_signs(spec.levels, -beta, args.minors)
         lines.append("minor_signs = " + ",".join("+" if s > 0 else "-" for s in signs))

@@ -7,7 +7,9 @@ level so that beta sweeps spanning several decades never underflow
 prematurely. Every quantum quantity and error bound is read from one weight
 pass per (spectrum, beta), a BoltzmannPass; the public functions are thin
 readers of it, and each thread keeps its last pass, so a caller that reads
-several quantities at one point makes one pass.
+several quantities at one point makes one pass. ThermoPoint, the one record
+of a (beta, h), reads through them, once and on first use, what a table row
+prints and what a claim check compares.
 Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
@@ -28,8 +30,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,22 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 # a table's Z_q and (2 pi h)^N Z_q are exp of a log inside this range
 _LOG_RANGE = (math.log(_TINY), math.log(float(np.finfo(float).max)))
+
+
+class _cached:
+    """A property computed on first read and kept on the instance: what
+    functools.cached_property does from Python 3.12, whose earlier versions
+    hold one lock per property across all instances, so that table rows on
+    threads would take turns."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class BoltzmannPass:
@@ -80,24 +96,26 @@ class BoltzmannPass:
         self.sw = float(self.w.sum())
         self.log_z = log_w0 + math.log(self.sw)
 
-    @cached_property
+    @_cached
     def e_shift(self) -> float:
         """E_q - E_1."""
         return float((self.d * self.w).sum()) / self.sw
 
-    @cached_property
+    @_cached
     def e_q(self) -> float:
         return self.e0 + self.e_shift
 
-    @cached_property
+    @_cached
     def p(self) -> np.ndarray:
         """The Gibbs probabilities P_n = w_n / sum w."""
         return self.w / self.sw
 
-    @cached_property
+    @_cached
     def s_q(self) -> float:
         p = self.p
-        s_direct = -float((p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum())
+        # 0.0 - x, not -x: a sum of zeros (every excited weight underflowed)
+        # gives S_q = +0, not -0
+        s_direct = 0.0 - float((p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum())
         s_identity = self.beta * self.e_shift + math.log(self.sw)
         if abs(s_direct - s_identity) > 1e-10 * max(1.0, abs(s_identity)):
             raise AccuracyError(
@@ -113,15 +131,15 @@ class BoltzmannPass:
             return -math.inf
         return log_tail_bound(self.spectrum, self.beta, power)
 
-    @cached_property
+    @_cached
     def log_tail(self) -> float:
         return self._log_tail(0)
 
-    @cached_property
+    @_cached
     def log_wtail(self) -> float:
         return self._log_tail(1)
 
-    @cached_property
+    @_cached
     def z_err(self) -> float:
         err = math.exp(self.log_tail) if self.log_tail > -700.0 else 0.0
         if self.spectrum.level_errors is not None:
@@ -129,7 +147,7 @@ class BoltzmannPass:
             err += prop * math.exp(max(-self.beta * self.e0, -700.0))
         return err
 
-    @cached_property
+    @_cached
     def e_err(self) -> float:
         err = math.exp(min(self.log_wtail - self.log_z, 50.0)) + self.e_q * math.exp(
             min(self.log_tail - self.log_z, 50.0)
@@ -139,7 +157,7 @@ class BoltzmannPass:
             err += float((self.spectrum.level_errors * sens).sum()) / self.sw
         return err
 
-    @cached_property
+    @_cached
     def s_err(self) -> float:
         z_lin = math.exp(max(-self.beta * self.e0, -700.0)) * self.sw
         return self.beta * self.e_err + self.z_err / z_lin
@@ -433,47 +451,129 @@ def entropy_quantum_error(spectrum: Spectrum, beta: float) -> float:
 # thermodynamic points and tables
 
 
-@dataclass(frozen=True)
 class ThermoPoint:
-    """Every thermodynamic quantity of one model at one (beta, h)."""
+    """One model at one (beta, h): what a table row prints and what every
+    claim check rules on.
 
-    beta: float
-    planck: float
-    dimension: int
-    z_quantum: float
-    z_quantum_tail: float
-    log_z_quantum: float
-    z_classical: float
-    z_classical_error: float
-    e_quantum: float
-    e_classical: float
-    s_quantum: float
-    s_classical: float
-    _spectrum: Spectrum = field(repr=False)
+    Each value is read on first use through the public readers above (a
+    method body does not see the class namespace, so a property named after
+    a reader calls the reader), and a reader's gate raises at the first read
+    that needs it. The comparisons z, e and s are (gap, bound, reference),
+    log_z and log_s (value, bound); within each, the quantum value is read
+    before the classical one and the error terms last.
+    """
 
-    @property
+    def __init__(self, potential: Potential, spectrum: Spectrum, beta: float):
+        self.potential, self.spectrum, self.beta = potential, spectrum, beta
+        self.planck = spectrum.planck
+        self.dimension = potential.dimension
+
+    @_cached
+    def log_z_quantum(self) -> float:
+        return log_z_quantum(self.spectrum, self.beta)[0]
+
+    @_cached
+    def z_quantum(self) -> float:
+        return z_quantum(self.spectrum, self.beta)[0]
+
+    @_cached
+    def log_zq_scaled(self) -> float:
+        """log((2 pi h)^N Z_q)."""
+        return self.dimension * math.log(2.0 * math.pi * self.planck) + self.log_z_quantum
+
+    @_cached
     def zq_scaled(self) -> float:
         """(2 pi h)^N Z_q, the quantity comparable to Z_c."""
-        return math.exp(_log_zq_scaled(self.dimension, self.planck, self.log_z_quantum))
+        return math.exp(self.log_zq_scaled)
+
+    @_cached
+    def e_quantum(self) -> float:
+        return mean_energy_quantum(self.spectrum, self.beta)
+
+    @_cached
+    def e_quantum_error(self) -> float:
+        return mean_energy_quantum_error(self.spectrum, self.beta)
+
+    @_cached
+    def s_quantum(self) -> float:
+        return entropy_quantum(self.spectrum, self.beta)[0]
+
+    @_cached
+    def probabilities(self) -> np.ndarray:
+        """The Gibbs occupation probabilities P_n."""
+        return entropy_quantum(self.spectrum, self.beta)[1]
+
+    @_cached
+    def zc(self) -> tuple[float, float]:
+        """(Z_c, error bound)."""
+        return z_classical(self.potential, self.beta)
 
     @property
-    def probabilities(self) -> np.ndarray:
-        """Gibbs occupation probabilities P_n, read from the Boltzmann pass."""
-        return boltzmann_pass(self._spectrum, self.beta).p
+    def z_classical(self) -> float:
+        return self.zc[0]
 
+    @_cached
+    def e_classical(self) -> float:
+        return mean_energy_classical(self.potential, self.beta)
 
-def _log_zq_scaled(n_dim: int, planck: float, log_zq: float) -> float:
-    return n_dim * math.log(2.0 * math.pi * planck) + log_zq
+    @_cached
+    def s_classical(self) -> float:
+        return _s_classical(self.potential, self.beta, self.planck, self.z_classical,
+                            self.e_classical)
+
+    @_cached
+    def z(self) -> tuple[float, float, float]:
+        """Z_c - (2 pi h)^N Z_q, with Z_c as reference."""
+        zq = self.z_quantum
+        zc, zc_err = self.zc
+        scale = (2.0 * math.pi * self.planck) ** self.dimension
+        zq_err = z_quantum_error(self.spectrum, self.beta)
+        return zc - scale * zq, scale * zq_err + zc_err + 64.0 * _EPS * zc, zc
+
+    @_cached
+    def e(self) -> tuple[float, float, float]:
+        """E_q - E_c, with E_c as reference."""
+        eq, ec = self.e_quantum, self.e_classical
+        return eq - ec, self.e_quantum_error + 1e-13 * abs(ec), ec
+
+    @_cached
+    def s(self) -> tuple[float, float, float]:
+        """S_q - S_c, with S_c as reference."""
+        sq, sc = self.s_quantum, self.s_classical
+        zc, zc_err = self.zc
+        return sq - sc, entropy_quantum_error(self.spectrum, self.beta) + zc_err / zc, sc
+
+    @_cached
+    def log_z(self) -> tuple[float, float]:
+        """log Z_q and the relative bound of Z_q."""
+        log_zq = self.log_z_quantum
+        return log_zq, z_quantum_error(self.spectrum, self.beta) / math.exp(min(log_zq, 700.0))
+
+    @_cached
+    def log_s(self) -> tuple[float, float]:
+        """log S_q, which stays meaningful where ground-state domination pushes
+        S_q under the smallest positive float, and its bound: S_q depends on
+        level differences only, so the log-scale uncertainty is beta times the
+        leading-gap and Boltzmann-weighted level errors."""
+        value = log_entropy_quantum(self.spectrum, self.beta)
+        err = 1e-12 * (1.0 + abs(value))
+        errs = self.spectrum.level_errors
+        if errs is not None:
+            m = boltzmann_pass(self.spectrum, self.beta)
+            err += self.beta * (float(errs[:2].sum()) + float((errs * m.w).sum()) / m.sw)
+        return value, err
 
 
 def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> ThermoPoint:
-    """Assemble a ThermoPoint, checking the entropy identities on the way.
+    """The ThermoPoint of a table row, read in full and checked on the way:
+    the plain-tail gate, the double range, E_q, S_q, Z_c and E_c, then the
+    entropy identity.
 
     Raises FloatingPointError when Z_q or (2 pi h)^N Z_q lies outside the
     normal double range, where the table would show inf or 0.
     """
-    log_zq, log_tail = log_z_quantum(spectrum, beta)
-    log_scaled = _log_zq_scaled(potential.dimension, spectrum.planck, log_zq)
+    point = ThermoPoint(potential, spectrum, beta)
+    log_zq, log_scaled = point.log_z_quantum, point.log_zq_scaled
     lo, hi = _LOG_RANGE
     if not (lo < log_zq < hi and lo < log_scaled < hi):
         raise FloatingPointError(
@@ -481,30 +581,12 @@ def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> Therm
             f"beta={beta:g}, h={spectrum.planck:g} leaves the double range "
             f"({lo:.6g}, {hi:.6g})"
         )
-    eq = mean_energy_quantum(spectrum, beta)
-    sq, _ = entropy_quantum(spectrum, beta)
-    zc, zc_err = z_classical(potential, beta)
-    ec = mean_energy_classical(potential, beta)
-    h = spectrum.planck
+    eq, sq, _, _ = point.e_quantum, point.s_quantum, point.zc, point.e_classical
     # S_q once more from the unshifted E_q and log Z_q, as tabulated
     sq_identity = beta * eq + log_zq
     if abs(sq - sq_identity) > 1e-10 * max(1.0, abs(sq_identity)):
         raise AccuracyError("entropy identity")
-    return ThermoPoint(
-        beta=beta,
-        planck=h,
-        dimension=potential.dimension,
-        z_quantum=math.exp(log_zq),
-        z_quantum_tail=math.exp(log_tail) if log_tail > -700.0 else 0.0,
-        log_z_quantum=log_zq,
-        z_classical=zc,
-        z_classical_error=zc_err,
-        e_quantum=eq,
-        e_classical=ec,
-        s_quantum=sq,
-        s_classical=_s_classical(potential, beta, h, zc, ec),
-        _spectrum=spectrum,
-    )
+    return point
 
 
 THERMO_FIELDS = ("beta", "h", "Zq_scaled", "Zc", "Eq", "Ec", "Sq", "Sc")
@@ -514,16 +596,8 @@ def _thermo_row(beta: float, h: float, point: ThermoPoint | None) -> list[float]
     """One table row; a failed point (None) reads nan past its beta and h."""
     if point is None:
         return [beta, h] + [math.nan] * (len(THERMO_FIELDS) - 2)
-    return [
-        point.beta,
-        point.planck,
-        point.zq_scaled,
-        point.z_classical,
-        point.e_quantum,
-        point.e_classical,
-        point.s_quantum,
-        point.s_classical,
-    ]
+    return [point.beta, point.planck, point.zq_scaled, point.z_classical, point.e_quantum,
+            point.e_classical, point.s_quantum, point.s_classical]
 
 
 def _table_text(rows, fmt: str, statuses=None) -> str:

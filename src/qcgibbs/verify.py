@@ -22,8 +22,9 @@ the largest value instead. A fixed axis left as None is 1. run_claims
 refuses a one-value grid that a claim compares neighbours along
 (COMPARED_GRIDS) before any check runs; a direct call reports Inconclusive.
 
-Each (beta, h) a check reads is one _Point, where every comparison of the
-quantum side with the classical one, and its error bound, is formed once.
+Each (beta, h) a check reads is one ensemble.ThermoPoint, the record a table
+row prints, where every comparison of the quantum side with the classical
+one, and its error bound, is formed once.
 Every check but T3_1 (whose integrand reads any beta) reads its points through
 ModelFamily.sweep: a point whose solve, fetch or read failed reads NaN, is
 listed in notes["failed_points"] of each report of its claim, and keeps them
@@ -39,24 +40,10 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .ensemble import (
-    boltzmann_pass,
-    entropy_classical,
-    entropy_quantum,
-    entropy_quantum_error,
-    log_entropy_quantum,
-    log_z_quantum,
-    mean_energy_classical,
-    mean_energy_quantum,
-    mean_energy_quantum_error,
-    z_classical,
-    z_quantum,
-    z_quantum_error,
-)
+from .ensemble import ThermoPoint, log_z_quantum, mean_energy_classical, mean_energy_quantum
 from .models import ModelFamily
 from .potential import PotentialKind
 from .util import halving_grid, log_grid
@@ -177,72 +164,6 @@ def _first(values) -> float:
     return 1.0 if values is None else float(np.atleast_1d(values)[0])
 
 
-class _Point:
-    """One (beta, h) on one spectrum. Each comparison is read on first use:
-    z, e and s as (gap, bound, reference), log_z and log_s as (value, bound).
-    Within each, the quantum value is read before the classical one and the
-    error terms last."""
-
-    def __init__(self, family: ModelFamily, spec, beta: float, h: float):
-        self.potential, self.spec, self.beta, self.h = family.potential, spec, beta, h
-
-    @cached_property
-    def zc(self) -> tuple[float, float]:
-        return z_classical(self.potential, self.beta)
-
-    @cached_property
-    def z(self) -> tuple[float, float, float]:
-        """Z_c - (2 pi h)^N Z_q, with Z_c as reference."""
-        zq, _ = z_quantum(self.spec, self.beta)
-        zc, zc_err = self.zc
-        scale = (2.0 * math.pi * self.h) ** self.potential.dimension
-        zq_err = z_quantum_error(self.spec, self.beta)
-        return zc - scale * zq, scale * zq_err + zc_err + 64.0 * np.finfo(float).eps * zc, zc
-
-    @cached_property
-    def eq(self) -> float:
-        return mean_energy_quantum(self.spec, self.beta)
-
-    @cached_property
-    def eq_err(self) -> float:
-        return mean_energy_quantum_error(self.spec, self.beta)
-
-    @cached_property
-    def e(self) -> tuple[float, float, float]:
-        """E_q - E_c, with E_c as reference."""
-        eq = self.eq
-        ec = mean_energy_classical(self.potential, self.beta)
-        return eq - ec, self.eq_err + 1e-13 * abs(ec), ec
-
-    @cached_property
-    def s(self) -> tuple[float, float, float]:
-        """S_q - S_c, with S_c as reference."""
-        sq, _ = entropy_quantum(self.spec, self.beta)
-        sc = entropy_classical(self.potential, self.beta, self.h)
-        zc, zc_err = self.zc
-        return sq - sc, entropy_quantum_error(self.spec, self.beta) + zc_err / zc, sc
-
-    @cached_property
-    def log_z(self) -> tuple[float, float]:
-        """log Z_q and the relative bound of Z_q."""
-        log_zq, _ = log_z_quantum(self.spec, self.beta)
-        return log_zq, z_quantum_error(self.spec, self.beta) / math.exp(min(log_zq, 700.0))
-
-    @cached_property
-    def log_s(self) -> tuple[float, float]:
-        """log S_q, which stays meaningful where ground-state domination pushes
-        S_q under the smallest positive float, and its bound: S_q depends on
-        level differences only, so the log-scale uncertainty is beta times the
-        leading-gap and Boltzmann-weighted level errors."""
-        value = log_entropy_quantum(self.spec, self.beta)
-        err = 1e-12 * (1.0 + abs(value))
-        errs = self.spec.level_errors
-        if errs is not None:
-            m = boltzmann_pass(self.spec, self.beta)
-            err += self.beta * (float(errs[:2].sum()) + float((errs * m.w).sum()) / m.sw)
-        return value, err
-
-
 def _relative(comparison) -> tuple[float, float]:
     """(|gap| / |reference|, bound / |reference|) of a (gap, bound, reference)."""
     gap, bound, reference = comparison
@@ -250,10 +171,11 @@ def _relative(comparison) -> tuple[float, float]:
 
 
 def _sweep(family: ModelFamily, betas, hs, read, width: int, depth: float | None = None):
-    """read(point) -> `width` floats at every (beta, h) of family.sweep, h
+    """read(ThermoPoint) -> `width` floats at every (beta, h) of family.sweep, h
     outer, as rows of an array, NaN at a failed point, and the failed
     points' records."""
-    out = family.sweep(betas, hs, lambda spec, b, h: read(_Point(family, spec, b, h)), depth)
+    out = family.sweep(betas, hs, lambda spec, b, h: read(ThermoPoint(family.potential, spec, b)),
+                       depth)
     values = [(math.nan,) * width if isinstance(r, dict) else r for r in out]
     return (np.array(values, dtype=float).reshape(len(out), width),
             [r for r in out if isinstance(r, dict)])
@@ -401,7 +323,7 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
     n_log = pot.dimension * math.log(2.0 * math.pi * h)
 
     def log_ratio(gamma: float) -> tuple[float, float]:
-        point = _Point(family, spec, gamma, h)
+        point = ThermoPoint(pot, spec, gamma)
         log_zq, rel_z = point.log_z
         zc, zc_err = point.zc
         return math.log(zc) - n_log - log_zq, zc_err / zc + rel_z
@@ -429,13 +351,13 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
 def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
     """S_q strictly decreasing along beta at fixed h and along h at fixed beta.
 
-    Monotonicity is checked on log S_q (_Point.log_s). The h direction rests
+    Monotonicity is checked on log S_q (ThermoPoint.log_s). The h direction rests
     on the exact scaling law, so on tabulated wells T4_1_h is reported
     Inconclusive with notes["applicable"] = False.
     """
     betas = np.sort(_grid(betas, default_beta_grid))
     hs = np.sort(_grid(hs, default_h_grid))
-    values, failed = _sweep(family, betas, hs, lambda p: (p.spec.count, *p.log_s), 3)
+    values, failed = _sweep(family, betas, hs, lambda p: (p.spectrum.count, *p.log_s), 3)
     counts, log_s, err = values.reshape(len(hs), len(betas), 3).T  # [beta, h]
     vacuous = bool(np.any(counts < 2))  # some swept spectrum has fewer than two levels
 
@@ -479,9 +401,9 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     # E_q - E_c, and the P4_1 derivative residual relative to the analytic
     # side with its bound
     def read(point):
-        h = point.h
+        h = point.planck
         log_zq, rel_z = point.log_z
-        eq, e_err = point.eq, point.eq_err
+        eq, e_err = point.e_quantum, point.e_quantum_error
         log_g = [n_dim * math.log(x) + log_z_quantum(family.spectrum(x, depth), beta)[0]
                  for x in (h * (1 + delta), h * (1 - delta),
                            h * (1 + delta / 2), h * (1 - delta / 2))]

@@ -174,6 +174,19 @@ def test_table_json_mirror(tmp_path, capsys):
             assert row[name] == val
 
 
+def test_table_writes_a_ground_state_entropy_as_zero(capsys):
+    # at beta = 51 every excited weight of the unit box underflows, so S_q is
+    # a sum of zeros: written 0 and 0.0, never -0 and -0.0
+    args = ["table", "--model", "box", "--beta", "51", "--h", "1"]
+    code, out, _ = run(args, capsys)
+    assert code == EXIT_OK
+    assert out.splitlines()[1].split(",")[6] == "0"
+    code, out, _ = run(args + ["--format", "json"], capsys)
+    assert code == EXIT_OK
+    assert '"Sq": 0.0,' in out
+    assert math.copysign(1.0, json.loads(out)["rows"][0]["Sq"]) == 1.0
+
+
 def test_table_truncation_failure_exit_code(capsys):
     # tiny level budget cannot cover beta = 1e-4: rows flagged, exit 3; the
     # sweep needs the smallest m with (pi m)^2 / 2 >= 45 / 1e-4, m = 302
@@ -464,6 +477,28 @@ def test_game_usage_errors(argv, capsys):
     code, _, err = run(["game", *argv], capsys)
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--format", "json"], "['format']"),
+    (["--count", "99", "--format", "csv"], "['count', 'format']"),
+    (["-o", "x.csv"], "['output']"),  # the output is the --ascend trace
+    (["--ascend", "--format", "json", "-o", "x.csv"], "['format']"),
+    (["--config", "CONFIG"], "['count']"),
+])
+def test_game_refuses_the_flags_it_does_not_use(argv, named, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "CONFIG").write_text("count = 5\n")
+    code, out, err = run(["game", "--levels", "1,2", *argv], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: game does not use {named}")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_game_entropy_of_a_ground_state_is_zero(capsys):
+    code, out, _ = run(["game", "--levels", "1,2,3", "--beta", "800"], capsys)
+    assert code == EXIT_OK
+    assert _game_lines(out)["S"] == "0"
 
 
 def test_game_ascent_trace(tmp_path, capsys):

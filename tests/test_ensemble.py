@@ -499,6 +499,33 @@ def test_thermo_point_identities():
     assert pt.zq_scaled == pytest.approx(2 * math.pi * pt.z_quantum, rel=1e-12)
 
 
+def test_a_point_reads_each_classical_quantity_once(monkeypatch):
+    # S_c reuses the point's own Z_c and E_c, so the comparisons z, e and s
+    # call each classical reader once
+    calls = []
+
+    def counting(name):
+        real = getattr(ensemble, name)
+
+        def reader(*args):
+            calls.append(name)
+            return real(*args)
+        return reader
+
+    for name in ("z_classical", "mean_energy_classical"):
+        monkeypatch.setattr(ensemble, name, counting(name))
+    pt = ensemble.ThermoPoint(box([1.0]), solve_box(1, [1.0], count=200), 1.0)
+    gaps = pt.z[0], pt.e[0], pt.s[0]
+    assert sorted(calls) == ["mean_energy_classical", "z_classical"]
+    assert gaps[2] == pt.s_quantum - entropy_classical(box([1.0]), 1.0, pt.planck)
+
+
+def test_entropy_of_a_ground_state_is_plus_zero():
+    # every excited weight underflows: the direct sum is a sum of zeros
+    m = boltzmann_pass(toy([1.0, 2.0, 3.0]), 800.0)
+    assert m.s_q == 0.0 and math.copysign(1.0, m.s_q) == 1.0
+
+
 def test_gibbs_maximizes_entropy_under_energy_constraint(rng):
     spec = toy(np.linspace(1.0, 4.0, 12))
     beta = 0.9

@@ -384,21 +384,23 @@ def test_run_claims_refuses_one_point_before_any_solve(keys, betas, hs, named, m
 ])
 def test_a_failed_point_is_listed_and_keeps_its_claim_from_holds(key, reader, monkeypatch):
     # every sweeping claim records a point whose read raises and rules on the
-    # rest; h = 1 is the first of five hs, outside WEHRL_S's last four
-    import qcgibbs.verify as verify_mod
+    # rest; h = 1 is the first of five hs, outside WEHRL_S's last four. A
+    # check's point is an ensemble.ThermoPoint, which calls the readers of
+    # qcgibbs.ensemble.
+    import qcgibbs.ensemble as ensemble_mod
     from qcgibbs.errors import TruncationError
 
     betas, hs = [1.0, 0.5, 0.25], [1.0, 0.5, 0.25, 0.125, 0.0625]
     clean = run_claims(homogeneous_family(2.0), [key], betas, hs)
     assert all(rep.status is Status.HOLDS for rep in clean)
-    real = getattr(verify_mod, reader)
+    real = getattr(ensemble_mod, reader)
 
     def failing(spec, beta):
         if (beta, spec.planck) == (1.0, 1.0):
             raise TruncationError("tail too heavy at beta = 1, h = 1")
         return real(spec, beta)
 
-    monkeypatch.setattr(verify_mod, reader, failing)
+    monkeypatch.setattr(ensemble_mod, reader, failing)
     reports = run_claims(homogeneous_family(2.0), [key], betas, hs)
     assert len(reports) == len(clean)
     for rep in reports:
