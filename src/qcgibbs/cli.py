@@ -1,14 +1,14 @@
 """Command-line interface: spectra, thermodynamic tables, claim checks, the game.
 
-Configuration comes from flags, optionally layered over a flat key=value
-config file (flags win). Relative output paths are resolved against
-QCGIBBS_OUTDIR when set. `table` and `verify` read grids through
-ModelFamily.sweep, a table's rows on threads where their h's spectrum reaches
-TABLE_THREAD_LEVELS levels. `game` plays at the Gibbs state of one (beta, h),
-on the levels a one-point table row reads or on --levels. Exit codes: 0
-success, 2 usage or validation, 3 numerical failure (truncation, quadrature,
-accuracy, overflow; a failed grid point too), 4 a theorem-class claim
-reported Violated.
+Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
+optional flat key=value config file (flags win), and refuses any other.
+Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
+and `verify` read grids through ModelFamily.sweep, a table's rows on threads
+where their h's spectrum reaches TABLE_THREAD_LEVELS levels. `game` plays at
+the Gibbs state of one (beta, h), on the levels a one-point table row reads
+or on --levels. Exit codes: 0 success, 2 usage or validation, 3 numerical
+failure (truncation, quadrature, accuracy, overflow; a failed grid point
+too), 4 a theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+import warnings
+from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -55,46 +57,6 @@ EXIT_VIOLATED = 4
 TABLE_THREAD_LEVELS = 40_000
 
 
-@dataclass
-class RunConfig:
-    """Declarative run description, read from flags and the flat config format."""
-
-    model: str = "box"
-    dimension: int = 1
-    lengths: tuple[float, ...] = (1.0,)
-    nu: float = 2.0
-    mass: float = 1.0
-    table: str | None = None
-    # None: not given; spectrum and table then use 1, verify each claim's default grid
-    beta: tuple[float, ...] | None = None
-    h: tuple[float, ...] | None = None
-    count: int = 10
-    max_levels: int = 2_000_000
-    format: str = "csv"
-    output: str | None = None
-    seed: int = 0
-    # the keys a flag or the config file named, whatever their values
-    given: set[str] = field(default_factory=set)
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse the flat key = value format (''#'' starts a comment line)."""
-    cfg = RunConfig()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key: {key!r}")
-        setattr(cfg, key, _CONFIG_KEYS[key](value.strip()))
-        cfg.given.add(key)
-    return cfg
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Either a comma list '0.5,1,2' or a log range 'lo:hi:per_decade'."""
     if ":" in text:
@@ -107,15 +69,66 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
-# how the text of each config key becomes its RunConfig value; the flag of the
-# same dest goes through the same parser (already typed values pass unchanged)
-_CONFIG_KEYS = {
-    "model": str, "dimension": int,
-    "lengths": lambda text: tuple(float(x) for x in text.split(",")),
-    "nu": float, "mass": float, "table": str, "beta": _parse_grid, "h": _parse_grid,
-    "count": int, "max_levels": int, "format": str,
-    "output": str, "seed": int,
+class Setting:
+    """A run setting: its flag spellings, the parser of its text (a flag's and
+    a config value's alike), its value where not given, and its help."""
+
+    __slots__ = ("flags", "parse", "default", "help")
+
+    def __init__(self, flags: tuple[str, ...], parse: Callable[[str], object],
+                 default: object = None, help: str | None = None):
+        self.flags, self.parse, self.default, self.help = flags, parse, default, help
+
+
+# every setting, under its config key; where beta or h is not given, table
+# and game use 1 and verify each claim's default grid
+SETTINGS = {
+    "model": Setting(("--model",), str, "box", "box, homogeneous or tabulated"),
+    "dimension": Setting(("--N",), int, 1, "coordinate dimension"),
+    "lengths": Setting(("--L",), lambda text: tuple(float(x) for x in text.split(",")), (1.0,),
+                       "comma list of box lengths"),
+    "nu": Setting(("--nu",), float, 2.0, "power-law exponent"),
+    "mass": Setting(("--mass",), float, 1.0),
+    "table": Setting(("--table",), str, None, "x,V CSV for tabulated potentials"),
+    "beta": Setting(("--beta",), _parse_grid, None, "comma list or lo:hi[:per_decade] log range"),
+    "h": Setting(("--h",), _parse_grid, None, "comma list or lo:hi[:per_decade] log range"),
+    "count": Setting(("--count",), int, 10, "number of levels"),
+    "max_levels": Setting(("--max-levels",), int, 2_000_000),
+    "format": Setting(("--format",), str, "csv", "csv or json"),
+    "output": Setting(("--output", "-o"), str),
+    "seed": Setting(("--seed",), int, 0),
 }
+MODEL_SETTINGS = ("model", "dimension", "lengths", "nu", "mass", "table", "max_levels")
+# the settings each subcommand reads; its parser refuses any other flag, and
+# parse_config any other key (game reads seed and output only with --ascend)
+COMMAND_SETTINGS = {
+    "spectrum": (*MODEL_SETTINGS, "h", "count", "output"),
+    "table": (*MODEL_SETTINGS, "beta", "h", "format", "output"),
+    "verify": (*MODEL_SETTINGS, "beta", "h", "output"),
+    "game": (*MODEL_SETTINGS, "beta", "h", "seed", "output"),
+}
+
+
+def parse_config(text: str, command: str) -> SimpleNamespace:
+    """Every setting, read from the flat key = value format (''#'' starts a
+    comment line) where `command` reads it, else its default; `given` names
+    the keys the text set."""
+    cfg = SimpleNamespace(**{key: s.default for key, s in SETTINGS.items()}, given=set())
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"malformed config line: {raw!r}")
+        key = key.strip()
+        if key not in SETTINGS:
+            raise ValueError(f"unknown config key: {key!r}")
+        if key not in COMMAND_SETTINGS[command]:
+            raise ValueError(f"{command} does not read config key {key!r}")
+        setattr(cfg, key, SETTINGS[key].parse(value.strip()))
+        cfg.given.add(key)
+    return cfg
 
 
 def _outdir() -> Path | None:
@@ -133,7 +146,7 @@ def _resolve_output(path_str: str | None) -> Path | None:
     return path
 
 
-def _build_family(cfg: RunConfig) -> ModelFamily:
+def _build_family(cfg: SimpleNamespace) -> ModelFamily:
     if cfg.model in ("homogeneous", "tabulated") and cfg.dimension != 1:
         raise ValueError(
             f"{cfg.model} wells are one-dimensional, got --N {cfg.dimension} "
@@ -177,7 +190,14 @@ def _count_depth(fam: ModelFamily, count: int, h: float) -> float:
     return LAMBDA_DEPTH / (fam.level_energy(count, h if tabulated else 1.0) - fam.min_potential)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def _at(point: dict) -> str:
+    """Where a failed grid point of ModelFamily.sweep failed, and why."""
+    return f"at beta={point['beta']:g}, h={point['h']:g}: {point['error']}"
+
+
+def cmd_spectrum(cfg: SimpleNamespace) -> int:
+    if len(cfg.h or ()) > 1:
+        raise ValueError("spectrum reads one h")
     fam = _build_family(cfg)
     h = cfg.h[0] if cfg.h else 1.0
     lam = _count_depth(fam, cfg.count, h)
@@ -186,21 +206,24 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_table(cfg: RunConfig) -> int:
+def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
     out = fam.sweep(betas, hs, lambda spec, beta, h: _thermo_row(
         beta, h, thermo_point(fam.potential, spec, beta)), thread_levels=TABLE_THREAD_LEVELS)
     # the sweep runs h outer, the table beta outer
-    rows, statuses = zip(*(
-        (_thermo_row(c["beta"], c["h"], None), f"error: {c['error']}") if isinstance(c, dict)
-        else (c, "ok") for j in range(len(betas)) for c in out[j::len(betas)]))
+    cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
+    failed = [c for c in cells if isinstance(c, dict)]
+    rows, statuses = zip(*((_thermo_row(c["beta"], c["h"], None), f"error: {c['error']}")
+                           if isinstance(c, dict) else (c, "ok") for c in cells))
     text = _table_text(rows, cfg.format, statuses) + ("\n" if cfg.format == "json" else "")
     _write_or_print(text, _resolve_output(cfg.output))
-    return EXIT_OK if all(s == "ok" for s in statuses) else EXIT_NUMERICAL
+    if failed:
+        print(f"numerical error: {_at(failed[0])}", file=sys.stderr)
+    return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
+def cmd_verify(cfg: SimpleNamespace, claims: list[str]) -> int:
     fam = _build_family(cfg)
     reports = run_claims(fam, claims, cfg.beta, cfg.h)
     text = reports_to_json(reports) + "\n"
@@ -212,7 +235,7 @@ def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
             f"{r.claim_id.value:10s} {fam.label:20s} {r.status.value:13s} "
             f"margin={r.worst_margin:.6g} tol={r.tolerance:.3g}\n"
         )
-    failed = [f"{r.claim_id.value} at beta={f['beta']:g}, h={f['h']:g}: {f['error']}"
+    failed = [f"{r.claim_id.value} {_at(f)}"
               for r in reports for f in r.notes.get("failed_points", ())]
     if failed:
         print(f"numerical error: {failed[0]}", file=sys.stderr)
@@ -221,20 +244,21 @@ def cmd_verify(cfg: RunConfig, claims: list[str]) -> int:
     return EXIT_VIOLATED if violated else EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_game(args, cfg: RunConfig) -> int:
+def cmd_game(args, cfg: SimpleNamespace) -> int:
     if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
         raise ValueError("game plays at one beta and one h")
     beta, h = (cfg.beta or (1.0,))[0], (cfg.h or (1.0,))[0]
-    unused = cfg.given & {"format", "count", "output"} - ({"output"} if args.ascend else set())
-    if unused:
-        raise ValueError(f"game does not use {sorted(unused)} (output only with --ascend)")
+    ascent_only = cfg.given & {"seed", "output"}
+    if ascent_only and not args.ascend:
+        raise ValueError(f"game reads {sorted(ascent_only)} only with --ascend")
     if args.levels is not None or args.levels_file is not None:
-        named = cfg.given & {"model", "dimension", "lengths", "nu", "mass", "table", "h",
-                             "max_levels"}
+        named = cfg.given & {*MODEL_SETTINGS, "h"}
         if named:
             raise ValueError(f"game plays on --levels or on a model, not both: got {sorted(named)}")
-        levels = (np.loadtxt(args.levels_file, ndmin=1) if args.levels_file
-                  else [float(x) for x in args.levels.split(",")])
+        with warnings.catch_warnings():  # Spectrum refuses an empty file below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            levels = (np.loadtxt(args.levels_file, ndmin=1) if args.levels_file
+                      else [float(x) for x in args.levels.split(",")])
         spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)
     else:
         fam = _build_family(cfg)
@@ -274,34 +298,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "energy-entropy game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the model flags, declared once and copied into every subcommand
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--config", help="flat key=value config file; flags override")
-    model.add_argument("--model", choices=("box", "homogeneous", "tabulated"))
-    model.add_argument("--N", type=int, dest="dimension", help="coordinate dimension")
-    model.add_argument("--L", dest="lengths", metavar="L", help="comma list of box lengths")
-    model.add_argument("--nu", type=float, help="power-law exponent")
-    model.add_argument("--mass", type=float)
-    model.add_argument("--table", help="x,V CSV for tabulated potentials")
-    model.add_argument("--beta", help="comma list or lo:hi[:per_decade] log range")
-    model.add_argument("--h", help="comma list or lo:hi[:per_decade] log range")
-    model.add_argument("--count", type=int, help="number of levels")
-    model.add_argument("--max-levels", type=int, dest="max_levels")
-    model.add_argument("--format", choices=("csv", "json"))
-    model.add_argument("--output", "-o")
-    model.add_argument("--seed", type=int)
-
-    sub.add_parser("spectrum", parents=[model], help="write an n,E level table")
-    sub.add_parser("table", parents=[model],
-                   help="thermodynamic table over a (beta, h) grid")
-    p_verify = sub.add_parser("verify", parents=[model],
-                              help="run claim checks and emit a JSON report")
-    p_verify.add_argument("--claims", required=True,
-                          help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
-
-    p_game = sub.add_parser("game", parents=[model],
-                            help="stationary distribution, minors, ascent trace")
+    commands = {
+        "spectrum": sub.add_parser("spectrum", help="write an n,E level table"),
+        "table": sub.add_parser("table", help="thermodynamic table over a (beta, h) grid"),
+        "verify": sub.add_parser("verify", help="run claim checks and emit a JSON report"),
+        "game": sub.add_parser("game", help="stationary distribution, minors, ascent trace"),
+    }
+    # one action per setting, shared as parents= shares them: an action per
+    # (subcommand, setting) pair allocates enough to draw a GC pass into a run
+    shared = argparse.ArgumentParser(add_help=False)
+    config = shared.add_argument("--config", help="flat key=value config file; flags override")
+    actions = {key: shared.add_argument(*s.flags, dest=key, help=s.help)
+               for key, s in SETTINGS.items()}
+    for command, p in commands.items():
+        p._add_action(config)
+        for key in COMMAND_SETTINGS[command]:
+            p._add_action(actions[key])
+    commands["verify"].add_argument(
+        "--claims", required=True, help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
+    p_game = commands["game"]
     p_game.add_argument("--levels", help="comma list of ascending level energies, "
                         "in place of the model's")
     p_game.add_argument("--levels-file", help="file with one level per line")
@@ -312,19 +327,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args) -> RunConfig:
-    if getattr(args, "config", None):
-        cfg = parse_config(Path(args.config).read_text())
-    else:
-        cfg = RunConfig()
-    for key, parse in _CONFIG_KEYS.items():
-        value = getattr(args, key)
-        if value is not None:
-            setattr(cfg, key, parse(value))
+def _merge_config(args) -> SimpleNamespace:
+    cfg = parse_config(Path(args.config).read_text() if args.config else "", args.command)
+    for key in COMMAND_SETTINGS[args.command]:
+        text = getattr(args, key)
+        if text is not None:
+            setattr(cfg, key, SETTINGS[key].parse(text))
             cfg.given.add(key)
     # basic validation shared by every command
     if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")
+    if cfg.format not in ("csv", "json"):
+        raise ValueError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
     if cfg.max_levels < 8:

@@ -54,6 +54,9 @@ from .util import thread_map
 LAMBDA_DEPTH = 45.0
 
 LEVEL_CAP = 2_000_000
+# level counts are searched below this bound; a count at or past it is
+# named as "at least 2^62" rather than as a number of levels
+LEVEL_COUNT_LIMIT = 2**62
 # even power laws are solved in an oscillator basis whose largest parity block
 # holds 0.65 (nu = 4) to 0.81 (nu = 28) states per level; its band reduction
 # costs O(size^2 nu/2), and one build at this many levels took 14 s at nu = 4
@@ -155,11 +158,12 @@ class ModelFamily:
     def level_count(self, planck: float, lambda_min: float) -> int:
         """Levels a solve at h takes: the smallest m >= 8 whose law level
         reaches min V + LAMBDA_DEPTH / lambda_min, plus 6% + 8 levels of
-        headroom where the law is Weyl's estimate rather than a bound."""
+        headroom where the law is Weyl's estimate rather than a bound;
+        LEVEL_COUNT_LIMIT plus headroom where no law level below it reaches."""
         target = self.min_potential + LAMBDA_DEPTH / lambda_min
         # the laws increase with m, so bisect for the first one at the target
         m = 8 + bisect.bisect_left(
-            range(8, 2**62), target, key=lambda k: self.level_energy(k, planck))
+            range(8, LEVEL_COUNT_LIMIT), target, key=lambda k: self.level_energy(k, planck))
         return m + self._headroom(m)
 
     def _headroom(self, m: int) -> int:
@@ -271,7 +275,8 @@ class ModelFamily:
         for cap, where in caps:
             if count <= cap:
                 continue
-            head = f"{self.label}: sweep needs {count} levels, above the {where} {cap}"
+            needs = count if count < LEVEL_COUNT_LIMIT else "at least 2^62"
+            head = f"{self.label}: sweep needs {needs} levels, above the {where} {cap}"
             # the deepest law level whose count with headroom fits the cap
             top = bisect.bisect_right(range(cap + 1), cap, key=lambda k: k + self._headroom(k)) - 1
             if top < 8:  # fewer than any solve takes

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -20,10 +21,12 @@ import qcgibbs.cli as cli_mod
 import qcgibbs.models as models_mod
 import qcgibbs.util as util_mod
 from qcgibbs.cli import (
-    _CONFIG_KEYS,
+    COMMAND_SETTINGS,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    MODEL_SETTINGS,
+    SETTINGS,
     build_parser,
     main,
     parse_config,
@@ -131,6 +134,11 @@ def test_spectrum_writes_file(tmp_path, capsys):
     assert out_file.read_text().startswith("# h=1\n# source=analytic_box\nn,E\n")
 
 
+def test_spectrum_reads_one_h(capsys):
+    code, out, err = run(["spectrum", "--model", "box", "--h", "0.5,1"], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: spectrum reads one h\n")
+
+
 # ---------------------------------------------------------------------------
 # table command
 
@@ -203,6 +211,20 @@ def test_table_truncation_failure_exit_code(capsys):
     )
 
 
+def test_table_names_a_count_past_the_search_bound(capsys):
+    # no oscillator level below 2^62 reaches 45 / 1e-300: the count is named
+    # as a bound, not as the bisection's end, and every row fails with it
+    code, out, err = run(["table", "--model", "homogeneous", "--nu", "2",
+                          "--beta", "1e-300,1", "--h", "1"], capsys)
+    why = ("homogeneous_nu2: sweep needs at least 2^62 levels, above the cap 2000000; "
+           "raise the cap or shrink the sweep (the cap supports beta * phi(h) down to "
+           "about 1.6e-05)")
+    assert code == EXIT_NUMERICAL
+    assert out.splitlines()[1:] == [f"{beta},1,nan,nan,nan,nan,nan,nan,error: {why}"
+                                    for beta in ("1e-300", "1")]
+    assert err == f"numerical error: at beta=1e-300, h=1: {why}\n"
+
+
 @pytest.mark.parametrize("h", ["1e153", "1e154", "1e200"])
 def test_spectrum_overflow_is_a_numerical_error(h, capsys):
     # h^2 E_n(1) leaves the double range: exit 3, and no numpy warning
@@ -220,9 +242,12 @@ def test_table_marks_rows_outside_the_double_range(capsys):
     # with a message, none reads 0 or inf, and numpy warns of nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, _ = run(
+        code, out, err = run(
             ["table", "--model", "box", "--beta", "1,1000", "--h", "1,1e152"], capsys)
     assert code == EXIT_NUMERICAL
+    # the first failed row of the table, beta outer, not of the sweep, h outer
+    assert err.startswith("numerical error: at beta=1, h=1e+152: log((2 pi h)^N Z_q)")
+    assert err.count("\n") == 1
     rows = out.strip().splitlines()[1:]
     assert rows[0].endswith(",ok")
     failed = ",nan,nan,nan,nan,nan,nan,error: "
@@ -485,13 +510,22 @@ def test_game_usage_errors(argv, capsys):
     (["-o", "x.csv"], "['output']"),  # the output is the --ascend trace
     (["--ascend", "--format", "json", "-o", "x.csv"], "['format']"),
     (["--config", "CONFIG"], "['count']"),
+    (["--seed", "9"], "['seed']"),  # the seed starts the ascent
 ])
 def test_game_refuses_the_flags_it_does_not_use(argv, named, tmp_path, monkeypatch, capsys):
+    # game reads no format or count, as a flag or a key, and seed and output
+    # only with --ascend
     monkeypatch.chdir(tmp_path)
     (tmp_path / "CONFIG").write_text("count = 5\n")
     code, out, err = run(["game", "--levels", "1,2", *argv], capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith(f"error: game does not use {named}")
+    if "--config" in argv:
+        assert err == "error: game does not read config key 'count'\n"
+    elif {"--format", "--count"} & set(argv):
+        unread = re.search(r"unrecognized arguments: (.*)", err).group(1)
+        assert unread.split()[::2] == [f"--{name}" for name in re.findall(r"'(\w+)'", named)]
+    else:
+        assert err == f"error: game reads {named} only with --ascend\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -511,6 +545,16 @@ def test_game_ascent_trace(tmp_path, capsys):
     assert lines[0] == "iter,F,grad_norm"
     f_col = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(b >= a for a, b in zip(f_col, f_col[1:]))
+
+
+def test_game_refuses_an_empty_levels_file(tmp_path, capsys):
+    # one error line, and no numpy warning on the way
+    levels_file = tmp_path / "levels.txt"
+    levels_file.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["game", "--levels-file", str(levels_file)], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: levels must be a non-empty 1-D array\n")
 
 
 def test_game_levels_file(tmp_path, capsys):
@@ -538,7 +582,7 @@ def test_game_seed_determinism(tmp_path, capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("model = box\nlengths = 1\nbeta = 1\nh = 1\ncount = 3\n")
+    cfg_file.write_text("model = box\nlengths = 1\nh = 1\ncount = 3\n")
     code, out, _ = run(
         ["spectrum", "--config", str(cfg_file), "--count", "5"], capsys)
     assert code == EXIT_OK
@@ -572,14 +616,41 @@ def test_max_levels_below_the_floor_exits_2(max_levels, capsys):
     assert err == "error: max_levels must be at least 8, the fewest levels a solve takes\n"
 
 
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_lists_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    listed = re.search(r"Config file keys: `([^`]*)`", readme).group(1)
-    assert [key.strip() for key in listed.split(",")] == list(_CONFIG_KEYS)
+    # README's settings table: each key, its flags, and the commands that read it
+    head = "| key | flags | spectrum | table | verify | game |"
+    lines = _README[_README.index(head):].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines[:next(i for i, l in enumerate(lines) if not l.startswith("|"))]]
+    assert [row[0].strip("`") for row in rows] == list(SETTINGS)
+    for key, flags, *marks in rows:
+        key = key.strip("`")
+        assert [f.strip(" `") for f in flags.split(",")] == list(SETTINGS[key].flags)
+        assert [bool(m) for m in marks] == [key in COMMAND_SETTINGS[c] for c in COMMAND_SETTINGS]
+
+
+def _readme_examples():
+    block = re.search(r"## CLI\n\n```\n(.*?)```", _README, re.S).group(1)
+    for line in block.splitlines():
+        # an example with an optional [part] runs both without and with it
+        yield from dict.fromkeys([re.sub(r"\[[^]]*\]", "", line), re.sub(r"[][]", "", line)])
+
+
+@pytest.mark.parametrize("example", list(_readme_examples()))
+def test_readme_examples_run(example, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QCGIBBS_OUTDIR", str(tmp_path))
+    program, *argv = shlex.split(example)
+    assert program == "qcgibbs"
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_OK, err
 
 
 def test_grid_range_syntax():
-    cfg = parse_config("beta = 0.01:10:9\n")
+    cfg = parse_config("beta = 0.01:10:9\n", "table")
     assert len(cfg.beta) == 28
     assert cfg.beta[0] == pytest.approx(0.01)
     assert cfg.beta[-1] == pytest.approx(10.0)
@@ -604,41 +675,72 @@ def test_threads_env_same_output(capsys, monkeypatch):
     assert out1 == out2
 
 
-# each model flag, a value for it, and the dest and value it parses to
-_MODEL_FLAGS = [
-    ("--config", "run.cfg", "config", "run.cfg"),
-    ("--model", "tabulated", "model", "tabulated"),
-    ("--N", "2", "dimension", 2),
-    ("--L", "1,2", "lengths", "1,2"),
-    ("--nu", "4", "nu", 4.0),
-    ("--mass", "0.5", "mass", 0.5),
-    ("--table", "well.csv", "table", "well.csv"),
-    ("--beta", "0.1:10", "beta", "0.1:10"),
-    ("--h", "0.5,1", "h", "0.5,1"),
-    ("--count", "7", "count", 7),
-    ("--max-levels", "99", "max_levels", 99),
-    ("--format", "json", "format", "json"),
-    ("--output", "out.csv", "output", "out.csv"),
-    ("-o", "out.csv", "output", "out.csv"),
-    ("--seed", "3", "seed", 3),
-]
+# a text for each setting
+_SETTING_TEXT = {"model": "tabulated", "dimension": "2", "lengths": "1,2", "nu": "4",
+                 "mass": "0.5", "table": "well.csv", "beta": "0.1:10", "h": "0.5,1",
+                 "count": "7", "max_levels": "99", "format": "json", "output": "out.csv",
+                 "seed": "3"}
 _COMMAND_ARGS = {"spectrum": [], "table": [], "verify": ["--claims", "c11"],
                  "game": ["--levels", "1,2"]}
 
 
 @pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
 def test_every_command_takes_the_model_flags(command, capsys):
+    # the model settings and the others the command reads, under each flag
+    # spelling, and its --help lists exactly those settings' flags
+    assert set(MODEL_SETTINGS) <= set(COMMAND_SETTINGS[command])
     parser = build_parser()
     base = [command, *_COMMAND_ARGS[command]]
     omitted = parser.parse_args(base)
-    for flag, text, dest, value in _MODEL_FLAGS:
-        assert getattr(omitted, dest) is None
-        assert getattr(parser.parse_args([*base, flag, text]), dest) == value
+    assert omitted.config is None
+    assert parser.parse_args([*base, "--config", "run.cfg"]).config == "run.cfg"
+    for key in COMMAND_SETTINGS[command]:
+        assert getattr(omitted, key) is None
+        for flag in SETTINGS[key].flags:
+            assert getattr(parser.parse_args([*base, flag, _SETTING_TEXT[key]]), key) \
+                == _SETTING_TEXT[key]
     with pytest.raises(SystemExit):
         parser.parse_args([command, "--help"])
-    listed = capsys.readouterr().out
-    for flag, _, _, _ in _MODEL_FLAGS:
-        assert re.search(rf"(^|[ ,\[]){re.escape(flag)}\b", listed), flag
+    listed = set(re.findall(r"(?:^|[ ,\[])(--?[A-Za-z][\w-]*)", capsys.readouterr().out, re.M))
+    assert "--config" in listed
+    every_flag = {flag for setting in SETTINGS.values() for flag in setting.flags}
+    assert listed & every_flag == {flag for key in COMMAND_SETTINGS[command]
+                                   for flag in SETTINGS[key].flags}
+
+
+# each command's argv, writing its output where a run would
+_CONTRACT_ARGV = {
+    "spectrum": ["spectrum", "--model", "box", "-o", "out.csv"],
+    "table": ["table", "--model", "box", "-o", "out.csv"],
+    "verify": ["verify", "--model", "box", "--claims", "c11", "--beta", "1,2", "-o", "out.json"],
+    "game": ["game", "--levels", "1,2", "--ascend", "-o", "out.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT_ARGV))
+def test_contract_argvs_write_their_output(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QCGIBBS_OUTDIR", str(tmp_path / "out"))
+    code, _, err = run(_CONTRACT_ARGV[command], capsys)
+    assert code == EXIT_OK, err
+    assert len(list((tmp_path / "out").iterdir())) == 1
+
+
+@pytest.mark.parametrize("where", ["flag", "key"])
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in COMMAND_SETTINGS for key in SETTINGS
+    if key not in COMMAND_SETTINGS[command]])
+def test_a_setting_the_command_does_not_read_exits_2(command, key, where, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QCGIBBS_OUTDIR", str(tmp_path / "out"))
+    (tmp_path / "run.cfg").write_text(f"{key} = {_SETTING_TEXT[key]}\n")
+    given = ([SETTINGS[key].flags[0], _SETTING_TEXT[key]] if where == "flag"
+             else ["--config", "run.cfg"])
+    code, out, err = run([*_CONTRACT_ARGV[command], *given], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert (f"unrecognized arguments: {' '.join(given)}" if where == "flag"
+            else f"error: {command} does not read config key {key!r}") in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_on_bad_flag(capsys):
@@ -1064,8 +1166,7 @@ def test_verify_fails_only_the_point_that_leaves_the_double_range(capsys):
 def test_one_dimensional_wells_reject_other_n(command, model, double_well, capsys):
     model = model.replace("WELL", str(double_well))
     code, out, err = run(
-        [*command.split(), "--model", *model.split(), "--N", "3", "--beta", "1",
-         "--h", "1"], capsys)
+        [*command.split(), "--model", *model.split(), "--N", "3", "--h", "1"], capsys)
     assert code == EXIT_USAGE and out == ""
     assert "--N 3" in err and "ROADMAP.md" in err
 
@@ -1103,18 +1204,20 @@ _GRID_TEXT = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(beta=_GRID_TEXT, h=_GRID_TEXT)
 def test_grid_text_never_escapes_main(beta, h, capsys):
-    code, _, err = run(["spectrum", "--model", "box", "--L", "1", "--beta", beta,
-                        "--h", h], capsys)
-    assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), err
-    assert "Traceback" not in err
-    values = []
-    for text in (beta + "," + h).replace(":", ",").split(","):
-        try:
-            values.append(float(text))
-        except ValueError:
-            pass
-    if not all(math.isfinite(x) for x in values):
-        assert code == EXIT_USAGE
+    # the grid parser on each axis: spectrum reads h, game beta
+    for argv, grid in ((["spectrum", "--model", "box", "--L", "1", "--h", h], h),
+                       (["game", "--levels", "1,2", "--beta", beta], beta)):
+        code, _, err = run(argv, capsys)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), err
+        assert "Traceback" not in err
+        values = []
+        for text in grid.replace(":", ",").split(","):
+            try:
+                values.append(float(text))
+            except ValueError:
+                pass
+        if not all(math.isfinite(x) for x in values):
+            assert code == EXIT_USAGE
 
 
 # values for each key that run fast: small counts and dimensions, exponents
@@ -1153,6 +1256,6 @@ def test_config_text_never_escapes_main(lines, tmp_path, capsys):
     if code == EXIT_USAGE:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     try:
-        parse_config(cfg_file.read_text())
+        parse_config(cfg_file.read_text(), "spectrum")
     except ValueError:
         assert code == EXIT_USAGE
