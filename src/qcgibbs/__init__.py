@@ -7,6 +7,24 @@ inequality, the high-temperature and small-h limits, entropy monotonicity,
 and the fixed-temperature energy-entropy game over unnormalized weights.
 """
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS reads its starting thread count once, when numpy loads it, and at
+# its default of every core the second thread spins about 0.1 s after the
+# import, on CPU that no one-thread solve asks for. Unless the caller has
+# loaded numpy already or named a count, numpy loads at one thread; the
+# solves that want more raise the count themselves (lapack.blas_threads), and
+# the environment is left as the caller had it.
+if "numpy" not in _sys.modules and not any(
+        name in _os.environ
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     AccuracyError,
     ContractError,

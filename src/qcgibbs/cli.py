@@ -1,7 +1,11 @@
 """Command-line interface: spectra, thermodynamic tables, claim checks, the game.
 
 Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
-optional flat key=value config file (flags win), and refuses any other.
+optional flat key=value config file (flags win), and refuses any other; main
+builds only the parser of the subcommand named first, so an unread flag is
+refused under that subcommand's usage. A run starts at one BLAS thread (the
+package imports numpy so), and only a sine basis past
+spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
 Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
 and `verify` read grids through ModelFamily.sweep, a table's rows on threads
 where their h's spectrum reaches TABLE_THREAD_LEVELS levels. `game` plays at
@@ -290,7 +294,17 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMAND_HELP = {
+    "spectrum": "write an n,E level table",
+    "table": "thermodynamic table over a (beta, h) grid",
+    "verify": "run claim checks and emit a JSON report",
+    "game": "stationary distribution, minors, ascent trace",
+}
+
+
+def _usage_parser() -> argparse.ArgumentParser:
+    """The top-level parser, which names the subcommands but parses none of
+    their flags: it answers a run with no subcommand, an unknown one, or -h."""
     parser = argparse.ArgumentParser(
         prog="qcgibbs",
         description="Quantum vs classical canonical ensembles: spectra, "
@@ -298,38 +312,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "energy-entropy game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "spectrum": sub.add_parser("spectrum", help="write an n,E level table"),
-        "table": sub.add_parser("table", help="thermodynamic table over a (beta, h) grid"),
-        "verify": sub.add_parser("verify", help="run claim checks and emit a JSON report"),
-        "game": sub.add_parser("game", help="stationary distribution, minors, ascent trace"),
-    }
-    # one action per setting, shared as parents= shares them: an action per
-    # (subcommand, setting) pair allocates enough to draw a GC pass into a run
-    shared = argparse.ArgumentParser(add_help=False)
-    config = shared.add_argument("--config", help="flat key=value config file; flags override")
-    actions = {key: shared.add_argument(*s.flags, dest=key, help=s.help)
-               for key, s in SETTINGS.items()}
-    for command, p in commands.items():
-        p._add_action(config)
-        for key in COMMAND_SETTINGS[command]:
-            p._add_action(actions[key])
-    commands["verify"].add_argument(
-        "--claims", required=True, help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
-    p_game = commands["game"]
-    p_game.add_argument("--levels", help="comma list of ascending level energies, "
-                        "in place of the model's")
-    p_game.add_argument("--levels-file", help="file with one level per line")
-    p_game.add_argument("--minors", type=int, default=0,
-                        help="report minor signs up to this order")
-    p_game.add_argument("--ascend", action="store_true",
-                        help="run the gradient ascent from a random start")
+    for command, text in _COMMAND_HELP.items():
+        sub.add_parser(command, help=text)
     return parser
 
 
-def _merge_config(args) -> SimpleNamespace:
-    cfg = parse_config(Path(args.config).read_text() if args.config else "", args.command)
-    for key in COMMAND_SETTINGS[args.command]:
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand: --config, the settings it reads, and its
+    own flags."""
+    parser = argparse.ArgumentParser(prog=f"qcgibbs {command}",
+                                     description=_COMMAND_HELP[command])
+    parser.add_argument("--config", help="flat key=value config file; flags override")
+    for key in COMMAND_SETTINGS[command]:
+        parser.add_argument(*SETTINGS[key].flags, dest=key, help=SETTINGS[key].help)
+    if command == "verify":
+        parser.add_argument(
+            "--claims", required=True,
+            help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
+    elif command == "game":
+        parser.add_argument("--levels", help="comma list of ascending level energies, "
+                            "in place of the model's")
+        parser.add_argument("--levels-file", help="file with one level per line")
+        parser.add_argument("--minors", type=int, default=0,
+                            help="report minor signs up to this order")
+        parser.add_argument("--ascend", action="store_true",
+                            help="run the gradient ascent from a random start")
+    return parser
+
+
+def _merge_config(command: str, args) -> SimpleNamespace:
+    cfg = parse_config(Path(args.config).read_text() if args.config else "", command)
+    for key in COMMAND_SETTINGS[command]:
         text = getattr(args, key)
         if text is not None:
             setattr(cfg, key, SETTINGS[key].parse(text))
@@ -347,23 +360,26 @@ def _merge_config(args) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command not in COMMAND_SETTINGS:  # only -h exits 0
+            usage = _usage_parser()
+            usage.parse_args(argv)
+            usage.error("the subcommand must come first")
+        args = build_parser(command).parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _merge_config(args)
-        if args.command == "spectrum":
+        cfg = _merge_config(command, args)
+        if command == "spectrum":
             return cmd_spectrum(cfg)
-        if args.command == "table":
+        if command == "table":
             return cmd_table(cfg)
-        if args.command == "verify":
+        if command == "verify":
             claims = [c.strip() for c in args.claims.split(",") if c.strip()]
             return cmd_verify(cfg, claims)
-        if args.command == "game":
-            return cmd_game(args, cfg)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_game(args, cfg)
     except (ValueError, OSError) as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

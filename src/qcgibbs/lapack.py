@@ -17,8 +17,14 @@ integers.
 The same library's thread-count functions let a block of code run at a set
 number of BLAS threads (blas_threads): OpenBLAS wakes its threads for
 matrices of a few hundred rows, where one thread is as fast and the others
-spin on after the call. Independent solves go to the spare cores instead
-(map_solves): ctypes releases the GIL for the length of each call.
+spin on after the call. The count starts at one: the package imports numpy
+with OPENBLAS_NUM_THREADS=1 unless the caller has named a count
+(OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS) or loaded numpy
+first. The one solve that wants more, a sine basis past
+spectrum.SINE_BASIS_SERIAL_STATES states, raises it to every usable CPU for
+its block, and OpenBLAS starts the extra threads then. Independent solves go
+to the spare cores instead (map_solves): ctypes releases the GIL for the
+length of each call.
 
 Where numpy bundles no such library (numpy built against MKL, Accelerate or
 a system LAPACK), both routines are called through scipy.linalg.lapack

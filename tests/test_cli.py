@@ -689,8 +689,8 @@ def test_every_command_takes_the_model_flags(command, capsys):
     # the model settings and the others the command reads, under each flag
     # spelling, and its --help lists exactly those settings' flags
     assert set(MODEL_SETTINGS) <= set(COMMAND_SETTINGS[command])
-    parser = build_parser()
-    base = [command, *_COMMAND_ARGS[command]]
+    parser = build_parser(command)
+    base = _COMMAND_ARGS[command]
     omitted = parser.parse_args(base)
     assert omitted.config is None
     assert parser.parse_args([*base, "--config", "run.cfg"]).config == "run.cfg"
@@ -700,7 +700,7 @@ def test_every_command_takes_the_model_flags(command, capsys):
             assert getattr(parser.parse_args([*base, flag, _SETTING_TEXT[key]]), key) \
                 == _SETTING_TEXT[key]
     with pytest.raises(SystemExit):
-        parser.parse_args([command, "--help"])
+        parser.parse_args(["--help"])
     listed = set(re.findall(r"(?:^|[ ,\[])(--?[A-Za-z][\w-]*)", capsys.readouterr().out, re.M))
     assert "--config" in listed
     every_flag = {flag for setting in SETTINGS.values() for flag in setting.flags}
@@ -746,6 +746,27 @@ def test_a_setting_the_command_does_not_read_exits_2(command, key, where, tmp_pa
 def test_usage_error_on_bad_flag(capsys):
     code, _, _ = run(["spectrum", "--model", "nosuch"], capsys)
     assert code == EXIT_USAGE
+
+
+def test_an_unread_flag_is_refused_by_its_subcommand(capsys):
+    code, out, err = run(["spectrum", "--beta", "7"], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: qcgibbs spectrum ")
+    assert err.endswith("qcgibbs spectrum: error: unrecognized arguments: --beta 7\n")
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    ([], EXIT_USAGE, "err", "the following arguments are required: command"),
+    (["nosuch"], EXIT_USAGE, "err", "invalid choice: 'nosuch'"),
+    (["-h"], EXIT_OK, "out", "{spectrum,table,verify,game}"),
+    (["table", "-h"], EXIT_OK, "out", "usage: qcgibbs table "),
+])
+def test_top_level_usage_and_help(argv, code, stream, text, capsys):
+    got, out, err = run(argv, capsys)
+    assert got == code
+    assert text in {"out": out, "err": err}[stream]
+    if argv[:1] != ["table"]:
+        assert "usage: qcgibbs [-h] {spectrum,table,verify,game} ..." in out + err
 
 
 # ---------------------------------------------------------------------------
@@ -874,21 +895,61 @@ def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
         assert status == ("error: no bound at h=0.5" if h == "0.5" else "ok")
 
 
-def test_tabulated_table_is_the_same_at_any_thread_count():
-    # small sine bases solve on one BLAS thread whatever OpenBLAS would take
-    well = Path(__file__).parent / "data" / "seed0_double_well.csv"
-    argv = ["table", "--model", "tabulated", "--table", str(well),
-            "--beta", "0.1,10", "--h", "0.5,1"]
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_env() -> dict:
+    """This environment without the BLAS thread variables, importing this
+    checkout's package."""
     src = Path(__file__).resolve().parents[1] / "src"
-    outs = {}
-    for value in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=value, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run([sys.executable, "-m", "qcgibbs", *argv], env=env,
-                              capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outs[value] = proc.stdout
-    assert len(set(outs.values())) == 1
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return env
+
+
+def test_tabulated_table_is_the_same_at_any_thread_count():
+    # small sine bases solve on one BLAS thread whatever OpenBLAS would take,
+    # and bases past SINE_BASIS_SERIAL_STATES (h = 0.2) on every usable core
+    well = Path(__file__).parent / "data" / "seed0_double_well.csv"
+    for hs in ("0.5,1", "0.2"):
+        argv = ["table", "--model", "tabulated", "--table", str(well),
+                "--beta", "0.1,10", "--h", hs]
+        outs = {}
+        for value in ("1", "2", None):  # None: the variable unset
+            env = _fresh_env() | ({} if value is None else {"OPENBLAS_NUM_THREADS": value})
+            proc = subprocess.run([sys.executable, "-m", "qcgibbs", *argv], env=env,
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs[value] = proc.stdout
+        assert len(set(outs.values())) == 1, hs
+
+
+# a fresh interpreter, started at one BLAS thread, records the count that
+# each numpy eigensolve of a table row runs at, and the count after the run
+LARGE_BASIS_SCRIPT = """
+import json, sys
+import qcgibbs
+import numpy as np
+from qcgibbs.cli import main
+from qcgibbs.lapack import _lapacke
+counts, eigvalsh = [], np.linalg.eigvalsh
+np.linalg.eigvalsh = lambda a: counts.append(_lapacke().get_threads()) or eigvalsh(a)
+start = _lapacke().get_threads()
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([start, code, counts, _lapacke().get_threads()]))
+"""
+
+
+def test_a_large_sine_basis_solves_on_every_core_then_returns_to_one():
+    argv = ["table", "--model", "tabulated", "--table",
+            str(Path(__file__).parent / "data" / "seed0_double_well.csv"),
+            "--beta", "0.1", "--h", "0.2", "-o", os.devnull]
+    proc = subprocess.run([sys.executable, "-c", LARGE_BASIS_SCRIPT, json.dumps(argv)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    start, code, counts, end = json.loads(proc.stdout.splitlines()[-1])
+    # the basis's two eigensolves, theta and the lower bounds
+    assert (start, code, counts, end) == (1, EXIT_OK, [util_mod.usable_cpus()] * 2, 1)
 
 
 def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys):

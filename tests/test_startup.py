@@ -6,7 +6,8 @@ the wedge, whose Airy zeros come from scipy.special. The oscillator basis's
 band solver and finite differences' tridiagonal one call LAPACK through the
 OpenBLAS that numpy has loaded (qcgibbs.lapack), which is looked up at the
 first solve, not at import; the sine basis of tabulated wells runs on
-numpy.linalg."""
+numpy.linalg. Importing the package loads numpy with OpenBLAS at one thread,
+unless numpy is loaded already or the caller named a thread count."""
 
 import json
 import os
@@ -18,6 +19,7 @@ import pytest
 
 import qcgibbs
 from qcgibbs.potential import save_tabulated_csv
+from qcgibbs.util import usable_cpus
 
 SRC = Path(qcgibbs.__file__).resolve().parents[1]
 
@@ -126,3 +128,55 @@ def test_band_solves_run_on_numpys_openblas():
         pytest.skip("numpy loads no OpenBLAS here")
     assert code == 0
     assert after == before
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# a fresh interpreter imports qcgibbs (after numpy when asked) and records
+# OpenBLAS's thread count, its tasks right before and after that import
+# (None off Linux), and the thread variables it is left with
+THREADS_SCRIPT = """
+import json, os, sys
+if sys.argv[1] == "numpy first":
+    import numpy
+tasks = lambda: len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+before = tasks()
+import qcgibbs
+from qcgibbs.lapack import _lapacke
+lapacke = _lapacke()
+count = lapacke.get_threads() if lapacke and lapacke.get_threads else None
+print(json.dumps([count, before, tasks(), {k: os.environ.get(k) for k in %r}]))
+""" % (THREAD_VARS,)
+
+
+def _threads_at_start(order: str, **given: str) -> tuple:
+    env = {k: v for k, v in _env().items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT, order], capture_output=True,
+                          text=True, env={**env, **given}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, before, after, left = json.loads(proc.stdout.splitlines()[-1])
+    if count is None:
+        pytest.skip("numpy loads no OpenBLAS with a thread count here")
+    assert left == {k: given.get(k) for k in THREAD_VARS}  # as the caller had them
+    return count, before, after
+
+
+def test_openblas_starts_at_one_thread():
+    count, _, after = _threads_at_start("qcgibbs first")
+    assert count == 1
+    assert after in (1, None)  # no BLAS thread waits, nor spins, beside the caller
+
+
+@pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_named_thread_count_is_kept(name):
+    if usable_cpus() < 2:
+        pytest.skip("OpenBLAS takes at most one thread per usable CPU")
+    assert _threads_at_start("qcgibbs first", **{name: "2"})[0] == 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+def test_numpy_loaded_first_keeps_its_own_thread_count():
+    # numpy starts OpenBLAS's threads as it loads, so the tasks then running
+    # are the count it chose
+    count, before, after = _threads_at_start("numpy first")
+    assert count == before == after
