@@ -7,8 +7,8 @@ refused under that subcommand's usage. A run starts at one BLAS thread (the
 package imports numpy so), and only a sine basis past
 spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
 Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
-and `verify` read grids through ModelFamily.sweep, a table's rows on threads
-where their h's spectrum reaches TABLE_THREAD_LEVELS levels. `game` plays at
+and `verify` read grids through ModelFamily.sweep, one point after another,
+each a Boltzmann pass cut at its weight floor. `game` plays at
 the Gibbs state of one (beta, h), on the levels a one-point table row reads
 or on --levels. Exit codes: 0 success, 2 usage or validation, 3 numerical
 failure (truncation, quadrature, accuracy, overflow; a failed grid point
@@ -53,12 +53,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATED = 4
-
-# the rows of an h run on util.thread_map where its spectrum reaches this
-# many levels, serially below: 48 rows of oscillator rescale + thermo_point,
-# 2 threads / serial time, median of 7 runs on two cores: 10k levels 1.36,
-# 20k 0.98, 30k 0.92, 40k 0.78, 70k 0.70, 100k 0.65, 200k 0.61
-TABLE_THREAD_LEVELS = 40_000
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -214,7 +208,7 @@ def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
     out = fam.sweep(betas, hs, lambda spec, beta, h: _thermo_row(
-        beta, h, thermo_point(fam.potential, spec, beta)), thread_levels=TABLE_THREAD_LEVELS)
+        beta, h, thermo_point(fam.potential, spec, beta)))
     # the sweep runs h outer, the table beta outer
     cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
     failed = [c for c in cells if isinstance(c, dict)]

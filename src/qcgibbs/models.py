@@ -3,13 +3,14 @@
 A family provisions at least 8 levels so that lambda * (E_M - min V) >=
 LAMBDA_DEPTH at the smallest Boltzmann exponent lambda = beta * phi(h) of a
 sweep (min V is 0 except for tabulated wells). One memo maps h to the
-deepest spectrum solved there, under one lock per h; a shallower request
-gets the stored solve, a deeper one replaces it. With the exact scaling law
-phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu) for radial power laws)
-the entry at h = 1 is the base that every h rescales; tabulated wells have
-none and are solved at each h. `ModelFamily.sweep`, the one loop over a
-(beta, h) grid, fetches each h once and fails exactly the points that a
-failed solve, fetch or read serves. The potential alone picks the solver:
+deepest spectrum solved there, under one lock per h for callers on threads;
+a shallower request gets the stored solve, a deeper one replaces it. With
+the exact scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu)
+for radial power laws) the entry at h = 1 is the base that every h
+rescales; tabulated wells have none and are solved at each h.
+`ModelFamily.sweep`, the one loop over a (beta, h) grid, fetches each h
+once, reads its points one after another, and fails exactly the points that
+a failed solve, fetch or read serves. The potential alone picks the solver:
 closed forms for the box, the oscillator (nu = 2) and the wedge (nu = 1), an
 oscillator basis for the other even integer nu, the box's sine basis for
 tabulated wells, and finite differences for odd and non-integer nu. One
@@ -47,7 +48,6 @@ from .spectrum import (
     wedge_spectrum,
     weyl_energy,
 )
-from .util import thread_map
 
 # levels are provisioned so that lambda * (E_M - min V) >= LAMBDA_DEPTH at the
 # smallest lambda of a sweep, pushing tail/sum far below the TAIL_RTOL gate
@@ -185,12 +185,11 @@ class ModelFamily:
             return self._provision(planck, lambda_min)
         return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
 
-    def sweep(self, betas, hs, read, depth=None, thread_levels=None) -> list:
+    def sweep(self, betas, hs, read, depth=None) -> list:
         """read(spectrum, beta, h) at every (beta, h), h outer, or {"beta", "h",
         "error"} where the point's solve, fetch or read raised NUMERICAL_ERRORS.
         A scaling family's base is solved first; each h is fetched once, at
-        depth (None: the grid's lambda_min), and its points go on thread_map
-        where its spectrum reaches thread_levels levels."""
+        depth (None: the grid's lambda_min), and its points are read in turn."""
         lam = self.lambda_min(betas, hs) if depth is None else depth
 
         def attempt(fn, *args):
@@ -204,15 +203,10 @@ class ModelFamily:
         out = []
         for h in map(float, hs):
             spec = base if isinstance(base, Exception) else attempt(self.spectrum, h, lam)
-            ok = not isinstance(spec, Exception)
-
-            def point(beta, h=h, spec=spec, ok=ok):
-                value = attempt(read, spec, float(beta), h) if ok else spec
-                return ({"beta": float(beta), "h": h, "error": str(value)}
-                        if isinstance(value, Exception) else value)
-
-            threaded = ok and thread_levels is not None and spec.count >= thread_levels
-            out += (thread_map if threaded else map)(point, betas)
+            for beta in map(float, betas):
+                value = spec if isinstance(spec, Exception) else attempt(read, spec, beta, h)
+                out.append({"beta": beta, "h": h, "error": str(value)}
+                           if isinstance(value, Exception) else value)
         return out
 
     def _provision(self, planck: float, lambda_min: float) -> Spectrum:

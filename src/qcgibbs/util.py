@@ -63,7 +63,10 @@ def log_upper_gamma(a: float, x: float) -> float:
     otherwise Gamma(a, x) = x^a e^(-x) F, with F Legendre's continued
     fraction evaluated by the modified Lentz method (Press et al., Numerical
     Recipes, 6.2). The second form is assembled in log space, so nothing
-    underflows at any x.
+    underflows at any x. From x = 1e300 on, where Lentz's 1/b nears the
+    subnormal range and its steps stop converging, t^(a-1) <= x^(a-1)
+    e^(max(a - 1, 0) (t - x) / x) under the integral over t > x bounds it by
+    x^(a-1) e^(-x) x / (x - max(a - 1, 0)), and by 0 at x = inf.
 
     The slack added to the result covers truncation and rounding. Stopping
     the series early lowers P, which only raises Q. Each of the n series
@@ -79,6 +82,12 @@ def log_upper_gamma(a: float, x: float) -> float:
     lg_err = LGAMMA_EPS * _EPS * max(1.0, abs(lg))
     if x <= 0.0:
         return lg + lg_err
+    if x >= 1e300:
+        if x == math.inf:
+            return -math.inf
+        log_x = math.log(x)
+        value = (a - 1.0) * log_x - x + math.log(x / (x - max(a - 1.0, 0.0)))
+        return value + 2.0 * _EPS * (3.0 + abs((a - 1.0) * log_x) + abs(value))
     a_log_x = a * math.log(x)
     n = 0
     if x < a + 1.0:

@@ -8,16 +8,13 @@ import sys
 import threading
 import time
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import qcgibbs.cli as cli_mod
 import qcgibbs.models as models_mod
 import qcgibbs.util as util_mod
 from qcgibbs.cli import (
@@ -256,55 +253,16 @@ def test_table_marks_rows_outside_the_double_range(capsys):
     assert rows[3] == "1000,1e+152" + failed + "beta E_n leaves the double range at beta=1000"
 
 
-class _RecordingThread:
-    """Stands in for threading.Thread in qcgibbs.util: records each worker's
-    target and runs it at start(), so every map runs serially."""
-
-    targets: list = []
-
-    def __init__(self, target):
-        self.targets.append(target)
-        self._target = target
-
-    def start(self):
-        self._target()
-
-    def join(self):
-        pass
-
-    @classmethod
-    def sizes(cls) -> list:
-        """Threads per map, the calling thread included: each map starts
-        its workers on one target of its own."""
-        return [1 + n for n in Counter(cls.targets).values()]
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    monkeypatch.setattr(_RecordingThread, "targets", [])
-    monkeypatch.setattr(util_mod, "threading",
-                        SimpleNamespace(Thread=_RecordingThread, Lock=threading.Lock))
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 4)
-    return _RecordingThread
-
-
-def test_rows_go_on_threads_above_the_crossover(pool, monkeypatch, capsys):
-    # with the crossover at 1,000 levels, a box table down to beta = 0.5
-    # (9 levels an h) starts no pool, and one down to beta = 1e-6 (6,040)
-    # runs the rows of each h on min(usable CPUs (4 here), betas) threads,
-    # so one beta a row starts none
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 1_000)
-    box = ["table", "--model", "box", "--L", "1", "--h", "0.5,1"]
-    assert run(box + ["--beta", "0.5,1,2"], capsys)[0] == EXIT_OK
-    assert pool.sizes() == []
-    deep = box + ["--beta", "1e-6,1e-5,1e-4"]
-    code, threaded, _ = run(deep, capsys)
-    assert code == EXIT_OK
-    assert run(box + ["--beta", "1e-6"], capsys)[0] == EXIT_OK
-    assert pool.sizes() == [3, 3]
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 10**9)
-    assert run(deep, capsys) == (EXIT_OK, threaded, "")
-    assert pool.sizes() == [3, 3]
+def test_a_table_at_the_top_of_the_double_range_exits_3():
+    # E_8 = 1.728e308: the fitted tail's incomplete gamma reads x = 1.728e308,
+    # and the row fails on the double range, well within the timeout
+    proc = subprocess.run([sys.executable, "-m", "qcgibbs", "table", "--model", "box",
+                           "--beta", "1", "--h", "7.397e152"],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert proc.stderr.startswith(
+        "numerical error: at beta=1, h=7.397e+152: log((2 pi h)^N Z_q) = -2.70011e+306")
+    assert "leaves the double range" in proc.stdout.splitlines()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +493,16 @@ def test_game_entropy_of_a_ground_state_is_zero(capsys):
     assert _game_lines(out)["S"] == "0"
 
 
+def test_game_prints_levels_past_the_weight_cut(capsys):
+    # beta (E_3 - E_2) = 198 puts level 3 past the pass's cut, and P_3 is
+    # still printed from its own weight
+    code, out, _ = run(["game", "--levels", "1,2,200", "--beta", "1"], capsys)
+    assert code == EXIT_OK
+    assert out == ("n,P\n1,0.7310585786300049\n2,0.2689414213699951\n"
+                   "3,2.7501113532889011e-87\nF = -0.68673831248177719\n"
+                   "E = 1.2689414213699952\nS = 0.58220310888821791\n")
+
+
 def test_game_ascent_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run(
@@ -663,16 +631,6 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
          "--output", "sub/levels.csv"], capsys)
     assert code == EXIT_OK
     assert (tmp_path / "sub" / "levels.csv").exists()
-
-
-def test_threads_env_same_output(capsys, monkeypatch):
-    args = ["table", "--model", "box", "--L", "1", "--beta", "0.5,1,2", "--h", "0.5,1"]
-    code1, out1, _ = run(args, capsys)
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 4)  # a real 4-thread pool
-    code2, out2, _ = run(args, capsys)
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2
 
 
 # a text for each setting
@@ -842,27 +800,8 @@ def test_tabulated_memo_resolves_when_the_count_changes(double_well, fd_solves):
     assert counts == [shallow.count, deep.count, deep.count]
 
 
-def test_tabulated_table_threads_match_serial(double_well, fd_solves, monkeypatch,
-                                              capsys):
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    args = ["table", "--model", "tabulated", "--table", str(double_well),
-            "--beta", "0.5,1,2", "--h", "0.5,1"]
-    outs = []
-    for crossover in (10**9, 0):  # rows serial, then on threads
-        monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", crossover)
-        fd_solves.clear()
-        code, out, _ = run(args, capsys)
-        assert code == EXIT_OK
-        assert sorted(planck for planck, _ in fd_solves) == [0.5, 1.0]
-        outs.append(out)
-    assert outs[0] == outs[1]
-
-
-def test_tabulated_rows_run_no_dense_solve(double_well, blas_spy, monkeypatch, capsys):
-    # each h is solved in the calling thread before the row threads start,
-    # so no row thread sets the BLAS thread count
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
+def test_tabulated_rows_run_no_dense_solve(double_well, blas_spy, capsys):
+    # each h is solved once, in the calling thread, before its rows are read
     code, _, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
                       "--beta", "0.5,1,2", "--h", "0.5,0.75,1"], capsys)
     assert code == EXIT_OK
@@ -882,8 +821,6 @@ def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
         return solve(potential, planck, **kwargs)
 
     monkeypatch.setattr(models_mod, "solve_sine_basis", failing_at_half)
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
     code, out, _ = run(["table", "--model", "tabulated", "--table", str(double_well),
                         "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
     assert code == EXIT_NUMERICAL
@@ -1095,24 +1032,6 @@ def test_t41_solves_only_the_swept_h(double_well, fd_solves, capsys):
     assert sorted(planck for planck, _ in fd_solves) == [0.25, 0.5]
 
 
-def test_table_threads_build_the_base_once(monkeypatch, capsys):
-    # the base is built before the row threads start, which only read it
-    counts = []
-    build = models_mod.oscillator_spectrum
-
-    def counting(count, mass):
-        counts.append(count)
-        return build(count, mass)
-
-    monkeypatch.setattr(models_mod, "oscillator_spectrum", counting)
-    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)  # a real 2-thread pool
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)  # rows on threads
-    code, _, _ = run(
-        ["table", "--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2",
-         "--h", "0.5,1"], capsys)
-    assert code == EXIT_OK and len(counts) == 1
-
-
 def test_a_failed_base_is_solved_once_and_fails_every_row(monkeypatch, capsys):
     # at nu = 40 the oscillator basis's rounding swamps the ground level: the
     # base is not solved again for each row, and every row reports the error
@@ -1153,17 +1072,30 @@ def test_table_fetches_each_h_once(monkeypatch, capsys):
     assert out == _table_text(rows, "csv")
 
 
-def test_claim_sweeps_start_no_pool(monkeypatch, capsys):
-    # claim checks read their points serially, whatever the table crossover
-    def no_pool(fn, items):
-        raise AssertionError("a claim sweep started a thread pool")
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a sweep started a thread")
 
-    monkeypatch.setattr(models_mod, "thread_map", no_pool)
-    monkeypatch.setattr(cli_mod, "TABLE_THREAD_LEVELS", 0)
+
+def test_claim_sweeps_start_no_pool(monkeypatch, capsys):
+    # claim checks read their points serially
+    monkeypatch.setattr(threading, "Thread", _no_thread)
     code, _, err = run(["verify", "--model", "homogeneous", "--nu", "2",
                         "--claims", "c11,t41,c41", "--beta", "0.5,1", "--h", "0.5,1"],
                        capsys)
     assert code == EXIT_OK, err
+
+
+def test_a_table_over_a_large_spectrum_starts_no_thread(monkeypatch, capsys):
+    # 63,640 oscillator levels at h = 1: its rows are read one after another,
+    # on a host with two usable CPUs too
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    monkeypatch.setattr(util_mod, "usable_cpus", lambda: 2)
+    fam = homogeneous_family(2.0)
+    assert fam.level_count(1.0, fam.lambda_min((5e-4, 1e-3), (1.0,))) > 40_000
+    code, out, err = run(["table", "--model", "homogeneous", "--nu", "2",
+                          "--beta", "5e-4,1e-3", "--h", "1"], capsys)
+    assert code == EXIT_OK, err
+    assert len(out.splitlines()) == 3
 
 
 def _failed_points(out):

@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gammaln
 
@@ -40,7 +40,7 @@ from qcgibbs.ensemble import (
     z_quantum_error,
 )
 from qcgibbs.spectrum import log_tail_bound, rescale, solve_fd_1d
-from qcgibbs.util import log_upper_gamma
+from qcgibbs.util import log_upper_gamma, logsumexp
 
 PI2 = math.pi**2
 
@@ -373,6 +373,21 @@ def test_log_entropy_deep_quantum_regime():
     assert log_entropy_quantum(spec, 2.0) == pytest.approx(math.log(s), rel=1e-12)
 
 
+@pytest.mark.parametrize("gap", [0.5, 15.0, 29.0, 31.0, 700.0, 2370.0])
+def test_log_entropy_within_its_bar_where_s_is_small(gap):
+    # S_q = beta A / (1 + r) + log1p(r) at 60 digits, A and r the excited
+    # weights' sums; a direct sum -sum P log P rounds to eps absolute, which
+    # near r = e^-29 is 2e-5 in log S_q against a bar of 3e-11
+    levels = [1.0, 1.0 + gap, 6.0 + gap]
+    value, bar = ensemble.ThermoPoint(box([1.0]), toy(levels), 1.0).log_s
+    with mpmath.workdps(60):
+        d = [mpmath.mpf(e) - 1 for e in levels[1:]]
+        r = sum(mpmath.exp(-x) for x in d)
+        a = sum(x * mpmath.exp(-x) for x in d)
+        exact = mpmath.log(a / (1 + r) + mpmath.log1p(r))
+    assert abs(value - exact) <= bar
+
+
 # ---------------------------------------------------------------------------
 # the Psi profile
 
@@ -480,6 +495,112 @@ def test_quantum_entropy_identity_on_every_basis(swept, name, beta, h):
     be_q = beta * mean_energy_quantum(spec, beta)
     log_zq = log_z_quantum(spec, beta)[0]
     assert abs(s_q - (be_q + log_zq)) <= 1e-12 * (1.0 + abs(be_q) + abs(log_zq))
+
+
+# ---------------------------------------------------------------------------
+# the cut pass against full-array passes
+
+_EPS = float(np.finfo(float).eps)
+# rounding of sums over the cut and the full array, taken in different orders
+_ROUND = 64.0 * _EPS
+
+
+def _full_array_pass(spec, beta):
+    """log Z_q, E_q, S_q, log S_q and their bars from weights over every
+    level: the formulas of a pass with no cut, kept here as the reference."""
+    levels, errs = spec.levels, spec.level_errors
+    e0 = levels[0]
+    d = levels - e0
+    w = np.exp(-beta * d)
+    sw = float(w.sum())
+    log_z = -beta * e0 + math.log(sw)
+    e_q = e0 + float((d * w).sum()) / sw
+    p = w / sw
+    s_q = 0.0 - float((p * np.log(p, out=np.zeros_like(p), where=p > 0.0)).sum())
+    small = spec.count < 8
+    log_tail = -math.inf if small else log_tail_bound(spec, beta)
+    log_wtail = -math.inf if small else log_tail_bound(spec, beta, 1)
+    z_err = math.exp(log_tail) if log_tail > -700.0 else 0.0
+    e_err = math.exp(min(log_wtail - log_z, 50.0)) + e_q * math.exp(min(log_tail - log_z, 50.0))
+    if errs is not None:
+        z_err += beta * float((errs * w).sum()) * math.exp(max(-beta * e0, -700.0))
+        e_err += float((errs * w * (1.0 + beta * np.abs(levels - e_q))).sum()) / sw
+    s_err = beta * e_err + z_err / (math.exp(max(-beta * e0, -700.0)) * sw)
+    dd = d[1:]
+    log_s_round = 0.0
+    if dd.size == 0:
+        log_s = -math.inf
+    else:
+        log_r = logsumexp(-beta * dd)
+        log_s = (math.log(s_q) if log_r > -30.0 else float(np.logaddexp(
+            math.log(beta) + logsumexp(np.log(dd) - beta * dd), log_r)))
+        # log of a direct sum that rounds to a few eps of 1
+        log_s_round = 8.0 * _EPS / s_q if log_r > -30.0 else 0.0
+    log_s_err = 1e-12 * (1.0 + abs(log_s))
+    if errs is not None:
+        log_s_err += beta * (float(errs[:2].sum()) + float((errs * w).sum()) / sw)
+    return dict(log_z=log_z, e_q=e_q, s_q=s_q, log_s=log_s, log_tail=log_tail,
+                z_err=z_err, e_err=e_err, s_err=s_err, log_s_err=log_s_err,
+                log_s_round=log_s_round)
+
+
+def _check_cut_pass(spec, beta):
+    """The cut pass within its own bars of the full-array pass, and each of
+    its bars at least the full-array pass's, to rounding, wherever the pass
+    clears the plain-tail gate."""
+    m = ensemble.BoltzmannPass(spec, beta)
+    assume(m.log_tail - m.log_z < math.log(ensemble.TAIL_RTOL))
+    ref = _full_array_pass(spec, beta)
+    log_s, log_s_err = ensemble.ThermoPoint(box([1.0]), spec, beta).log_s
+    z_bar = math.exp(min(m.log_tail - m.log_z, 50.0))
+    if spec.level_errors is not None:
+        z_bar += m.beta * (float((spec.level_errors[:m.w.size] * m.w).sum()) + m.omitted_bar) / m.sw
+    assert abs(m.log_z - ref["log_z"]) <= z_bar + _ROUND * (1.0 + abs(m.log_z))
+    assert abs(m.e_q - ref["e_q"]) <= m.e_err + _ROUND * m.e_q
+    assert abs(m.s_q - ref["s_q"]) <= m.s_err + _ROUND * (1.0 + m.s_q)
+    if math.isinf(ref["log_s"]):
+        assert log_s == ref["log_s"]
+    else:
+        assert abs(log_s - ref["log_s"]) <= (log_s_err + _ROUND * (1.0 + abs(log_s))
+                                             + ref["log_s_round"])
+    assert m.log_tail >= ref["log_tail"]
+    # log S_q's bar holds 1e-12 |log S_q|, which moves with the value's rounding
+    if not math.isinf(log_s):
+        log_s_err += 1e-12 * abs(log_s - ref["log_s"])
+    for bar, ref_bar in ((m.z_err, "z_err"), (m.e_err, "e_err"), (m.s_err, "s_err"),
+                         (log_s_err, "log_s_err")):
+        assert bar >= ref[ref_bar] * (1.0 - _ROUND), ref_bar
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(e1=st.floats(1e-3, 10.0), ground=st.integers(1, 3), gap=st.floats(0.0, 3000.0),
+       size=st.integers(0, 20_000), spread=st.floats(1.0, 1e4), power=st.floats(0.3, 3.0),
+       beta=st.floats(1e-3, 100.0), bar=st.sampled_from([None, 1e-14, 1e-9]))
+@example(e1=1.0, ground=2, gap=0.0, size=0, spread=1.0, power=1.0, beta=1.0, bar=None)
+@example(e1=1.0, ground=2, gap=100.0, size=5_000, spread=1e3, power=0.5, beta=1.0,
+         bar=1e-9)
+@example(e1=1.0, ground=1, gap=2370.0, size=20_000, spread=1e4, power=1.0, beta=10.0,
+         bar=1e-9)
+def test_cut_pass_on_sorted_level_sets(e1, ground, gap, size, spread, power, beta, bar):
+    # a ground level repeated `ground` times, E_2 at beta (E_2 - E_1) = gap,
+    # and `size` levels above E_2 up to beta (E_M - E_2) = spread: beta E_n
+    # gaps past the cut of 60 on both sides of it
+    tail = (np.arange(1, size + 1) / max(size, 1)) ** power * spread
+    levels = e1 + np.concatenate((np.zeros(ground), [gap], gap + tail)) / beta
+    spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN,
+                    None if bar is None else bar * levels)
+    m = _check_cut_pass(spec, beta)
+    assert m.p.size == spec.count
+    np.testing.assert_array_equal(m.p[:m.w.size], m.w / m.sw)
+
+
+@pytest.mark.parametrize("name", ["box", "oscillator", "wedge", "quartic"])
+@settings(max_examples=30, deadline=None)
+@given(**_SWEEP_POINT)
+def test_cut_pass_on_every_basis(swept, name, beta, h):
+    fam, lam_min = swept[name]
+    _check_cut_pass(fam.spectrum(h, lam_min), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -594,23 +715,37 @@ def pass_spectra():
 
 
 def _reference_errors(spec, beta):
-    """The error bounds written out term by term, each from its own weights."""
-    levels = spec.levels
-    w = np.exp(-beta * (levels - levels[0]))
+    """The error bounds written out term by term, each from its own weights:
+    those of the levels with beta (E_n - E_2) <= 60, E_1 and E_2 always, and
+    a bound on the M - k levels past them, each weighing at most w_k."""
+    levels, errs = spec.levels, spec.level_errors
+    k = 2 + int(np.count_nonzero(beta * (levels[2:] - levels[1]) <= 60.0))
+    k = min(k, levels.size)
+    w = np.exp(-beta * (levels[:k] - levels[0]))
     sw = float(w.sum())
     small = spec.count < 8
     log_tail = -math.inf if small else log_tail_bound(spec, beta)
     log_wtail = -math.inf if small else log_tail_bound(spec, beta, 1)
+    bar = 0.0
+    if k < levels.size:
+        log_omitted = math.log(levels.size - k) - beta * float(levels[k] - levels[0])
+        log_tail = float(np.logaddexp(log_tail, -beta * levels[0] + log_omitted))
+        log_wtail = float(np.logaddexp(
+            log_wtail, -beta * levels[0] + log_omitted + math.log(levels[k])))
+        if errs is not None:
+            bar = float(errs[k:].max()) * math.exp(log_omitted)
     z_err = math.exp(log_tail) if log_tail > -700.0 else 0.0
-    if spec.level_errors is not None:
-        prop = beta * float((spec.level_errors * w).sum())
+    if errs is not None:
+        prop = beta * (float((errs[:k] * w).sum()) + bar)
         z_err += prop * math.exp(max(-beta * levels[0], -700.0))
-    eq = levels[0] + float(((levels - levels[0]) * w).sum()) / sw
+    eq = levels[0] + float(((levels[:k] - levels[0]) * w).sum()) / sw
     log_z = -beta * levels[0] + math.log(sw)
     e_err = math.exp(min(log_wtail - log_z, 50.0)) + eq * math.exp(min(log_tail - log_z, 50.0))
-    if spec.level_errors is not None:
-        sens = w * (1.0 + beta * np.abs(levels - eq))
-        e_err += float((spec.level_errors * sens).sum()) / sw
+    if errs is not None:
+        sens = w * (1.0 + beta * np.abs(levels[:k] - eq))
+        e_err += float((errs[:k] * sens).sum()) / sw
+        if bar:
+            e_err += bar * (1.0 + beta * (levels[k] - eq)) / sw
     z_lin = math.exp(max(-beta * levels[0], -700.0)) * sw
     return z_err, e_err, beta * e_err + z_err / z_lin
 

@@ -72,6 +72,21 @@ def test_log_upper_gamma_is_a_tight_upper_bound(a):
     assert reached_far and (a <= 1.5 or reached_below)
 
 
+@pytest.mark.parametrize("a, x", [(0.5, 1e308), (1.5, 1.7e308), (0.5, 9.9e299),
+                                  (0.5, 1e300), (400.0, 9.9e299), (400.0, 1e300)])
+def test_log_upper_gamma_returns_at_the_top_of_the_double_range(a, x):
+    # from 1e300 on the continued fraction's 1/b nears the subnormal range,
+    # where its steps stop converging, and the closed bound takes over
+    with mpmath.workdps(40):
+        exact = mpmath.log(mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x)))
+        ours = mpmath.mpf(log_upper_gamma(a, x))
+        assert exact <= ours <= exact + 1e-12 * abs(exact), (a, x)
+
+
+def test_log_upper_gamma_at_infinity_is_minus_infinity():
+    assert log_upper_gamma(0.5, math.inf) == -math.inf
+
+
 def test_log_upper_gamma_at_zero_is_log_gamma():
     with mpmath.workdps(40):
         for a in _GAMMA_A:
