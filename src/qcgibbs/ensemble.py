@@ -7,10 +7,11 @@ level so that beta sweeps spanning several decades never underflow
 prematurely. Every quantum quantity and error bound is read from one weight
 pass per (spectrum, beta), a BoltzmannPass, which weighs the levels up to
 beta (E_n - E_2) = WEIGHT_CUT and adds a bound on the rest to its bars; the
-public functions are thin readers of it, and each thread keeps its last
-pass, so a caller that reads several quantities at one point makes one
-pass. ThermoPoint, the one record of a (beta, h), reads through them, once
-and on first use, what a table row prints and what a claim check compares.
+public functions are thin readers of it, each through the plain-tail gate,
+and each thread keeps its last pass, so a caller that reads several
+quantities at one point makes one pass. ThermoPoint, the one record of a
+(beta, h), reads through them, once and on first use, what a table row
+prints and what a claim check compares.
 Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
@@ -143,6 +144,14 @@ class BoltzmannPass:
         return float(errs[k:].max()) * math.exp(self.log_omitted)
 
     @_cached
+    def bars(self) -> float:
+        """sum err_n w_n over the weighed levels plus omitted_bar, or 0."""
+        errs = self.spectrum.level_errors
+        if errs is None:
+            return 0.0
+        return float((errs[:self.w.size] * self.w).sum()) + self.omitted_bar
+
+    @_cached
     def s_q(self) -> float:
         p = self.w / self.sw
         # 0.0 - x, not -x: a sum of zeros (every excited weight underflowed)
@@ -177,11 +186,7 @@ class BoltzmannPass:
     @_cached
     def z_err(self) -> float:
         err = math.exp(self.log_tail) if self.log_tail > -700.0 else 0.0
-        errs = self.spectrum.level_errors
-        if errs is not None:
-            bars = float((errs[:self.w.size] * self.w).sum()) + self.omitted_bar
-            err += self.beta * bars * math.exp(max(-self.beta * self.e0, -700.0))
-        return err
+        return err + self.beta * self.bars * math.exp(max(-self.beta * self.e0, -700.0))
 
     @_cached
     def e_err(self) -> float:
@@ -216,18 +221,21 @@ def boltzmann_pass(spectrum: Spectrum, beta: float) -> BoltzmannPass:
     return m
 
 
-def log_z_quantum(spectrum: Spectrum, beta: float) -> tuple[float, float]:
-    """(log Z_q, log tail bound) for Z_q = sum_n exp(-beta E_n(h)).
-
-    Raises TruncationError when the tail bound exceeds TAIL_RTOL times the
-    partial sum.
-    """
+def _gated(spectrum: Spectrum, beta: float) -> BoltzmannPass:
+    """The pass every public quantum reader reads: TruncationError where its
+    tail bound exceeds TAIL_RTOL times the partial sum."""
     m = boltzmann_pass(spectrum, beta)
     if m.log_tail - m.log_z >= math.log(TAIL_RTOL):
         raise TruncationError(
             f"Boltzmann tail/sum ~ {math.exp(min(m.log_tail - m.log_z, 50.0)):.2e} "
             f"at beta={beta:g} exceeds {TAIL_RTOL:g}; increase the level count"
         )
+    return m
+
+
+def log_z_quantum(spectrum: Spectrum, beta: float) -> tuple[float, float]:
+    """(log Z_q, log tail bound) for Z_q = sum_n exp(-beta E_n(h))."""
+    m = _gated(spectrum, beta)
     return m.log_z, m.log_tail
 
 
@@ -241,25 +249,22 @@ def z_quantum(spectrum: Spectrum, beta: float) -> tuple[float, float]:
 
 
 def mean_energy_quantum(spectrum: Spectrum, beta: float) -> float:
-    """E_q = sum E_n exp(-beta E_n) / Z_q, gated on both the plain and the
-    energy-weighted truncation tails; the energy-weighted sum is Z_q E_q."""
+    """E_q = sum E_n exp(-beta E_n) / Z_q, gated on the energy-weighted
+    truncation tail (the sum Z_q E_q), then on the plain one."""
     m = boltzmann_pass(spectrum, beta)
     if m.log_wtail - m.log_z - math.log(m.e_q) >= math.log(TAIL_RTOL):
         raise TruncationError(
             f"energy-weighted tail at beta={beta:g} exceeds {TAIL_RTOL:g} "
             "of the partial sum; increase the level count"
         )
-    log_z_quantum(spectrum, beta)  # plain-tail gate
-    return m.e_q
+    return _gated(spectrum, beta).e_q
 
 
-def entropy_quantum(spectrum: Spectrum, beta: float) -> tuple[float, np.ndarray]:
-    """(S_q, P_n) with P_n = exp(-beta E_n)/Z_q and S_q = -sum P_n log P_n,
-    the direct sum that BoltzmannPass.s_q cross-checks against
-    beta E_q + log Z_q."""
-    m = boltzmann_pass(spectrum, beta)
-    log_z_quantum(spectrum, beta)
-    return m.s_q, m.p
+def entropy_quantum(spectrum: Spectrum, beta: float) -> float:
+    """S_q = -sum P_n log P_n with P_n = exp(-beta E_n)/Z_q, the direct sum
+    that BoltzmannPass.s_q cross-checks against beta E_q + log Z_q. The P_n
+    themselves are BoltzmannPass.p."""
+    return _gated(spectrum, beta).s_q
 
 
 def log_entropy_quantum(spectrum: Spectrum, beta: float) -> float:
@@ -270,9 +275,9 @@ def log_entropy_quantum(spectrum: Spectrum, beta: float) -> float:
     weights: sums of positive terms, so S_q keeps its relative precision
     however small it is. Below r = 1e-280, where subnormal weights would
     start to count, S_q = beta A + r to within r, assembled in log space by
-    logsumexp over the pass's levels. Returns -inf for a single level.
+    logsumexp over the pass's levels. Returns -inf for a single level only.
     """
-    m = boltzmann_pass(spectrum, beta)
+    m = _gated(spectrum, beta)
     dd, ww = m.d[1:], m.w[1:]
     if dd.size == 0:
         return -math.inf
@@ -477,17 +482,17 @@ def psi(levels, lam: float) -> tuple[float, float]:
 def z_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of the truncated Z_q: tail bound plus first-order
     propagation of the per-level error estimates."""
-    return boltzmann_pass(spectrum, beta).z_err
+    return _gated(spectrum, beta).z_err
 
 
 def mean_energy_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of E_q from truncation and level errors."""
-    return boltzmann_pass(spectrum, beta).e_err
+    return _gated(spectrum, beta).e_err
 
 
 def entropy_quantum_error(spectrum: Spectrum, beta: float) -> float:
     """Absolute uncertainty of S_q = beta E_q + log Z_q."""
-    return boltzmann_pass(spectrum, beta).s_err
+    return _gated(spectrum, beta).s_err
 
 
 # ---------------------------------------------------------------------------
@@ -539,12 +544,7 @@ class ThermoPoint:
 
     @_cached
     def s_quantum(self) -> float:
-        return entropy_quantum(self.spectrum, self.beta)[0]
-
-    @_cached
-    def probabilities(self) -> np.ndarray:
-        """The Gibbs occupation probabilities P_n."""
-        return entropy_quantum(self.spectrum, self.beta)[1]
+        return entropy_quantum(self.spectrum, self.beta)
 
     @_cached
     def zc(self) -> tuple[float, float]:
@@ -603,8 +603,7 @@ class ThermoPoint:
         errs = self.spectrum.level_errors
         if errs is not None:
             m = boltzmann_pass(self.spectrum, self.beta)
-            bars = float((errs[:m.w.size] * m.w).sum()) + m.omitted_bar
-            err += self.beta * (float(errs[:2].sum()) + bars / m.sw)
+            err += self.beta * (float(errs[:2].sum()) + m.bars / m.sw)
         return value, err
 
 

@@ -185,12 +185,12 @@ class ModelFamily:
             return self._provision(planck, lambda_min)
         return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
 
-    def sweep(self, betas, hs, read, depth=None) -> list:
+    def sweep(self, betas, hs, read) -> list:
         """read(spectrum, beta, h) at every (beta, h), h outer, or {"beta", "h",
         "error"} where the point's solve, fetch or read raised NUMERICAL_ERRORS.
         A scaling family's base is solved first; each h is fetched once, at
-        depth (None: the grid's lambda_min), and its points are read in turn."""
-        lam = self.lambda_min(betas, hs) if depth is None else depth
+        the grid's lambda_min, and its points are read in turn off it."""
+        lam = self.lambda_min(betas, hs)
 
         def attempt(fn, *args):
             try:

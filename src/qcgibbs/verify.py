@@ -26,7 +26,8 @@ Each (beta, h) a check reads is one ensemble.ThermoPoint, the record a table
 row prints, where every comparison of the quantum side with the classical
 one, and its error bound, is formed once.
 Every check but T3_1 (whose integrand reads any beta) reads its points through
-ModelFamily.sweep: a point whose solve, fetch or read failed reads NaN, is
+ModelFamily.sweep, each off its own levels alone (P4_1's neighbours h s by
+the scaling law): a point whose solve, fetch or read failed reads NaN, is
 listed in notes["failed_points"] of each report of its claim, and keeps them
 from Holds. A verdict of Holds requires every margin to clear the combined
 numerical error bound at its own grid point; margins inside the error band
@@ -170,12 +171,11 @@ def _relative(comparison) -> tuple[float, float]:
     return abs(gap) / abs(reference), bound / abs(reference)
 
 
-def _sweep(family: ModelFamily, betas, hs, read, width: int, depth: float | None = None):
+def _sweep(family: ModelFamily, betas, hs, read, width: int):
     """read(ThermoPoint) -> `width` floats at every (beta, h) of family.sweep, h
     outer, as rows of an array, NaN at a failed point, and the failed
     points' records."""
-    out = family.sweep(betas, hs, lambda spec, b, h: read(ThermoPoint(family.potential, spec, b)),
-                       depth)
+    out = family.sweep(betas, hs, lambda spec, b, h: read(ThermoPoint(family.potential, spec, b)))
     values = [(math.nan,) * width if isinstance(r, dict) else r for r in out]
     return (np.array(values, dtype=float).reshape(len(out), width),
             [r for r in out if isinstance(r, dict)])
@@ -351,15 +351,16 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
 def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
     """S_q strictly decreasing along beta at fixed h and along h at fixed beta.
 
-    Monotonicity is checked on log S_q (ThermoPoint.log_s). The h direction rests
-    on the exact scaling law, so on tabulated wells T4_1_h is reported
-    Inconclusive with notes["applicable"] = False.
+    Monotonicity is checked on log S_q (ThermoPoint.log_s), -inf only on one
+    level, which makes a sweep vacuous. The h direction rests on the exact
+    scaling law, so on tabulated wells T4_1_h is reported Inconclusive with
+    notes["applicable"] = False.
     """
     betas = np.sort(_grid(betas, default_beta_grid))
     hs = np.sort(_grid(hs, default_h_grid))
-    values, failed = _sweep(family, betas, hs, lambda p: (p.spectrum.count, *p.log_s), 3)
-    counts, log_s, err = values.reshape(len(hs), len(betas), 3).T  # [beta, h]
-    vacuous = bool(np.any(counts < 2))  # some swept spectrum has fewer than two levels
+    values, failed = _sweep(family, betas, hs, lambda p: p.log_s, 2)
+    log_s, err = values.reshape(len(hs), len(betas), 2).T  # [beta, h]
+    vacuous = bool(np.any(log_s == -math.inf))
 
     reports = []
     for claim, axis in ((ClaimId.T4_1_beta, 0), (ClaimId.T4_1_h, 1)):
@@ -387,7 +388,8 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     """Power-law potentials, at the first beta over hs (default 0.5 to 4):
     h^N Z_q decreasing in h; the log-derivative identity
     d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with alpha = 2 nu / (2 + nu);
-    and the sign equivalence E_q > E_c  <=>  d/dh (h^N Z_q) < 0."""
+    and the sign equivalence E_q > E_c  <=>  d/dh (h^N Z_q) < 0. The
+    derivative reads Z_q(beta, h s) = Z_q(beta s^alpha, h) off the point."""
     if family.potential.kind is not PotentialKind.HOMOGENEOUS:
         raise ValueError("check_c41_and_props applies to power-law potentials")
     hs = np.sort(_grid(hs, default_c41_hs))
@@ -395,7 +397,6 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     alpha = family.energy_exponent
     n_dim = family.potential.dimension
     delta = 1e-4
-    depth = family.lambda_min([beta], hs) * (1.0 - 2.0 * delta)
 
     # one row per h: log h^N Z_q and its relative error, E_q and its error,
     # E_q - E_c, and the P4_1 derivative residual relative to the analytic
@@ -403,22 +404,21 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
     def read(point):
         h = point.planck
         log_zq, rel_z = point.log_z
-        eq, e_err = point.e_quantum, point.e_quantum_error
-        log_g = [n_dim * math.log(x) + log_z_quantum(family.spectrum(x, depth), beta)[0]
-                 for x in (h * (1 + delta), h * (1 - delta),
-                           h * (1 + delta / 2), h * (1 - delta / 2))]
+        eq, e_err, gap = point.e_quantum, point.e_quantum_error, point.e[0]
+        log_g = [n_dim * math.log(h * s) + log_z_quantum(point.spectrum, beta * s**alpha)[0]
+                 for s in (1 + delta, 1 - delta, 1 + delta / 2, 1 - delta / 2)]
         d_coarse = (log_g[0] - log_g[1]) / (2 * h * delta)
         d_fine = (log_g[2] - log_g[3]) / (h * delta)
         analytic = (n_dim - alpha * beta * eq) / h
         fd_trunc = abs(d_fine - d_coarse) / 3.0
         return (
-            n_dim * math.log(h) + log_zq, rel_z, eq, e_err, point.e[0],
+            n_dim * math.log(h) + log_zq, rel_z, eq, e_err, gap,
             abs(d_fine - analytic) / max(abs(analytic), 1e-30),
             (fd_trunc + alpha * beta * e_err / h + 2 * rel_z / (h * delta))
             / max(abs(analytic), 1e-30),
         )
 
-    table, failed = _sweep(family, [beta], hs, read, 7, depth)
+    table, failed = _sweep(family, [beta], hs, read, 7)
     log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table.T
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale

@@ -310,18 +310,20 @@ def test_mean_energy_classical_derivative_identity():
 
 
 def test_entropy_quantum_single_level():
-    s, p = entropy_quantum(toy([1.0]), 2.0)
+    s = entropy_quantum(toy([1.0]), 2.0)
+    p = boltzmann_pass(toy([1.0]), 2.0).p
     assert s == 0.0
     assert p.tolist() == [1.0]
 
 
 def test_entropy_quantum_uniform_limit():
-    s, _ = entropy_quantum(toy([1.0, 2.0]), 1e-8)
+    s = entropy_quantum(toy([1.0, 2.0]), 1e-8)
     assert s == pytest.approx(math.log(2.0), abs=1e-7)
 
 
 def test_entropy_quantum_three_levels():
-    s, p = entropy_quantum(toy([1.0, 2.0, 3.0]), 1.0)
+    spec = toy([1.0, 2.0, 3.0])
+    s, p = entropy_quantum(spec, 1.0), boltzmann_pass(spec, 1.0).p
     w = np.exp([-1.0, -2.0, -3.0])
     p_oracle = w / w.sum()
     oracle = -float((p_oracle * np.log(p_oracle)).sum())
@@ -369,7 +371,7 @@ def test_log_entropy_deep_quantum_regime():
     oracle = math.log(beta + 1.0) - beta  # S ~ (1 + beta d) e^{-beta d}, d = 1
     assert ls == pytest.approx(oracle, abs=1e-3)
     # moderate regime agrees with the linear path
-    s, _ = entropy_quantum(spec, 2.0)
+    s = entropy_quantum(spec, 2.0)
     assert log_entropy_quantum(spec, 2.0) == pytest.approx(math.log(s), rel=1e-12)
 
 
@@ -491,7 +493,7 @@ def test_quantum_entropy_identity_on_every_basis(swept, name, beta, h):
     # the direct sum -sum P log P against beta E_q + log Z_q, unshifted
     fam, lam_min = swept[name]
     spec = fam.spectrum(h, lam_min)
-    s_q, _ = entropy_quantum(spec, beta)
+    s_q = entropy_quantum(spec, beta)
     be_q = beta * mean_energy_quantum(spec, beta)
     log_zq = log_z_quantum(spec, beta)[0]
     assert abs(s_q - (be_q + log_zq)) <= 1e-12 * (1.0 + abs(be_q) + abs(log_zq))
@@ -616,7 +618,7 @@ def test_thermo_point_identities():
     assert pt.s_classical == pytest.approx(
         pt.beta * pt.e_classical + math.log(pt.z_classical) - n_log, abs=1e-10
     )
-    assert pt.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    assert boltzmann_pass(spec, pt.beta).p.sum() == pytest.approx(1.0, abs=1e-12)
     assert pt.zq_scaled == pytest.approx(2 * math.pi * pt.z_quantum, rel=1e-12)
 
 
@@ -755,7 +757,7 @@ def test_thermo_point_equals_single_quantity_readers(pass_spectra):
         pt = thermo_point(pot, spec, beta)
         assert pt.log_z_quantum == log_z_quantum(spec, beta)[0]
         assert pt.e_quantum == mean_energy_quantum(spec, beta)
-        assert pt.s_quantum == entropy_quantum(spec, beta)[0]
+        assert pt.s_quantum == entropy_quantum(spec, beta)
 
 
 def test_error_readers_equal_the_shared_pass(pass_spectra):
@@ -779,9 +781,43 @@ def test_thermo_point_makes_one_weight_pass(monkeypatch):
     monkeypatch.setattr(ensemble, "BoltzmannPass", CountingPass)
     spec = solve_box(1, [1.0], count=200)
     for beta in (0.7, 1.3):
-        pt = thermo_point(box([1.0]), spec, beta)
-        assert pt.probabilities.sum() == pytest.approx(1.0)
+        thermo_point(box([1.0]), spec, beta)
+        assert boltzmann_pass(spec, beta).p.sum() == pytest.approx(1.0)
     assert built == [0.7, 1.3]
+
+
+@pytest.mark.parametrize("reader", [
+    log_z_quantum, z_quantum, mean_energy_quantum, entropy_quantum, log_entropy_quantum,
+    z_quantum_error, mean_energy_quantum_error, entropy_quantum_error,
+], ids=lambda reader: reader.__name__)
+def test_every_quantum_reader_is_gated(reader):
+    # a fitted growth exponent of 2.6e-4 puts the tail bound past e^700, far
+    # above the partial sum: every reader refuses it rather than overflowing
+    spec = Spectrum([1.0, *np.linspace(10.25, 10.253, 792)], 1.0, SpectrumSource.GIVEN)
+    with pytest.raises(TruncationError):
+        reader(spec, 100.0)
+
+
+def test_a_table_row_builds_no_probabilities():
+    # S_q is read off the cut pass's weights; P_n over every level is only
+    # built where it is printed
+    spec = solve_box(1, [1.0], count=200)
+    thermo_point(box([1.0]), spec, 0.7)
+    assert "p" not in vars(boltzmann_pass(spec, 0.7))
+
+
+@pytest.mark.parametrize("name", ["oscillator", "quartic", "wedge"])
+def test_scaling_law_moves_h_into_beta(name, request):
+    # Z_q(beta, h s) = Z_q(beta s^a, h): the levels at h s are s^a times those at h
+    fam = request.getfixturevalue(name)
+    a = fam.energy_exponent
+    for beta, h in ((0.3, 0.5), (1.0, 1.0), (5.0, 2.0)):
+        lam = fam.lambda_min([beta], [h * (1.0 - 1e-4)])
+        base, spec = fam.base_spectrum(lam), fam.spectrum(h, lam)
+        for s in (1.0 + 1e-4, 1.0 - 1e-4):
+            moved = log_z_quantum(spec, beta * s**a)[0]
+            assert moved == pytest.approx(log_z_quantum(rescale(base, h * s, a), beta)[0],
+                                          rel=1e-13)
 
 
 def test_gate_precedence_per_reader():

@@ -201,7 +201,7 @@ def test_t41_entropy_via_psi_route_agrees(oscillator):
 
     lam_min = 0.25
     spec = oscillator.spectrum(2.0, lam_min)
-    s_direct, _ = entropy_quantum(spec, 0.5)
+    s_direct = entropy_quantum(spec, 0.5)
     base = oscillator.base_spectrum(lam_min)
     value, _ = psi(base.levels, 0.5 * oscillator.phi(2.0))
     assert s_direct == pytest.approx(value, abs=1e-10)
@@ -257,6 +257,25 @@ def test_c41_and_props_oscillator(oscillator):
 def test_c41_rejects_box(box1):
     with pytest.raises(ValueError):
         check_c41_and_props(box1)
+
+
+def test_c41_reads_only_its_own_points(monkeypatch):
+    # P4_1's neighbours h s come off each point's levels by the scaling law:
+    # one spectrum per swept h, none off the grid
+    import qcgibbs.models as models_mod
+
+    fetched = []
+    real = models_mod.ModelFamily.spectrum
+
+    def counting(self, planck, lambda_min):
+        fetched.append(planck)
+        return real(self, planck, lambda_min)
+
+    monkeypatch.setattr(models_mod.ModelFamily, "spectrum", counting)
+    hs = [0.5, 1.0, 2.0, 4.0]
+    reports = check_c41_and_props(homogeneous_family(4.0), [1.0], hs)
+    assert fetched == hs
+    assert all(rep.status is not Status.VIOLATED for rep in reports)
 
 
 def test_p41_derivative_vanishes_as_beta_shrinks(oscillator):
@@ -324,7 +343,7 @@ def test_wehrl_identity_composition(box1):
     # S_q - S_c recomputed through the partition/energy gaps agrees to 1e-10
     beta, h = 1.0, 0.125
     spec = box1.spectrum(h, beta * h**2)
-    sq, _ = entropy_quantum(spec, beta)
+    sq = entropy_quantum(spec, beta)
     sc = entropy_classical(box1.potential, beta, h)
     zq, _ = z_quantum(spec, beta)
     zc, _ = z_classical(box1.potential, beta)
