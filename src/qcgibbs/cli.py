@@ -6,6 +6,8 @@ builds only the parser of the subcommand named first, so an unread flag is
 refused under that subcommand's usage. A run starts at one BLAS thread (the
 package imports numpy so), and only a sine basis past
 spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
+A tabulated well's level bars are solved on their first read, which only
+verify makes, so spectrum, table and game solve one eigenproblem per h.
 Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
 and `verify` read grids through ModelFamily.sweep, one point after another,
 each a Boltzmann pass cut at its weight floor. `game` plays at

@@ -22,7 +22,9 @@ with OPENBLAS_NUM_THREADS=1 unless the caller has named a count
 (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS) or loaded numpy
 first. The one solve that wants more, a sine basis past
 spectrum.SINE_BASIS_SERIAL_STATES states, raises it to every usable CPU for
-its block, and OpenBLAS starts the extra threads then. Independent solves go
+its Ritz eigensolve, and again for its bars' eigensolve, which runs on the
+first read of the bars (only verify reads them); OpenBLAS starts the extra
+threads at the first raise. Independent solves go
 to the spare cores instead (map_solves): ctypes releases the GIL for the
 length of each call.
 

@@ -9,15 +9,16 @@ each parity block. Tabulated wells are solved by Rayleigh-Ritz in the sine
 eigenbasis of the box on the table's interval, where the piecewise-linear V
 has closed-form matrix elements; each level's bar is the gap to a
 Schur-complement lower bound, so every Ritz level and its bar bracket the
-exact level. Odd and non-integer power laws fall back to a second-order
-central finite-difference discretization on uniform grids with Dirichlet
-ends at walls the caller places, solved on three nested grids by LAPACK's
-DSTEBZ bisection and sharpened by two Richardson steps. Both LAPACK drivers
-come from the OpenBLAS numpy has loaded (qcgibbs.lapack), so this module
-imports nothing from scipy; only the wedge imports scipy.special, when it
-solves. The parity blocks of the oscillator basis and the grids of finite
-differences are independent LAPACK calls, solved side by side on the usable
-CPUs; the dense sine basis runs on one BLAS thread up to
+exact level. That bound is a second dense eigensolve, run on the first read
+of the bars, which only verify makes. Odd and non-integer power laws fall
+back to a second-order central finite-difference discretization on uniform
+grids with Dirichlet ends at walls the caller places, solved on three nested
+grids by LAPACK's DSTEBZ bisection and sharpened by two Richardson steps.
+Both LAPACK drivers come from the OpenBLAS numpy has loaded (qcgibbs.lapack),
+so this module imports nothing from scipy; only the wedge imports
+scipy.special, when it solves. The parity blocks of the oscillator basis and
+the grids of finite differences are independent LAPACK calls, solved side by
+side on the usable CPUs; the dense sine basis runs on one BLAS thread up to
 SINE_BASIS_SERIAL_STATES and on every usable CPU above it. A power-law growth
 model E_n ~ C n^gamma fitted to the top quartile of the computed levels bounds
 the Boltzmann tail left out by truncation, and the exact scaling law
@@ -27,10 +28,12 @@ E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,6 +60,32 @@ class SpectrumSource(enum.Enum):
     GIVEN = "given"
 
 
+class _DeferredBars:
+    """Spectrum.level_errors where the solver gave a computation: it runs on
+    the first read, and its checked result is kept on the instance, which
+    shadows this non-data descriptor (as ensemble._cached), so later reads
+    and spectra given an array read a plain attribute. Read off the class
+    it is None, the field's default. Threads that read at once may each run
+    the computation; they store the same bars."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        errs = _checked_bars(obj._solve_bars(), obj.levels)
+        object.__setattr__(obj, "level_errors", errs)
+        return errs
+
+
+def _checked_bars(errs, levels: np.ndarray) -> np.ndarray:
+    errs = np.asarray(errs, dtype=float)
+    if errs.shape != levels.shape:
+        raise ValueError("level_errors must match levels in shape")
+    if not (errs.min() >= 0.0 and errs.max() < math.inf):  # NaN fails both
+        raise ValueError("level_errors must be finite and non-negative")
+    errs.setflags(write=False)
+    return errs
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """An ordered list of positive eigenvalues at one Planck parameter.
@@ -64,7 +93,12 @@ class Spectrum:
     levels       : E_1 <= E_2 <= ... <= E_M, strictly positive.
     planck       : the h at which the levels hold.
     source       : how the levels were produced.
-    level_errors : absolute per-level error estimates (None for analytic levels).
+    level_errors : absolute per-level error bars, finite and non-negative
+                   (None for analytic levels). A solver may give them as an
+                   array or as a zero-argument computation, which runs on
+                   the first read (the sine basis does this: only verify
+                   reads bars, so tables, spectra and the game never solve
+                   them).
     tail_model   : (gamma, C) of the fitted growth law E_n ~ C n^gamma, used to
                    bound the omitted tail; fitted from the top quartile when at
                    least 8 levels are present.
@@ -73,7 +107,7 @@ class Spectrum:
     levels: np.ndarray
     planck: float
     source: SpectrumSource
-    level_errors: np.ndarray | None = None
+    level_errors: np.ndarray | Callable[[], np.ndarray] | None = _DeferredBars()
     tail_model: tuple[float, float] | None = field(default=None)
 
     def __post_init__(self) -> None:
@@ -90,12 +124,12 @@ class Spectrum:
             raise ValueError("planck must be positive")
         levels.setflags(write=False)
         object.__setattr__(self, "levels", levels)
-        if self.level_errors is not None:
-            errs = np.asarray(self.level_errors, dtype=float)
-            if errs.shape != levels.shape:
-                raise ValueError("level_errors must match levels in shape")
-            errs.setflags(write=False)
-            object.__setattr__(self, "level_errors", errs)
+        errs = self.level_errors
+        if callable(errs):
+            object.__setattr__(self, "_solve_bars", errs)
+            object.__delattr__(self, "level_errors")  # _DeferredBars reads it
+        elif errs is not None:
+            object.__setattr__(self, "level_errors", _checked_bars(errs, levels))
         if self.tail_model is None and levels.size >= 8:
             object.__setattr__(self, "tail_model", fit_tail_model(levels))
 
@@ -476,9 +510,11 @@ def solve_oscillator_basis(
 # ---------------------------------------------------------------------------
 # box sine basis for tabulated wells
 
-# the dense basis's two full eigh passes cost O(size^3); one solve at this
-# many states (1,500 levels at 2 * count + 64) takes about 5 s and 290 MB on
-# two cores, so larger bases are refused before anything is built
+# the dense basis's two full eigh passes (the levels, then the bars on their
+# first read) cost O(size^3); at this many states (1,500 levels at
+# 2 * count + 64) the levels take about 1.0 s and 180 MB peak RSS on two
+# cores, and levels and bars 2.3 s and 260 MB, so larger bases are refused
+# before anything is built
 SINE_BASIS_MAX_STATES = 3_064
 # up to this many states the basis is solved on one BLAS thread: on two
 # cores a second thread saves no time below about 280 states (it only spins
@@ -590,10 +626,14 @@ def solve_sine_basis(
     t = theta_count < g Loewdin partitioning and Haynsworth inertia give
     E_i >= lambda_i(H_NN - W / (g - t)) for i <= count. level_errors hold
     theta_i - lambda_i plus the rounding floor 5e-14 * (|E| + ||H||); t >= g
-    raises AccuracyError.
+    raises AccuracyError at the solve.
 
-    The solve holds the process's BLAS thread count (qcgibbs.lapack's
-    blas_threads), so solves in different threads run one at a time.
+    The solve returns the Ritz levels after one eigensolve; the bars take a
+    second one, solved on the first read of level_errors, which only verify
+    makes. Until then the spectrum holds O(size) state for them (the cosine
+    moments, not the size x size matrices). Each eigensolve holds the
+    process's BLAS thread count (qcgibbs.lapack's blas_threads), so solves
+    in different threads run one at a time.
     """
     if potential.kind is not PotentialKind.TABULATED:
         raise ValueError("the sine basis solves tabulated wells")
@@ -615,27 +655,43 @@ def solve_sine_basis(
 
     # numpy's BLAS and LAPACK (the OpenBLAS qcgibbs.lapack binds): one
     # thread up to SINE_BASIS_SERIAL_STATES, every usable core above
-    with blas_threads(1 if size <= SINE_BASIS_SERIAL_STATES else usable_cpus()):
+    with blas_threads(_sine_basis_threads(size)):
         c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
+        ham = _sine_matrix(c, size)
+        ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
+        theta = np.linalg.eigvalsh(ham)
+    value = theta[:count]
+    top = float(value[-1])
+    gap = kin * (size + 1) ** 2 + vmin
+    if top >= gap:
+        raise AccuracyError(
+            f"level {count}: Ritz value {top:.6g} is not below the omitted "
+            f"sine states' floor {gap:.6g}; no lower bound holds"
+        )
+    norm_h = max(abs(theta[0]), abs(theta[-1]))
+    bars = functools.partial(_sine_basis_bars, c, c2, kin, gap, value, size, norm_h)
+    return Spectrum(value, planck, SpectrumSource.SINE_BASIS, level_errors=bars)
+
+
+def _sine_basis_threads(size: int) -> int:
+    return 1 if size <= SINE_BASIS_SERIAL_STATES else usable_cpus()
+
+
+def _sine_basis_bars(c: np.ndarray, c2: np.ndarray, kin: float, gap: float,
+                     value: np.ndarray, size: int, norm_h: float) -> np.ndarray:
+    """solve_sine_basis's level bars: theta_i - lambda_i(H_NN - W / (g - t))
+    plus the rounding floor, for the Ritz levels `value` = theta_1..count.
+    H_NN and W are rebuilt from the cosine moments C and C2, at the solve's
+    BLAS thread count."""
+    with blas_threads(_sine_basis_threads(size)):
         ham = _sine_matrix(c, size)  # V_NN until the kinetic diagonal is added
         coupling = _sine_matrix(c2, size)
         coupling -= ham @ ham  # W
         ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
-        theta = np.linalg.eigvalsh(ham)
-        value = theta[:count]
-        top = float(value[-1])
-        gap = kin * (size + 1) ** 2 + vmin
-        if top >= gap:
-            raise AccuracyError(
-                f"level {count}: Ritz value {top:.6g} is not below the omitted "
-                f"sine states' floor {gap:.6g}; no lower bound holds"
-            )
-        coupling *= 1.0 / (gap - top)
+        coupling *= 1.0 / (gap - float(value[-1]))
         ham -= coupling
-        lower = np.linalg.eigvalsh(ham)[:count]
-    norm_h = max(abs(theta[0]), abs(theta[-1]))
-    estimate = (value - lower) + 5e-14 * (np.abs(value) + norm_h)
-    return Spectrum(value, planck, SpectrumSource.SINE_BASIS, level_errors=estimate)
+        lower = np.linalg.eigvalsh(ham)[:value.size]
+    return (value - lower) + 5e-14 * (np.abs(value) + norm_h)
 
 
 # ---------------------------------------------------------------------------

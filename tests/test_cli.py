@@ -809,6 +809,23 @@ def test_tabulated_rows_run_no_dense_solve(double_well, blas_spy, capsys):
     assert {thread for thread, _ in blas_spy.sets} == {threading.main_thread()}
 
 
+@pytest.mark.parametrize("argv, solved", [
+    (["table", "--beta", "0.5,1,2", "--h", "0.5,1"], 2),
+    (["spectrum", "--h", "0.5", "--count", "50"], 1),
+    (["game", "--beta", "1", "--h", "0.5"], 1),
+], ids=["table", "spectrum", "game"])
+def test_tabulated_commands_leave_the_bars_unsolved(double_well, monkeypatch, capsys,
+                                                     argv, solved):
+    # a table, a spectrum and the game read levels only, so each solved h
+    # runs the sine basis's Ritz eigensolve and not its lower bound's
+    sizes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    code, _, _ = run([argv[0], "--model", "tabulated", "--table", str(double_well),
+                      *argv[1:]], capsys)
+    assert code == EXIT_OK
+    assert len(sizes) == solved
+
+
 def test_a_failed_h_fails_only_its_own_rows(double_well, monkeypatch, capsys):
     from qcgibbs.errors import AccuracyError
 
@@ -885,8 +902,9 @@ def test_a_large_sine_basis_solves_on_every_core_then_returns_to_one():
                           env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     start, code, counts, end = json.loads(proc.stdout.splitlines()[-1])
-    # the basis's two eigensolves, theta and the lower bounds
-    assert (start, code, counts, end) == (1, EXIT_OK, [util_mod.usable_cpus()] * 2, 1)
+    # the basis's one eigensolve, theta: a table reads no bars, so the lower
+    # bounds' eigensolve never runs
+    assert (start, code, counts, end) == (1, EXIT_OK, [util_mod.usable_cpus()], 1)
 
 
 def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys):

@@ -383,10 +383,12 @@ def test_small_sine_bases_solve_on_one_blas_thread(monkeypatch, blas_spy,
     prior = blas_spy.count()
     size = spectrum_mod._sine_basis_size(double_well_potential, 1.0, 20)
     assert size <= spectrum_mod.SINE_BASIS_SERIAL_STATES
-    solve_sine_basis(double_well_potential, 1.0, count=20)
+    spec = solve_sine_basis(double_well_potential, 1.0, count=20)
+    assert inside == [1]  # the Ritz levels; the bars wait for their first read
+    spec.level_errors
     assert inside == [1, 1]
     assert blas_spy.count() == prior
-    assert [count for _, count in blas_spy.sets] == [1, prior]
+    assert [count for _, count in blas_spy.sets] == [1, prior, 1, prior]
 
 
 def test_large_sine_bases_solve_on_every_usable_core(monkeypatch, blas_spy,
@@ -396,8 +398,10 @@ def test_large_sine_bases_solve_on_every_usable_core(monkeypatch, blas_spy,
 
     inside = _counts_inside_eigvalsh(monkeypatch, blas_spy)
     with blas_threads(1):
-        solve_sine_basis(double_well_potential, 1.0, count=20,
-                         size=spectrum_mod.SINE_BASIS_SERIAL_STATES + 1)
+        spec = solve_sine_basis(double_well_potential, 1.0, count=20,
+                                size=spectrum_mod.SINE_BASIS_SERIAL_STATES + 1)
+        assert blas_spy.count() == 1
+        spec.level_errors
         assert blas_spy.count() == 1
     assert inside == [usable_cpus()] * 2
 
@@ -415,6 +419,12 @@ def _noisy_double_well(seed: int):
           + 1.0 + rng.uniform(-0.05, 0.05, xs.size))
     vs[[0, -1]] = 40.0
     return tabulated(xs, vs)
+
+
+def _pit():
+    """Walls at 200 around a narrow pit of V = 0 on [0, 1]."""
+    xs = np.linspace(0.0, 1.0, 101)
+    return tabulated(xs, np.where(np.abs(xs - 0.5) < 0.06, 0.0, 200.0))
 
 
 @pytest.fixture
@@ -539,8 +549,7 @@ def test_sine_basis_grows_past_high_walls():
     # walls at 200 around a narrow pit: 2 * count + 64 states leave the 20th
     # Ritz level above the omitted states' floor, so the basis grows until the
     # floor clears twice count^2 c1 + max V (182 states), and the bars bracket
-    xs = np.linspace(0.0, 1.0, 101)
-    pit = tabulated(xs, np.where(np.abs(xs - 0.5) < 0.06, 0.0, 200.0))
+    pit = _pit()
     with pytest.raises(AccuracyError, match="level 20"):
         solve_sine_basis(pit, 0.05, count=20, size=104)
     spec = solve_sine_basis(pit, 0.05, count=20)
@@ -551,6 +560,103 @@ def test_sine_basis_grows_past_high_walls():
     # ground level E_1 = 1.003 a bar of 510, and the others bars of 14 to 81
     assert spec.level_errors[0] < 2e-3
     assert np.all(spec.level_errors < 0.25)
+
+
+def _eager_sine_basis(potential, planck, count, size):
+    # the levels and bars of a sine basis solved in one pass, with both
+    # matrices built before the first eigensolve: the reference the deferred
+    # bars must match bit for bit
+    from qcgibbs.lapack import blas_threads
+    from qcgibbs.spectrum import _cosine_moments, _sine_matrix
+    from qcgibbs.util import usable_cpus
+
+    xs, vs = potential.grid_x, potential.grid_v
+    span = float(xs[-1] - xs[0])
+    kin = (planck * math.pi / span) ** 2 / (2.0 * potential.mass)
+    with blas_threads(1 if size <= spectrum_mod.SINE_BASIS_SERIAL_STATES else usable_cpus()):
+        c, c2 = _cosine_moments((xs - xs[0]) / span, vs, 2 * size)
+        ham = _sine_matrix(c, size)
+        coupling = _sine_matrix(c2, size)
+        coupling -= ham @ ham
+        ham[np.diag_indices(size)] += kin * np.arange(1, size + 1, dtype=float) ** 2
+        theta = np.linalg.eigvalsh(ham)
+        value = theta[:count]
+        top = float(value[-1])
+        gap = kin * (size + 1) ** 2 + float(vs.min())
+        coupling *= 1.0 / (gap - top)
+        ham -= coupling
+        lower = np.linalg.eigvalsh(ham)[:count]
+    norm_h = max(abs(theta[0]), abs(theta[-1]))
+    return value, (value - lower) + 5e-14 * (np.abs(value) + norm_h)
+
+
+@pytest.mark.parametrize("size", [None, spectrum_mod.SINE_BASIS_SERIAL_STATES + 20],
+                         ids=["serial", "threaded"])
+@pytest.mark.parametrize("well, planck, count", [
+    ("seed 0", 1.0, 40), ("seed 3", 0.5, 60), ("pit", 0.05, 20)])
+def test_deferred_sine_basis_bars_equal_the_eager_formula(well, planck, count, size):
+    potential = _pit() if well == "pit" else _noisy_double_well(int(well.split()[1]))
+    if size is None:
+        size = spectrum_mod._sine_basis_size(potential, planck, count)
+        assert size <= spectrum_mod.SINE_BASIS_SERIAL_STATES
+    spec = solve_sine_basis(potential, planck, count=count, size=size)
+    assert "level_errors" not in vars(spec)  # not solved yet
+    levels, bars = _eager_sine_basis(potential, planck, count, size)
+    assert np.array_equal(spec.levels, levels)
+    assert np.array_equal(spec.level_errors, bars)
+    assert spec.level_errors is spec.level_errors  # solved once, then kept
+
+
+def test_threads_reading_pending_bars_at_once_get_the_same_bars(double_well_potential):
+    # readers that race to the first read may each solve the bars; every one
+    # gets the eager formula's bars, and none raises
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    count = 40
+    size = spectrum_mod._sine_basis_size(double_well_potential, 1.0, count)
+    ref = _eager_sine_basis(double_well_potential, 1.0, count, size)[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for _ in range(5):
+                spec = solve_sine_basis(double_well_potential, 1.0, count=count)
+                reads = [pool.submit(lambda: spec.level_errors) for _ in range(8)]
+                assert all(np.array_equal(f.result(timeout=60), ref) for f in reads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_solved_sine_basis_retains_no_matrix(double_well_potential):
+    # a 1,000-state basis: one of its matrices is 8 MB, and the spectrum
+    # keeps only O(size) arrays before and after its bars are read
+    import tracemalloc
+
+    count = 468
+    assert spectrum_mod._sine_basis_size(double_well_potential, 1.0, count) == 1000
+    tracemalloc.start()
+    try:
+        spec = solve_sine_basis(double_well_potential, 1.0, count=count)
+        pending = tracemalloc.get_traced_memory()[0]
+        spec.level_errors
+        solved = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pending < 1e6 and solved < 1e6
+
+
+@pytest.mark.parametrize("bars", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_spectrum_refuses_bars_that_are_not_bars(bars):
+    # bars of -1 on levels 1..60 at beta = 1 gave a Z_q bound of -0.58
+    levels = np.arange(1.0, 61.0)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        Spectrum(levels, 1.0, SpectrumSource.GIVEN, level_errors=np.full(60, bars))
+    deferred = Spectrum(levels, 1.0, SpectrumSource.GIVEN,
+                        level_errors=lambda: np.full(60, bars))
+    for _ in range(2):  # refused at every read
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            deferred.level_errors
 
 
 def test_sine_basis_refuses_bases_above_the_state_limit(double_well_potential):

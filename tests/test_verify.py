@@ -428,6 +428,38 @@ def test_a_failed_point_is_listed_and_keeps_its_claim_from_holds(key, reader, mo
         assert rep.status is not Status.HOLDS
 
 
+def test_a_failed_deferred_bar_fails_the_points_that_read_it(double_well_potential,
+                                                              monkeypatch):
+    # a sine basis solves its bars on their first read: where that raises,
+    # the sweep fails the points at that h that read bars, while table rows,
+    # which read none, all pass
+    import qcgibbs.models as models_mod
+    from qcgibbs.ensemble import thermo_point
+    from qcgibbs.errors import AccuracyError
+    from qcgibbs.spectrum import Spectrum
+
+    solve = models_mod.solve_sine_basis
+
+    def failing_bars():
+        raise AccuracyError("no lower bound at h=0.5")
+
+    def solve_with_failing_bars(potential, planck, **kwargs):
+        spec = solve(potential, planck, **kwargs)
+        if planck == 0.5:
+            spec = Spectrum(spec.levels, planck, spec.source, level_errors=failing_bars)
+        return spec
+
+    monkeypatch.setattr(models_mod, "solve_sine_basis", solve_with_failing_bars)
+    fam = tabulated_family(double_well_potential)
+    betas, hs = [0.5, 1.0], [0.5, 1.0]
+    rows = fam.sweep(betas, hs, lambda spec, beta, h: thermo_point(fam.potential, spec, beta))
+    assert not any(isinstance(row, dict) for row in rows)
+    [rep] = run_claims(fam, ["c11"], betas, hs)
+    assert rep.notes["failed_points"] == [
+        {"beta": beta, "h": 0.5, "error": "no lower bound at h=0.5"} for beta in betas]
+    assert rep.status is not Status.HOLDS
+
+
 def test_reports_deterministic(box1):
     a = check_c11(box1, SMALL_BETAS, SMALL_HS)
     b = check_c11(box1, SMALL_BETAS, SMALL_HS)
