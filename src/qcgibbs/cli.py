@@ -9,12 +9,15 @@ spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
 A tabulated well's level bars are solved on their first read, which only
 verify makes, so spectrum, table and game solve one eigenproblem per h.
 Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
-and `verify` read grids through ModelFamily.sweep, one point after another,
-each a Boltzmann pass cut at its weight floor. `game` plays at
-the Gibbs state of one (beta, h), on the levels a one-point table row reads
-or on --levels. Exit codes: 0 success, 2 usage or validation, 3 numerical
-failure (truncation, quadrature, accuracy, overflow; a failed grid point
-too), 4 a theorem-class claim reported Violated.
+and `verify` (T3_1 at its one point, (tau, h)) read grids through
+ModelFamily.sweep, one point after another, each a Boltzmann pass cut at its
+weight floor; `table` writes through ensemble.thermo_table_text. `spectrum
+--count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
+at the Gibbs state of one (beta, h), on the levels a one-point table row
+reads or on --levels (or --levels-file, which reads spectrum's output too).
+Exit codes: 0 success, 2 usage or validation, 3 numerical failure
+(truncation, quadrature, accuracy, overflow; a failed grid point too), 4 a
+theorem-class claim reported Violated.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from collections.abc import Callable
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,16 +33,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import game as game_mod
-from .ensemble import BoltzmannPass, _table_text, _thermo_row, thermo_point
+from .ensemble import BoltzmannPass, thermo_point, thermo_table_text
 from .errors import NUMERICAL_ERRORS
-from .models import (
-    LAMBDA_DEPTH,
-    ModelFamily,
-    box_family,
-    homogeneous_family,
-    tabulated_family,
-)
-from .potential import PotentialKind, load_tabulated_csv
+from .models import ModelFamily, box_family, homogeneous_family, tabulated_family
+from .potential import load_tabulated_csv
 from .spectrum import Spectrum, SpectrumSource, spectrum_text
 from .util import fmt17, log_grid
 from .verify import (
@@ -182,14 +178,6 @@ def _write_or_print(text: str, path: Path | None) -> None:
 # subcommands
 
 
-def _count_depth(fam: ModelFamily, count: int, h: float) -> float:
-    """The depth of level `count`'s law, lambda (E_count - min V) =
-    LAMBDA_DEPTH, which the count rule meets with at least `count` levels:
-    at h for a tabulated well, at h = 1 for the base of a scaling family."""
-    tabulated = fam.potential.kind is PotentialKind.TABULATED
-    return LAMBDA_DEPTH / (fam.level_energy(count, h if tabulated else 1.0) - fam.min_potential)
-
-
 def _at(point: dict) -> str:
     """Where a failed grid point of ModelFamily.sweep failed, and why."""
     return f"at beta={point['beta']:g}, h={point['h']:g}: {point['error']}"
@@ -200,7 +188,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         raise ValueError("spectrum reads one h")
     fam = _build_family(cfg)
     h = cfg.h[0] if cfg.h else 1.0
-    lam = _count_depth(fam, cfg.count, h)
+    lam = fam.count_depth(cfg.count, h)
     spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
     _write_or_print(spectrum_text(spec, cfg.count), _resolve_output(cfg.output))
     return EXIT_OK
@@ -209,14 +197,11 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
 def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
-    out = fam.sweep(betas, hs, lambda spec, beta, h: _thermo_row(
-        beta, h, thermo_point(fam.potential, spec, beta)))
+    out = fam.sweep(betas, hs, lambda spec, beta, h: thermo_point(fam.potential, spec, beta).row)
     # the sweep runs h outer, the table beta outer
     cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
     failed = [c for c in cells if isinstance(c, dict)]
-    rows, statuses = zip(*((_thermo_row(c["beta"], c["h"], None), f"error: {c['error']}")
-                           if isinstance(c, dict) else (c, "ok") for c in cells))
-    text = _table_text(rows, cfg.format, statuses) + ("\n" if cfg.format == "json" else "")
+    text = thermo_table_text(cells, cfg.format) + ("\n" if cfg.format == "json" else "")
     _write_or_print(text, _resolve_output(cfg.output))
     if failed:
         print(f"numerical error: {_at(failed[0])}", file=sys.stderr)
@@ -244,6 +229,13 @@ def cmd_verify(cfg: SimpleNamespace, claims: list[str]) -> int:
     return EXIT_VIOLATED if violated else EXIT_NUMERICAL if failed else EXIT_OK
 
 
+def _read_levels(path: str) -> list[float]:
+    """One level per line, or the last comma field of each row of spectrum's
+    n,E output; '#' starts a comment, and the n,E header is skipped."""
+    lines = (raw.partition("#")[0].strip() for raw in Path(path).read_text().splitlines())
+    return [float(line.rpartition(",")[2]) for line in lines if line and line != "n,E"]
+
+
 def cmd_game(args, cfg: SimpleNamespace) -> int:
     if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
         raise ValueError("game plays at one beta and one h")
@@ -255,16 +247,14 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
         named = cfg.given & {*MODEL_SETTINGS, "h"}
         if named:
             raise ValueError(f"game plays on --levels or on a model, not both: got {sorted(named)}")
-        with warnings.catch_warnings():  # Spectrum refuses an empty file below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            levels = (np.loadtxt(args.levels_file, ndmin=1) if args.levels_file
-                      else [float(x) for x in args.levels.split(",")])
-        spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)
+        levels = (_read_levels(args.levels_file) if args.levels_file
+                  else [float(x) for x in args.levels.split(",")])
+        spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)  # refuses an empty file
     else:
         fam = _build_family(cfg)
         lam = fam.lambda_min((beta,), (h,))
         if args.minors > 0:  # deep enough for minors below the level count
-            lam = min(lam, _count_depth(fam, args.minors + 1, h))
+            lam = min(lam, fam.count_depth(args.minors + 1, h))
         spec = fam.spectrum(h, lam)
     gibbs = BoltzmannPass(spec, beta)
     lines = ["n,P", *(f"{i},{fmt17(pi)}" for i, pi in enumerate(gibbs.p, start=1)),
@@ -328,7 +318,8 @@ def build_parser(command: str) -> argparse.ArgumentParser:
     elif command == "game":
         parser.add_argument("--levels", help="comma list of ascending level energies, "
                             "in place of the model's")
-        parser.add_argument("--levels-file", help="file with one level per line")
+        parser.add_argument("--levels-file", help="file with one level per line, "
+                            "or the n,E output of spectrum")
         parser.add_argument("--minors", type=int, default=0,
                             help="report minor signs up to this order")
         parser.add_argument("--ascend", action="store_true",

@@ -606,6 +606,12 @@ class ThermoPoint:
             err += self.beta * (float(errs[:2].sum()) + m.bars / m.sw)
         return value, err
 
+    @property
+    def row(self) -> list[float]:
+        """The values of THERMO_FIELDS, what a table row prints."""
+        return [self.beta, self.planck, self.zq_scaled, self.z_classical, self.e_quantum,
+                self.e_classical, self.s_quantum, self.s_classical]
+
 
 def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> ThermoPoint:
     """The ThermoPoint of a table row, read in full and checked on the way:
@@ -635,21 +641,15 @@ def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> Therm
 THERMO_FIELDS = ("beta", "h", "Zq_scaled", "Zc", "Eq", "Ec", "Sq", "Sc")
 
 
-def _thermo_row(beta: float, h: float, point: ThermoPoint | None) -> list[float]:
-    """One table row; a failed point (None) reads nan past its beta and h."""
-    if point is None:
-        return [beta, h] + [math.nan] * (len(THERMO_FIELDS) - 2)
-    return [point.beta, point.planck, point.zq_scaled, point.z_classical, point.e_quantum,
-            point.e_classical, point.s_quantum, point.s_classical]
-
-
-def _table_text(rows, fmt: str, statuses=None) -> str:
-    """JSON, or else newline-terminated CSV, text of THERMO_FIELDS rows; a
-    status column joins when any status is not "ok"."""
-    fields = THERMO_FIELDS
-    if statuses is not None and any(s != "ok" for s in statuses):
-        fields += ("status",)
-        rows = [r + [s] for r, s in zip(rows, statuses)]
+def thermo_table_text(cells, fmt: str) -> str:
+    """JSON, or else newline-terminated CSV, text of a table with one row per
+    cell: a ThermoPoint.row, or a failed point's {"beta", "h", "error"} record
+    (ModelFamily.sweep's), which reads nan past its beta and h. A status
+    column joins when any cell failed."""
+    failed = any(isinstance(c, dict) for c in cells)
+    fields = THERMO_FIELDS + ("status",) * failed
+    rows = [[c["beta"], c["h"], *[math.nan] * (len(THERMO_FIELDS) - 2), f"error: {c['error']}"]
+            if isinstance(c, dict) else c + ["ok"] * failed for c in cells]
     if fmt == "json":
         return json.dumps({"rows": [dict(zip(fields, r)) for r in rows]},
                           sort_keys=True, indent=2)
@@ -660,10 +660,9 @@ def _table_text(rows, fmt: str, statuses=None) -> str:
 
 def thermo_table_to_csv(points, path: str | Path) -> None:
     """CSV table with header beta,h,Zq_scaled,Zc,Eq,Ec,Sq,Sc at full precision."""
-    rows = [_thermo_row(pt.beta, pt.planck, pt) for pt in points]
-    Path(path).write_text(_table_text(rows, "csv"), newline="")
+    Path(path).write_text(thermo_table_text([pt.row for pt in points], "csv"), newline="")
 
 
 def thermo_table_to_json(points) -> str:
     """JSON mirror of the CSV table with identical field names."""
-    return _table_text([_thermo_row(pt.beta, pt.planck, pt) for pt in points], "json")
+    return thermo_table_text([pt.row for pt in points], "json")

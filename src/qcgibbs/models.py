@@ -15,7 +15,7 @@ closed forms for the box, the oscillator (nu = 2) and the wedge (nu = 1), an
 oscillator basis for the other even integer nu, the box's sine basis for
 tabulated wells, and finite differences for odd and non-integer nu. One
 level law per source (`level_energy`) and one count rule (`level_count`)
-size every solve, and the law names the depth a level cap still reaches.
+size every solve, and `count_depth` names the depth at which they give a count.
 """
 
 from __future__ import annotations
@@ -166,6 +166,14 @@ class ModelFamily:
             range(8, LEVEL_COUNT_LIMIT), target, key=lambda k: self.level_energy(k, planck))
         return m + self._headroom(m)
 
+    def count_depth(self, count: int, planck: float) -> float:
+        """The lambda at which the count rule provisions `count` levels at h (at
+        h = 1 for a scaling family): the depth of law level `count`, lambda
+        (E_count - min V) = LAMBDA_DEPTH."""
+        if self.potential.kind is not PotentialKind.TABULATED:
+            planck = 1.0
+        return LAMBDA_DEPTH / (self.level_energy(count, planck) - self.min_potential)
+
     def _headroom(self, m: int) -> int:
         """Levels added past law level m: 6% + 8 where the law is Weyl's
         estimate (power laws but the oscillator), none where it is a bound."""
@@ -278,7 +286,7 @@ class ModelFamily:
                        "basis; raise h or lower max V" if where == "sine-basis cap" else
                        f"every solve takes at least {8 + self._headroom(8)} levels; raise the cap")
                 raise ResourceError(f"{head} at h={planck:g}: {why}")
-            depth = LAMBDA_DEPTH / (self.level_energy(top, planck) - self.min_potential)
+            depth = self.count_depth(top, planck)
             raise ResourceError(
                 f"{head}; "
                 + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")

@@ -25,11 +25,12 @@ refuses a one-value grid that a claim compares neighbours along
 Each (beta, h) a check reads is one ensemble.ThermoPoint, the record a table
 row prints, where every comparison of the quantum side with the classical
 one, and its error bound, is formed once.
-Every check but T3_1 (whose integrand reads any beta) reads its points through
-ModelFamily.sweep, each off its own levels alone (P4_1's neighbours h s by
-the scaling law): a point whose solve, fetch or read failed reads NaN, is
-listed in notes["failed_points"] of each report of its claim, and keeps them
-from Holds. A verdict of Holds requires every margin to clear the combined
+Every check reads its points through ModelFamily.sweep, each off its own
+levels alone (P4_1's neighbours h s by the scaling law; T3_1's one point is
+(tau, h), and its integrand reads each gamma off that point's levels): a
+point whose solve, fetch or read failed reads NaN, is listed in
+notes["failed_points"] of each report of its claim, and keeps them from
+Holds. A verdict of Holds requires every margin to clear the combined
 numerical error bound at its own grid point; margins inside the error band
 downgrade to Inconclusive rather than passing on noise. Checks never use the
 same code path for both sides of an identity.
@@ -294,42 +295,41 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
     """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference,
     with beta the largest of betas and the first h (default tau = 1e-3 beta).
 
-    The two sides run through independent code paths (energy-weighted sums vs
-    partition sums). Also asserts the integral is >= -1e-3, its small-tau
-    non-negativity."""
+    The one point read through the sweep is (tau, h), fetched at tau's depth;
+    the integrand reads each gamma off that point's levels. The two sides run
+    through independent code paths (energy-weighted sums vs partition sums).
+    Also asserts the integral is >= -1e-3, its small-tau non-negativity."""
     beta = 1.0 if betas is None else float(np.max(betas))
     h = _first(hs)
     if tau is None:
         tau = 1e-3 * beta
     if not (0.0 < tau <= beta):
         raise ValueError("need 0 < tau <= beta")
-    spec = family.spectrum(h, family.lambda_min([tau], [h]))
     pot = family.potential
-
-    def integrand(gamma: float) -> float:
-        return mean_energy_quantum(spec, gamma) - mean_energy_classical(pot, gamma)
-
-    if tau == beta:
-        lhs, quad_err = 0.0, 0.0
-    else:
-        # imported here, not at the top: scipy.integrate (with scipy.optimize)
-        # costs about 0.3 s at start-up, and no other command needs it
-        from scipy import integrate
-
-        lhs, quad_err = integrate.quad(
-            integrand, tau, beta, epsabs=1e-12, epsrel=1e-9, limit=300
-        )
-
     n_log = pot.dimension * math.log(2.0 * math.pi * h)
 
-    def log_ratio(gamma: float) -> tuple[float, float]:
-        point = ThermoPoint(pot, spec, gamma)
+    def log_ratio(point: ThermoPoint) -> tuple[float, float]:
         log_zq, rel_z = point.log_z
         zc, zc_err = point.zc
         return math.log(zc) - n_log - log_zq, zc_err / zc + rel_z
 
-    top, top_err = log_ratio(beta)
-    bot, bot_err = log_ratio(tau)
+    def read(point: ThermoPoint) -> tuple[float, ...]:
+        spec = point.spectrum
+        if tau == beta:
+            lhs, quad_err = 0.0, 0.0
+        else:
+            # imported here, not at the top: scipy.integrate (with scipy.optimize)
+            # costs about 0.3 s at start-up, and no other command needs it
+            from scipy import integrate
+
+            lhs, quad_err = integrate.quad(
+                lambda gamma: mean_energy_quantum(spec, gamma) - mean_energy_classical(pot, gamma),
+                tau, beta, epsabs=1e-12, epsrel=1e-9, limit=300,
+            )
+        return lhs, quad_err, *log_ratio(ThermoPoint(pot, spec, beta)), *log_ratio(point)
+
+    values, failed = _sweep(family, [tau], [h], read, 6)
+    lhs, quad_err, top, top_err, bot, bot_err = map(float, values[0])
     rhs = top - bot
     tol = 1e-3 * max(1.0, abs(rhs))
     residual_margin = tol - abs(lhs - rhs)
@@ -340,7 +340,7 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
         ClaimId.T3_1, family, beta, h, _classify(margins, bounds, 0.0),
         float(margins.min()), tol,
         {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs, "quad_error": quad_err},
-        tau=float(tau),
+        failed, tau=float(tau),
     )
 
 

@@ -28,7 +28,7 @@ from qcgibbs.cli import (
     main,
     parse_config,
 )
-from qcgibbs.ensemble import _table_text, _thermo_row, log_z_quantum, thermo_point
+from qcgibbs.ensemble import log_z_quantum, thermo_point, thermo_table_text
 from qcgibbs.game import principal_minor_signs
 from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
@@ -535,6 +535,21 @@ def test_game_levels_file(tmp_path, capsys):
     assert "minor_signs = -,+" in out
 
 
+def test_game_reads_the_levels_spectrum_writes(tmp_path, capsys):
+    # spectrum's n,E output, with its comments and header, plays as the same
+    # levels given by --levels
+    written = tmp_path / "levels.csv"
+    code, _, _ = run(["spectrum", "--model", "homogeneous", "--nu", "4", "--h", "0.5",
+                      "--count", "12", "-o", str(written)], capsys)
+    assert code == EXIT_OK
+    levels = [line.split(",")[1] for line in written.read_text().splitlines()[3:]]
+    assert len(levels) == 12
+    game = ["--beta", "2", "--minors", "5"]
+    from_file = run(["game", "--levels-file", str(written), *game], capsys)
+    given = run(["game", "--levels", ",".join(levels), *game], capsys)
+    assert from_file == given and given[0] == EXIT_OK
+
+
 def test_game_seed_determinism(tmp_path, capsys):
     t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["game", "--levels", "1,2,3", "--beta", "1", "--ascend", "--seed", "11"]
@@ -766,9 +781,9 @@ def test_tabulated_table_solves_each_h_once(double_well, fd_solves, capsys):
     for beta in betas:
         for h in hs:
             spec = tabulated_family(pot).spectrum(h, min(betas))
-            rows.append(_thermo_row(beta, h, thermo_point(pot, spec, beta)))
+            rows.append(thermo_point(pot, spec, beta).row)
     assert len(fd_solves) == 2 + len(rows)
-    assert out == _table_text(rows, "csv", ["ok"] * len(rows))
+    assert out == thermo_table_text(rows, "csv")
 
 
 def test_offset_well_table_reaches_the_depth(tmp_path, capsys):
@@ -1085,9 +1100,8 @@ def test_table_fetches_each_h_once(monkeypatch, capsys):
     assert len(fetches) == 2 and len(rescales) == 2
     fam = homogeneous_family(2.0)
     lam = fam.lambda_min(betas, hs)
-    rows = [_thermo_row(b, h, thermo_point(fam.potential, fetch(fam, h, lam), b))
-            for b in betas for h in hs]
-    assert out == _table_text(rows, "csv")
+    rows = [thermo_point(fam.potential, fetch(fam, h, lam), b).row for b in betas for h in hs]
+    assert out == thermo_table_text(rows, "csv")
 
 
 def _no_thread(*args, **kwargs):
@@ -1166,6 +1180,20 @@ def test_verify_fails_only_the_point_that_leaves_the_double_range(capsys):
     point = {"beta": 1000.0, "h": 1e152,
              "error": "beta E_n leaves the double range at beta=1000"}
     assert _failed_points(out) == [[point]] * 3
+
+
+@pytest.mark.parametrize("claims", ["c11,t31", "t31,c11"])
+def test_verify_writes_every_report_when_t31_fails(claims, tmp_path, capsys):
+    # T3_1's point (tau, h) = (0.002, 1) needs 68 levels, above the cap 20:
+    # the run still writes C1_1's Holds beside T3_1's Inconclusive
+    reports = tmp_path / "reports.json"
+    code, _, err = run(["verify", "--model", "box", "--claims", claims, "--beta", "1,2",
+                        "--h", "1", "--max-levels", "20", "-o", str(reports)], capsys)
+    assert code == EXIT_NUMERICAL
+    statuses = {rep["claim_id"]: rep["status"] for rep in json.loads(reports.read_text())}
+    assert statuses == {"C1_1": "Holds", "T3_1": "Inconclusive"}
+    assert _failed_points(reports.read_text())[claims.split(",").index("t31")][0]["beta"] == 0.002
+    assert err.startswith("numerical error: T3_1 at beta=0.002, h=1: box1: sweep needs 68 levels")
 
 
 # ---------------------------------------------------------------------------

@@ -460,6 +460,25 @@ def test_a_failed_deferred_bar_fails_the_points_that_read_it(double_well_potenti
     assert rep.status is not Status.HOLDS
 
 
+@pytest.mark.parametrize("keys", [["c11", "t31"], ["t31", "c11"]])
+def test_a_failed_t31_fetch_keeps_every_report(keys):
+    # T3_1's one point, (tau, h) = (1e-3 * 2, 1), needs 68 box levels, above
+    # a cap of 20: it fails through the sweep like any other point, and C1_1
+    # still rules on its own
+    fam = box_family(1.0)
+    fam.level_cap = 20
+    reports = run_claims(fam, keys, [1, 2], [1])
+    assert [rep.claim_id for rep in reports] == [
+        {"c11": ClaimId.C1_1, "t31": ClaimId.T3_1}[key] for key in keys]
+    c11, t31 = sorted(reports, key=lambda rep: rep.claim_id.value)
+    assert c11.status is Status.HOLDS
+    assert t31.status is Status.INCONCLUSIVE
+    assert [(f["beta"], f["h"]) for f in t31.notes["failed_points"]] == [(0.002, 1.0)]
+    assert t31.notes["failed_points"][0]["error"].startswith(
+        "box1: sweep needs 68 levels, above the cap 20")
+    assert math.isnan(t31.worst_margin) and math.isnan(t31.notes["lhs"])
+
+
 def test_reports_deterministic(box1):
     a = check_c11(box1, SMALL_BETAS, SMALL_HS)
     b = check_c11(box1, SMALL_BETAS, SMALL_HS)
