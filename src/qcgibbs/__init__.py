@@ -62,8 +62,7 @@ from .spectrum import (
     solve_oscillator_basis,
     solve_sine_basis,
     spectrum_from_csv,
-    spectrum_to_csv,
-    tail_bound,
+    spectrum_text,
     wedge_spectrum,
 )
 from .ensemble import (
@@ -75,15 +74,13 @@ from .ensemble import (
     mean_energy_quantum,
     psi,
     thermo_point,
-    thermo_table_to_csv,
-    thermo_table_to_json,
+    thermo_table_text,
     z_classical,
     z_quantum,
 )
 from .game import (
     AscentResult,
     GameState,
-    StepPolicy,
     ascend,
     compromise,
     gradient,

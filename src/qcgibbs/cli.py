@@ -14,7 +14,7 @@ ModelFamily.sweep, one point after another, each a Boltzmann pass cut at its
 weight floor; `table` writes through ensemble.thermo_table_text. `spectrum
 --count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
 at the Gibbs state of one (beta, h), on the levels a one-point table row
-reads or on --levels (or --levels-file, which reads spectrum's output too).
+reads or on --levels (or --levels-file, read by spectrum.read_levels).
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure
 (truncation, quadrature, accuracy, overflow; a failed grid point too), 4 a
 theorem-class claim reported Violated.
@@ -37,7 +37,7 @@ from .ensemble import BoltzmannPass, thermo_point, thermo_table_text
 from .errors import NUMERICAL_ERRORS
 from .models import ModelFamily, box_family, homogeneous_family, tabulated_family
 from .potential import load_tabulated_csv
-from .spectrum import Spectrum, SpectrumSource, spectrum_text
+from .spectrum import Spectrum, SpectrumSource, read_levels, spectrum_text
 from .util import fmt17, log_grid
 from .verify import (
     THEOREM_CLAIMS,
@@ -229,13 +229,6 @@ def cmd_verify(cfg: SimpleNamespace, claims: list[str]) -> int:
     return EXIT_VIOLATED if violated else EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def _read_levels(path: str) -> list[float]:
-    """One level per line, or the last comma field of each row of spectrum's
-    n,E output; '#' starts a comment, and the n,E header is skipped."""
-    lines = (raw.partition("#")[0].strip() for raw in Path(path).read_text().splitlines())
-    return [float(line.rpartition(",")[2]) for line in lines if line and line != "n,E"]
-
-
 def cmd_game(args, cfg: SimpleNamespace) -> int:
     if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
         raise ValueError("game plays at one beta and one h")
@@ -247,7 +240,8 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
         named = cfg.given & {*MODEL_SETTINGS, "h"}
         if named:
             raise ValueError(f"game plays on --levels or on a model, not both: got {sorted(named)}")
-        levels = (_read_levels(args.levels_file) if args.levels_file
+        levels = (read_levels(Path(args.levels_file).read_text())[0]
+                  if args.levels_file is not None
                   else [float(x) for x in args.levels.split(",")])
         spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)  # refuses an empty file
     else:

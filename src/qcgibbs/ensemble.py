@@ -29,17 +29,15 @@ the second carrying the regularizing offset that makes the two comparable.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
-from pathlib import Path
 
 import numpy as np
 
 from .errors import AccuracyError, IntegrabilityError, TruncationError
 from .potential import Potential, PotentialKind, volume
 from .spectrum import Spectrum, log_tail_bound
-from .util import LGAMMA_EPS, fmt17, logsumexp
+from .util import LGAMMA_EPS, fmt17, json_text, logsumexp
 
 TAIL_RTOL = 1e-10
 
@@ -644,25 +642,14 @@ THERMO_FIELDS = ("beta", "h", "Zq_scaled", "Zc", "Eq", "Ec", "Sq", "Sc")
 def thermo_table_text(cells, fmt: str) -> str:
     """JSON, or else newline-terminated CSV, text of a table with one row per
     cell: a ThermoPoint.row, or a failed point's {"beta", "h", "error"} record
-    (ModelFamily.sweep's), which reads nan past its beta and h. A status
-    column joins when any cell failed."""
+    (ModelFamily.sweep's), which reads nan in CSV and null in JSON past its
+    beta and h. A status column joins when any cell failed."""
     failed = any(isinstance(c, dict) for c in cells)
     fields = THERMO_FIELDS + ("status",) * failed
     rows = [[c["beta"], c["h"], *[math.nan] * (len(THERMO_FIELDS) - 2), f"error: {c['error']}"]
             if isinstance(c, dict) else c + ["ok"] * failed for c in cells]
     if fmt == "json":
-        return json.dumps({"rows": [dict(zip(fields, r)) for r in rows]},
-                          sort_keys=True, indent=2)
+        return json_text({"rows": [dict(zip(fields, r)) for r in rows]})
     lines = [",".join(fields)]
     lines += [",".join(v if isinstance(v, str) else fmt17(v) for v in r) for r in rows]
     return "\n".join(lines) + "\n"
-
-
-def thermo_table_to_csv(points, path: str | Path) -> None:
-    """CSV table with header beta,h,Zq_scaled,Zc,Eq,Ec,Sq,Sc at full precision."""
-    Path(path).write_text(thermo_table_text([pt.row for pt in points], "csv"), newline="")
-
-
-def thermo_table_to_json(points) -> str:
-    """JSON mirror of the CSV table with identical field names."""
-    return thermo_table_text([pt.row for pt in points], "json")

@@ -98,7 +98,10 @@ def stationary_state(levels, lam: float) -> GameState:
     return GameState(np.asarray(levels, dtype=float), lam, stationary_point(levels, lam))
 
 
-def hessian(state: GameState, rtol: float = 1e-10) -> np.ndarray:
+STATIONARY_RTOL = 1e-10  # hessian's half-width of log p_n - lam E_n
+
+
+def hessian(state: GameState) -> np.ndarray:
     """The K x K second-derivative matrix of F at a stationary state.
 
     Entries hold only on the stationary ray (any positive multiple of
@@ -107,10 +110,10 @@ def hessian(state: GameState, rtol: float = 1e-10) -> np.ndarray:
     """
     t = np.log(state.weights) - state.lam * state.levels
     defect = float(t.max() - t.min())
-    if defect > 2.0 * rtol:
+    if defect > 2.0 * STATIONARY_RTOL:
         raise ContractError(
             f"hessian is defined at stationary weights p ~ exp(lam E); "
-            f"relative spread {defect:.2e} exceeds {rtol:.1e}"
+            f"relative spread {defect:.2e} exceeds {STATIONARY_RTOL:.1e}"
         )
     z = state.z
     k = state.weights.size
@@ -189,18 +192,8 @@ def principal_minor_signs(levels, lam: float, k_max: int) -> list[int]:
 
 
 ASCENT_LOG_FLOOR = -700.0  # exp(-745) is the least positive double
-
-
-@dataclass(frozen=True)
-class StepPolicy:
-    """Line-search policy for the log-weight ascent."""
-
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    grow: float = 1.3
-    max_step: float = 4.0
-    grad_tol: float = 1e-11
-    max_iterations: int = 100_000
+ASCENT_GRAD_TOL = 1e-11  # the ascent stops at this max |Z dF/dp|
+ASCENT_MAX_ITERATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -210,20 +203,20 @@ class AscentResult:
     trace: np.ndarray = field(repr=False)  # rows (iter, F, grad_norm)
 
 
-def ascend(levels, lam: float, weights, policy: StepPolicy | None = None) -> AscentResult:
+def ascend(levels, lam: float, weights) -> AscentResult:
     """Gradient ascent on F in log-weight coordinates with the scale gauge fixed.
 
     Weights are renormalized to sum to Z* = sum exp(lam (E_n - min E)) after
     every step, which removes the flat scale direction. Steps follow the
     diagonally preconditioned direction Z * dF/dp (the multiplicative-update
     natural gradient), accepted only when F does not decrease, so the recorded
-    F column is non-decreasing. Refuses (ValueError) a lam (E_max - E_min)
-    below ASCENT_LOG_FLOOR, where the Gibbs weights leave the positive
-    doubles; raises ConvergenceError at the iteration cap.
+    F column is non-decreasing; the step starts at 1, halves on a rejection
+    and grows by 1.3 on an acceptance, up to 4. Refuses (ValueError) a
+    lam (E_max - E_min) below ASCENT_LOG_FLOOR, where the Gibbs weights leave
+    the positive doubles; raises ConvergenceError at ASCENT_MAX_ITERATIONS.
     """
     if lam >= 0.0:
         raise ValueError("ascend requires lam < 0")
-    policy = policy or StepPolicy()
     e = np.asarray(levels, dtype=float)
     log_z_star = math.log(float(stationary_point(e, lam).sum()))
     if lam * (e.max() - e.min()) < ASCENT_LOG_FLOOR:
@@ -233,18 +226,18 @@ def ascend(levels, lam: float, weights, policy: StepPolicy | None = None) -> Asc
         )
     x = np.log(np.asarray(weights, dtype=float))
     x += log_z_star - math.log(float(np.exp(x).sum()))
-    eta = policy.initial_step
+    eta = 1.0
     trace_rows: list[tuple[float, float, float]] = []
 
     state = GameState(e, lam, np.exp(x))
     f_cur, _, _ = compromise(state)
-    for it in range(policy.max_iterations + 1):
+    for it in range(ASCENT_MAX_ITERATIONS + 1):
         direction = state.z * gradient(state)
         gnorm = float(np.max(np.abs(direction)))
         trace_rows.append((float(it), f_cur, gnorm))
-        if gnorm <= policy.grad_tol:
+        if gnorm <= ASCENT_GRAD_TOL:
             return AscentResult(state.weights, it, np.asarray(trace_rows))
-        if it == policy.max_iterations:
+        if it == ASCENT_MAX_ITERATIONS:
             break
         accepted = False
         while eta >= 1e-18:
@@ -254,10 +247,10 @@ def ascend(levels, lam: float, weights, policy: StepPolicy | None = None) -> Asc
             f_try, _, _ = compromise(state_try)
             if f_try >= f_cur:
                 x, state, f_cur = x_try, state_try, f_try
-                eta = min(eta * policy.grow, policy.max_step)
+                eta = min(eta * 1.3, 4.0)
                 accepted = True
                 break
-            eta *= policy.shrink
+            eta *= 0.5
         if not accepted:
             if gnorm <= 1e-8:
                 # machine-precision plateau around the maximum
@@ -266,7 +259,7 @@ def ascend(levels, lam: float, weights, policy: StepPolicy | None = None) -> Asc
                 f"line search stalled at iteration {it}, gradient norm {gnorm:.3e}"
             )
     raise ConvergenceError(
-        f"ascent hit the cap of {policy.max_iterations} iterations; "
+        f"ascent hit the cap of {ASCENT_MAX_ITERATIONS} iterations; "
         f"final gradient norm {gnorm:.3e}"
     )
 

@@ -266,38 +266,38 @@ class ModelFamily:
         return solve_fd_1d(pot, 1.0, half_width, points, count)
 
     def _check_cap(self, count: int, planck: float) -> None:
-        """Refuse `count` levels at h above the level cap, or above the cap of
-        the basis the potential is solved in, before anything is built."""
+        """Refuse `count` levels at h above the smaller of the level cap and the
+        basis's (on a tie the basis's, which no level cap lifts), before building."""
         pot = self.potential
         caps = [(self.level_cap, "cap")]
         if pot.kind is PotentialKind.TABULATED:
-            caps.append((sine_basis_level_cap(pot, planck), "sine-basis cap"))
+            caps.insert(0, (sine_basis_level_cap(pot, planck), "sine-basis cap"))
         elif pot.kind is PotentialKind.HOMOGENEOUS and _basis_solved(pot.exponent):
-            caps.append((BASIS_CAP, "oscillator-basis cap"))
-        for cap, where in caps:
-            if count <= cap:
-                continue
-            needs = count if count < LEVEL_COUNT_LIMIT else "at least 2^62"
-            head = f"{self.label}: sweep needs {needs} levels, above the {where} {cap}"
-            # the deepest law level whose count with headroom fits the cap
-            top = bisect.bisect_right(range(cap + 1), cap, key=lambda k: k + self._headroom(k)) - 1
-            if top < 8:  # fewer than any solve takes
-                why = (f"the table's walls alone fill the {SINE_BASIS_MAX_STATES}-state "
-                       "basis; raise h or lower max V" if where == "sine-basis cap" else
-                       f"every solve takes at least {8 + self._headroom(8)} levels; raise the cap")
-                raise ResourceError(f"{head} at h={planck:g}: {why}")
-            depth = self.count_depth(top, planck)
-            raise ResourceError(
-                f"{head}; "
-                + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
-                + f" (the cap supports beta * phi(h) down to about {_round_up(depth):.3g})"
-            )
+            caps.insert(0, (BASIS_CAP, "oscillator-basis cap"))
+        cap, where = min(caps, key=lambda c: c[0])
+        if count <= cap:
+            return
+        needs = count if count < LEVEL_COUNT_LIMIT else "at least 2^62"
+        head = f"{self.label}: sweep needs {needs} levels, above the {where} {cap}"
+        # the deepest law level whose count with headroom fits the cap
+        top = bisect.bisect_right(range(cap + 1), cap, key=lambda k: k + self._headroom(k)) - 1
+        if top < 8:  # fewer than any solve takes
+            why = (f"the table's walls alone fill the {SINE_BASIS_MAX_STATES}-state "
+                   "basis; raise h or lower max V" if where == "sine-basis cap" else
+                   f"every solve takes at least {8 + self._headroom(8)} levels; raise the cap")
+            raise ResourceError(f"{head} at h={planck:g}: {why}")
+        depth = self.count_depth(top, planck)
+        raise ResourceError(
+            f"{head}; "
+            + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
+            + f" (the cap supports beta * phi(h) down to about {_round_up(depth):.3g})"
+        )
 
 
-def _round_up(x: float, digits: int = 3) -> float:
-    """x rounded up to `digits` significant figures, so that a depth named
-    in a message is one the cap still reaches."""
-    scale = 10.0 ** (math.floor(math.log10(x)) - digits + 1)
+def _round_up(x: float) -> float:
+    """x rounded up to 3 significant figures, so that a depth named in a
+    message is one the cap still reaches."""
+    scale = 10.0 ** (math.floor(math.log10(x)) - 2)
     return math.ceil(x / scale) * scale
 
 
@@ -322,7 +322,7 @@ def homogeneous_family(nu: float, mass: float = 1.0) -> ModelFamily:
     return ModelFamily(potential, f"homogeneous_nu{nu:g}")
 
 
-def tabulated_family(potential: Potential, label: str = "tabulated") -> ModelFamily:
+def tabulated_family(potential: Potential) -> ModelFamily:
     if potential.kind is not PotentialKind.TABULATED:
         raise ValueError("tabulated_family needs a tabulated potential")
-    return ModelFamily(potential, label)
+    return ModelFamily(potential, "tabulated")

@@ -224,14 +224,3 @@ def save_tabulated_csv(potential: Potential, path: str | Path) -> None:
         fh.write("x,V\n")
         for xi, vi in zip(potential.grid_x, potential.grid_v):
             fh.write(f"{fmt17(xi)},{fmt17(vi)}\n")
-
-
-def grows_unboundedly(potential: Potential, radius: float = 1.0, factor: float = 2.0) -> bool:
-    """Spot-check that V increases beyond `radius` (confinement on unbounded domains)."""
-    if potential.kind is PotentialKind.BOX:
-        return True  # bounded domain, nothing to check
-    if potential.kind is PotentialKind.HOMOGENEOUS:
-        base = np.zeros(potential.dimension)
-        base[0] = radius
-        return evaluate(potential, factor * base) > evaluate(potential, base)
-    return bool(potential.grid_v[-1] >= potential.grid_v.max() * 0.5)

@@ -737,7 +737,7 @@ def log_tail_bound(spectrum: Spectrum, beta: float, power: int = 0) -> float:
     if beta <= 0.0:
         raise ValueError("beta must be positive")
     if spectrum.count < 8 or spectrum.tail_model is None:
-        raise ValueError("tail_bound needs a spectrum with at least 8 levels")
+        raise ValueError("log_tail_bound needs a spectrum with at least 8 levels")
     gamma, pref = spectrum.tail_model
     if gamma <= 0.0:
         raise TailModelError(
@@ -753,14 +753,6 @@ def log_tail_bound(spectrum: Spectrum, beta: float, power: int = 0) -> float:
     )
 
 
-def tail_bound(spectrum: Spectrum, beta: float) -> float:
-    """Upper bound on the omitted Boltzmann tail sum_{n>M} exp(-beta E_n).
-
-    Monotone non-increasing in beta; may underflow to 0 for very cold tails.
-    """
-    return float(math.exp(min(log_tail_bound(spectrum, beta, 0), 700.0)))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -773,34 +765,27 @@ def spectrum_text(spectrum: Spectrum, count: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_csv(spectrum: Spectrum, path: str | Path) -> None:
-    """Write spectrum_text(spectrum) to path."""
-    Path(path).write_text(spectrum_text(spectrum), newline="")
+def read_levels(text: str) -> tuple[list[float], dict[str, str]]:
+    """(levels, metadata) of spectrum_text's output or of one level per line:
+    '#' starts a comment anywhere, ``# key=value`` lines give the metadata,
+    blank lines and the ``n,E`` header are skipped, and on every other line
+    the last comma field is a level."""
+    levels, meta = [], {}
+    for raw in text.splitlines():
+        line, _, comment = raw.partition("#")
+        line = line.strip()
+        if not line:
+            key, sep, value = comment.partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+        elif line != "n,E":
+            levels.append(float(line.rpartition(",")[2]))
+    return levels, meta
 
 
 def spectrum_from_csv(path: str | Path) -> Spectrum:
-    """Read a spectrum written by spectrum_to_csv, validating order and positivity."""
-    path = Path(path)
-    planck = None
-    source = None
-    levels: list[float] = []
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                key = key.strip()
-                if key == "h":
-                    planck = float(val)
-                elif key == "source":
-                    source = SpectrumSource(val.strip())
-                continue
-            if line == "n,E":
-                continue
-            n_str, _, e_str = line.partition(",")
-            levels.append(float(e_str))
-    if planck is None or source is None:
+    """Read spectrum_text's output (read_levels), validating order and positivity."""
+    levels, meta = read_levels(Path(path).read_text())
+    if "h" not in meta or "source" not in meta:
         raise ValueError(f"{path}: missing '# h=' or '# source=' metadata")
-    return Spectrum(np.asarray(levels), planck, source)
+    return Spectrum(levels, float(meta["h"]), SpectrumSource(meta["source"]))

@@ -1,8 +1,9 @@
-"""Small shared helpers: grids, formatting, incomplete-gamma bounds, and an
-order-preserving map over threads."""
+"""Small shared helpers: grids, formatting, strict JSON, incomplete-gamma
+bounds, and an order-preserving map over threads."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import threading
@@ -49,6 +50,18 @@ def halving_grid(start: float, stop: float) -> np.ndarray:
 def fmt17(x: float) -> str:
     """Format a float with 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
+
+
+def json_text(obj) -> str:
+    """Sorted, indented strict JSON of obj: every non-finite float is null."""
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return None if isinstance(x, float) and not math.isfinite(x) else x
+
+    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def log_upper_gamma(a: float, x: float) -> float:

@@ -39,7 +39,6 @@ same code path for both sides of an identity.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +47,7 @@ import numpy as np
 from .ensemble import ThermoPoint, log_z_quantum, mean_energy_classical, mean_energy_quantum
 from .models import ModelFamily
 from .potential import PotentialKind
-from .util import halving_grid, log_grid
+from .util import halving_grid, json_text, log_grid
 
 
 class Status(enum.Enum):
@@ -104,13 +103,14 @@ class VerificationReport:
 
 
 def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
+    return json_text([r.to_dict() for r in reports])  # NaN is written null
 
 
 def report_from_dict(d: dict) -> VerificationReport:
+    margin = math.nan if d["worst_margin"] is None else float(d["worst_margin"])
     return VerificationReport(
         ClaimId(d["claim_id"]), d["model"], d["grid"], Status(d["status"]),
-        float(d["worst_margin"]), float(d["tolerance"]), d.get("notes", {}),
+        margin, float(d["tolerance"]), d.get("notes", {}),
     )
 
 

@@ -32,8 +32,16 @@ from qcgibbs.ensemble import log_z_quantum, thermo_point, thermo_table_text
 from qcgibbs.game import principal_minor_signs
 from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
-from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, oscillator_spectrum, sine_basis_level_cap
+from qcgibbs.spectrum import (
+    SINE_BASIS_MAX_STATES,
+    oscillator_spectrum,
+    sine_basis_level_cap,
+    spectrum_from_csv,
+)
 from qcgibbs.util import MAX_GRID_POINTS
+from qcgibbs.verify import report_from_dict
+
+SEED0_WELL = Path(__file__).parent / "data" / "seed0_double_well.csv"
 
 
 def run(argv, capsys):
@@ -265,6 +273,29 @@ def test_a_table_at_the_top_of_the_double_range_exits_3():
     assert "leaves the double range" in proc.stdout.splitlines()[1]
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which RFC 8259 has no token for."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_outputs_write_null_for_undefined_values(capsys):
+    code, out, _ = run(["table", "--model", "box", "--beta", "1,2", "--h", "1,7.397e152",
+                        "--format", "json"], capsys)
+    assert code == EXIT_NUMERICAL
+    rows = _strict_json(out)["rows"]
+    assert [r["status"] == "ok" for r in rows] == [True, False, True, False]
+    assert {r["Zq_scaled"] for r in rows[1::2]} == {None}
+    # a report's undefined margins are null, and read back as NaN
+    code, out, _ = run(["verify", "--model", "box", "--claims", "c13",
+                        "--beta", "1e-12,1e-11", "--h", "1"], capsys)
+    assert code == EXIT_NUMERICAL
+    reports = _strict_json(out)
+    assert [(r["worst_margin"], r["notes"]["final_gap"]) for r in reports] == [(None, None)] * 2
+    assert math.isnan(report_from_dict(reports[0]).worst_margin)
+
+
 # ---------------------------------------------------------------------------
 # verify command
 
@@ -455,6 +486,7 @@ def test_game_plays_on_the_model_spectrum(quartic, capsys):
     ["--levels", "3,1,2"],  # levels ascend
     ["--levels", "1,inf"],
     ["--levels", "1,2,3", "--beta", "800", "--ascend"],  # no positive-double Gibbs state
+    ["--levels-file", ""],  # names no file
 ])
 def test_game_usage_errors(argv, capsys):
     code, _, err = run(["game", *argv], capsys)
@@ -547,6 +579,20 @@ def test_game_reads_the_levels_spectrum_writes(tmp_path, capsys):
     game = ["--beta", "2", "--minors", "5"]
     from_file = run(["game", "--levels-file", str(written), *game], capsys)
     given = run(["game", "--levels", ",".join(levels), *game], capsys)
+    assert from_file == given and given[0] == EXIT_OK
+
+
+def test_spectrum_from_csv_and_game_read_the_same_levels(tmp_path, capsys):
+    # one reader of level text: a comment after a row's value is a comment to
+    # the library's spectrum_from_csv as to game --levels-file
+    path = tmp_path / "levels.csv"
+    path.write_text("# h=1\n# source=given\nn,E\n1,4.934802200544679\n"
+                    "2,19.739208802178716  # second\n\n3,44.41321980490211\n")
+    levels = spectrum_from_csv(path).levels.tolist()
+    assert levels == [4.934802200544679, 19.739208802178716, 44.41321980490211]
+    game = ["--beta", "0.5", "--minors", "2"]
+    from_file = run(["game", "--levels-file", str(path), *game], capsys)
+    given = run(["game", "--levels", ",".join(map(repr, levels)), *game], capsys)
     assert from_file == given and given[0] == EXIT_OK
 
 
@@ -966,6 +1012,27 @@ def _assert_depth_is_reachable(out, fam, planck, cap):
     # deeper does not
     depth = float(re.search(r"down to about (\S+)\)$", out.rstrip()).group(1))
     assert fam.level_count(planck, depth) <= cap < fam.level_count(planck, 0.99 * depth)
+
+
+@pytest.mark.parametrize("model, beta, basis_cap", [
+    (["homogeneous", "--nu", "4"], "1e-7", "oscillator-basis cap 20000"),
+    (["tabulated", "--table", str(SEED0_WELL)], "1e-12", "sine-basis cap 1500"),
+])
+def test_the_cap_message_names_the_cap_that_binds(model, beta, basis_cap, capsys):
+    # both sweeps pass the level cap too, but the smaller basis cap binds,
+    # and --max-levels does not lift it
+    for flags in ([], ["--max-levels", "30000000"]):
+        code, _, err = run(["table", "--model", *model, "--beta", beta, "--h", "1", *flags],
+                           capsys)
+        assert code == EXIT_NUMERICAL
+        assert f"above the {basis_cap}; shrink the sweep" in err
+    fam = (homogeneous_family(4.0) if model[0] == "homogeneous"
+           else tabulated_family(load_tabulated_csv(SEED0_WELL)))
+    _assert_depth_is_reachable(err, fam, 1.0, int(basis_cap.split()[-1]))
+    if model[0] == "tabulated":  # a 1,500-level sine basis solves in about 1 s
+        depth = re.search(r"down to about (\S+)\)$", err.rstrip()).group(1)
+        code, _, _ = run(["table", "--model", *model, "--beta", depth, "--h", "1"], capsys)
+        assert code == EXIT_OK
 
 
 def test_tabulated_basis_cap_refuses_before_building(double_well, fd_solves, capsys):

@@ -25,8 +25,7 @@ from qcgibbs import (
     solve_box,
     tabulated,
     thermo_point,
-    thermo_table_to_csv,
-    thermo_table_to_json,
+    thermo_table_text,
     z_classical,
     z_quantum,
 )
@@ -672,19 +671,18 @@ def test_gibbs_maximizes_entropy_under_energy_constraint(rng):
         assert s_trial <= s_q + 1e-9
 
 
-def test_thermo_table_csv_and_json(tmp_path):
+def test_thermo_table_csv_and_json():
     pot = box([1.0])
     points = [
         thermo_point(pot, solve_box(1, [1.0], planck=h, count=400), beta)
         for beta in (0.5, 1.0)
         for h in (0.5, 1.0)
     ]
-    path = tmp_path / "table.csv"
-    thermo_table_to_csv(points, path)
-    lines = path.read_text().strip().splitlines()
+    rows = [pt.row for pt in points]
+    lines = thermo_table_text(rows, "csv").strip().splitlines()
     assert lines[0] == "beta,h,Zq_scaled,Zc,Eq,Ec,Sq,Sc"
     assert len(lines) == 5
-    data = json.loads(thermo_table_to_json(points))
+    data = json.loads(thermo_table_text(rows, "json"))
     assert len(data["rows"]) == 4
     row = data["rows"][0]
     csv_row = [float(x) for x in lines[1].split(",")]

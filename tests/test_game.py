@@ -11,7 +11,6 @@ from qcgibbs import (
     ContractError,
     ConvergenceError,
     GameState,
-    StepPolicy,
     ascend,
     compromise,
     gradient,
@@ -22,6 +21,7 @@ from qcgibbs import (
     structured_det,
 )
 from qcgibbs.ensemble import BoltzmannPass
+from qcgibbs import game as game_mod
 from qcgibbs.game import ASCENT_LOG_FLOOR, minor_log_magnitude, trace_to_csv
 from qcgibbs.spectrum import Spectrum, SpectrumSource
 
@@ -385,10 +385,11 @@ def test_ascend_random_starts_agree(rng):
             assert 0.5 * np.abs(finals[i] - finals[j]).sum() < 1e-7
 
 
-def test_ascend_iteration_cap():
-    policy = StepPolicy(max_iterations=0, grad_tol=1e-300)
+def test_ascend_iteration_cap(monkeypatch):
+    monkeypatch.setattr(game_mod, "ASCENT_MAX_ITERATIONS", 0)
+    monkeypatch.setattr(game_mod, "ASCENT_GRAD_TOL", 1e-300)
     with pytest.raises(ConvergenceError, match="gradient norm"):
-        ascend([1.0, 2.0], -1.0, [5.0, 1.0], policy)
+        ascend([1.0, 2.0], -1.0, [5.0, 1.0])
 
 
 def test_ascend_reaches_gibbs_weights_far_below_one():

@@ -117,14 +117,6 @@ def test_volume():
     assert volume(box([2.0, 3.0])) == 6.0
 
 
-def test_confinement_growth_spot_check():
-    from qcgibbs.potential import grows_unboundedly
-
-    assert grows_unboundedly(box([1.0]))  # bounded domain, vacuous
-    assert grows_unboundedly(homogeneous(2, dimension=3))
-    assert grows_unboundedly(homogeneous(0.5))
-
-
 def test_csv_round_trip(tmp_path):
     xs = np.linspace(0.0, 5.0, 11)
     pot = tabulated(xs, xs**1.5, mass=2.0)

@@ -27,13 +27,17 @@ from qcgibbs import (
     solve_oscillator_basis,
     solve_sine_basis,
     spectrum_from_csv,
-    spectrum_to_csv,
+    spectrum_text,
     tabulated,
-    tail_bound,
     wedge_spectrum,
 )
 import qcgibbs.spectrum as spectrum_mod
-from qcgibbs.spectrum import SINE_BASIS_MAX_STATES, sine_basis_level_cap
+from qcgibbs.spectrum import (
+    SINE_BASIS_MAX_STATES,
+    log_tail_bound,
+    read_levels,
+    sine_basis_level_cap,
+)
 
 PI2 = math.pi**2
 
@@ -777,7 +781,7 @@ def test_rescale_contract():
 
 def test_tail_bound_box():
     spec = solve_box(1, [1.0], count=50)
-    bound = tail_bound(spec, 1.0)
+    bound = math.exp(log_tail_bound(spec, 1.0))
     # oracle: the true tail, summed directly to 200 terms, is ~exp(-beta E_51)
     n = np.arange(51, 201)
     true_tail = float(np.exp(-PI2 / 2 * n**2).sum())
@@ -787,7 +791,7 @@ def test_tail_bound_box():
 
 def test_tail_bound_linear_levels():
     spec = Spectrum(np.arange(1.0, 21.0), 1.0, SpectrumSource.ANALYTIC_BOX)
-    bound = tail_bound(spec, 1.0)
+    bound = math.exp(log_tail_bound(spec, 1.0))
     geometric = math.exp(-21.0) / (1.0 - math.exp(-1.0))
     assert bound >= geometric * 0.999
     assert bound <= 3.0 * geometric
@@ -796,19 +800,19 @@ def test_tail_bound_linear_levels():
 def test_tail_bound_monotone_in_beta():
     spec = Spectrum(np.arange(1.0, 41.0) ** 1.3, 1.0, SpectrumSource.ANALYTIC_BOX)
     for beta in (0.5, 1.0, 2.0, 4.0):
-        assert tail_bound(spec, 2 * beta) <= tail_bound(spec, beta)
+        assert math.exp(log_tail_bound(spec, 2 * beta)) <= math.exp(log_tail_bound(spec, beta))
 
 
 def test_tail_bound_needs_depth():
     spec = Spectrum(np.array([1.0, 2.0]), 1.0, SpectrumSource.ANALYTIC_BOX)
-    with pytest.raises(ValueError):
-        tail_bound(spec, 1.0)
+    with pytest.raises(ValueError, match="log_tail_bound needs"):
+        log_tail_bound(spec, 1.0)
 
 
 def test_tail_model_rejects_flat_spectrum():
     spec = Spectrum(np.ones(16), 1.0, SpectrumSource.ANALYTIC_BOX)
     with pytest.raises(TailModelError):
-        tail_bound(spec, 1.0)
+        log_tail_bound(spec, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +831,7 @@ def test_spectrum_validation():
 def test_csv_round_trip(tmp_path):
     spec = solve_box(1, [1.0], planck=0.5, count=12)
     path = tmp_path / "spec.csv"
-    spectrum_to_csv(spec, path)
+    path.write_text(spectrum_text(spec))
     text = path.read_text()
     assert text.startswith("# h=0.5\n# source=analytic_box\nn,E\n")
     back = spectrum_from_csv(path)
@@ -845,11 +849,19 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, source, planck, levels):
     spec = Spectrum(np.sort(levels), planck, source)
     path = tmp_path_factory.mktemp("csv") / "spec.csv"
-    spectrum_to_csv(spec, path)
+    path.write_text(spectrum_text(spec))
     back = spectrum_from_csv(path)
     assert back.levels.tobytes() == spec.levels.tobytes()
     assert back.planck == planck
     assert back.source is source
+
+
+def test_read_levels_rules():
+    # '#' starts a comment anywhere, a line that is only a key=value comment
+    # is metadata, and a row's last comma field is its level
+    text = ("# h=0.5\n#source = given\n# a note\nn,E\n\n1,2.5  # c=3\n3.5\n"
+            "  7,8,9.25  \n")
+    assert read_levels(text) == ([2.5, 3.5, 9.25], {"h": "0.5", "source": "given"})
 
 
 def test_csv_rejects_disorder(tmp_path):
