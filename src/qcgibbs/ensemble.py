@@ -9,7 +9,8 @@ pass per (spectrum, beta), a BoltzmannPass, which weighs the levels up to
 beta (E_n - E_2) = WEIGHT_CUT and adds a bound on the rest to its bars; the
 public functions are thin readers of it, each through the plain-tail gate,
 and each thread keeps its last pass, so a caller that reads several
-quantities at one point makes one pass. ThermoPoint, the one record of a
+quantities at one point makes one pass if it makes those reads one after
+another, with no read at another (spectrum, beta) between them. ThermoPoint, the one record of a
 (beta, h), reads through them, once and on first use, what a table row
 prints and what a claim check compares.
 Classical quantities are closed forms for box wells and for power-law

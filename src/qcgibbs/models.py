@@ -8,14 +8,18 @@ a shallower request gets the stored solve, a deeper one replaces it. With
 the exact scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu)
 for radial power laws) the entry at h = 1 is the base that every h
 rescales; tabulated wells have none and are solved at each h.
-`ModelFamily.sweep`, the one loop over a (beta, h) grid, fetches each h
+`ModelFamily.sweep`, a table's loop over a (beta, h) grid, fetches each h
 once, reads its points one after another, and fails exactly the points that
-a failed solve, fetch or read serves. The potential alone picks the solver:
-closed forms for the box, the oscillator (nu = 2) and the wedge (nu = 1), an
-oscillator basis for the other even integer nu, the box's sine basis for
-tabulated wells, and finite differences for odd and non-integer nu. One
-level law per source (`level_energy`) and one count rule (`level_count`)
-size every solve, and `count_depth` names the depth at which they give a count.
+a failed solve, fetch or read serves (`attempt`). Claim checks read through
+`levels`, which solves what a grid reads at its depth, `serves`, which
+tells whether another grid would read the same levels without a solve, and
+`fetch`, which hands out each h's spectrum. The potential alone picks the
+solver: closed forms for the box, the oscillator (nu = 2) and the wedge
+(nu = 1), an oscillator basis for the other even integer nu, the box's sine
+basis for tabulated wells, and finite differences for odd and non-integer
+nu. One level law per source (`level_energy`) and one count rule
+(`level_count`) size every solve, and `count_depth` names the depth at
+which they give a count.
 """
 
 from __future__ import annotations
@@ -199,13 +203,6 @@ class ModelFamily:
         A scaling family's base is solved first; each h is fetched once, at
         the grid's lambda_min, and its points are read in turn off it."""
         lam = self.lambda_min(betas, hs)
-
-        def attempt(fn, *args):
-            try:
-                return fn(*args)
-            except NUMERICAL_ERRORS as exc:
-                return exc
-
         tabulated = self.potential.kind is PotentialKind.TABULATED
         base = None if tabulated else attempt(self.base_spectrum, lam)
         out = []
@@ -217,18 +214,51 @@ class ModelFamily:
                            if isinstance(value, Exception) else value)
         return out
 
-    def _provision(self, planck: float, lambda_min: float) -> Spectrum:
+    def levels(self, betas, hs) -> tuple:
+        """(lambda_min, levels) of a sweep of the (beta, h) grid, its levels
+        solved now at its depth: a scaling family's base, or a tabulated
+        well's {h: spectrum}, with the error of a solve that raised
+        NUMERICAL_ERRORS in place of its levels."""
+        lam = self.lambda_min(betas, hs)
+        if self.potential.kind is PotentialKind.TABULATED:
+            return lam, {h: attempt(self.spectrum, h, lam) for h in dict.fromkeys(map(float, hs))}
+        return lam, attempt(self.base_spectrum, lam)
+
+    def serves(self, levels: tuple, betas, hs) -> bool:
+        """Whether levels(betas, hs) would now return the same levels and
+        solve nothing: the memo holds them, deep enough for the grid."""
+        lam, solved = self.lambda_min(betas, hs), levels[1]
+        if isinstance(solved, dict):
+            return all(h in solved and solved[h] is self._held(h, lam) for h in map(float, hs))
+        return solved is self._held(1.0, lam)
+
+    def fetch(self, levels: tuple, planck: float):
+        """The spectrum at h of levels(...), as a sweep fetches it
+        (ModelFamily.spectrum at the levels' depth), or the error in its
+        place."""
+        lam, solved = levels
+        if isinstance(solved, dict):
+            return solved[planck]
+        return solved if isinstance(solved, Exception) else attempt(self.spectrum, planck, lam)
+
+    def _held(self, planck: float, lambda_min: float) -> Spectrum | None:
         """The memo entry at h if its top level reaches min V + 0.999
-        LAMBDA_DEPTH / lambda_min, else a deeper solve that replaces it."""
+        LAMBDA_DEPTH / lambda_min, else None."""
         if lambda_min <= 0.0:
             raise ValueError("lambda_min must be positive")
+        spec = self._memo.get(planck)
         needed = self.min_potential + 0.999 * LAMBDA_DEPTH / lambda_min
+        return None if spec is None or spec.levels[-1] < needed else spec
+
+    def _provision(self, planck: float, lambda_min: float) -> Spectrum:
+        """The memo entry at h if it is held deep enough, else a deeper solve
+        that replaces it."""
         # one lock per h (setdefault is atomic): threads that need the same h
         # wait for one solve, while different h take no lock of each other
         # (sine-basis solves still take turns on the BLAS thread count)
         with self._locks.setdefault(planck, threading.Lock()):
-            spec = self._memo.get(planck)
-            if spec is None or spec.levels[-1] < needed:
+            spec = self._held(planck, lambda_min)
+            if spec is None:
                 spec = self._memo[planck] = self._solve(planck, lambda_min)
             return spec
 
@@ -292,6 +322,15 @@ class ModelFamily:
             + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
             + f" (the cap supports beta * phi(h) down to about {_round_up(depth):.3g})"
         )
+
+
+def attempt(fn, *args):
+    """fn(*args), or the error in NUMERICAL_ERRORS it raised: the value of a
+    failed solve, fetch or read."""
+    try:
+        return fn(*args)
+    except NUMERICAL_ERRORS as exc:
+        return exc
 
 
 def _round_up(x: float) -> float:

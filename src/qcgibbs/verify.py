@@ -25,27 +25,34 @@ refuses a one-value grid that a claim compares neighbours along
 Each (beta, h) a check reads is one ensemble.ThermoPoint, the record a table
 row prints, where every comparison of the quantum side with the classical
 one, and its error bound, is formed once.
-Every check reads its points through ModelFamily.sweep, each off its own
-levels alone (P4_1's neighbours h s by the scaling law; T3_1's one point is
-(tau, h), and its integrand reads each gamma off that point's levels): a
-point whose solve, fetch or read failed reads NaN, is listed in
-notes["failed_points"] of each report of its claim, and keeps them from
-Holds. A verdict of Holds requires every margin to clear the combined
-numerical error bound at its own grid point; margins inside the error band
-downgrade to Inconclusive rather than passing on noise. Checks never use the
-same code path for both sides of an identity.
+Each check is declared in three parts: the points it reads (its grid), its
+reader of a point, and its ruling over what was read. A check called alone
+reads its points in one sweep (_sweep) off the levels ModelFamily.levels
+solves at its depth; run_claims solves each claim's levels in turn, and
+claims next to each other that read the same levels share one sweep, in
+which each point they list is one ThermoPoint, read by each of them in
+turn. Every point is read off its own levels alone (P4_1's neighbours h s
+by the scaling law; T3_1's one point is (tau, h), and its integrand reads
+each gamma off that point's levels): a point whose solve, fetch or read
+failed reads NaN, is listed in notes["failed_points"] of each report of
+each claim that lists it, and keeps them from Holds. A verdict of Holds
+requires every margin to clear the combined numerical error bound at its
+own grid point; margins inside the error band downgrade to Inconclusive
+rather than passing on noise. Checks never use the same code path for both
+sides of an identity.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensemble import ThermoPoint, log_z_quantum, mean_energy_classical, mean_energy_quantum
-from .models import ModelFamily
+from .models import ModelFamily, attempt
 from .potential import PotentialKind
 from .util import halving_grid, json_text, log_grid
 
@@ -172,14 +179,73 @@ def _relative(comparison) -> tuple[float, float]:
     return abs(gap) / abs(reference), bound / abs(reference)
 
 
-def _sweep(family: ModelFamily, betas, hs, read, width: int):
-    """read(ThermoPoint) -> `width` floats at every (beta, h) of family.sweep, h
-    outer, as rows of an array, NaN at a failed point, and the failed
-    points' records."""
-    out = family.sweep(betas, hs, lambda spec, b, h: read(ThermoPoint(family.potential, spec, b)))
-    values = [(math.nan,) * width if isinstance(r, dict) else r for r in out]
-    return (np.array(values, dtype=float).reshape(len(out), width),
-            [r for r in out if isinstance(r, dict)])
+class _Points:
+    """What a claim reads: every beta at every h (h outer), each point
+    through read(ThermoPoint) -> `width` floats. A reader that `detours`
+    also weighs betas off its point."""
+
+    __slots__ = ("betas", "hs", "read", "width", "detours")
+
+    def __init__(self, betas, hs, read, width: int, detours: bool = False):
+        self.betas, self.hs = np.atleast_1d(betas), np.atleast_1d(hs)
+        self.read, self.width, self.detours = read, width, detours
+
+
+def _claim(body):
+    """A claim check from its body, a generator that yields the _Points it
+    reads, is sent the rows read there (NaN at a failed point) and the
+    failed points' records, and returns its reports. The check reads its
+    points alone, off levels solved at its own depth; run_claims reads them
+    with its neighbours' (_sweep)."""
+
+    @functools.wraps(body)
+    def check(family: ModelFamily, *args, **kwargs):
+        claim = body(family, *args, **kwargs)
+        points = next(claim)
+        return _sweep(family, family.levels(points.betas, points.hs), [(claim, points)])[0]
+
+    return check
+
+
+def _sweep(family: ModelFamily, levels, claims) -> list:
+    """What each (claim, points) returns, its points all read in one sweep
+    off `levels` (ModelFamily.levels, which serves every claim).
+
+    Each (beta, h) that some claim lists is one ThermoPoint, h outer, each h
+    fetched once. The claims that list a point read it one after another,
+    those whose readers detour off it last, so that the thread's last pass
+    serves the rest, and it is then dropped. A failed fetch or read fails
+    the point in each claim it serves."""
+    plan: dict = {}  # h -> beta -> the claims that list (beta, h), in reading order
+    for k in sorted(range(len(claims)), key=lambda k: claims[k][1].detours):
+        for h in map(float, claims[k][1].hs):
+            for beta in map(float, claims[k][1].betas):
+                plan.setdefault(h, {}).setdefault(beta, {})[k] = None
+    results = {}  # (claim, beta, h) -> the values read there, or the error text
+    for h, at_h in plan.items():
+        spec = family.fetch(levels, h)
+        for beta, readers in at_h.items():
+            point = spec if isinstance(spec, Exception) \
+                else ThermoPoint(family.potential, spec, beta)
+            for k in readers:
+                value = point if isinstance(point, Exception) \
+                    else attempt(claims[k][1].read, point)
+                results[k, beta, h] = str(value) if isinstance(value, Exception) else value
+    outs = []
+    for k, (claim, points) in enumerate(claims):
+        table, failed = [], []
+        for h in map(float, points.hs):
+            for beta in map(float, points.betas):
+                value = results[k, beta, h]
+                if isinstance(value, str):
+                    failed.append({"beta": beta, "h": h, "error": value})
+                    value = (math.nan,) * points.width
+                table.append(value)
+        try:
+            claim.send((np.array(table, dtype=float).reshape(len(table), points.width), failed))
+        except StopIteration as ruled:
+            outs.append(ruled.value)
+    return outs
 
 
 def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,
@@ -199,12 +265,12 @@ def _report(claim: ClaimId, family: ModelFamily, betas, hs, status: Status,
 # C1_1 and C1_2: pointwise inequalities
 
 
-def _pointwise(claim: ClaimId, family: ModelFamily, betas, hs, read) -> VerificationReport:
+def _pointwise(claim: ClaimId, family: ModelFamily, betas, hs, read):
     """Rule on read(point) -> (margin, bound, reference) at every (beta, h) of
     the grids (default_beta_grid and default_h_grid for None)."""
     betas = _grid(betas, default_beta_grid)
     hs = _grid(hs, default_h_grid)
-    values, failed = _sweep(family, betas, hs, read, 3)
+    values, failed = yield _Points(betas, hs, read, 3)
     margins, bounds, references = values.T
     worst, worst_point = math.nan, None
     if not np.all(np.isnan(margins)):
@@ -218,14 +284,16 @@ def _pointwise(claim: ClaimId, family: ModelFamily, betas, hs, read) -> Verifica
     return _report(claim, family, betas, hs, status, worst, 0.0, notes, failed)
 
 
-def check_c11(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
+@_claim
+def check_c11(family: ModelFamily, betas=None, hs=None):
     """(2 pi h)^N Z_q <= Z_c at every grid point, margins beyond error bounds."""
-    return _pointwise(ClaimId.C1_1, family, betas, hs, lambda point: point.z)
+    return (yield from _pointwise(ClaimId.C1_1, family, betas, hs, lambda point: point.z))
 
 
-def check_c12(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
+@_claim
+def check_c12(family: ModelFamily, betas=None, hs=None):
     """E_q >= E_c pointwise; evidence-gathering (the general claim is open)."""
-    return _pointwise(ClaimId.C1_2, family, betas, hs, lambda point: point.e)
+    return (yield from _pointwise(ClaimId.C1_2, family, betas, hs, lambda point: point.e))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +322,8 @@ def _window_approach(series) -> tuple[Status, float, bool]:
     return status, float(slacks.min()) if slacks.size else math.nan, reached
 
 
-def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
+@_claim
+def check_c13(family: ModelFamily, betas=None, hs=None):
     """Ratios (2 pi h)^N Z_q / Z_c and E_q / E_c along beta -> 0 (default
     betas 1 down to 1/256) at the first h.
 
@@ -265,7 +334,7 @@ def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
     """
     betas = np.sort(_grid(betas, default_c13_betas))[::-1]  # decreasing
     h = _first(hs)
-    table, failed = _sweep(family, betas, [h], lambda p: (*_relative(p.z), *_relative(p.e)), 4)
+    table, failed = yield _Points(betas, h, lambda p: (*_relative(p.z), *_relative(p.e)), 4)
 
     reports = []
     for claim, col in ((ClaimId.C1_3_Z, 0), (ClaimId.C1_3_E, 2)):
@@ -290,8 +359,8 @@ def check_c13(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
 # T3_1: the integrated energy-difference identity
 
 
-def check_t31(family: ModelFamily, betas=None, hs=None,
-              tau: float | None = None) -> VerificationReport:
+@_claim
+def check_t31(family: ModelFamily, betas=None, hs=None, tau: float | None = None):
     """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference,
     with beta the largest of betas and the first h (default tau = 1e-3 beta).
 
@@ -328,7 +397,7 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
             )
         return lhs, quad_err, *log_ratio(ThermoPoint(pot, spec, beta)), *log_ratio(point)
 
-    values, failed = _sweep(family, [tau], [h], read, 6)
+    values, failed = yield _Points(tau, h, read, 6, detours=True)
     lhs, quad_err, top, top_err, bot, bot_err = map(float, values[0])
     rhs = top - bot
     tol = 1e-3 * max(1.0, abs(rhs))
@@ -348,7 +417,8 @@ def check_t31(family: ModelFamily, betas=None, hs=None,
 # T4_1: entropy monotonicity
 
 
-def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
+@_claim
+def check_t41(family: ModelFamily, betas=None, hs=None):
     """S_q strictly decreasing along beta at fixed h and along h at fixed beta.
 
     Monotonicity is checked on log S_q (ThermoPoint.log_s), -inf only on one
@@ -358,7 +428,7 @@ def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
     """
     betas = np.sort(_grid(betas, default_beta_grid))
     hs = np.sort(_grid(hs, default_h_grid))
-    values, failed = _sweep(family, betas, hs, lambda p: p.log_s, 2)
+    values, failed = yield _Points(betas, hs, lambda p: p.log_s, 2)
     log_s, err = values.reshape(len(hs), len(betas), 2).T  # [beta, h]
     vacuous = bool(np.any(log_s == -math.inf))
 
@@ -384,7 +454,8 @@ def check_t41(family: ModelFamily, betas=None, hs=None) -> list[VerificationRepo
 # C4_1 and the power-law propositions
 
 
-def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[VerificationReport]:
+@_claim
+def check_c41_and_props(family: ModelFamily, betas=None, hs=None):
     """Power-law potentials, at the first beta over hs (default 0.5 to 4):
     h^N Z_q decreasing in h; the log-derivative identity
     d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with alpha = 2 nu / (2 + nu);
@@ -418,7 +489,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
             / max(abs(analytic), 1e-30),
         )
 
-    table, failed = _sweep(family, [beta], hs, read, 7)
+    table, failed = yield _Points(beta, hs, read, 7, detours=True)
     log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table.T
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale
@@ -460,7 +531,8 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None) -> list[Verifi
 # the h -> 0 classical limit
 
 
-def check_wehrl(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
+@_claim
+def check_wehrl(family: ModelFamily, betas=None, hs=None):
     """E_q -> E_c, (2 pi h)^N Z_q -> Z_c, and S_q - S_c -> 0 as h decreases
     (default hs 1 down to 1/64) at the first beta.
 
@@ -469,8 +541,8 @@ def check_wehrl(family: ModelFamily, betas=None, hs=None) -> VerificationReport:
     partition sums, absolute for the entropy difference)."""
     hs = np.sort(_grid(hs, default_wehrl_hs))[::-1]  # decreasing h
     beta = _first(betas)
-    table, failed = _sweep(family, [beta], hs,
-                           lambda p: (*_relative(p.z), *_relative(p.e), abs(p.s[0]), p.s[1]), 6)
+    table, failed = yield _Points(
+        beta, hs, lambda p: (*_relative(p.z), *_relative(p.e), abs(p.s[0]), p.s[1]), 6)
     status, worst, final_ok = _window_approach(
         [(table[-4:, k], table[-4:, k + 1]) for k in (0, 2, 4)]
     )
@@ -496,15 +568,25 @@ CLAIM_CHECKS = {
     "wehrl": check_wehrl,
 }
 
+# the bodies of CLAIM_CHECKS, which run_claims reads together
+_BODIES = {key: check.__wrapped__ for key, check in CLAIM_CHECKS.items()}
+
 #: the grids a claim rules on through differences of neighbouring points
 COMPARED_GRIDS = {"c13": ("beta",), "t41": ("beta", "h"), "c41": ("h",), "wehrl": ("h",)}
 
 
 def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[VerificationReport]:
     """Run the named checks (c11, c12, c13, t31, t41, c41, wehrl) on one family,
-    each over the grids given (None: its default). The keys are checked
-    before any check runs: at least one, each known, none twice, and each
-    given at least two values of every grid it compares neighbours along."""
+    each over the grids given (None: its default), with the reports of each
+    check's own call. The keys are checked before any check runs: at least
+    one, each known, none twice, and each given at least two values of every
+    grid it compares neighbours along.
+
+    Each claim reads the levels its own call would read, solved in the order
+    given: the family keeps the deepest solve at each h, so a claim that
+    needs more depth than those before it solves anew. Consecutive claims
+    that read the same levels share one sweep (_sweep), and the next
+    claim's levels are solved only after it."""
     keys = list(keys)
     expected = f"expected one of {sorted(CLAIM_CHECKS)}"
     if not keys:
@@ -520,8 +602,17 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
                 raise ValueError(
                     f"claim {key} compares neighbouring grid points and needs at "
                     f"least two values of --{axis}, got {np.size(grid)}")
-    reports: list[VerificationReport] = []
-    for key in keys:
-        out = CLAIM_CHECKS[key](family, betas, hs)
-        reports.extend([out] if isinstance(out, VerificationReport) else out)
-    return reports
+    claims = [_BODIES[key](family, betas, hs) for key in keys]
+    points = [next(claim) for claim in claims]  # what each reads, before any solve
+    outs: list = []
+    run: list = []  # the (claim, points) that read `levels`
+    levels = None
+    for claim, at in zip(claims, points):
+        if run and not family.serves(levels, at.betas, at.hs):
+            outs += _sweep(family, levels, run)
+            run = []
+        if not run:
+            levels = family.levels(at.betas, at.hs)
+        run.append((claim, at))
+    outs += _sweep(family, levels, run)
+    return [r for out in outs for r in ([out] if isinstance(out, VerificationReport) else out)]

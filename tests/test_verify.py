@@ -29,6 +29,7 @@ from qcgibbs import (
 from qcgibbs.ensemble import entropy_classical, entropy_quantum, z_classical, z_quantum
 from qcgibbs.verify import THEOREM_CLAIMS, _classify, report_from_dict
 
+SEED0_WELL = Path(__file__).parent / "data" / "seed0_double_well.csv"
 SMALL_BETAS = np.array([0.1, 1.0, 10.0])
 SMALL_HS = np.array([0.5, 1.0, 2.0])
 
@@ -477,6 +478,101 @@ def test_a_failed_t31_fetch_keeps_every_report(keys):
     assert t31.notes["failed_points"][0]["error"].startswith(
         "box1: sweep needs 68 levels, above the cap 20")
     assert math.isnan(t31.worst_margin) and math.isnan(t31.notes["lhs"])
+
+
+@pytest.mark.parametrize("claims", ["c11,c12,t41,c41", "c41,t41,c12,c11"])
+def test_claims_share_one_pass_per_spectrum_and_beta(claims, monkeypatch, capsys):
+    # four claims over 3 betas and 2 hs share one sweep: one rescale an h,
+    # one pass at each of the 6 points, and P4_1's 4 neighbours at each of
+    # c41's 2 points, read after the other claims' reads there, whatever the
+    # claim order; claim by claim it took 8 rescales and 28 passes
+    import qcgibbs.cli as cli
+    import qcgibbs.ensemble as ensemble_mod
+    import qcgibbs.models as models_mod
+
+    passes, rescales = [], []
+    init, rescale = ensemble_mod.BoltzmannPass.__init__, models_mod.rescale
+    monkeypatch.setattr(ensemble_mod.BoltzmannPass, "__init__",
+                        lambda self, *args: passes.append(args) or init(self, *args))
+    monkeypatch.setattr(models_mod, "rescale",
+                        lambda *args: rescales.append(args) or rescale(*args))
+    assert cli.main(["verify", "--model", "homogeneous", "--nu", "4", "--claims", claims,
+                     "--beta", "0.5,1,2", "--h", "0.5,1"]) == 0
+    capsys.readouterr()
+    assert (len(passes), len(rescales)) == (14, 2)
+
+
+def _one_by_one(family, keys, betas=None, hs=None) -> str:
+    """The reports of each check called on its own, in turn, on one family."""
+    from qcgibbs.verify import CLAIM_CHECKS, VerificationReport
+
+    reports = []
+    for key in keys:
+        out = CLAIM_CHECKS[key](family, betas, hs)
+        reports += [out] if isinstance(out, VerificationReport) else out
+    return reports_to_json(reports)
+
+
+@pytest.mark.parametrize("make, keys, betas, hs", [
+    (lambda: homogeneous_family(4.0), ["c13", "c11"], None, None),
+    (lambda: homogeneous_family(4.0), ["c11", "c13"], None, None),
+    # wehrl's beta, 2, is shallower than c11's smallest, 0.5
+    (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["c11", "wehrl"],
+     [2.0, 0.5], [1.0, 0.5, 0.25]),
+    (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["wehrl", "c11"],
+     [2.0, 0.5], [1.0, 0.5, 0.25]),
+], ids=["nu4-c13-c11", "nu4-c11-c13", "well-c11-wehrl", "well-wehrl-c11"])
+def test_run_claims_equals_its_one_claim_calls(make, keys, betas, hs):
+    # each claim is served the levels its own call reads after the claims
+    # before it, whatever depth each needs, and shares only those
+    assert reports_to_json(run_claims(make(), keys, betas, hs)) == \
+        _one_by_one(make(), keys, betas, hs)
+
+
+@pytest.mark.parametrize("make, keys, error", [
+    (lambda: homogeneous_family(2.0), ["c11", "c12", "t41", "c41"], "no rescale"),
+    (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["c11", "c12", "t41"],
+     "no solve"),
+], ids=["oscillator", "well"])
+def test_a_shared_sweep_fails_each_point_in_every_claim_that_lists_it(make, keys, error,
+                                                                     monkeypatch):
+    # h = 0.5 fails to fetch (a rescale) or to solve (a sine basis), and every
+    # read at (beta, h) = (2, 1) fails its pass: each claim lists the points
+    # of its own grid that these serve, and rules as its own call does
+    import qcgibbs.ensemble as ensemble_mod
+    import qcgibbs.models as models_mod
+    from qcgibbs.errors import ResourceError, TruncationError
+
+    def failing(real, message):
+        def call(*args, **kwargs):
+            if args[1] == 0.5:
+                raise ResourceError(message)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(models_mod, "rescale", failing(models_mod.rescale, "no rescale"))
+    monkeypatch.setattr(models_mod, "solve_sine_basis",
+                        failing(models_mod.solve_sine_basis, "no solve"))
+    init = ensemble_mod.BoltzmannPass.__init__
+
+    def failing_pass(self, spectrum, beta):
+        if (spectrum.planck, beta) == (1.0, 2.0):
+            raise TruncationError("no pass")
+        init(self, spectrum, beta)
+
+    monkeypatch.setattr(ensemble_mod.BoltzmannPass, "__init__", failing_pass)
+    betas, hs = [2.0, 1.0], [1.0, 0.5, 0.25]
+    reports = run_claims(make(), keys, betas, hs)
+    assert reports_to_json(reports) == _one_by_one(make(), keys, betas, hs)
+    at_half = [{"beta": beta, "h": 0.5, "error": error} for beta in betas]
+    read = {"beta": 2.0, "h": 1.0, "error": "no pass"}
+    expected = {"C1_1": [read, *at_half], "C1_2": [read, *at_half],
+                "T4_1_beta": [at_half[1], at_half[0], read],  # betas and hs sorted up
+                "T4_1_h": [at_half[1], at_half[0], read],
+                "C4_1": [at_half[0], read], "P4_1": [at_half[0], read],
+                "P4_3": [at_half[0], read]}
+    assert {r.claim_id.value: r.notes["failed_points"] for r in reports} == \
+        {r.claim_id.value: expected[r.claim_id.value] for r in reports}
 
 
 def test_reports_deterministic(box1):
