@@ -13,9 +13,8 @@ reads its grid through ModelFamily.sweep and `verify` through
 verify.run_claims, one point after another, each a Boltzmann pass cut at its
 weight floor: claims named next to each other that read the same levels
 share one sweep, which reads each point they list once (T3_1's one point is
-(tau, h)). `table` writes through ensemble.thermo_table_text. `main` keeps
-the garbage collector off the objects alive when it starts until it returns.
-`spectrum --count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
+(tau, h)). `table` writes through ensemble.thermo_table_text. `spectrum
+--count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
 at the Gibbs state of one (beta, h), on the levels a one-point table row
 reads or on --levels (or --levels-file, read by spectrum.read_levels).
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure
@@ -26,7 +25,6 @@ theorem-class claim reported Violated.
 from __future__ import annotations
 
 import argparse
-import gc
 import math
 import os
 import sys
@@ -345,18 +343,7 @@ def _merge_config(command: str, args) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    # what the imports made leaves the collector's generations for the run,
-    # so that no collection walks it there, and rejoins them after it: a
-    # generation-1 collection that did took 0.5 ms of a 9.5 ms verify
-    # (Python 3.11.7, one Xeon core)
-    gc.freeze()
-    try:
-        return _main(sys.argv[1:] if argv is None else list(argv))
-    finally:
-        gc.unfreeze()
-
-
-def _main(argv: list[str]) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
     try:
         if command not in COMMAND_SETTINGS:  # only -h exits 0

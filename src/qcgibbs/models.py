@@ -8,12 +8,12 @@ a shallower request gets the stored solve, a deeper one replaces it. With
 the exact scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu)
 for radial power laws) the entry at h = 1 is the base that every h
 rescales; tabulated wells have none and are solved at each h.
-`ModelFamily.sweep`, a table's loop over a (beta, h) grid, fetches each h
-once, reads its points one after another, and fails exactly the points that
-a failed solve, fetch or read serves (`attempt`). Claim checks read through
-`levels`, which solves what a grid reads at its depth, `serves`, which
-tells whether another grid would read the same levels without a solve, and
-`fetch`, which hands out each h's spectrum. The potential alone picks the
+`ModelFamily.levels` solves, first, the base a (beta, h) grid reads at its
+depth, and `fetch` hands out each h's spectrum at that depth.
+`ModelFamily.sweep`, a table's loop over a grid, fetches each h once
+through them, reads its points one after another, and fails exactly the
+points that a failed solve, fetch or read serves (`attempt`); claim checks
+read through the same two calls (verify._sweep). The potential alone picks the
 solver: closed forms for the box, the oscillator (nu = 2) and the wedge
 (nu = 1), an oscillator basis for the other even integer nu, the box's sine
 basis for tabulated wells, and finite differences for odd and non-integer
@@ -200,14 +200,13 @@ class ModelFamily:
     def sweep(self, betas, hs, read) -> list:
         """read(spectrum, beta, h) at every (beta, h), h outer, or {"beta", "h",
         "error"} where the point's solve, fetch or read raised NUMERICAL_ERRORS.
-        A scaling family's base is solved first; each h is fetched once, at
-        the grid's lambda_min, and its points are read in turn off it."""
-        lam = self.lambda_min(betas, hs)
-        tabulated = self.potential.kind is PotentialKind.TABULATED
-        base = None if tabulated else attempt(self.base_spectrum, lam)
+        A scaling family's base is solved first (`levels`); each h is fetched
+        once, at the grid's lambda_min (`fetch`), and its points are read in
+        turn off it."""
+        levels = self.levels(betas, hs)
         out = []
         for h in map(float, hs):
-            spec = base if isinstance(base, Exception) else attempt(self.spectrum, h, lam)
+            spec = self.fetch(levels, h)
             for beta in map(float, betas):
                 value = spec if isinstance(spec, Exception) else attempt(read, spec, beta, h)
                 out.append({"beta": beta, "h": h, "error": str(value)}
@@ -215,50 +214,32 @@ class ModelFamily:
         return out
 
     def levels(self, betas, hs) -> tuple:
-        """(lambda_min, levels) of a sweep of the (beta, h) grid, its levels
-        solved now at its depth: a scaling family's base, or a tabulated
-        well's {h: spectrum}, with the error of a solve that raised
-        NUMERICAL_ERRORS in place of its levels."""
+        """(lambda_min, base) of a sweep of the (beta, h) grid: a scaling
+        family's base, solved now at the grid's depth, or the error of a
+        solve that raised NUMERICAL_ERRORS; None for a tabulated well, whose
+        h are solved as they are fetched."""
         lam = self.lambda_min(betas, hs)
-        if self.potential.kind is PotentialKind.TABULATED:
-            return lam, {h: attempt(self.spectrum, h, lam) for h in dict.fromkeys(map(float, hs))}
-        return lam, attempt(self.base_spectrum, lam)
-
-    def serves(self, levels: tuple, betas, hs) -> bool:
-        """Whether levels(betas, hs) would now return the same levels and
-        solve nothing: the memo holds them, deep enough for the grid."""
-        lam, solved = self.lambda_min(betas, hs), levels[1]
-        if isinstance(solved, dict):
-            return all(h in solved and solved[h] is self._held(h, lam) for h in map(float, hs))
-        return solved is self._held(1.0, lam)
+        tabulated = self.potential.kind is PotentialKind.TABULATED
+        return lam, None if tabulated else attempt(self.base_spectrum, lam)
 
     def fetch(self, levels: tuple, planck: float):
-        """The spectrum at h of levels(...), as a sweep fetches it
-        (ModelFamily.spectrum at the levels' depth), or the error in its
-        place."""
-        lam, solved = levels
-        if isinstance(solved, dict):
-            return solved[planck]
-        return solved if isinstance(solved, Exception) else attempt(self.spectrum, planck, lam)
-
-    def _held(self, planck: float, lambda_min: float) -> Spectrum | None:
-        """The memo entry at h if its top level reaches min V + 0.999
-        LAMBDA_DEPTH / lambda_min, else None."""
-        if lambda_min <= 0.0:
-            raise ValueError("lambda_min must be positive")
-        spec = self._memo.get(planck)
-        needed = self.min_potential + 0.999 * LAMBDA_DEPTH / lambda_min
-        return None if spec is None or spec.levels[-1] < needed else spec
+        """The spectrum at h at the depth of levels(...), or the error of its
+        base, solve or rescale in its place."""
+        lam, base = levels
+        return base if isinstance(base, Exception) else attempt(self.spectrum, planck, lam)
 
     def _provision(self, planck: float, lambda_min: float) -> Spectrum:
-        """The memo entry at h if it is held deep enough, else a deeper solve
-        that replaces it."""
+        """The memo entry at h if its top level reaches min V + 0.999
+        LAMBDA_DEPTH / lambda_min, else a deeper solve that replaces it."""
+        if lambda_min <= 0.0:
+            raise ValueError("lambda_min must be positive")
+        needed = self.min_potential + 0.999 * LAMBDA_DEPTH / lambda_min
         # one lock per h (setdefault is atomic): threads that need the same h
         # wait for one solve, while different h take no lock of each other
         # (sine-basis solves still take turns on the BLAS thread count)
         with self._locks.setdefault(planck, threading.Lock()):
-            spec = self._held(planck, lambda_min)
-            if spec is None:
+            spec = self._memo.get(planck)
+            if spec is None or spec.levels[-1] < needed:
                 spec = self._memo[planck] = self._solve(planck, lambda_min)
             return spec
 

@@ -29,12 +29,12 @@ Each check is declared in three parts: the points it reads (its grid), its
 reader of a point, and its ruling over what was read. A check called alone
 reads its points in one sweep (_sweep) off the levels ModelFamily.levels
 solves at its depth; run_claims solves each claim's levels in turn, and
-claims next to each other that read the same levels share one sweep, in
-which each point they list is one ThermoPoint, read by each of them in
-turn. Every point is read off its own levels alone (P4_1's neighbours h s
-by the scaling law; T3_1's one point is (tau, h), and its integrand reads
-each gamma off that point's levels): a point whose solve, fetch or read
-failed reads NaN, is listed in notes["failed_points"] of each report of
+claims next to each other that ask for the same depth read the same levels
+and share one sweep, in which each point they list is one ThermoPoint, read
+by each of them in turn. Every point is read off its own levels alone
+(P4_1's neighbours h s by the scaling law; T3_1's one point is (tau, h), and
+its integrand reads each gamma off that point's levels): a point whose
+solve, fetch or read failed reads NaN, is listed in notes["failed_points"] of each report of
 each claim that lists it, and keeps them from Holds. A verdict of Holds
 requires every margin to clear the combined numerical error bound at its
 own grid point; margins inside the error band downgrade to Inconclusive
@@ -209,34 +209,35 @@ def _claim(body):
 
 def _sweep(family: ModelFamily, levels, claims) -> list:
     """What each (claim, points) returns, its points all read in one sweep
-    off `levels` (ModelFamily.levels, which serves every claim).
+    off `levels` (ModelFamily.levels, at the depth of every claim).
 
     Each (beta, h) that some claim lists is one ThermoPoint, h outer, each h
     fetched once. The claims that list a point read it one after another,
     those whose readers detour off it last, so that the thread's last pass
     serves the rest, and it is then dropped. A failed fetch or read fails
     the point in each claim it serves."""
-    plan: dict = {}  # h -> beta -> the claims that list (beta, h), in reading order
+    # h -> beta -> {claim: what it read at (beta, h), or the error text}, the
+    # claims that list the point in reading order
+    plan: dict = {}
     for k in sorted(range(len(claims)), key=lambda k: claims[k][1].detours):
         for h in map(float, claims[k][1].hs):
             for beta in map(float, claims[k][1].betas):
                 plan.setdefault(h, {}).setdefault(beta, {})[k] = None
-    results = {}  # (claim, beta, h) -> the values read there, or the error text
     for h, at_h in plan.items():
         spec = family.fetch(levels, h)
-        for beta, readers in at_h.items():
+        for beta, read in at_h.items():
             point = spec if isinstance(spec, Exception) \
                 else ThermoPoint(family.potential, spec, beta)
-            for k in readers:
+            for k in read:
                 value = point if isinstance(point, Exception) \
                     else attempt(claims[k][1].read, point)
-                results[k, beta, h] = str(value) if isinstance(value, Exception) else value
+                read[k] = str(value) if isinstance(value, Exception) else value
     outs = []
     for k, (claim, points) in enumerate(claims):
         table, failed = [], []
         for h in map(float, points.hs):
             for beta in map(float, points.betas):
-                value = results[k, beta, h]
+                value = plan[h][beta][k]
                 if isinstance(value, str):
                     failed.append({"beta": beta, "h": h, "error": value})
                     value = (math.nan,) * points.width
@@ -585,8 +586,9 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
     Each claim reads the levels its own call would read, solved in the order
     given: the family keeps the deepest solve at each h, so a claim that
     needs more depth than those before it solves anew. Consecutive claims
-    that read the same levels share one sweep (_sweep), and the next
-    claim's levels are solved only after it."""
+    whose grids ask for the same depth (ModelFamily.lambda_min) read the
+    same levels and share one sweep (_sweep); a claim at another depth is
+    solved after that sweep."""
     keys = list(keys)
     expected = f"expected one of {sorted(CLAIM_CHECKS)}"
     if not keys:
@@ -606,9 +608,8 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
     points = [next(claim) for claim in claims]  # what each reads, before any solve
     outs: list = []
     run: list = []  # the (claim, points) that read `levels`
-    levels = None
     for claim, at in zip(claims, points):
-        if run and not family.serves(levels, at.betas, at.hs):
+        if run and family.lambda_min(at.betas, at.hs) != levels[0]:
             outs += _sweep(family, levels, run)
             run = []
         if not run:

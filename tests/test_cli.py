@@ -1197,23 +1197,6 @@ def test_a_table_over_a_large_spectrum_starts_no_thread(monkeypatch, capsys):
     assert len(out.splitlines()) == 3
 
 
-def test_a_run_keeps_the_collector_off_what_the_imports_made(monkeypatch, capsys):
-    # the objects alive when main starts are frozen for the run, so that no
-    # collection walks them inside it, and thawed when it returns
-    import gc
-
-    import qcgibbs.cli as cli
-
-    frozen = []
-    verify = cli.cmd_verify
-    monkeypatch.setattr(cli, "cmd_verify",
-                        lambda *args: frozen.append(gc.get_freeze_count()) or verify(*args))
-    code, _, _ = run(["verify", "--model", "box", "--claims", "c11", "--beta", "1",
-                      "--h", "1"], capsys)
-    assert code == EXIT_OK and frozen[0] > 0
-    assert gc.get_freeze_count() == 0
-
-
 def _failed_points(out):
     return [rep["notes"].get("failed_points") for rep in json.loads(out)]
 
