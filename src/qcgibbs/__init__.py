@@ -5,6 +5,10 @@ particle-in-a-box and radial power-law potentials (plus tabulated 1-D
 profiles), with systematic grid verification of the semiclassical domination
 inequality, the high-temperature and small-h limits, entropy monotonicity,
 and the fixed-temperature energy-entropy game over unnormalized weights.
+
+The game's names (ascend, structured_det, GameState, ...) are served from
+qcgibbs.game, which loads on the first use of one of them, so importing the
+package, or running any command but `game`, does not load it.
 """
 
 import os as _os
@@ -78,18 +82,6 @@ from .ensemble import (
     z_classical,
     z_quantum,
 )
-from .game import (
-    AscentResult,
-    GameState,
-    ascend,
-    compromise,
-    gradient,
-    hessian,
-    principal_minor_signs,
-    stationary_point,
-    stationary_state,
-    structured_det,
-)
 from .models import (
     ModelFamily,
     box_family,
@@ -112,3 +104,25 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+# the game's names, served by __getattr__ below
+_GAME_NAMES = frozenset({
+    "AscentResult",
+    "GameState",
+    "ascend",
+    "compromise",
+    "gradient",
+    "hessian",
+    "principal_minor_signs",
+    "stationary_point",
+    "stationary_state",
+    "structured_det",
+})
+
+
+def __getattr__(name: str):
+    if name in _GAME_NAMES:
+        from . import game
+
+        return getattr(game, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

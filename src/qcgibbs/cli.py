@@ -16,7 +16,8 @@ share one sweep, which reads each point they list once (T3_1's one point is
 (tau, h)). `table` writes through ensemble.thermo_table_text. `spectrum
 --count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
 at the Gibbs state of one (beta, h), on the levels a one-point table row
-reads or on --levels (or --levels-file, read by spectrum.read_levels).
+reads or on --levels (or --levels-file, read by spectrum.read_levels); it is
+the only command that imports qcgibbs.game, inside cmd_game.
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure
 (truncation, quadrature, accuracy, overflow; a failed grid point too), 4 a
 theorem-class claim reported Violated.
@@ -34,7 +35,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import game as game_mod
 from .ensemble import BoltzmannPass, thermo_point, thermo_table_text
 from .errors import NUMERICAL_ERRORS
 from .models import ModelFamily, box_family, homogeneous_family, tabulated_family
@@ -252,6 +252,8 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
         if args.minors > 0:  # deep enough for minors below the level count
             lam = min(lam, fam.count_depth(args.minors + 1, h))
         spec = fam.spectrum(h, lam)
+    from . import game as game_mod  # here: no other command plays the game
+
     gibbs = BoltzmannPass(spec, beta)
     lines = ["n,P", *(f"{i},{fmt17(pi)}" for i, pi in enumerate(gibbs.p, start=1)),
              f"F = {fmt17(gibbs.log_z)}", f"E = {fmt17(gibbs.e_q)}",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,17 +79,15 @@ NU_RANGE = (1.0 / 128.0, 64.0)
 # (sine_basis_level_cap: 1,500 levels, fewer where tall walls add states)
 
 
-@dataclass
 class ModelFamily:
     """A potential with its memoised spectra and the h-scaling exponent."""
 
-    potential: Potential
-    label: str
-    level_cap: int = LEVEL_CAP
-    # h -> the deepest spectrum solved there; at h = 1 the base that a
-    # scaling family rescales
-    _memo: dict[float, Spectrum] = field(default_factory=dict, repr=False)
-    _locks: dict[float, threading.Lock] = field(default_factory=dict, repr=False)
+    def __init__(self, potential: Potential, label: str, level_cap: int = LEVEL_CAP) -> None:
+        self.potential, self.label, self.level_cap = potential, label, level_cap
+        # h -> the deepest spectrum solved there; at h = 1 the base that a
+        # scaling family rescales
+        self._memo: dict[float, Spectrum] = {}
+        self._locks: dict[float, threading.Lock] = {}
 
     @property
     def energy_exponent(self) -> float:
@@ -290,8 +287,10 @@ class ModelFamily:
             return
         needs = count if count < LEVEL_COUNT_LIMIT else "at least 2^62"
         head = f"{self.label}: sweep needs {needs} levels, above the {where} {cap}"
-        # the deepest law level whose count with headroom fits the cap
-        top = bisect.bisect_right(range(cap + 1), cap, key=lambda k: k + self._headroom(k)) - 1
+        # the largest count whose depth (count_depth) the cap provisions:
+        # what spectrum --count can ask for
+        top = bisect.bisect_right(range(1, cap + 1), cap, key=lambda c: self.level_count(
+            planck, self.count_depth(c, planck)))
         if top < 8:  # fewer than any solve takes
             why = (f"the table's walls alone fill the {SINE_BASIS_MAX_STATES}-state "
                    "basis; raise h or lower max V" if where == "sine-basis cap" else
@@ -301,7 +300,8 @@ class ModelFamily:
         raise ResourceError(
             f"{head}; "
             + ("raise the cap or shrink the sweep" if where == "cap" else "shrink the sweep")
-            + f" (the cap supports beta * phi(h) down to about {_round_up(depth):.3g})"
+            + f" (the cap supports {top} levels, beta * phi(h) down to about "
+            f"{_round_up(depth):.3g})"
         )
 
 

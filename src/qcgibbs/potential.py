@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,7 +49,6 @@ def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0.0
 
 
-@dataclass(frozen=True)
 class Potential:
     """A model potential with its domain and scaling metadata.
 
@@ -65,33 +63,34 @@ class Potential:
                 (TABULATED only).
     """
 
-    kind: PotentialKind
-    dimension: int
-    mass: float = 1.0
-    lengths: tuple[float, ...] | None = None
-    exponent: float | None = None
-    grid_x: np.ndarray | None = None
-    grid_v: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
+    def __init__(
+        self,
+        kind: PotentialKind,
+        dimension: int,
+        mass: float = 1.0,
+        lengths: tuple[float, ...] | None = None,
+        exponent: float | None = None,
+        grid_x: np.ndarray | None = None,
+        grid_v: np.ndarray | None = None,
+    ) -> None:
+        if dimension < 1:
             raise ValueError("dimension must be a positive integer")
-        if not _finite_positive(self.mass):
-            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
-        if self.kind is PotentialKind.BOX:
-            if self.lengths is None or len(self.lengths) != self.dimension:
+        if not _finite_positive(mass):
+            raise ValueError(f"mass must be finite and positive, got {mass!r}")
+        if kind is PotentialKind.BOX:
+            if lengths is None or len(lengths) != dimension:
                 raise ValueError("box potential needs one length per axis")
-            if not all(_finite_positive(L) for L in self.lengths):
-                raise ValueError(f"box lengths must be finite and positive, got {self.lengths!r}")
-        elif self.kind is PotentialKind.HOMOGENEOUS:
-            if self.exponent is None or not _finite_positive(self.exponent):
+            if not all(_finite_positive(L) for L in lengths):
+                raise ValueError(f"box lengths must be finite and positive, got {lengths!r}")
+        elif kind is PotentialKind.HOMOGENEOUS:
+            if exponent is None or not _finite_positive(exponent):
                 raise ValueError(
-                    f"exponent nu must be finite and positive, got {self.exponent!r}")
-        elif self.kind is PotentialKind.TABULATED:
-            if self.dimension != 1:
+                    f"exponent nu must be finite and positive, got {exponent!r}")
+        elif kind is PotentialKind.TABULATED:
+            if dimension != 1:
                 raise ValueError("tabulated potentials are one-dimensional")
-            xs = np.asarray(self.grid_x, dtype=float)
-            vs = np.asarray(self.grid_v, dtype=float)
+            xs = np.asarray(grid_x, dtype=float)
+            vs = np.asarray(grid_v, dtype=float)
             if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2:
                 raise ValueError("tabulated grid needs matching 1-D x and V arrays")
             if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(vs)):
@@ -102,8 +101,10 @@ class Potential:
                 raise ValueError("tabulated potential values must be non-negative")
             xs.setflags(write=False)
             vs.setflags(write=False)
-            object.__setattr__(self, "grid_x", xs)
-            object.__setattr__(self, "grid_v", vs)
+            grid_x, grid_v = xs, vs
+        self.kind, self.dimension, self.mass = kind, dimension, mass
+        self.lengths, self.exponent = lengths, exponent
+        self.grid_x, self.grid_v = grid_x, grid_v
 
 
 def box(lengths: Sequence[float], mass: float = 1.0) -> Potential:

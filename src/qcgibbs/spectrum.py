@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import heapq
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -65,14 +63,13 @@ class _DeferredBars:
     the first read, and its checked result is kept on the instance, which
     shadows this non-data descriptor (as ensemble._cached), so later reads
     and spectra given an array read a plain attribute. Read off the class
-    it is None, the field's default. Threads that read at once may each run
-    the computation; they store the same bars."""
+    it is None, the constructor's default. Threads that read at once may
+    each run the computation; they store the same bars."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return None
-        errs = _checked_bars(obj._solve_bars(), obj.levels)
-        object.__setattr__(obj, "level_errors", errs)
+        obj.level_errors = errs = _checked_bars(obj._solve_bars(), obj.levels)
         return errs
 
 
@@ -86,7 +83,6 @@ def _checked_bars(errs, levels: np.ndarray) -> np.ndarray:
     return errs
 
 
-@dataclass(frozen=True)
 class Spectrum:
     """An ordered list of positive eigenvalues at one Planck parameter.
 
@@ -104,14 +100,17 @@ class Spectrum:
                    least 8 levels are present.
     """
 
-    levels: np.ndarray
-    planck: float
-    source: SpectrumSource
-    level_errors: np.ndarray | Callable[[], np.ndarray] | None = _DeferredBars()
-    tail_model: tuple[float, float] | None = field(default=None)
+    level_errors = _DeferredBars()
 
-    def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=float)
+    def __init__(
+        self,
+        levels,
+        planck: float,
+        source: SpectrumSource,
+        level_errors: np.ndarray | Callable[[], np.ndarray] | None = None,
+        tail_model: tuple[float, float] | None = None,
+    ) -> None:
+        levels = np.asarray(levels, dtype=float)
         if levels.ndim != 1 or levels.size < 1:
             raise ValueError("levels must be a non-empty 1-D array")
         if not np.all(np.isfinite(levels)):
@@ -120,18 +119,18 @@ class Spectrum:
             raise ValueError("levels must be strictly positive")
         if np.any(np.diff(levels) < 0.0):
             raise ValueError("levels must be non-decreasing")
-        if self.planck <= 0.0:
+        if planck <= 0.0:
             raise ValueError("planck must be positive")
         levels.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-        errs = self.level_errors
-        if callable(errs):
-            object.__setattr__(self, "_solve_bars", errs)
-            object.__delattr__(self, "level_errors")  # _DeferredBars reads it
-        elif errs is not None:
-            object.__setattr__(self, "level_errors", _checked_bars(errs, levels))
-        if self.tail_model is None and levels.size >= 8:
-            object.__setattr__(self, "tail_model", fit_tail_model(levels))
+        self.levels, self.planck, self.source = levels, planck, source
+        if callable(level_errors):
+            self._solve_bars = level_errors  # _DeferredBars reads it
+        else:
+            self.level_errors = (None if level_errors is None
+                                 else _checked_bars(level_errors, levels))
+        if tail_model is None and levels.size >= 8:
+            tail_model = fit_tail_model(levels)
+        self.tail_model = tail_model
 
     @property
     def count(self) -> int:
@@ -199,6 +198,10 @@ def solve_box(
         return Spectrum(coeff[0] * n**2, planck, SpectrumSource.ANALYTIC_BOX)
 
     # lattice expansion from (1,...,1): pop the smallest value, push successors
+    # (heapq is imported here: no other solver uses it, and every command
+    # would pay for its import)
+    import heapq
+
     start = tuple([1] * dimension)
     heap: list[tuple[float, tuple[int, ...]]] = [(float(coeff.sum()), start)]
     seen = {start}
@@ -388,18 +391,17 @@ def _oscillator_bands(
     def ladder(i):  # <i|x|i+1>, zero below the ground state
         return scale * np.sqrt(np.maximum(i + 1.0, 0.0) / 2.0)
 
-    # power[r, n] = <n + r - nu| x^k |n> after k steps
+    # power[r, n] = <n + r - nu| x^k |n> after k steps; each step adds, at
+    # every offset r at once, the lower neighbour's term and then the upper's
     cols = np.arange(size, dtype=float)
+    i = cols + np.arange(-nu, nu + 1, dtype=float)[:, None]
+    lower, upper = ladder(i[1:] - 1.0), ladder(i[:-1])
     power = np.zeros((2 * nu + 1, size))
     power[nu] = 1.0
     for _ in range(nu):
         step = np.zeros_like(power)
-        for r in range(2 * nu + 1):
-            i = cols + (r - nu)
-            if r > 0:
-                step[r] += ladder(i - 1.0) * power[r - 1]
-            if r < 2 * nu:
-                step[r] += ladder(i) * power[r + 1]
+        step[1:] += lower * power[:-1]
+        step[:-1] += upper * power[1:]
         power = step
     bands = [power[nu - d, d:].copy() for d in range(0, nu + 1, 2)]
     kin = planck**2 / (4.0 * mass * scale**2)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,17 +84,14 @@ THEOREM_CLAIMS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """One claim checked over one grid."""
 
-    claim_id: ClaimId
-    model: dict
-    grid: dict
-    status: Status
-    worst_margin: float
-    tolerance: float
-    notes: dict = field(default_factory=dict)
+    def __init__(self, claim_id: ClaimId, model: dict, grid: dict, status: Status,
+                 worst_margin: float, tolerance: float, notes: dict | None = None) -> None:
+        self.claim_id, self.model, self.grid, self.status = claim_id, model, grid, status
+        self.worst_margin, self.tolerance = worst_margin, tolerance
+        self.notes = {} if notes is None else notes
 
     def to_dict(self) -> dict:
         return {

@@ -212,7 +212,7 @@ def test_table_truncation_failure_exit_code(capsys):
     assert lines[1] == (
         "0.0001,1,nan,nan,nan,nan,nan,nan,error: box1: sweep needs 302 levels, "
         "above the cap 64; raise the cap or shrink the sweep (the cap supports "
-        "beta * phi(h) down to about 0.00223)"
+        "64 levels, beta * phi(h) down to about 0.00223)"
     )
 
 
@@ -222,8 +222,8 @@ def test_table_names_a_count_past_the_search_bound(capsys):
     code, out, err = run(["table", "--model", "homogeneous", "--nu", "2",
                           "--beta", "1e-300,1", "--h", "1"], capsys)
     why = ("homogeneous_nu2: sweep needs at least 2^62 levels, above the cap 2000000; "
-           "raise the cap or shrink the sweep (the cap supports beta * phi(h) down to "
-           "about 1.6e-05)")
+           "raise the cap or shrink the sweep (the cap supports 2000000 levels, "
+           "beta * phi(h) down to about 1.6e-05)")
     assert code == EXIT_NUMERICAL
     assert out.splitlines()[1:] == [f"{beta},1,nan,nan,nan,nan,nan,nan,error: {why}"
                                     for beta in ("1e-300", "1")]
@@ -978,7 +978,7 @@ def test_tabulated_cap_names_the_reachable_depth(double_well, fd_solves, capsys)
     # min V, with c1 = (h pi / 4)^2 / 2 at h = 0.5
     assert out.rstrip().endswith(
         "above the cap 40; raise the cap or shrink the sweep (the cap supports "
-        "beta * phi(h) down to about 0.365)")
+        "40 levels, beta * phi(h) down to about 0.365)")
 
 
 def test_quartic_basis_cap_refuses_before_building(monkeypatch, capsys):
@@ -1005,6 +1005,21 @@ def test_cap_below_any_solve_names_no_depth(capsys):
     assert code == EXIT_NUMERICAL
     assert out.rstrip().endswith(
         "above the cap 8 at h=1: every solve takes at least 17 levels; raise the cap")
+
+
+@pytest.mark.parametrize("nu, count, cap", [
+    ("3", "30", "20"),
+    # the oscillator's level 64 rounds, through its depth, to 65 levels
+    ("2", "64", "64"),
+])
+def test_cap_names_the_largest_count_that_fits(nu, count, cap, capsys):
+    flags = ["spectrum", "--model", "homogeneous", "--nu", nu, "--max-levels", cap]
+    code, _, err = run(flags + ["--count", count], capsys)
+    assert code == EXIT_NUMERICAL
+    top = re.search(r"the cap supports (\d+) levels, ", err).group(1)
+    code, out, _ = run(flags + ["--count", top], capsys)
+    assert code == EXIT_OK and out.splitlines()[-1].startswith(f"{top},")
+    assert run(flags + ["--count", str(int(top) + 1)], capsys)[0] == EXIT_NUMERICAL
 
 
 def _assert_depth_is_reachable(out, fam, planck, cap):

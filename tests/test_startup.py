@@ -2,7 +2,9 @@
 command's start-up, so no command loads any of it except two:
 `verify --claims t31`, whose quadrature needs scipy.integrate (with the
 scipy.optimize, scipy.sparse, scipy.fft and scipy.special it pulls in), and
-the wedge, whose Airy zeros come from scipy.special. The oscillator basis's
+the wedge, whose Airy zeros come from scipy.special. Only `game` loads
+qcgibbs.game (and the dataclasses it imports), and only a box of two or more
+dimensions heapq, for its lattice enumeration. The oscillator basis's
 band solver and finite differences' tridiagonal one call LAPACK through the
 OpenBLAS that numpy has loaded (qcgibbs.lapack), which is looked up at the
 first solve, not at import; the sine basis of tabulated wells runs on
@@ -23,14 +25,19 @@ from qcgibbs.util import usable_cpus
 
 SRC = Path(qcgibbs.__file__).resolve().parents[1]
 
+# modules only some commands load: qcgibbs.game (game), the dataclasses it
+# imports, and heapq (the lattice enumeration of a box of two or more axes)
+ON_DEMAND = ("dataclasses", "heapq", "qcgibbs.game")
+
 # one fresh interpreter walks every command in turn and records, after each,
 # its exit code, every scipy module sys.modules holds, how many times
-# qcgibbs.lapack has looked its library up, and whether concurrent.futures
-# is loaded
+# qcgibbs.lapack has looked its library up, whether concurrent.futures is
+# loaded, and which of ON_DEMAND are
 SCRIPT = """
 import json, sys
 scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-state = lambda: (scipy(), _lapacke.cache_info().misses, "concurrent.futures" in sys.modules)
+state = lambda: (scipy(), _lapacke.cache_info().misses, "concurrent.futures" in sys.modules,
+                 [m for m in %r if m in sys.modules])
 from qcgibbs.cli import main
 from qcgibbs.lapack import _lapacke
 steps = [("import", 0, *state())]
@@ -38,7 +45,7 @@ for name, argv in json.loads(sys.argv[1]):
     code = main(argv)
     steps.append((name, code, *state()))
 print(json.dumps(steps))
-"""
+""" % (ON_DEMAND,)
 
 T31_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
              "scipy.special")
@@ -76,7 +83,7 @@ def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
                             "--count", "20", "-o", out]),
     ])
     # nor is the LAPACK library looked up, nor a thread pool module loaded
-    assert steps["import"] == (0, [], 0, False)
+    assert steps["import"] == (0, [], 0, False, [])
     for name in ("tabulated table", "quartic verify", "box table", "oscillator table",
                  "cubic spectrum"):
         assert steps[name][:2] == (0, []), name
@@ -85,6 +92,37 @@ def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
     assert steps["quartic verify"][2] == steps["cubic spectrum"][2] == 1
     # table rows and concurrent solves run on plain threads
     assert not steps["tabulated table"][3] and not steps["quartic verify"][3]
+
+
+def test_only_the_game_and_the_lattice_load_their_modules(double_well_potential, tmp_path):
+    well = tmp_path / "well.csv"
+    save_tabulated_csv(double_well_potential, well)
+    out = str(tmp_path / "out")
+    grid = ["--beta", "0.5,2", "--h", "0.5,1", "-o", out]
+    steps = _walk([
+        ("quartic verify", ["verify", "--model", "homogeneous", "--nu", "4",
+                            "--claims", "c11,c12,t41,c41", "--beta", "0.5,1,2",
+                            "--h", "0.5,1", "-o", out]),
+        ("tabulated table", ["table", "--model", "tabulated", "--table", str(well)] + grid),
+        ("oscillator table", ["table", "--model", "homogeneous", "--nu", "2"] + grid),
+        ("quartic spectrum", ["spectrum", "--model", "homogeneous", "--nu", "4",
+                              "--count", "20", "-o", out]),
+        ("square table", ["table", "--model", "box", "--N", "2", "--L", "1,1"] + grid),
+        ("game", ["game", "--model", "homogeneous", "--nu", "4", "--minors", "3"]),
+    ])
+    for name in ("import", "quartic verify", "tabulated table", "oscillator table",
+                 "quartic spectrum"):
+        assert steps[name][0] == 0 and steps[name][4] == [], name
+    assert steps["square table"][0] == 0 and steps["square table"][4] == ["heapq"]
+    assert steps["game"][0] == 0 and steps["game"][4] == list(ON_DEMAND)
+
+
+def test_the_game_names_resolve_from_the_package():
+    from qcgibbs import game, structured_det
+
+    assert qcgibbs.ascend is game.ascend and structured_det is game.structured_det
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qcgibbs.no_such_name
 
 
 def test_only_t31_loads_scipy_integrate(tmp_path):
