@@ -33,7 +33,6 @@ from .errors import (
     AccuracyError,
     ContractError,
     ConvergenceError,
-    DomainError,
     IntegrabilityError,
     QCGibbsError,
     ResourceError,
@@ -45,8 +44,6 @@ from .potential import (
     PotentialKind,
     ScalingExponents,
     box,
-    check_homogeneity,
-    evaluate,
     homogeneous,
     load_tabulated_csv,
     save_tabulated_csv,

@@ -1,9 +1,11 @@
 """Command-line interface: spectra, thermodynamic tables, claim checks, the game.
 
 Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
-optional flat key=value config file (flags win), and refuses any other; main
-builds only the parser of the subcommand named first, so an unread flag is
-refused under that subcommand's usage. A run starts at one BLAS thread (the
+optional flat key=value config file (flags win), plus its own COMMAND_FLAGS,
+and refuses any other. One reader, read_argv, takes argv from these tables
+(no argparse), and each flag's text is parsed by its setting's parser, as a
+config value is; usage, help and usage errors are written from the same
+tables, and an unread flag is refused under the subcommand's usage. A run starts at one BLAS thread (the
 package imports numpy so), and only a sine basis past
 spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
 A tabulated well's level bars are solved on their first read, which only
@@ -25,7 +27,6 @@ theorem-class claim reported Violated.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
@@ -68,14 +69,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 class Setting:
-    """A run setting: its flag spellings, the parser of its text (a flag's and
-    a config value's alike), its value where not given, and its help."""
+    """A run setting or flag: its flag spellings, the parser of its text (a
+    flag's and a config value's alike; None for a switch, which takes no
+    text), its value where not given, its help, and whether a run must give it."""
 
-    __slots__ = ("flags", "parse", "default", "help")
+    __slots__ = ("flags", "parse", "default", "help", "required")
 
-    def __init__(self, flags: tuple[str, ...], parse: Callable[[str], object],
-                 default: object = None, help: str | None = None):
-        self.flags, self.parse, self.default, self.help = flags, parse, default, help
+    def __init__(self, flags: tuple[str, ...], parse: Callable[[str], object] | None,
+                 default: object = None, help: str | None = None, required: bool = False):
+        self.flags, self.parse, self.default = flags, parse, default
+        self.help, self.required = help, required
 
 
 # every setting, under its config key; where beta or h is not given, table
@@ -97,7 +100,7 @@ SETTINGS = {
     "seed": Setting(("--seed",), int, 0),
 }
 MODEL_SETTINGS = ("model", "dimension", "lengths", "nu", "mass", "table", "max_levels")
-# the settings each subcommand reads; its parser refuses any other flag, and
+# the settings each subcommand reads; read_argv refuses any other flag, and
 # parse_config any other key (game reads seed and output only with --ascend)
 COMMAND_SETTINGS = {
     "spectrum": (*MODEL_SETTINGS, "h", "count", "output"),
@@ -105,13 +108,44 @@ COMMAND_SETTINGS = {
     "verify": (*MODEL_SETTINGS, "beta", "h", "output"),
     "game": (*MODEL_SETTINGS, "beta", "h", "seed", "output"),
 }
+# the flags only one subcommand takes, which no config file sets
+COMMAND_FLAGS = {
+    "spectrum": {},
+    "table": {},
+    "verify": {
+        "claims": Setting(("--claims",), lambda text: [c.strip() for c in text.split(",")
+                                                      if c.strip()],
+                          None, "comma list from: " + ",".join(sorted(CLAIM_CHECKS)), True),
+    },
+    "game": {
+        "levels": Setting(("--levels",), lambda text: [float(x) for x in text.split(",")], None,
+                          "comma list of ascending level energies, in place of the model's"),
+        "levels_file": Setting(("--levels-file",), str, None,
+                               "file with one level per line, or the n,E output of spectrum"),
+        "minors": Setting(("--minors",), int, 0, "report minor signs up to this order"),
+        "ascend": Setting(("--ascend",), None, False,
+                          "run the gradient ascent from a random start"),
+    },
+}
 
 
-def parse_config(text: str, command: str) -> SimpleNamespace:
-    """Every setting, read from the flat key = value format (''#'' starts a
-    comment line) where `command` reads it, else its default; `given` names
-    the keys the text set."""
-    cfg = SimpleNamespace(**{key: s.default for key, s in SETTINGS.items()}, given=set())
+def _settings(texts: dict, command: str) -> SimpleNamespace:
+    """Every setting and flag of `command`: parsed from its text in `texts`
+    (True for a switch) where given, else its default; `given` names the
+    keys `texts` holds."""
+    table = {**SETTINGS, **COMMAND_FLAGS[command]}
+    cfg = SimpleNamespace(**{key: s.default for key, s in table.items()}, given=set(texts))
+    for key, text in texts.items():
+        parse = table[key].parse
+        setattr(cfg, key, text if parse is None else parse(text))
+    return cfg
+
+
+def _config_texts(text: str, command: str) -> dict[str, str]:
+    """The value text of each key of the flat key = value format ('#' starts
+    a comment line), the last where a key repeats; refuses a key `command`
+    does not read."""
+    texts = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,9 +158,14 @@ def parse_config(text: str, command: str) -> SimpleNamespace:
             raise ValueError(f"unknown config key: {key!r}")
         if key not in COMMAND_SETTINGS[command]:
             raise ValueError(f"{command} does not read config key {key!r}")
-        setattr(cfg, key, SETTINGS[key].parse(value.strip()))
-        cfg.given.add(key)
-    return cfg
+        texts[key] = value.strip()
+    return texts
+
+
+def parse_config(text: str, command: str) -> SimpleNamespace:
+    """Every setting, read from the flat key = value format where `command`
+    reads it, else its default; `given` names the keys the text set."""
+    return _settings(_config_texts(text, command), command)
 
 
 def _outdir() -> Path | None:
@@ -210,9 +249,9 @@ def cmd_table(cfg: SimpleNamespace) -> int:
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_verify(cfg: SimpleNamespace, claims: list[str]) -> int:
+def cmd_verify(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
-    reports = run_claims(fam, claims, cfg.beta, cfg.h)
+    reports = run_claims(fam, cfg.claims, cfg.beta, cfg.h)
     text = reports_to_json(reports) + "\n"
     out = _resolve_output(cfg.output)
     _write_or_print(text, out)
@@ -231,26 +270,25 @@ def cmd_verify(cfg: SimpleNamespace, claims: list[str]) -> int:
     return EXIT_VIOLATED if violated else EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def cmd_game(args, cfg: SimpleNamespace) -> int:
+def cmd_game(cfg: SimpleNamespace) -> int:
     if len(cfg.beta or ()) > 1 or len(cfg.h or ()) > 1:
         raise ValueError("game plays at one beta and one h")
     beta, h = (cfg.beta or (1.0,))[0], (cfg.h or (1.0,))[0]
     ascent_only = cfg.given & {"seed", "output"}
-    if ascent_only and not args.ascend:
+    if ascent_only and not cfg.ascend:
         raise ValueError(f"game reads {sorted(ascent_only)} only with --ascend")
-    if args.levels is not None or args.levels_file is not None:
+    if cfg.levels is not None or cfg.levels_file is not None:
         named = cfg.given & {*MODEL_SETTINGS, "h"}
         if named:
             raise ValueError(f"game plays on --levels or on a model, not both: got {sorted(named)}")
-        levels = (read_levels(Path(args.levels_file).read_text())[0]
-                  if args.levels_file is not None
-                  else [float(x) for x in args.levels.split(",")])
+        levels = (read_levels(Path(cfg.levels_file).read_text())[0]
+                  if cfg.levels_file is not None else cfg.levels)
         spec = Spectrum(levels, 1.0, SpectrumSource.GIVEN)  # refuses an empty file
     else:
         fam = _build_family(cfg)
         lam = fam.lambda_min((beta,), (h,))
-        if args.minors > 0:  # deep enough for minors below the level count
-            lam = min(lam, fam.count_depth(args.minors + 1, h))
+        if cfg.minors > 0:  # deep enough for minors below the level count
+            lam = min(lam, fam.count_depth(cfg.minors + 1, h))
         spec = fam.spectrum(h, lam)
     from . import game as game_mod  # here: no other command plays the game
 
@@ -258,11 +296,11 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
     lines = ["n,P", *(f"{i},{fmt17(pi)}" for i, pi in enumerate(gibbs.p, start=1)),
              f"F = {fmt17(gibbs.log_z)}", f"E = {fmt17(gibbs.e_q)}",
              f"S = {fmt17(gibbs.s_q)}"]
-    if args.minors:
-        signs = game_mod.principal_minor_signs(spec.levels, -beta, args.minors)
+    if cfg.minors:
+        signs = game_mod.principal_minor_signs(spec.levels, -beta, cfg.minors)
         lines.append("minor_signs = " + ",".join("+" if s > 0 else "-" for s in signs))
     sys.stdout.write("\n".join(lines) + "\n")
-    if args.ascend:
+    if cfg.ascend:
         rng = np.random.default_rng(cfg.seed)
         start = np.exp(rng.uniform(-1.0, 1.0, size=spec.count))
         result = game_mod.ascend(spec.levels, -beta, start)
@@ -275,7 +313,7 @@ def cmd_game(args, cfg: SimpleNamespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command line: one reader, and usage and help texts, from the tables above
 
 
 _COMMAND_HELP = {
@@ -284,54 +322,137 @@ _COMMAND_HELP = {
     "verify": "run claim checks and emit a JSON report",
     "game": "stationary distribution, minors, ascent trace",
 }
+_CONFIG = Setting(("--config",), str, None, "flat key=value config file; flags override")
+_HELP = ("-h", "--help")
+_HELP_ROW = ("-h, --help", "show this help message and exit")
+_TOP_USAGE = "usage: qcgibbs [-h] {" + ",".join(COMMAND_SETTINGS) + "} ..."
 
 
-def _usage_parser() -> argparse.ArgumentParser:
-    """The top-level parser, which names the subcommands but parses none of
-    their flags: it answers a run with no subcommand, an unknown one, or -h."""
-    parser = argparse.ArgumentParser(
-        prog="qcgibbs",
-        description="Quantum vs classical canonical ensembles: spectra, "
-                    "thermodynamic tables, claim verification, and the "
-                    "energy-entropy game.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, text in _COMMAND_HELP.items():
-        sub.add_parser(command, help=text)
-    return parser
+class UsageError(Exception):
+    """An argv that read_argv refuses; main prints it under the usage."""
 
 
-def build_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand: --config, the settings it reads, and its
-    own flags."""
-    parser = argparse.ArgumentParser(prog=f"qcgibbs {command}",
-                                     description=_COMMAND_HELP[command])
-    parser.add_argument("--config", help="flat key=value config file; flags override")
-    for key in COMMAND_SETTINGS[command]:
-        parser.add_argument(*SETTINGS[key].flags, dest=key, help=SETTINGS[key].help)
-    if command == "verify":
-        parser.add_argument(
-            "--claims", required=True,
-            help="comma list from: " + ",".join(sorted(CLAIM_CHECKS)))
-    elif command == "game":
-        parser.add_argument("--levels", help="comma list of ascending level energies, "
-                            "in place of the model's")
-        parser.add_argument("--levels-file", help="file with one level per line, "
-                            "or the n,E output of spectrum")
-        parser.add_argument("--minors", type=int, default=0,
-                            help="report minor signs up to this order")
-        parser.add_argument("--ascend", action="store_true",
-                            help="run the gradient ascent from a random start")
-    return parser
+def _flag_table(command: str) -> dict[str, Setting]:
+    """Every flag `command` takes, by key, in the order its help lists them."""
+    return {"config": _CONFIG, **{key: SETTINGS[key] for key in COMMAND_SETTINGS[command]},
+            **COMMAND_FLAGS[command]}
 
 
-def _merge_config(command: str, args) -> SimpleNamespace:
-    cfg = parse_config(Path(args.config).read_text() if args.config else "", command)
-    for key in COMMAND_SETTINGS[command]:
-        text = getattr(args, key)
-        if text is not None:
-            setattr(cfg, key, SETTINGS[key].parse(text))
-            cfg.given.add(key)
+def _takes_value(token: str) -> bool:
+    """Whether a flag may read `token` as its value: any token but one that
+    starts with '-' and is no number, so `--nu -1` reads -1."""
+    if not token.startswith("-"):
+        return True
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def read_argv(command: str, argv: list[str]) -> dict[str, str | bool] | None:
+    """The text each flag of `command` is given in argv, by key (True for a
+    switch; the last of a repeated flag wins), or None where -h or --help
+    comes before a refusal. A flag is `--flag value` or `--flag=value`, in
+    one of its listed spellings written out in full. Raises UsageError for a
+    flag without its value, then for a required flag not given, then for
+    every token read as no flag or value, in argv order."""
+    table = _flag_table(command)
+    keys = {flag: key for key, s in table.items() for flag in s.flags}
+    given: dict[str, str | bool] = {}
+    unread = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token in _HELP:
+            return None
+        flag, eq, text = token.partition("=")
+        key = keys.get(flag) if token.startswith("-") else None
+        if key is None:
+            unread.append(token)
+        elif table[key].parse is None:  # a switch
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+            given[key] = True
+        elif eq:
+            given[key] = text
+        elif i < len(argv) and _takes_value(argv[i]):
+            given[key] = argv[i]
+            i += 1
+        else:
+            raise UsageError(f"argument {'/'.join(table[key].flags)}: expected one argument")
+    missing = [s.flags[0] for key, s in table.items() if s.required and key not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unread:
+        raise UsageError(f"unrecognized arguments: {' '.join(unread)}")
+    return given
+
+
+def _spelled(flag: str, key: str, s: Setting) -> str:
+    """A flag as usage and help write it: with its value's name unless a switch."""
+    return flag if s.parse is None else f"{flag} {key.upper()}"
+
+
+def _usage(command: str) -> str:
+    """`command`'s usage line, wrapped under its program name at 78 columns."""
+    prog = f"usage: qcgibbs {command}"
+    lines, words = [prog], ["[-h]"]
+    for key, s in _flag_table(command).items():
+        word = _spelled(s.flags[0], key, s)
+        words.append(word if s.required else f"[{word}]")
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(" " * len(prog))
+        lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _rows(rows: list[tuple[str, str]]) -> str:
+    """Help rows: each name, then its text from column 24 (on the next line
+    where the name is longer)."""
+    return "".join((f"  {name:20}  {text}" if len(name) <= 20 or not text
+                    else f"  {name}\n{'':24}{text}").rstrip() + "\n" for name, text in rows)
+
+
+def _help(command: str) -> str:
+    rows = [(", ".join(_spelled(flag, key, s) for flag in s.flags), s.help or "")
+            for key, s in _flag_table(command).items()]
+    return f"{_usage(command)}\n\n{_COMMAND_HELP[command]}\n\noptions:\n{_rows([_HELP_ROW, *rows])}"
+
+
+def _no_command(argv: list[str]) -> int:
+    """A run whose first word names no command: -h or --help before any
+    other word prints the overview; else no word, an unknown one, or a
+    command not named first exits 2."""
+    for token in argv:
+        if token in _HELP:
+            commands = [(f"  {command}", text) for command, text in _COMMAND_HELP.items()]
+            sys.stdout.write(
+                f"{_TOP_USAGE}\n\nQuantum vs classical canonical ensembles: spectra, "
+                "thermodynamic tables,\nclaim verification, and the energy-entropy game.\n\n"
+                f"positional arguments:\n  {{{','.join(COMMAND_SETTINGS)}}}\n{_rows(commands)}"
+                f"\noptions:\n{_rows([_HELP_ROW])}")
+            return EXIT_OK
+        if not token.startswith("-"):
+            choices = ", ".join(map(repr, COMMAND_SETTINGS))
+            error = ("the subcommand must come first" if token in COMMAND_SETTINGS
+                     else f"argument command: invalid choice: {token!r} (choose from {choices})")
+            break
+    else:
+        error = "the following arguments are required: command"
+    sys.stderr.write(f"{_TOP_USAGE}\nqcgibbs: error: {error}\n")
+    return EXIT_USAGE
+
+
+def _merge_config(command: str, given: dict) -> SimpleNamespace:
+    """The run's settings: the flag texts over the config file's keys, each
+    parsed by its setting, then checked."""
+    texts = _config_texts(Path(given["config"]).read_text(), command) if given.get("config") else {}
+    texts.update(given)
+    texts.pop("config", None)
+    cfg = _settings(texts, command)
     # basic validation shared by every command
     if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")
@@ -347,25 +468,26 @@ def _merge_config(command: str, args) -> SimpleNamespace:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv else None
+    if command not in COMMAND_SETTINGS:
+        return _no_command(argv)
     try:
-        if command not in COMMAND_SETTINGS:  # only -h exits 0
-            usage = _usage_parser()
-            usage.parse_args(argv)
-            usage.error("the subcommand must come first")
-        args = build_parser(command).parse_args(argv[1:])
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        given = read_argv(command, argv[1:])
+    except UsageError as exc:
+        sys.stderr.write(f"{_usage(command)}\nqcgibbs {command}: error: {exc}\n")
+        return EXIT_USAGE
+    if given is None:
+        sys.stdout.write(_help(command))
+        return EXIT_OK
     try:
-        cfg = _merge_config(command, args)
+        cfg = _merge_config(command, given)
         if command == "spectrum":
             return cmd_spectrum(cfg)
         if command == "table":
             return cmd_table(cfg)
         if command == "verify":
-            claims = [c.strip() for c in args.claims.split(",") if c.strip()]
-            return cmd_verify(cfg, claims)
-        return cmd_game(args, cfg)
-    except (ValueError, OSError) as exc:  # DomainError included
+            return cmd_verify(cfg)
+        return cmd_game(cfg)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NUMERICAL_ERRORS as exc:

@@ -1,12 +1,8 @@
-"""Exception types for domain, numerical, and contract failures."""
+"""Exception types for numerical and contract failures."""
 
 
 class QCGibbsError(Exception):
     """Base class for all package-specific errors."""
-
-
-class DomainError(QCGibbsError, ValueError):
-    """A point lies outside the potential's domain or tabulated range."""
 
 
 class ResourceError(QCGibbsError):

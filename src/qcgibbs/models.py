@@ -170,10 +170,17 @@ class ModelFamily:
     def count_depth(self, count: int, planck: float) -> float:
         """The lambda at which the count rule provisions `count` levels at h (at
         h = 1 for a scaling family): the depth of law level `count`, lambda
-        (E_count - min V) = LAMBDA_DEPTH."""
+        (E_count - min V) = LAMBDA_DEPTH, rounded so that level_count reads
+        it back as law level `count` (max(count, 8) levels plus headroom)."""
         if self.potential.kind is not PotentialKind.TABULATED:
             planck = 1.0
-        return LAMBDA_DEPTH / (self.level_energy(count, planck) - self.min_potential)
+        energy = self.level_energy(count, planck)
+        lam = LAMBDA_DEPTH / (energy - self.min_potential)
+        # min V + LAMBDA_DEPTH / lam may round above E_count, and the count
+        # rule would then take one level more; an ulp or two of lam undoes it
+        while self.min_potential + LAMBDA_DEPTH / lam > energy:
+            lam = math.nextafter(lam, math.inf)
+        return lam
 
     def _headroom(self, m: int) -> int:
         """Levels added past law level m: 6% + 8 where the law is Weyl's

@@ -15,8 +15,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-
 
 class PotentialKind(enum.Enum):
     BOX = "box"
@@ -134,64 +132,6 @@ def volume(potential: Potential) -> float:
     if potential.kind is not PotentialKind.BOX:
         raise ValueError("volume is defined for box potentials only")
     return float(np.prod(potential.lengths))
-
-
-def evaluate(potential: Potential, x) -> float:
-    """V(x) for a point x in the closure of the domain.
-
-    Box wells return 0 and reject points outside the box; power laws return
-    r^nu with r the Euclidean norm; tabulated potentials interpolate linearly
-    and reject points outside the sampled interval.
-    """
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    if pt.shape != (potential.dimension,):
-        raise ValueError(
-            f"point has shape {pt.shape}, expected ({potential.dimension},)"
-        )
-    if potential.kind is PotentialKind.BOX:
-        for xi, L in zip(pt, potential.lengths):
-            if not (0.0 <= xi <= L):
-                raise DomainError(f"point {x} outside the box domain")
-        return 0.0
-    if potential.kind is PotentialKind.HOMOGENEOUS:
-        r = float(np.linalg.norm(pt))
-        return r ** potential.exponent
-    xs = potential.grid_x
-    xi = float(pt[0])
-    if not (xs[0] <= xi <= xs[-1]):
-        raise DomainError(f"point {xi} outside the tabulated range [{xs[0]}, {xs[-1]}]")
-    return float(np.interp(xi, xs, potential.grid_v))
-
-
-def check_homogeneity(
-    potential: Potential,
-    scales: Sequence[float],
-    samples: Sequence,
-    nu: float | None = None,
-) -> float:
-    """Worst relative defect of V(h*x) = h^nu V(x) over the given scales and samples.
-
-    For exact power laws this is zero up to round-off. Tabulated potentials
-    carry no exponent of their own, so `nu` must be supplied for them.
-    """
-    if potential.kind is PotentialKind.BOX:
-        raise ValueError("check_homogeneity applies to homogeneous or tabulated potentials")
-    if len(scales) == 0 or len(samples) == 0:
-        raise ValueError("check_homogeneity needs at least one scale and one sample")
-    if nu is None:
-        nu = potential.exponent
-    if nu is None:
-        raise ValueError("nu is required for tabulated potentials")
-    worst = 0.0
-    for s in scales:
-        if s <= 0.0:
-            raise ValueError("scales must be positive")
-        for x in samples:
-            pt = np.atleast_1d(np.asarray(x, dtype=float))
-            ref = (s**nu) * evaluate(potential, pt)
-            got = evaluate(potential, s * pt)
-            worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
-    return worst
 
 
 def load_tabulated_csv(path: str | Path, mass: float = 1.0) -> Potential:

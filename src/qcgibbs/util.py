@@ -61,7 +61,11 @@ def json_text(obj) -> str:
             return [finite(v) for v in x]
         return None if isinstance(x, float) and not math.isfinite(x) else x
 
-    return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
+    # the copy through finite() only where a non-finite float refuses the dump
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(finite(obj), sort_keys=True, indent=2, allow_nan=False)
 
 
 def log_upper_gamma(a: float, x: float) -> float:

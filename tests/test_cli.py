@@ -24,9 +24,9 @@ from qcgibbs.cli import (
     EXIT_USAGE,
     MODEL_SETTINGS,
     SETTINGS,
-    build_parser,
     main,
     parse_config,
+    read_argv,
 )
 from qcgibbs.ensemble import log_z_quantum, thermo_point, thermo_table_text
 from qcgibbs.game import principal_minor_signs
@@ -77,10 +77,12 @@ def test_spectrum_oscillator_uniform_gaps(capsys):
 
 
 def test_spectrum_rejects_negative_nu(capsys):
-    code, _, err = run(
-        ["spectrum", "--model", "homogeneous", "--nu", "-1", "--count", "3"], capsys)
-    assert code == EXIT_USAGE
-    assert "nu" in err
+    # a flag reads a negative number as its value, so the nu check refuses it
+    for nu in (["--nu", "-1"], ["--nu=-1"]):
+        code, out, err = run(["spectrum", "--model", "homogeneous", *nu, "--count", "3"],
+                             capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: exponent nu must be finite and positive, got -1.0\n"
 
 
 def test_spectrum_fails_closed_where_rounding_swamps_the_ground_level(capsys):
@@ -708,18 +710,17 @@ def test_every_command_takes_the_model_flags(command, capsys):
     # the model settings and the others the command reads, under each flag
     # spelling, and its --help lists exactly those settings' flags
     assert set(MODEL_SETTINGS) <= set(COMMAND_SETTINGS[command])
-    parser = build_parser(command)
     base = _COMMAND_ARGS[command]
-    omitted = parser.parse_args(base)
-    assert omitted.config is None
-    assert parser.parse_args([*base, "--config", "run.cfg"]).config == "run.cfg"
+    omitted = read_argv(command, base)
+    assert "config" not in omitted
+    assert read_argv(command, [*base, "--config", "run.cfg"])["config"] == "run.cfg"
     for key in COMMAND_SETTINGS[command]:
-        assert getattr(omitted, key) is None
+        assert key not in omitted
         for flag in SETTINGS[key].flags:
-            assert getattr(parser.parse_args([*base, flag, _SETTING_TEXT[key]]), key) \
+            assert read_argv(command, [*base, flag, _SETTING_TEXT[key]])[key] \
                 == _SETTING_TEXT[key]
-    with pytest.raises(SystemExit):
-        parser.parse_args(["--help"])
+    assert read_argv(command, ["--help"]) is None
+    assert main([command, "--help"]) == EXIT_OK
     listed = set(re.findall(r"(?:^|[ ,\[])(--?[A-Za-z][\w-]*)", capsys.readouterr().out, re.M))
     assert "--config" in listed
     every_flag = {flag for setting in SETTINGS.values() for flag in setting.flags}
@@ -772,6 +773,66 @@ def test_an_unread_flag_is_refused_by_its_subcommand(capsys):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("usage: qcgibbs spectrum ")
     assert err.endswith("qcgibbs spectrum: error: unrecognized arguments: --beta 7\n")
+
+
+def test_a_flag_reads_its_value_after_an_equals_sign(capsys):
+    assert read_argv("table", ["--beta=0.5,1", "-o=out.csv", "--format="]) \
+        == {"beta": "0.5,1", "output": "out.csv", "format": ""}
+    assert run(["spectrum", "--model=box", "--count=2"], capsys)[:2] \
+        == run(["spectrum", "--model", "box", "--count", "2"], capsys)[:2]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--model"], "argument --model: expected one argument"),
+    (["--model", "box", "-o"], "argument --output/-o: expected one argument"),
+    (["--model", "--count", "3"], "argument --model: expected one argument"),
+    (["--ascend=1"], "unrecognized arguments: --ascend=1"),  # no flag of spectrum
+    (["--bet", "1"], "unrecognized arguments: --bet 1"),  # no abbreviations
+    (["--count", "3", "7", "--seed", "2"], "unrecognized arguments: 7 --seed 2"),
+])
+def test_the_reader_refuses_under_the_usage(argv, message, capsys):
+    code, out, err = run(["spectrum", *argv], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("usage: qcgibbs spectrum [-h] [--config CONFIG] ")
+    assert err.endswith(f"\nqcgibbs spectrum: error: {message}\n")
+
+
+def test_a_switch_takes_no_value(capsys):
+    code, _, err = run(["game", "--levels", "1,2", "--ascend=yes"], capsys)
+    assert code == EXIT_USAGE
+    assert err.endswith("qcgibbs game: error: argument --ascend: ignored explicit argument 'yes'\n")
+    assert read_argv("game", ["--ascend", "--levels", "1,2"]) == {"ascend": True, "levels": "1,2"}
+
+
+def test_the_last_of_a_repeated_flag_wins(capsys):
+    assert read_argv("table", ["--output", "a.csv", "--beta", "1", "-o", "b.csv"]) \
+        == {"output": "b.csv", "beta": "1"}
+    code, out, _ = run(["spectrum", "--model", "box", "--count", "3", "--count", "2"], capsys)
+    assert code == EXIT_OK
+    assert out.splitlines()[-1].startswith("2,")
+
+
+@pytest.mark.parametrize("argv", [["--bogus", "-h"], ["--nu", "x", "--help"],
+                                  ["--claims", "c11", "-o", "x", "7", "-h", "--model"]])
+def test_help_after_a_flag_the_reader_would_refuse(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: qcgibbs verify [-h] ")
+    assert "\n  --claims CLAIMS       comma list from: c11," in out
+
+
+def test_an_empty_levels_file_name_is_given(capsys):
+    # an empty path is a given path: it is read, and is no file
+    assert read_argv("game", ["--levels-file", ""]) == {"levels_file": ""}
+    code, out, err = run(["game", "--levels-file", ""], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "'.'" in err
+
+
+def test_verify_needs_its_claims(capsys):
+    code, _, err = run(["verify", "--model", "box", "--beta", "1,2"], capsys)
+    assert code == EXIT_USAGE
+    assert err.endswith("qcgibbs verify: error: the following arguments are required: --claims\n")
 
 
 @pytest.mark.parametrize("argv, code, stream, text", [
@@ -1009,14 +1070,16 @@ def test_cap_below_any_solve_names_no_depth(capsys):
 
 @pytest.mark.parametrize("nu, count, cap", [
     ("3", "30", "20"),
-    # the oscillator's level 64 rounds, through its depth, to 65 levels
-    ("2", "64", "64"),
+    # the oscillator takes no headroom: the cap 64 holds count 64, and its
+    # depth provisions 64 levels, not 65
+    ("2", "65", "64"),
 ])
 def test_cap_names_the_largest_count_that_fits(nu, count, cap, capsys):
     flags = ["spectrum", "--model", "homogeneous", "--nu", nu, "--max-levels", cap]
     code, _, err = run(flags + ["--count", count], capsys)
     assert code == EXIT_NUMERICAL
     top = re.search(r"the cap supports (\d+) levels, ", err).group(1)
+    assert nu != "2" or top == cap
     code, out, _ = run(flags + ["--count", top], capsys)
     assert code == EXIT_OK and out.splitlines()[-1].startswith(f"{top},")
     assert run(flags + ["--count", str(int(top) + 1)], capsys)[0] == EXIT_NUMERICAL

@@ -3,12 +3,15 @@ levels and reaches the depth lambda * (E_M - min V) >= LAMBDA_DEPTH, the
 level law lies below the levels of each source it bounds, and finite
 differences place their walls above the top level."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcgibbs.models as models_mod
 from qcgibbs import box_family, homogeneous_family, solve_box, tabulated, tabulated_family
+from qcgibbs.errors import ResourceError
 from qcgibbs.models import LAMBDA_DEPTH
 from qcgibbs.potential import PotentialKind
 
@@ -83,3 +86,33 @@ def test_tabulated_law_lies_below_every_level(double_well_potential):
         spec = fam.spectrum(planck, 0.5)
         law = np.array([fam.level_energy(m, planck) for m in range(1, spec.count + 1)])
         assert np.all(spec.levels - spec.level_errors > law)
+
+
+# every law the count rule reads: Weyl's (with headroom) and the bounds
+COUNT_FAMILIES = {
+    **SCALING_FAMILIES,
+    "cubic": lambda: homogeneous_family(3.0),
+    "sextic": lambda: homogeneous_family(6.0),
+    "nu = 0.5": lambda: homogeneous_family(0.5),
+    "offset well": lambda: tabulated_family(OFFSET_WELL),
+}
+
+
+@pytest.mark.parametrize("source", list(COUNT_FAMILIES))
+def test_count_depth_round_trips_through_the_count_rule(source):
+    # the depth of law level M provisions max(M, 8) levels plus headroom, not
+    # one more (the oscillator's level 64 once read back as 65), and the cap
+    # message names the largest count a cap provisions
+    fam = COUNT_FAMILIES[source]()
+    plancks = (0.5, 1.0, 2.0) if fam.potential.kind is PotentialKind.TABULATED else (1.0,)
+    provisioned = lambda count: max(count, 8) + fam._headroom(max(count, 8))
+    for planck in plancks:
+        for count in [*range(1, 700), 1000, 4096, 19_000, 65_536, 10**6]:
+            assert fam.level_count(planck, fam.count_depth(count, planck)) \
+                == provisioned(count), (planck, count)
+        for cap in range(provisioned(8), 400, 9):
+            fam.level_cap = cap
+            with pytest.raises(ResourceError) as info:
+                fam.spectrum(planck, fam.count_depth(cap + 1, planck))
+            top = int(re.search(r"the cap supports (\d+) levels", str(info.value)).group(1))
+            assert provisioned(top) <= cap < provisioned(top + 1), (planck, cap)

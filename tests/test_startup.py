@@ -4,7 +4,9 @@ command's start-up, so no command loads any of it except two:
 scipy.optimize, scipy.sparse, scipy.fft and scipy.special it pulls in), and
 the wedge, whose Airy zeros come from scipy.special. Only `game` loads
 qcgibbs.game (and the dataclasses it imports), and only a box of two or more
-dimensions heapq, for its lattice enumeration. The oscillator basis's
+dimensions heapq, for its lattice enumeration. No command loads argparse,
+gettext or locale: argv is read by qcgibbs.cli's own reader (only scipy's
+imports, on the wedge and for t31, load them). The oscillator basis's
 band solver and finite differences' tridiagonal one call LAPACK through the
 OpenBLAS that numpy has loaded (qcgibbs.lapack), which is looked up at the
 first solve, not at import; the sine basis of tabulated wells runs on
@@ -28,16 +30,18 @@ SRC = Path(qcgibbs.__file__).resolve().parents[1]
 # modules only some commands load: qcgibbs.game (game), the dataclasses it
 # imports, and heapq (the lattice enumeration of a box of two or more axes)
 ON_DEMAND = ("dataclasses", "heapq", "qcgibbs.game")
+# modules that argparse loads (gettext, and locale at its first message)
+ARGPARSE = ("argparse", "gettext", "locale")
 
 # one fresh interpreter walks every command in turn and records, after each,
 # its exit code, every scipy module sys.modules holds, how many times
 # qcgibbs.lapack has looked its library up, whether concurrent.futures is
-# loaded, and which of ON_DEMAND are
+# loaded, which of ON_DEMAND are, and which of ARGPARSE
 SCRIPT = """
 import json, sys
 scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 state = lambda: (scipy(), _lapacke.cache_info().misses, "concurrent.futures" in sys.modules,
-                 [m for m in %r if m in sys.modules])
+                 [m for m in %r if m in sys.modules], [m for m in %r if m in sys.modules])
 from qcgibbs.cli import main
 from qcgibbs.lapack import _lapacke
 steps = [("import", 0, *state())]
@@ -45,7 +49,7 @@ for name, argv in json.loads(sys.argv[1]):
     code = main(argv)
     steps.append((name, code, *state()))
 print(json.dumps(steps))
-""" % (ON_DEMAND,)
+""" % (ON_DEMAND, ARGPARSE)
 
 T31_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.fft",
              "scipy.special")
@@ -83,10 +87,10 @@ def test_only_the_wedge_and_t31_load_scipy(double_well_potential, tmp_path):
                             "--count", "20", "-o", out]),
     ])
     # nor is the LAPACK library looked up, nor a thread pool module loaded
-    assert steps["import"] == (0, [], 0, False, [])
+    assert steps["import"] == (0, [], 0, False, [], [])
     for name in ("tabulated table", "quartic verify", "box table", "oscillator table",
                  "cubic spectrum"):
-        assert steps[name][:2] == (0, []), name
+        assert steps[name][:2] == (0, []) and steps[name][5] == [], name
     # once, though the quartic's band blocks and the cubic's grids are
     # solved on several threads
     assert steps["quartic verify"][2] == steps["cubic spectrum"][2] == 1
@@ -109,12 +113,25 @@ def test_only_the_game_and_the_lattice_load_their_modules(double_well_potential,
                               "--count", "20", "-o", out]),
         ("square table", ["table", "--model", "box", "--N", "2", "--L", "1,1"] + grid),
         ("game", ["game", "--model", "homogeneous", "--nu", "4", "--minors", "3"]),
+        # nor do help, usage errors, or a run with no command
+        ("help", ["table", "-h"]),
+        ("overview", ["--help"]),
+        ("unread flag", ["spectrum", "--beta", "7"]),
+        ("missing value", ["verify", "--claims"]),
+        ("no command", []),
+        ("unknown command", ["nosuch"]),
+        ("bad config", ["spectrum", "--config", "/nonexistent/run.cfg"]),
     ])
     for name in ("import", "quartic verify", "tabulated table", "oscillator table",
                  "quartic spectrum"):
         assert steps[name][0] == 0 and steps[name][4] == [], name
     assert steps["square table"][0] == 0 and steps["square table"][4] == ["heapq"]
     assert steps["game"][0] == 0 and steps["game"][4] == list(ON_DEMAND)
+    assert [steps[name][0] for name in ("help", "overview", "unread flag", "missing value",
+                                        "no command", "unknown command", "bad config")] \
+        == [0, 0, 2, 2, 2, 2, 2]
+    for name, step in steps.items():
+        assert step[5] == [], name
 
 
 def test_the_game_names_resolve_from_the_package():

@@ -1,6 +1,8 @@
 """The numpy and stdlib special functions of qcgibbs.util against scipy and
-mpmath, which serve here as oracles only; and its map over threads."""
+mpmath, which serve here as oracles only; its map over threads; and its JSON
+writer."""
 
+import json
 import math
 import os
 import sys
@@ -13,7 +15,7 @@ import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
 import qcgibbs.util as util_mod
-from qcgibbs.util import log_upper_gamma, logsumexp, thread_map, usable_cpus
+from qcgibbs.util import json_text, log_upper_gamma, logsumexp, thread_map, usable_cpus
 
 
 def _logsumexp_cases():
@@ -158,3 +160,24 @@ def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(util_mod.os, "sched_getaffinity", lambda pid: {3})
     monkeypatch.setattr(util_mod.os, "cpu_count", lambda: 64)
     assert usable_cpus() == 1
+
+
+def _nulled(x):
+    """x with every non-finite float replaced by None."""
+    if isinstance(x, dict):
+        return {k: _nulled(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_nulled(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+@pytest.mark.parametrize("value", [0.125, math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_json_text_is_strict_json_with_null_for_non_finite_floats(value):
+    # a report tree with three finite or three non-finite values: the same
+    # text as dumping the copy with null in their places
+    tree = {"worst_margin": value, "claim_id": "C1_1",
+            "grid": {"beta": (0.5, 1e-300, np.float64(2.0)), "h": [1, 2.5]},
+            "notes": {"failed_points": [], "applicable": True, "lhs": [value, (value, -0.0)]}}
+    text = json_text(tree)
+    assert text == json.dumps(_nulled(tree), sort_keys=True, indent=2, allow_nan=False)
+    assert text.count("null") == (0 if math.isfinite(value) else 3)
