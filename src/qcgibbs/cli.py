@@ -4,18 +4,21 @@ Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
 optional flat key=value config file (flags win), plus its own COMMAND_FLAGS,
 and refuses any other. One reader, read_argv, takes argv from these tables
 (no argparse), and each flag's text is parsed by its setting's parser, as a
-config value is; usage, help and usage errors are written from the same
-tables, and an unread flag is refused under the subcommand's usage. A run starts at one BLAS thread (the
-package imports numpy so), and only a sine basis past
+config value is, and a parse error names the flag or the key; an empty
+path given to --config or --levels-file is refused. Usage, help and usage
+errors are written from the same tables, and an unread flag is refused
+under the subcommand's usage. A run starts at one BLAS thread (the package
+imports numpy so), and only a sine basis past
 spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
 A tabulated well's level bars are solved on their first read, which only
 verify makes, so spectrum, table and game solve one eigenproblem per h.
 Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
-reads its grid through ModelFamily.sweep and `verify` through
-verify.run_claims, one point after another, each a Boltzmann pass cut at its
-weight floor: claims named next to each other that read the same levels
-share one sweep, which reads each point they list once (T3_1's one point is
-(tau, h)). `table` writes through ensemble.thermo_table_text. `spectrum
+and `verify` (through verify.run_claims) read their points through
+ModelFamily.sweep, one point after another, each a Boltzmann pass cut at its
+weight floor: a table is one point set, one thermo_point call per row, and
+claims named next to each other that read the same levels share one sweep,
+which reads each point they list once (T3_1's one point is (tau, h)).
+`table` writes through ensemble.thermo_table_text. `spectrum
 --count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
 at the Gibbs state of one (beta, h), on the levels a one-point table row
 reads or on --levels (or --levels-file, read by spectrum.read_levels); it is
@@ -129,15 +132,20 @@ COMMAND_FLAGS = {
 }
 
 
-def _settings(texts: dict, command: str) -> SimpleNamespace:
+def _settings(texts: dict, command: str, flags=()) -> SimpleNamespace:
     """Every setting and flag of `command`: parsed from its text in `texts`
     (True for a switch) where given, else its default; `given` names the
-    keys `texts` holds."""
+    keys `texts` holds. A parse error names the flag of a key in `flags`,
+    else the config key."""
     table = {**SETTINGS, **COMMAND_FLAGS[command]}
     cfg = SimpleNamespace(**{key: s.default for key, s in table.items()}, given=set(texts))
     for key, text in texts.items():
         parse = table[key].parse
-        setattr(cfg, key, text if parse is None else parse(text))
+        try:
+            setattr(cfg, key, text if parse is None else parse(text))
+        except ValueError as exc:
+            where = table[key].flags[0] if key in flags else f"config key {key!r}"
+            raise ValueError(f"{where}: {exc}") from None
     return cfg
 
 
@@ -238,7 +246,8 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
 def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
-    out = fam.sweep(betas, hs, lambda spec, beta, h: thermo_point(fam.potential, spec, beta).row)
+    [out] = fam.sweep(fam.lambda_min(betas, hs), [
+        (betas, hs, lambda p: thermo_point(p.potential, p.spectrum, p.beta).row)])
     # the sweep runs h outer, the table beta outer
     cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
     failed = [c for c in cells if isinstance(c, dict)]
@@ -449,10 +458,13 @@ def _no_command(argv: list[str]) -> int:
 def _merge_config(command: str, given: dict) -> SimpleNamespace:
     """The run's settings: the flag texts over the config file's keys, each
     parsed by its setting, then checked."""
-    texts = _config_texts(Path(given["config"]).read_text(), command) if given.get("config") else {}
+    for key in ("config", "levels_file"):  # the empty path names the working directory
+        if given.get(key) == "":
+            raise ValueError(f"{_flag_table(command)[key].flags[0]}: an empty path names no file")
+    texts = _config_texts(Path(given["config"]).read_text(), command) if "config" in given else {}
     texts.update(given)
     texts.pop("config", None)
-    cfg = _settings(texts, command)
+    cfg = _settings(texts, command, given)
     # basic validation shared by every command
     if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")

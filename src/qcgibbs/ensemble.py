@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 
 import numpy as np
 
@@ -324,25 +325,6 @@ def _radial_config_integral(nu: float, n_dim: int, beta: float) -> tuple[float, 
     return value, value * (math.expm1(dx) + 2.0 * _EPS)
 
 
-def _tabulated_segments(potential: Potential, beta: float):
-    """Per segment of the piecewise-linear interpolant: the weight
-    dx exp(-beta v_lo) at its lower end v_lo, v_lo, the rise |dV| and
-    u = beta |dV|, and phi(u) = int_0^1 exp(-u t) dt = -expm1(-u) / u.
-
-    On a segment V = v_lo + |dV| t after reflection, so int exp(-beta V) dx
-    is weight * phi(u): exp never grows and nothing cancels, however flat or
-    steep the segment is.
-    """
-    vs = potential.grid_v
-    v_lo = np.minimum(vs[:-1], vs[1:])
-    rise = np.abs(np.diff(vs))
-    weight = np.diff(potential.grid_x) * np.exp(-beta * v_lo)
-    u = beta * rise
-    with np.errstate(invalid="ignore"):
-        phi = np.where(u > 0.0, -np.expm1(-u) / u, 1.0)
-    return weight, v_lo, rise, u, phi
-
-
 # chi(u) = int_0^1 t exp(-u t) dt = sum_k (-u)^k / (k! (k + 2)) below
 # _CHI_SERIES_U, where 17 terms leave less than 1e-23 out
 _CHI_SERIES_U = 0.5
@@ -354,26 +336,52 @@ def _chi(u: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """int_0^1 t exp(-u t) dt: its series below _CHI_SERIES_U, above it
     (phi(u) - exp(-u)) / u, where cancellation amplifies rounding by
     (phi + exp(-u)) / (phi - exp(-u)) < 8."""
-    small = u < _CHI_SERIES_U
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (phi - np.exp(-u)) / u
-    return np.where(small, np.polyval(_CHI_COEFFS, np.where(small, u, 0.0)), closed)
+        chi = (phi - np.exp(-u)) / u
+    small = u < _CHI_SERIES_U
+    chi[small] = np.polyval(_CHI_COEFFS, u[small])
+    return chi
 
 
-def _tabulated_config_integral(potential: Potential, beta: float) -> tuple[float, float]:
-    """(value, rounding bound) of the exact integral of exp(-beta V) over the
-    piecewise-linear interpolant, summed over _tabulated_segments.
+# the segment sums of each tabulated well, three floats a beta, dropped with
+# the well and emptied when they reach _SUMS_KEPT betas
+_SUMS_KEPT = 64
+_SEGMENT_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    Each term is within eps (7 + beta |v_lo|) relative: dx and u round by
-    eps/2 and eps, the exponent beta v_lo by eps/2 of its size, exp and expm1
-    by eps each (numpy's measure below 0.6 eps), the division and the two
-    products by eps/2 each; phi's relative change never exceeds u's. The sum
-    of the n positive terms adds at most n eps relative.
+
+def _tabulated_sums(potential: Potential, beta: float) -> tuple[float, float, float]:
+    """(int exp(-beta V) dx, its rounding bound, int V exp(-beta V) dx) over
+    the piecewise-linear interpolant, from one pass over its segments.
+
+    On a segment V = v_lo + |dV| t after reflection, with u = beta |dV|, the
+    integral of exp(-beta V) is weight phi(u), weight = dx exp(-beta v_lo)
+    and phi(u) = int_0^1 exp(-u t) dt = -expm1(-u) / u, and that of
+    V exp(-beta V) is weight (v_lo phi(u) + |dV| chi(u)): exp never grows
+    and nothing cancels, however flat or steep the segment is.
+
+    Each term of the first sum is within eps (7 + beta |v_lo|) relative: dx
+    and u round by eps/2 and eps, the exponent beta v_lo by eps/2 of its
+    size, exp and expm1 by eps each (numpy's measure below 0.6 eps), the
+    division and the two products by eps/2 each; phi's relative change never
+    exceeds u's. The sum of the n positive terms adds at most n eps relative.
     """
-    weight, v_lo, _, _, phi = _tabulated_segments(potential, beta)
+    sums = _SEGMENT_SUMS.setdefault(potential, {})
+    kept = sums.get(beta)
+    if kept is not None:
+        return kept
+    vs = potential.grid_v
+    v_lo = np.minimum(vs[:-1], vs[1:])
+    rise = np.abs(np.diff(vs))
+    weight = np.diff(potential.grid_x) * np.exp(-beta * v_lo)
+    u = beta * rise
+    with np.errstate(invalid="ignore"):
+        phi = np.where(u > 0.0, -np.expm1(-u) / u, 1.0)
     value = float((weight * phi).sum())
-    spread = beta * float(np.abs(v_lo).max())
-    return value, value * _EPS * (len(phi) + 7.0 + spread)
+    bound = value * _EPS * (len(phi) + 7.0 + beta * float(np.abs(v_lo).max()))
+    if len(sums) >= _SUMS_KEPT:
+        sums.clear()
+    kept = sums[beta] = value, bound, float((weight * (v_lo * phi + rise * _chi(u, phi))).sum())
+    return kept
 
 
 def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
@@ -401,19 +409,10 @@ def z_classical(potential: Potential, beta: float) -> tuple[float, float]:
         # kin and S_N carry (3N/4 + 1) and (N/4 + 12) eps (math.gamma within
         # 10 ulps), and the two products eps
         return value, value * (radial_err / radial + (n_dim + 14.0) * _EPS)
-    config, config_err = _tabulated_config_integral(potential, beta)
+    config, config_err, _ = _tabulated_sums(potential, beta)
     if not math.isfinite(config) or config <= 0.0:
         raise IntegrabilityError("configuration integral did not converge")
     return kin * config, kin * config_err
-
-
-def _tabulated_mean_v(potential: Potential, beta: float) -> float:
-    """<V> for the piecewise-linear interpolant: on each segment
-    int V exp(-beta V) dx = weight (v_lo phi(u) + |dV| chi(u)), over the
-    sum of weight phi(u) (_tabulated_segments)."""
-    weight, v_lo, rise, u, phi = _tabulated_segments(potential, beta)
-    num = weight * (v_lo * phi + rise * _chi(u, phi))
-    return float(num.sum()) / float((weight * phi).sum())
 
 
 def mean_energy_classical(potential: Potential, beta: float) -> float:
@@ -433,7 +432,8 @@ def mean_energy_classical(potential: Potential, beta: float) -> float:
     if potential.kind is PotentialKind.HOMOGENEOUS:
         nu = potential.exponent
         return n_dim * (2.0 + nu) / (2.0 * nu * beta)
-    return kinetic + _tabulated_mean_v(potential, beta)
+    config, _, v_weighted = _tabulated_sums(potential, beta)
+    return kinetic + v_weighted / config
 
 
 def entropy_classical(potential: Potential, beta: float, planck: float) -> float:

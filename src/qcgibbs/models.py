@@ -8,18 +8,17 @@ a shallower request gets the stored solve, a deeper one replaces it. With
 the exact scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu)
 for radial power laws) the entry at h = 1 is the base that every h
 rescales; tabulated wells have none and are solved at each h.
-`ModelFamily.levels` solves, first, the base a (beta, h) grid reads at its
-depth, and `fetch` hands out each h's spectrum at that depth.
-`ModelFamily.sweep`, a table's loop over a grid, fetches each h once
-through them, reads its points one after another, and fails exactly the
-points that a failed solve, fetch or read serves (`attempt`); claim checks
-read through the same two calls (verify._sweep). The potential alone picks the
-solver: closed forms for the box, the oscillator (nu = 2) and the wedge
-(nu = 1), an oscillator basis for the other even integer nu, the box's sine
-basis for tabulated wells, and finite differences for odd and non-integer
-nu. One level law per source (`level_energy`) and one count rule
-(`level_count`) size every solve, and `count_depth` names the depth at
-which they give a count.
+`ModelFamily.sweep` is the one loop through which every command reads grid
+points: given a depth and the point sets of a table or of claim checks, it
+solves a scaling family's base at that depth first, fetches each h once,
+reads each (beta, h) as one ensemble.ThermoPoint, in turn by every set that
+lists it, and fails exactly the points that a failed solve, fetch or read
+serves (`attempt`). The potential alone picks the solver: closed forms
+for the box, the oscillator (nu = 2) and the wedge (nu = 1), an oscillator
+basis for the other even integer nu, the box's sine basis for tabulated
+wells, and finite differences for odd and non-integer nu. One level law
+per source (`level_energy`) and one count rule (`level_count`) size every
+solve, and `count_depth` names the depth at which they give a count.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ import threading
 
 import numpy as np
 
+from .ensemble import ThermoPoint
 from .errors import NUMERICAL_ERRORS, ResourceError
 from .potential import (
     Potential,
@@ -138,6 +138,11 @@ class ModelFamily:
     def level_energy(self, m: int, planck: float = 1.0) -> float:
         """Energy of level m at h by this source's law: a lower bound on E_m
         for boxes, the oscillator and tabulated wells, Weyl's law otherwise."""
+        return self._level_law(planck)(m)
+
+    def _level_law(self, planck: float):
+        """m -> level_energy(m, planck), with what does not depend on m
+        computed once."""
         pot = self.potential
         if pot.kind is PotentialKind.BOX:
             # each lattice point k >= 1 owns the unit cube [k - 1, k] inside
@@ -147,14 +152,16 @@ class ModelFamily:
             orthant = math.pi ** (n / 2) / (math.gamma(n / 2 + 1) * 2**n)
             for length in pot.lengths:
                 orthant *= length / (planck * math.pi) * math.sqrt(2.0 * pot.mass)
-            return (m / orthant) ** (2.0 / n)
+            return lambda m: (m / orthant) ** (2.0 / n)
         if pot.kind is PotentialKind.TABULATED:
             # min-max against the box on the same interval
-            span = float(pot.grid_x[-1] - pot.grid_x[0])
-            return self.min_potential + (planck * math.pi * m / span) ** 2 / (2.0 * pot.mass)
+            floor, step = self.min_potential, planck * math.pi
+            span, two_m = float(pot.grid_x[-1] - pot.grid_x[0]), 2.0 * pot.mass
+            return lambda m: floor + (step * m / span) ** 2 / two_m
         if pot.exponent == 2.0:
-            return planck * math.sqrt(2.0 / pot.mass) * (m - 0.5)
-        return weyl_energy(pot.exponent, pot.mass, planck, m)
+            quantum = planck * math.sqrt(2.0 / pot.mass)
+            return lambda m: quantum * (m - 0.5)
+        return lambda m: weyl_energy(pot.exponent, pot.mass, planck, m)
 
     def level_count(self, planck: float, lambda_min: float) -> int:
         """Levels a solve at h takes: the smallest m >= 8 whose law level
@@ -163,8 +170,8 @@ class ModelFamily:
         LEVEL_COUNT_LIMIT plus headroom where no law level below it reaches."""
         target = self.min_potential + LAMBDA_DEPTH / lambda_min
         # the laws increase with m, so bisect for the first one at the target
-        m = 8 + bisect.bisect_left(
-            range(8, LEVEL_COUNT_LIMIT), target, key=lambda k: self.level_energy(k, planck))
+        m = 8 + bisect.bisect_left(range(8, LEVEL_COUNT_LIMIT), target,
+                                   key=self._level_law(planck))
         return m + self._headroom(m)
 
     def count_depth(self, count: int, planck: float) -> float:
@@ -201,36 +208,33 @@ class ModelFamily:
             return self._provision(planck, lambda_min)
         return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
 
-    def sweep(self, betas, hs, read) -> list:
-        """read(spectrum, beta, h) at every (beta, h), h outer, or {"beta", "h",
-        "error"} where the point's solve, fetch or read raised NUMERICAL_ERRORS.
-        A scaling family's base is solved first (`levels`); each h is fetched
-        once, at the grid's lambda_min (`fetch`), and its points are read in
-        turn off it."""
-        levels = self.levels(betas, hs)
-        out = []
-        for h in map(float, hs):
-            spec = self.fetch(levels, h)
-            for beta in map(float, betas):
-                value = spec if isinstance(spec, Exception) else attempt(read, spec, beta, h)
-                out.append({"beta": beta, "h": h, "error": str(value)}
-                           if isinstance(value, Exception) else value)
-        return out
+    def sweep(self, lambda_min: float, sets) -> list[list]:
+        """Each (betas, hs, read) set's read(ThermoPoint) at its every (beta,
+        h), h outer, or {"beta", "h", "error"} where the point's solve, fetch
+        or read raised NUMERICAL_ERRORS (`attempt`).
 
-    def levels(self, betas, hs) -> tuple:
-        """(lambda_min, base) of a sweep of the (beta, h) grid: a scaling
-        family's base, solved now at the grid's depth, or the error of a
-        solve that raised NUMERICAL_ERRORS; None for a tabulated well, whose
-        h are solved as they are fetched."""
-        lam = self.lambda_min(betas, hs)
-        tabulated = self.potential.kind is PotentialKind.TABULATED
-        return lam, None if tabulated else attempt(self.base_spectrum, lam)
-
-    def fetch(self, levels: tuple, planck: float):
-        """The spectrum at h at the depth of levels(...), or the error of its
-        base, solve or rescale in its place."""
-        lam, base = levels
-        return base if isinstance(base, Exception) else attempt(self.spectrum, planck, lam)
+        Every level is provisioned at lambda_min: a scaling family's base is
+        solved first, then each h that a set lists is fetched once, in the
+        order the sets first list it. Each (beta, h) is one ThermoPoint, read
+        by the sets that list it in the order given."""
+        plan: dict = {}  # h -> beta -> {set: what it read at (beta, h)}
+        for k, (betas, hs, _) in enumerate(sets):
+            for h in map(float, hs):
+                for beta in map(float, betas):
+                    plan.setdefault(h, {}).setdefault(beta, {})[k] = None
+        base = None if self.potential.kind is PotentialKind.TABULATED \
+            else attempt(self.base_spectrum, lambda_min)
+        for h, at_h in plan.items():
+            spec = base if isinstance(base, Exception) else attempt(self.spectrum, h, lambda_min)
+            for beta, read in at_h.items():
+                point = spec if isinstance(spec, Exception) \
+                    else ThermoPoint(self.potential, spec, beta)
+                for k in read:
+                    value = point if isinstance(point, Exception) else attempt(sets[k][2], point)
+                    read[k] = ({"beta": beta, "h": h, "error": str(value)}
+                               if isinstance(value, Exception) else value)
+        return [[plan[h][beta][k] for h in map(float, hs) for beta in map(float, betas)]
+                for k, (betas, hs, _) in enumerate(sets)]
 
     def _provision(self, planck: float, lambda_min: float) -> Spectrum:
         """The memo entry at h if its top level reaches min V + 0.999

@@ -27,19 +27,18 @@ row prints, where every comparison of the quantum side with the classical
 one, and its error bound, is formed once.
 Each check is declared in three parts: the points it reads (its grid), its
 reader of a point, and its ruling over what was read. A check called alone
-reads its points in one sweep (_sweep) off the levels ModelFamily.levels
-solves at its depth; run_claims solves each claim's levels in turn, and
-claims next to each other that ask for the same depth read the same levels
-and share one sweep, in which each point they list is one ThermoPoint, read
-by each of them in turn. Every point is read off its own levels alone
-(P4_1's neighbours h s by the scaling law; T3_1's one point is (tau, h), and
-its integrand reads each gamma off that point's levels): a point whose
-solve, fetch or read failed reads NaN, is listed in notes["failed_points"] of each report of
-each claim that lists it, and keeps them from Holds. A verdict of Holds
-requires every margin to clear the combined numerical error bound at its
-own grid point; margins inside the error band downgrade to Inconclusive
-rather than passing on noise. Checks never use the same code path for both
-sides of an identity.
+reads its points in one ModelFamily.sweep at its depth (_sweep); run_claims
+sweeps each claim's depth in turn, and claims next to each other that ask
+for the same depth share one sweep, in which each point they list is one
+ThermoPoint, read by each of them in turn. Every point is read off its own
+levels alone (P4_1's neighbours h s by the scaling law; T3_1's one point is
+(tau, h), and its integrand reads each gamma off that point's levels): a
+point whose solve, fetch or read failed reads NaN, is listed in
+notes["failed_points"] of each report of each claim that lists it, and
+keeps them from Holds. A verdict of Holds requires every margin to clear
+the combined numerical error bound at its own grid point; margins inside
+the error band downgrade to Inconclusive rather than passing on noise.
+Checks never use the same code path for both sides of an identity.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import math
 import numpy as np
 
 from .ensemble import ThermoPoint, log_z_quantum, mean_energy_classical, mean_energy_quantum
-from .models import ModelFamily, attempt
+from .models import ModelFamily
 from .potential import PotentialKind
 from .util import halving_grid, json_text, log_grid
 
@@ -191,53 +190,33 @@ def _claim(body):
     """A claim check from its body, a generator that yields the _Points it
     reads, is sent the rows read there (NaN at a failed point) and the
     failed points' records, and returns its reports. The check reads its
-    points alone, off levels solved at its own depth; run_claims reads them
-    with its neighbours' (_sweep)."""
+    points alone, at its own depth; run_claims reads them with its
+    neighbours' (_sweep)."""
 
     @functools.wraps(body)
     def check(family: ModelFamily, *args, **kwargs):
         claim = body(family, *args, **kwargs)
         points = next(claim)
-        return _sweep(family, family.levels(points.betas, points.hs), [(claim, points)])[0]
+        return _sweep(family, family.lambda_min(points.betas, points.hs), [(claim, points)])[0]
 
     return check
 
 
-def _sweep(family: ModelFamily, levels, claims) -> list:
-    """What each (claim, points) returns, its points all read in one sweep
-    off `levels` (ModelFamily.levels, at the depth of every claim).
+def _sweep(family: ModelFamily, lambda_min: float, claims) -> list:
+    """What each (claim, points) returns, its points all read in one
+    ModelFamily.sweep at lambda_min, the depth of every claim.
 
-    Each (beta, h) that some claim lists is one ThermoPoint, h outer, each h
-    fetched once. The claims that list a point read it one after another,
-    those whose readers detour off it last, so that the thread's last pass
-    serves the rest, and it is then dropped. A failed fetch or read fails
-    the point in each claim it serves."""
-    # h -> beta -> {claim: what it read at (beta, h), or the error text}, the
-    # claims that list the point in reading order
-    plan: dict = {}
-    for k in sorted(range(len(claims)), key=lambda k: claims[k][1].detours):
-        for h in map(float, claims[k][1].hs):
-            for beta in map(float, claims[k][1].betas):
-                plan.setdefault(h, {}).setdefault(beta, {})[k] = None
-    for h, at_h in plan.items():
-        spec = family.fetch(levels, h)
-        for beta, read in at_h.items():
-            point = spec if isinstance(spec, Exception) \
-                else ThermoPoint(family.potential, spec, beta)
-            for k in read:
-                value = point if isinstance(point, Exception) \
-                    else attempt(claims[k][1].read, point)
-                read[k] = str(value) if isinstance(value, Exception) else value
+    The claims that list a point read it one after another, those whose
+    readers detour off it last, so that the thread's last pass serves the
+    rest. A point whose fetch or read failed reads NaN in each claim it
+    serves and is listed among that claim's failed points."""
+    order = sorted(range(len(claims)), key=lambda k: claims[k][1].detours)
+    values = dict(zip(order, family.sweep(
+        lambda_min, [(claims[k][1].betas, claims[k][1].hs, claims[k][1].read) for k in order])))
     outs = []
     for k, (claim, points) in enumerate(claims):
-        table, failed = [], []
-        for h in map(float, points.hs):
-            for beta in map(float, points.betas):
-                value = plan[h][beta][k]
-                if isinstance(value, str):
-                    failed.append({"beta": beta, "h": h, "error": value})
-                    value = (math.nan,) * points.width
-                table.append(value)
+        failed = [v for v in values[k] if isinstance(v, dict)]
+        table = [(math.nan,) * points.width if isinstance(v, dict) else v for v in values[k]]
         try:
             claim.send((np.array(table, dtype=float).reshape(len(table), points.width), failed))
         except StopIteration as ruled:
@@ -603,13 +582,14 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
     claims = [_BODIES[key](family, betas, hs) for key in keys]
     points = [next(claim) for claim in claims]  # what each reads, before any solve
     outs: list = []
-    run: list = []  # the (claim, points) that read `levels`
+    run: list = []  # the (claim, points) read at depth `lam`
+    lam = math.nan
     for claim, at in zip(claims, points):
-        if run and family.lambda_min(at.betas, at.hs) != levels[0]:
-            outs += _sweep(family, levels, run)
+        depth = family.lambda_min(at.betas, at.hs)
+        if run and depth != lam:
+            outs += _sweep(family, lam, run)
             run = []
-        if not run:
-            levels = family.levels(at.betas, at.hs)
+        lam = depth
         run.append((claim, at))
-    outs += _sweep(family, levels, run)
+    outs += _sweep(family, lam, run)
     return [r for out in outs for r in ([out] if isinstance(out, VerificationReport) else out)]

@@ -640,6 +640,25 @@ def test_tail_threshold_is_not_an_option(tmp_path, capsys):
     assert "unknown config key: 'tail_rtol'" in err
 
 
+@pytest.mark.parametrize("command, key, text, error", [
+    ("spectrum", "count", "x", "invalid literal for int() with base 10: 'x'"),
+    ("table", "nu", "y", "could not convert string to float: 'y'"),
+    ("table", "beta", "1:2:3:4", "grid range must be lo:hi[:per_decade], got '1:2:3:4'"),
+], ids=["int", "float", "grid"])
+@pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "key"])
+def test_a_parse_error_names_its_setting(command, key, text, error, as_flag, tmp_path, capsys):
+    # a flag's text is named by the flag, a config line's by its key
+    if as_flag:
+        argv, where = [command, SETTINGS[key].flags[0], text], SETTINGS[key].flags[0]
+    else:
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        argv, where = [command, "--config", str(cfg_file)], f"config key {key!r}"
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {where}: {error}\n"
+
+
 @pytest.mark.parametrize("max_levels", ["0", "7"])
 def test_max_levels_below_the_floor_exits_2(max_levels, capsys):
     code, out, err = run(["table", "--model", "box", "--max-levels", max_levels], capsys)
@@ -822,11 +841,18 @@ def test_help_after_a_flag_the_reader_would_refuse(argv, capsys):
 
 
 def test_an_empty_levels_file_name_is_given(capsys):
-    # an empty path is a given path: it is read, and is no file
+    # an empty path is a given path, refused as naming no file
     assert read_argv("game", ["--levels-file", ""]) == {"levels_file": ""}
     code, out, err = run(["game", "--levels-file", ""], capsys)
     assert (code, out) == (EXIT_USAGE, "")
-    assert err.startswith("error: ") and "'.'" in err
+    assert err == "error: --levels-file: an empty path names no file\n"
+
+
+def test_an_empty_config_name_is_refused(capsys):
+    # the same rule as --levels-file: not read as "no config file"
+    code, out, err = run(["table", "--config", ""], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --config: an empty path names no file\n"
 
 
 def test_verify_needs_its_claims(capsys):
@@ -1231,7 +1257,8 @@ def test_a_failed_base_is_solved_once_and_fails_every_row(monkeypatch, capsys):
 
 def test_table_fetches_each_h_once(monkeypatch, capsys):
     # a 3-beta x 2-h oscillator table rescales the base once an h, not once
-    # a row, and its bytes are those of rows that each fetch their own h
+    # a row, and its bytes are those of rows that each fetch their own h;
+    # three claims over the same grid share one sweep, which does the same
     fetches, rescales = [], []
     fetch, rescale = models_mod.ModelFamily.spectrum, models_mod.rescale
     monkeypatch.setattr(models_mod.ModelFamily, "spectrum",
@@ -1239,14 +1266,19 @@ def test_table_fetches_each_h_once(monkeypatch, capsys):
     monkeypatch.setattr(models_mod, "rescale",
                         lambda *args: rescales.append(args) or rescale(*args))
     betas, hs = (0.5, 1.0, 2.0), (0.5, 1.0)
-    code, out, _ = run(["table", "--model", "homogeneous", "--nu", "2",
-                        "--beta", "0.5,1,2", "--h", "0.5,1"], capsys)
+    grid = ["--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2", "--h", "0.5,1"]
+    code, out, _ = run(["table", *grid], capsys)
     assert code == EXIT_OK
     assert len(fetches) == 2 and len(rescales) == 2
     fam = homogeneous_family(2.0)
     lam = fam.lambda_min(betas, hs)
     rows = [thermo_point(fam.potential, fetch(fam, h, lam), b).row for b in betas for h in hs]
     assert out == thermo_table_text(rows, "csv")
+    fetches.clear()
+    rescales.clear()
+    code, _, _ = run(["verify", "--claims", "c11,c12,t41", *grid], capsys)
+    assert code == EXIT_OK
+    assert [h for h, _ in fetches] == list(hs) and len(rescales) == 2
 
 
 def _no_thread(*args, **kwargs):

@@ -240,9 +240,9 @@ def test_flat_tabulated_segments_keep_their_digits(amplitude):
     xs = np.linspace(-1.0, 1.0, 201)
     pot = tabulated(xs, 1.0 + amplitude * np.sin(7.0 * xs))
     z_ref, mean_v_ref = _mp_tabulated_classical(xs, pot.grid_v, 1.0)
-    z, z_err = ensemble._tabulated_config_integral(pot, 1.0)
+    z, z_err, v_weighted = ensemble._tabulated_sums(pot, 1.0)
     assert abs(mpmath.mpf(z) - z_ref) <= z_err
-    mean_v = ensemble._tabulated_mean_v(pot, 1.0)
+    mean_v = v_weighted / z
     assert abs(mpmath.mpf(mean_v) - mean_v_ref) <= 1e-13 * abs(mean_v_ref)
 
 

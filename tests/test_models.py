@@ -116,3 +116,44 @@ def test_count_depth_round_trips_through_the_count_rule(source):
                 fam.spectrum(planck, fam.count_depth(cap + 1, planck))
             top = int(re.search(r"the cap supports (\d+) levels", str(info.value)).group(1))
             assert provisioned(top) <= cap < provisioned(top + 1), (planck, cap)
+
+
+@pytest.mark.parametrize("make, fetch_error", [
+    (lambda: homogeneous_family(2.0), "no rescale at h=0.5"),
+    (lambda: tabulated_family(OFFSET_WELL), "no solve at h=0.5"),
+], ids=["oscillator", "offset well"])
+def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, monkeypatch):
+    # two overlapping point sets read in one sweep: each is returned what a
+    # sweep of it alone returns, the records of a failed fetch (h = 0.5) and
+    # of a failed read (beta = 4, h = 2) included
+    from qcgibbs.errors import TruncationError
+
+    def failing(real, message):
+        def call(*args):
+            if 0.5 in args[1:2]:
+                raise ResourceError(message)
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(models_mod, "rescale", failing(models_mod.rescale, "no rescale at h=0.5"))
+    monkeypatch.setattr(models_mod.ModelFamily, "_provision",
+                        failing(models_mod.ModelFamily._provision, "no solve at h=0.5"))
+
+    def z(point):
+        if (point.beta, point.planck) == (4.0, 2.0):
+            raise TruncationError("no pass at beta=4, h=2")
+        return point.z
+
+    sets = [([1.0, 2.0], [0.5, 1.0], lambda point: point.e),
+            ([2.0, 4.0], [1.0, 0.5, 2.0], z)]
+    lam = make().lambda_min([1.0, 2.0, 4.0], [0.5, 1.0, 2.0])
+    together = make().sweep(lam, sets)
+    assert together == [make().sweep(lam, [one])[0] for one in sets]
+    failed = [[(c["beta"], c["h"], c["error"]) for c in values if isinstance(c, dict)]
+              for values in together]
+    assert failed == [
+        [(1.0, 0.5, fetch_error), (2.0, 0.5, fetch_error)],
+        [(2.0, 0.5, fetch_error), (4.0, 0.5, fetch_error), (4.0, 2.0, "no pass at beta=4, h=2")],
+    ]
+    assert all(len(values) == len(betas) * len(hs)
+               for values, (betas, hs, _) in zip(together, sets))

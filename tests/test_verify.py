@@ -453,7 +453,8 @@ def test_a_failed_deferred_bar_fails_the_points_that_read_it(double_well_potenti
     monkeypatch.setattr(models_mod, "solve_sine_basis", solve_with_failing_bars)
     fam = tabulated_family(double_well_potential)
     betas, hs = [0.5, 1.0], [0.5, 1.0]
-    rows = fam.sweep(betas, hs, lambda spec, beta, h: thermo_point(fam.potential, spec, beta))
+    [rows] = fam.sweep(fam.lambda_min(betas, hs), [
+        (betas, hs, lambda point: thermo_point(point.potential, point.spectrum, point.beta))])
     assert not any(isinstance(row, dict) for row in rows)
     [rep] = run_claims(fam, ["c11"], betas, hs)
     assert rep.notes["failed_points"] == [
