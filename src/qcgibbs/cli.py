@@ -4,25 +4,18 @@ Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
 optional flat key=value config file (flags win), plus its own COMMAND_FLAGS,
 and refuses any other. One reader, read_argv, takes argv from these tables
 (no argparse), and each flag's text is parsed by its setting's parser, as a
-config value is, and a parse error names the flag or the key; an empty
-path given to --config or --levels-file is refused. Usage, help and usage
-errors are written from the same tables, and an unread flag is refused
-under the subcommand's usage. A run starts at one BLAS thread (the package
-imports numpy so), and only a sine basis past
-spectrum.SINE_BASIS_SERIAL_STATES states raises the count, to every usable CPU.
-A tabulated well's level bars are solved on their first read, which only
-verify makes, so spectrum, table and game solve one eigenproblem per h.
-Relative output paths are resolved against QCGIBBS_OUTDIR when set. `table`
-and `verify` (through verify.run_claims) read their points through
-ModelFamily.sweep, one point after another, each a Boltzmann pass cut at its
-weight floor: a table is one point set, one thermo_point call per row, and
-claims named next to each other that read the same levels share one sweep,
-which reads each point they list once (T3_1's one point is (tau, h)).
-`table` writes through ensemble.thermo_table_text. `spectrum
---count` and `game --minors` fetch to ModelFamily.count_depth. `game` plays
-at the Gibbs state of one (beta, h), on the levels a one-point table row
-reads or on --levels (or --levels-file, read by spectrum.read_levels); it is
-the only command that imports qcgibbs.game, inside cmd_game.
+config value is, and a parse error names the flag or the key; an empty path
+given to --config, --levels-file or --output is refused. Usage, help and
+usage errors are written from the same tables, and an unread flag is
+refused under the subcommand's usage. Relative output paths are resolved
+against QCGIBBS_OUTDIR when set. `table` and `verify` (through
+verify.run_claims) read their points through ModelFamily.sweep: a table is
+one point set, one thermo_point call per row, written through
+ensemble.thermo_table_text. `spectrum` prints and `game` plays the levels
+at one h (ModelFamily.spectrum), as deep as `spectrum --count` and `game
+--minors` ask (ModelFamily.count_depth); `game` plays at the Gibbs state of
+one (beta, h), on those levels or on --levels (or --levels-file, read by
+spectrum.read_levels), and is the only command that imports qcgibbs.game.
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure
 (truncation, quadrature, accuracy, overflow; a failed grid point too), 4 a
 theorem-class claim reported Violated.
@@ -176,19 +169,11 @@ def parse_config(text: str, command: str) -> SimpleNamespace:
     return _settings(_config_texts(text, command), command)
 
 
-def _outdir() -> Path | None:
-    env = os.environ.get("QCGIBBS_OUTDIR")
-    return Path(env) if env else None
-
-
 def _resolve_output(path_str: str | None) -> Path | None:
+    """The output path, a relative one under QCGIBBS_OUTDIR where that is set."""
     if path_str is None:
         return None
-    path = Path(path_str)
-    base = _outdir()
-    if base is not None and not path.is_absolute():
-        return base / path
-    return path
+    return Path(os.environ.get("QCGIBBS_OUTDIR") or ".") / path_str
 
 
 def _build_family(cfg: SimpleNamespace) -> ModelFamily:
@@ -237,8 +222,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
         raise ValueError("spectrum reads one h")
     fam = _build_family(cfg)
     h = cfg.h[0] if cfg.h else 1.0
-    lam = fam.count_depth(cfg.count, h)
-    spec = fam.base_spectrum(lam) if h == 1.0 else fam.spectrum(h, lam)
+    spec = fam.spectrum(h, fam.count_depth(cfg.count, h))
     _write_or_print(spectrum_text(spec, cfg.count), _resolve_output(cfg.output))
     return EXIT_OK
 
@@ -246,8 +230,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
 def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
-    [out] = fam.sweep(fam.lambda_min(betas, hs), [
-        (betas, hs, lambda p: thermo_point(p.potential, p.spectrum, p.beta).row)])
+    [out] = fam.sweep(fam.lambda_min(betas, hs), [(betas, hs, lambda p: thermo_point(p).row)])
     # the sweep runs h outer, the table beta outer
     cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
     failed = [c for c in cells if isinstance(c, dict)]
@@ -458,7 +441,8 @@ def _no_command(argv: list[str]) -> int:
 def _merge_config(command: str, given: dict) -> SimpleNamespace:
     """The run's settings: the flag texts over the config file's keys, each
     parsed by its setting, then checked."""
-    for key in ("config", "levels_file"):  # the empty path names the working directory
+    # the empty path names the working directory
+    for key in ("config", "levels_file", "output"):
         if given.get(key) == "":
             raise ValueError(f"{_flag_table(command)[key].flags[0]}: an empty path names no file")
     texts = _config_texts(Path(given["config"]).read_text(), command) if "config" in given else {}

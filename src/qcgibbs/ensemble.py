@@ -10,9 +10,10 @@ beta (E_n - E_2) = WEIGHT_CUT and adds a bound on the rest to its bars; the
 public functions are thin readers of it, each through the plain-tail gate,
 and each thread keeps its last pass, so a caller that reads several
 quantities at one point makes one pass if it makes those reads one after
-another, with no read at another (spectrum, beta) between them. ThermoPoint, the one record of a
-(beta, h), reads through them, once and on first use, what a table row
-prints and what a claim check compares.
+another, with no read at another (spectrum, beta) between them.
+ThermoPoint, the one record of a (beta, h), reads through them, once and on
+first use, what a table row prints and what a claim check compares: off a
+scaling family's base at lambda = beta h^a, with E_q and its bar times h^a.
 Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
@@ -94,8 +95,7 @@ class BoltzmannPass:
     def __init__(self, spectrum: Spectrum, beta: float):
         if beta <= 0.0:
             raise ValueError("beta must be positive")
-        self.spectrum = spectrum
-        self.beta = beta
+        self.spectrum, self.beta = spectrum, beta
         levels = spectrum.levels
         self.e0 = levels[0]
         try:
@@ -502,6 +502,9 @@ class ThermoPoint:
     """One model at one (beta, h): what a table row prints and what every
     claim check rules on.
 
+    Its levels hold at h up to a factor, E_n(h) = scale E_n (a scaling
+    family's base with scale = h^a, or a solve at h with scale = 1), so each
+    quantum quantity is read at lam = beta scale, E_q and its bar times scale.
     Each value is read on first use through the public readers above (a
     method body does not see the class namespace, so a property named after
     a reader calls the reader), and a reader's gate raises at the first read
@@ -510,18 +513,27 @@ class ThermoPoint:
     before the classical one and the error terms last.
     """
 
-    def __init__(self, potential: Potential, spectrum: Spectrum, beta: float):
+    def __init__(self, potential: Potential, spectrum: Spectrum, beta: float, planck: float,
+                 scale: float):
         self.potential, self.spectrum, self.beta = potential, spectrum, beta
-        self.planck = spectrum.planck
+        self.planck, self.scale, self.lam = planck, scale, beta * scale
         self.dimension = potential.dimension
+
+    def _quantum(self, reader):
+        """reader(spectrum, lam), an overflow of its pass named at the point's beta."""
+        try:
+            return reader(self.spectrum, self.lam)
+        except FloatingPointError:
+            raise FloatingPointError(
+                f"beta E_n leaves the double range at beta={self.beta:g}") from None
 
     @_cached
     def log_z_quantum(self) -> float:
-        return log_z_quantum(self.spectrum, self.beta)[0]
+        return self._quantum(log_z_quantum)[0]
 
     @_cached
     def z_quantum(self) -> float:
-        return z_quantum(self.spectrum, self.beta)[0]
+        return self._quantum(z_quantum)[0]
 
     @_cached
     def log_zq_scaled(self) -> float:
@@ -535,15 +547,15 @@ class ThermoPoint:
 
     @_cached
     def e_quantum(self) -> float:
-        return mean_energy_quantum(self.spectrum, self.beta)
+        return self.scale * self._quantum(mean_energy_quantum)
 
     @_cached
     def e_quantum_error(self) -> float:
-        return mean_energy_quantum_error(self.spectrum, self.beta)
+        return self.scale * self._quantum(mean_energy_quantum_error)
 
     @_cached
     def s_quantum(self) -> float:
-        return entropy_quantum(self.spectrum, self.beta)
+        return self._quantum(entropy_quantum)
 
     @_cached
     def zc(self) -> tuple[float, float]:
@@ -569,7 +581,7 @@ class ThermoPoint:
         zq = self.z_quantum
         zc, zc_err = self.zc
         scale = (2.0 * math.pi * self.planck) ** self.dimension
-        zq_err = z_quantum_error(self.spectrum, self.beta)
+        zq_err = self._quantum(z_quantum_error)
         return zc - scale * zq, scale * zq_err + zc_err + 64.0 * _EPS * zc, zc
 
     @_cached
@@ -583,26 +595,26 @@ class ThermoPoint:
         """S_q - S_c, with S_c as reference."""
         sq, sc = self.s_quantum, self.s_classical
         zc, zc_err = self.zc
-        return sq - sc, entropy_quantum_error(self.spectrum, self.beta) + zc_err / zc, sc
+        return sq - sc, self._quantum(entropy_quantum_error) + zc_err / zc, sc
 
     @_cached
     def log_z(self) -> tuple[float, float]:
         """log Z_q and the relative bound of Z_q."""
         log_zq = self.log_z_quantum
-        return log_zq, z_quantum_error(self.spectrum, self.beta) / math.exp(min(log_zq, 700.0))
+        return log_zq, self._quantum(z_quantum_error) / math.exp(min(log_zq, 700.0))
 
     @_cached
     def log_s(self) -> tuple[float, float]:
         """log S_q, which stays meaningful where ground-state domination pushes
         S_q under the smallest positive float, and its bound: S_q depends on
-        level differences only, so the log-scale uncertainty is beta times the
+        level differences only, so the log-scale uncertainty is lam times the
         leading-gap and Boltzmann-weighted level errors."""
-        value = log_entropy_quantum(self.spectrum, self.beta)
+        value = self._quantum(log_entropy_quantum)
         err = 1e-12 * (1.0 + abs(value))
         errs = self.spectrum.level_errors
         if errs is not None:
-            m = boltzmann_pass(self.spectrum, self.beta)
-            err += self.beta * (float(errs[:2].sum()) + m.bars / m.sw)
+            m = boltzmann_pass(self.spectrum, self.lam)
+            err += self.lam * (float(errs[:2].sum()) + m.bars / m.sw)
         return value, err
 
     @property
@@ -612,26 +624,25 @@ class ThermoPoint:
                 self.e_classical, self.s_quantum, self.s_classical]
 
 
-def thermo_point(potential: Potential, spectrum: Spectrum, beta: float) -> ThermoPoint:
-    """The ThermoPoint of a table row, read in full and checked on the way:
-    the plain-tail gate, the double range, E_q, S_q, Z_c and E_c, then the
+def thermo_point(point: ThermoPoint) -> ThermoPoint:
+    """The point of a table row, read in full and checked in place: the
+    plain-tail gate, the double range, E_q, S_q, Z_c and E_c, then the
     entropy identity.
 
     Raises FloatingPointError when Z_q or (2 pi h)^N Z_q lies outside the
     normal double range, where the table would show inf or 0.
     """
-    point = ThermoPoint(potential, spectrum, beta)
     log_zq, log_scaled = point.log_z_quantum, point.log_zq_scaled
     lo, hi = _LOG_RANGE
     if not (lo < log_zq < hi and lo < log_scaled < hi):
         raise FloatingPointError(
             f"log((2 pi h)^N Z_q) = {log_scaled:.6g} (log Z_q = {log_zq:.6g}) at "
-            f"beta={beta:g}, h={spectrum.planck:g} leaves the double range "
+            f"beta={point.beta:g}, h={point.planck:g} leaves the double range "
             f"({lo:.6g}, {hi:.6g})"
         )
     eq, sq, _, _ = point.e_quantum, point.s_quantum, point.zc, point.e_classical
     # S_q once more from the unshifted E_q and log Z_q, as tabulated
-    sq_identity = beta * eq + log_zq
+    sq_identity = point.beta * eq + log_zq
     if abs(sq - sq_identity) > 1e-10 * max(1.0, abs(sq_identity)):
         raise AccuracyError("entropy identity")
     return point

@@ -6,17 +6,19 @@ sweep (min V is 0 except for tabulated wells). One memo maps h to the
 deepest spectrum solved there, under one lock per h for callers on threads;
 a shallower request gets the stored solve, a deeper one replaces it. With
 the exact scaling law phi(h) = h^a (a = 2 for box wells, a = 2 nu/(2+nu)
-for radial power laws) the entry at h = 1 is the base that every h
-rescales; tabulated wells have none and are solved at each h.
+for radial power laws) the entry at h = 1 is the base that every h reads:
+the levels enter only through lambda = beta phi(h), and energies carry a
+factor phi(h). Tabulated wells have none and are solved at each h.
 `ModelFamily.sweep` is the one loop through which every command reads grid
 points: given a depth and the point sets of a table or of claim checks, it
-solves a scaling family's base at that depth first, fetches each h once,
-reads each (beta, h) as one ensemble.ThermoPoint, in turn by every set that
-lists it, and fails exactly the points that a failed solve, fetch or read
-serves (`attempt`). The potential alone picks the solver: closed forms
-for the box, the oscillator (nu = 2) and the wedge (nu = 1), an oscillator
-basis for the other even integer nu, the box's sine basis for tabulated
-wells, and finite differences for odd and non-integer nu. One level law
+solves a scaling family's base at that depth first, takes each h's levels
+and factor once (`levels_at`), reads each (beta, h) as one
+ensemble.ThermoPoint, in turn by every set that lists it, and fails exactly
+the points that a failed solve, step to h or read serves (`attempt`). The
+potential alone picks the solver: closed forms for the box, the oscillator
+(nu = 2) and the wedge (nu = 1), an oscillator basis for the other even
+integer nu, the box's sine basis for tabulated wells, and finite
+differences for odd and non-integer nu. One level law
 per source (`level_energy`) and one count rule (`level_count`) size every
 solve, and `count_depth` names the depth at which they give a count.
 """
@@ -41,6 +43,7 @@ from .potential import (
 from .spectrum import (
     SINE_BASIS_MAX_STATES,
     Spectrum,
+    level_scale,
     oscillator_spectrum,
     rescale,
     sine_basis_level_cap,
@@ -84,8 +87,8 @@ class ModelFamily:
 
     def __init__(self, potential: Potential, label: str, level_cap: int = LEVEL_CAP) -> None:
         self.potential, self.label, self.level_cap = potential, label, level_cap
-        # h -> the deepest spectrum solved there; at h = 1 the base that a
-        # scaling family rescales
+        # h -> the deepest spectrum solved there; at h = 1 the base that
+        # every h of a scaling family reads
         self._memo: dict[float, Spectrum] = {}
         self._locks: dict[float, threading.Lock] = {}
 
@@ -98,25 +101,21 @@ class ModelFamily:
             return scaling_exponents(self.potential.exponent).energy
         raise ValueError("tabulated potentials have no exact h-scaling law")
 
-    def phi(self, planck: float) -> float:
-        """The level-scaling factor phi(h) = h^a."""
-        return planck**self.energy_exponent
+    def phi(self, planck: float, base: Spectrum | None = None) -> float:
+        """The level-scaling factor phi(h) = h^a, checked by level_scale."""
+        return level_scale(planck, self.energy_exponent, base)
 
     def lambda_min(self, betas, plancks) -> float:
-        """Smallest beta * phi(h) over a sweep; the smallest beta for tabulated
-        wells, whose levels are solved at each h rather than rescaled."""
+        """Smallest beta * phi(h) over a sweep (the smallest double, which no
+        cap supports, where it underflows); min beta for tabulated wells."""
         if self.potential.kind is PotentialKind.TABULATED:
             return float(min(betas))
-        return float(min(betas)) * self.phi(float(min(plancks)))
+        return max(float(min(betas)) * self.phi(float(min(plancks))), math.ulp(0.0))
 
     def descriptor(self) -> dict:
         pot = self.potential
-        desc: dict = {
-            "kind": pot.kind.value,
-            "dimension": pot.dimension,
-            "mass": pot.mass,
-            "label": self.label,
-        }
+        desc: dict = {"kind": pot.kind.value, "dimension": pot.dimension, "mass": pot.mass,
+                      "label": self.label}
         if pot.kind is PotentialKind.BOX:
             desc["lengths"] = list(pot.lengths)
         elif pot.kind is PotentialKind.HOMOGENEOUS:
@@ -201,22 +200,29 @@ class ModelFamily:
         """Base levels at h = 1 deep enough that lambda_min * E_M >= LAMBDA_DEPTH."""
         return self._provision(1.0, lambda_min)
 
-    def spectrum(self, planck: float, lambda_min: float) -> Spectrum:
-        """Levels at a given h: rescaled from the base where the exact scaling
-        law applies, solved at h for tabulated wells."""
+    def levels_at(self, planck: float, lambda_min: float) -> tuple[Spectrum, float]:
+        """(levels, scale) that a point at h reads, E_n(h) = scale E_n: the
+        base and phi(h) for a scaling family, the solve at h and 1 otherwise."""
         if self.potential.kind is PotentialKind.TABULATED:
-            return self._provision(planck, lambda_min)
-        return rescale(self.base_spectrum(lambda_min), planck, self.energy_exponent)
+            return self._provision(planck, lambda_min), 1.0
+        base = self.base_spectrum(lambda_min)
+        return base, self.phi(planck, base)
+
+    def spectrum(self, planck: float, lambda_min: float) -> Spectrum:
+        """The levels at h that spectrum prints and game plays: levels_at's,
+        rescaled to h where they hold at h = 1 only."""
+        spec, _ = self.levels_at(planck, lambda_min)
+        return spec if spec.planck == planck else rescale(spec, planck, self.energy_exponent)
 
     def sweep(self, lambda_min: float, sets) -> list[list]:
         """Each (betas, hs, read) set's read(ThermoPoint) at its every (beta,
-        h), h outer, or {"beta", "h", "error"} where the point's solve, fetch
-        or read raised NUMERICAL_ERRORS (`attempt`).
+        h), h outer, or {"beta", "h", "error"} where the point's solve, step
+        to h or read raised NUMERICAL_ERRORS (`attempt`).
 
         Every level is provisioned at lambda_min: a scaling family's base is
-        solved first, then each h that a set lists is fetched once, in the
-        order the sets first list it. Each (beta, h) is one ThermoPoint, read
-        by the sets that list it in the order given."""
+        solved first, then each h that a set lists steps to its levels_at
+        once, in the order the sets first list it. Each (beta, h) is one
+        ThermoPoint, read by the sets that list it in the order given."""
         plan: dict = {}  # h -> beta -> {set: what it read at (beta, h)}
         for k, (betas, hs, _) in enumerate(sets):
             for h in map(float, hs):
@@ -225,10 +231,10 @@ class ModelFamily:
         base = None if self.potential.kind is PotentialKind.TABULATED \
             else attempt(self.base_spectrum, lambda_min)
         for h, at_h in plan.items():
-            spec = base if isinstance(base, Exception) else attempt(self.spectrum, h, lambda_min)
+            got = base if isinstance(base, Exception) else attempt(self.levels_at, h, lambda_min)
             for beta, read in at_h.items():
-                point = spec if isinstance(spec, Exception) \
-                    else ThermoPoint(self.potential, spec, beta)
+                point = got if isinstance(got, Exception) \
+                    else ThermoPoint(self.potential, got[0], beta, h, got[1])
                 for k in read:
                     value = point if isinstance(point, Exception) else attempt(sets[k][2], point)
                     read[k] = ({"beta": beta, "h": h, "error": str(value)}
@@ -318,7 +324,7 @@ class ModelFamily:
 
 def attempt(fn, *args):
     """fn(*args), or the error in NUMERICAL_ERRORS it raised: the value of a
-    failed solve, fetch or read."""
+    failed solve, step to h or read."""
     try:
         return fn(*args)
     except NUMERICAL_ERRORS as exc:

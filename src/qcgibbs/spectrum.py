@@ -21,8 +21,9 @@ the grids of finite differences are independent LAPACK calls, solved side by
 side on the usable CPUs; the dense sine basis runs on one BLAS thread up to
 SINE_BASIS_SERIAL_STATES and on every usable CPU above it. A power-law growth
 model E_n ~ C n^gamma fitted to the top quartile of the computed levels bounds
-the Boltzmann tail left out by truncation, and the exact scaling law
-E_n(h) = h^a E_n(1) transports a base spectrum across Planck parameters.
+the Boltzmann tail left out by truncation. Under the exact scaling law
+E_n(h) = h^a E_n(1) a base spectrum holds at every h; rescale copies it to
+one h, for the commands that print or play levels there.
 """
 
 from __future__ import annotations
@@ -700,33 +701,39 @@ def _sine_basis_bars(c: np.ndarray, c2: np.ndarray, kin: float, gap: float,
 # rescaling and tails
 
 
+def level_scale(planck: float, exponent: float, base: Spectrum | None = None) -> float:
+    """h^a, the factor that takes E_n(1) to E_n(h); FloatingPointError where
+    it overflows, or takes a level or bar of `base` past the double range."""
+    errs = None if base is None else base.level_errors
+    top = 1.0 if base is None else float(max(base.levels[-1], 0.0 if errs is None else errs.max()))
+    try:
+        factor = planck**exponent
+    except OverflowError:
+        factor = math.inf
+    if factor * top < math.inf:
+        return factor
+    raise FloatingPointError(
+        f"levels at h={planck:g} overflow: h^{exponent:g} E_n(1) leaves the double range")
+
+
 def rescale(base: Spectrum, planck: float, exponent: float) -> Spectrum:
-    """Transport a base spectrum at h = 1 to h = planck via E_n(h) = h^a E_n(1)."""
-    if base.source is SpectrumSource.RESCALED:
-        raise ContractError("rescale requires an unrescaled base spectrum")
-    if base.planck != 1.0:
-        raise ContractError("rescale requires the base spectrum at h = 1")
+    """Transport a base spectrum at h = 1 to h = planck via E_n(h) = h^a E_n(1):
+    FloatingPointError where a level or bar overflows (level_scale) or E_1
+    falls below the normal double range."""
+    if base.source is SpectrumSource.RESCALED or base.planck != 1.0:
+        raise ContractError("rescale requires an unrescaled base spectrum at h = 1")
     if planck <= 0.0:
         raise ValueError("planck must be positive")
     if exponent <= 0.0:
         raise ValueError("scaling exponent must be positive")
-    try:
-        factor = planck**exponent
-        with np.errstate(over="raise"):  # raise rather than leave inf levels
-            levels = base.levels * factor
-            errs = None if base.level_errors is None else base.level_errors * factor
-    except ArithmeticError as exc:
+    factor = level_scale(planck, exponent, base)
+    levels = base.levels * factor
+    if levels[0] < np.finfo(float).tiny:
         raise FloatingPointError(
-            f"levels at h={planck:g} overflow: h^{exponent:g} E_n(1) leaves the double range"
-        ) from exc
-    tail = None
-    if base.tail_model is not None:
-        gamma, pref = base.tail_model
-        tail = (gamma, pref * factor)
-    return Spectrum(
-        levels, planck, SpectrumSource.RESCALED,
-        level_errors=errs, tail_model=tail,
-    )
+            f"levels at h={planck:g} underflow: h^{exponent:g} E_n(1) leaves the double range")
+    errs = None if base.level_errors is None else base.level_errors * factor
+    tail = None if base.tail_model is None else (base.tail_model[0], base.tail_model[1] * factor)
+    return Spectrum(levels, planck, SpectrumSource.RESCALED, level_errors=errs, tail_model=tail)
 
 
 def log_tail_bound(spectrum: Spectrum, beta: float, power: int = 0) -> float:

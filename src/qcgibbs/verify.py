@@ -31,13 +31,14 @@ reads its points in one ModelFamily.sweep at its depth (_sweep); run_claims
 sweeps each claim's depth in turn, and claims next to each other that ask
 for the same depth share one sweep, in which each point they list is one
 ThermoPoint, read by each of them in turn. Every point is read off its own
-levels alone (P4_1's neighbours h s by the scaling law; T3_1's one point is
-(tau, h), and its integrand reads each gamma off that point's levels): a
-point whose solve, fetch or read failed reads NaN, is listed in
-notes["failed_points"] of each report of each claim that lists it, and
-keeps them from Holds. A verdict of Holds requires every margin to clear
-the combined numerical error bound at its own grid point; margins inside
-the error band downgrade to Inconclusive rather than passing on noise.
+levels alone, at lambda = beta phi(h) off a scaling family's one base
+(P4_1's neighbours h s at lambda s^alpha; T3_1's one point is (tau, h),
+and its integrand reads each gamma at gamma phi(h) off that point's
+levels): a point whose solve, step to h or read failed reads NaN, is
+listed in notes["failed_points"] of each report of each claim that lists
+it, and keeps them from Holds. A verdict of Holds requires every margin to
+clear the combined numerical error bound at its own grid point; margins
+inside the error band downgrade to Inconclusive rather than passing on noise.
 Checks never use the same code path for both sides of an identity.
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -93,15 +95,8 @@ class VerificationReport:
         self.notes = {} if notes is None else notes
 
     def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id.value,
-            "model": self.model,
-            "grid": self.grid,
-            "status": self.status.value,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "notes": self.notes,
-        }
+        """Every field, the claim id and status by value."""
+        return {**vars(self), "claim_id": self.claim_id.value, "status": self.status.value}
 
 
 def reports_to_json(reports) -> str:
@@ -208,8 +203,8 @@ def _sweep(family: ModelFamily, lambda_min: float, claims) -> list:
 
     The claims that list a point read it one after another, those whose
     readers detour off it last, so that the thread's last pass serves the
-    rest. A point whose fetch or read failed reads NaN in each claim it
-    serves and is listed among that claim's failed points."""
+    rest. A point whose solve, step to h or read failed reads NaN in each
+    claim it serves and is listed among that claim's failed points."""
     order = sorted(range(len(claims)), key=lambda k: claims[k][1].detours)
     values = dict(zip(order, family.sweep(
         lambda_min, [(claims[k][1].betas, claims[k][1].hs, claims[k][1].read) for k in order])))
@@ -340,8 +335,9 @@ def check_t31(family: ModelFamily, betas=None, hs=None, tau: float | None = None
     """Quadrature of E_q - E_c over [tau, beta] against the log-ratio difference,
     with beta the largest of betas and the first h (default tau = 1e-3 beta).
 
-    The one point read through the sweep is (tau, h), fetched at tau's depth;
-    the integrand reads each gamma off that point's levels. The two sides run
+    The one point read through the sweep is (tau, h), at tau's depth; the
+    integrand reads each gamma off that point's levels, at gamma phi(h), and
+    so does the top of the integral, (beta, h). The two sides run
     through independent code paths (energy-weighted sums vs partition sums).
     Also asserts the integral is >= -1e-3, its small-tau non-negativity."""
     beta = 1.0 if betas is None else float(np.max(betas))
@@ -359,7 +355,7 @@ def check_t31(family: ModelFamily, betas=None, hs=None, tau: float | None = None
         return math.log(zc) - n_log - log_zq, zc_err / zc + rel_z
 
     def read(point: ThermoPoint) -> tuple[float, ...]:
-        spec = point.spectrum
+        spec, scale = point.spectrum, point.scale
         if tau == beta:
             lhs, quad_err = 0.0, 0.0
         else:
@@ -368,10 +364,12 @@ def check_t31(family: ModelFamily, betas=None, hs=None, tau: float | None = None
             from scipy import integrate
 
             lhs, quad_err = integrate.quad(
-                lambda gamma: mean_energy_quantum(spec, gamma) - mean_energy_classical(pot, gamma),
+                lambda gamma: scale * mean_energy_quantum(spec, gamma * scale)
+                - mean_energy_classical(pot, gamma),
                 tau, beta, epsabs=1e-12, epsrel=1e-9, limit=300,
             )
-        return lhs, quad_err, *log_ratio(ThermoPoint(pot, spec, beta)), *log_ratio(point)
+        top = ThermoPoint(pot, spec, beta, point.planck, scale)
+        return lhs, quad_err, *log_ratio(top), *log_ratio(point)
 
     values, failed = yield _Points(tau, h, read, 6, detours=True)
     lhs, quad_err, top, top_err, bot, bot_err = map(float, values[0])
@@ -436,7 +434,8 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None):
     h^N Z_q decreasing in h; the log-derivative identity
     d log(h^N Z_q)/dh = (N - alpha beta E_q)/h with alpha = 2 nu / (2 + nu);
     and the sign equivalence E_q > E_c  <=>  d/dh (h^N Z_q) < 0. The
-    derivative reads Z_q(beta, h s) = Z_q(beta s^alpha, h) off the point."""
+    derivative reads Z_q(beta, h s) = Z_q(beta s^alpha, h) off the point's
+    levels, at lambda s^alpha."""
     if family.potential.kind is not PotentialKind.HOMOGENEOUS:
         raise ValueError("check_c41_and_props applies to power-law potentials")
     hs = np.sort(_grid(hs, default_c41_hs))
@@ -452,7 +451,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None):
         h = point.planck
         log_zq, rel_z = point.log_z
         eq, e_err, gap = point.e_quantum, point.e_quantum_error, point.e[0]
-        log_g = [n_dim * math.log(h * s) + log_z_quantum(point.spectrum, beta * s**alpha)[0]
+        log_g = [n_dim * math.log(h * s) + log_z_quantum(point.spectrum, point.lam * s**alpha)[0]
                  for s in (1 + delta, 1 - delta, 1 + delta / 2, 1 - delta / 2)]
         d_coarse = (log_g[0] - log_g[1]) / (2 * h * delta)
         d_fine = (log_g[2] - log_g[3]) / (h * delta)
@@ -580,16 +579,8 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
                     f"claim {key} compares neighbouring grid points and needs at "
                     f"least two values of --{axis}, got {np.size(grid)}")
     claims = [_BODIES[key](family, betas, hs) for key in keys]
-    points = [next(claim) for claim in claims]  # what each reads, before any solve
-    outs: list = []
-    run: list = []  # the (claim, points) read at depth `lam`
-    lam = math.nan
-    for claim, at in zip(claims, points):
-        depth = family.lambda_min(at.betas, at.hs)
-        if run and depth != lam:
-            outs += _sweep(family, lam, run)
-            run = []
-        lam = depth
-        run.append((claim, at))
-    outs += _sweep(family, lam, run)
+    # what each reads, before any solve, in runs of claims at one depth
+    read = [(claim, next(claim)) for claim in claims]
+    runs = itertools.groupby(read, key=lambda c: family.lambda_min(c[1].betas, c[1].hs))
+    outs = [out for lam, run in runs for out in _sweep(family, lam, list(run))]
     return [r for out in outs for r in ([out] if isinstance(out, VerificationReport) else out)]

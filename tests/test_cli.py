@@ -28,7 +28,7 @@ from qcgibbs.cli import (
     parse_config,
     read_argv,
 )
-from qcgibbs.ensemble import log_z_quantum, thermo_point, thermo_table_text
+from qcgibbs.ensemble import ThermoPoint, log_z_quantum, thermo_point, thermo_table_text
 from qcgibbs.game import principal_minor_signs
 from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
@@ -232,15 +232,63 @@ def test_table_names_a_count_past_the_search_bound(capsys):
     assert err == f"numerical error: at beta=1e-300, h=1: {why}\n"
 
 
-@pytest.mark.parametrize("h", ["1e153", "1e154", "1e200"])
+@pytest.mark.parametrize("h", ["1e153", "1e154", "1e200", "1e-200"])
 def test_spectrum_overflow_is_a_numerical_error(h, capsys):
-    # h^2 E_n(1) leaves the double range: exit 3, and no numpy warning
+    # h^2 E_n(1) leaves the double range, above or (at 1e-200) below: exit 3,
+    # and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(["spectrum", "--model", "box", "--h", h], capsys)
     assert code == EXIT_NUMERICAL
     assert out == ""
-    assert "overflow" in err
+    assert ("underflow" if float(h) < 1.0 else "overflow") in err
+    if float(h) < 1.0:
+        assert err == ("numerical error: levels at h=1e-200 underflow: h^2 E_n(1) "
+                       "leaves the double range\n")
+
+
+# the count rule's refusal where beta h^2 underflows to 0 (or nearly, at 1e-160)
+_UNDERFLOWED = ("box1: sweep needs at least 2^62 levels, above the cap 2000000; raise the cap "
+                "or shrink the sweep (the cap supports 2000000 levels, beta * phi(h) down to "
+                "about 2.28e-12)")
+
+
+@pytest.mark.parametrize("hs", ["1e-200", "1,1e-200", "1e-160"])
+def test_an_underflowed_lambda_fails_every_point_under_the_cap(hs, capsys):
+    # the sweep's depth reads as the smallest double, which no cap supports:
+    # every point fails with the cap's refusal (exit 3), not a usage error
+    n = len(hs.split(","))
+    code, out, err = run(["table", "--model", "box", "--beta", "1", "--h", hs], capsys)
+    assert code == EXIT_NUMERICAL
+    rows = out.splitlines()[1:]
+    assert len(rows) == n and all(r.endswith(f",error: {_UNDERFLOWED}") for r in rows)
+    assert err == f"numerical error: at beta=1, h={float(hs.split(',')[0]):g}: {_UNDERFLOWED}\n"
+    code, out, err = run(["verify", "--model", "box", "--claims", "c11", "--beta", "1,2",
+                          "--h", hs], capsys)
+    assert code == EXIT_NUMERICAL
+    [failed] = _failed_points(out)
+    assert [f["error"] for f in failed] == [_UNDERFLOWED] * 2 * n
+    if n == 1:
+        code, out, err = run(["game", "--h", hs], capsys)
+        assert (code, out, err) == (EXIT_NUMERICAL, "", f"numerical error: {_UNDERFLOWED}\n")
+
+
+def test_an_overflowing_h_names_itself(capsys):
+    # h^2 overflows at 1e200: alone, the run fails naming h (not Python's
+    # float-pow error); beside h = 1, exactly the points at 1e200 fail so
+    why = "levels at h=1e+200 overflow: h^2 E_n(1) leaves the double range"
+    for argv in (["table", "--beta", "1"], ["verify", "--claims", "c11", "--beta", "1,2"]):
+        code, out, err = run([*argv, "--model", "box", "--h", "1e200"], capsys)
+        assert (code, out, err) == (EXIT_NUMERICAL, "", f"numerical error: {why}\n")
+    code, out, err = run(["table", "--model", "box", "--beta", "1", "--h", "1,1e200"], capsys)
+    assert code == EXIT_NUMERICAL
+    rows = out.splitlines()[1:]
+    assert rows[0].endswith(",ok") and rows[1].endswith(f",error: {why}")
+    assert err == f"numerical error: at beta=1, h=1e+200: {why}\n"
+    code, out, _ = run(["verify", "--model", "box", "--claims", "c11", "--beta", "1,2",
+                        "--h", "1,1e200"], capsys)
+    assert code == EXIT_NUMERICAL
+    assert _failed_points(out) == [[{"beta": b, "h": 1e200, "error": why} for b in (1.0, 2.0)]]
 
 
 def test_table_marks_rows_outside_the_double_range(capsys):
@@ -848,6 +896,21 @@ def test_an_empty_levels_file_name_is_given(capsys):
     assert err == "error: --levels-file: an empty path names no file\n"
 
 
+@pytest.mark.parametrize("command", ["table", "spectrum"])
+@pytest.mark.parametrize("flag", [["-o", ""], ["--output", ""], ["--output="]],
+                         ids=["-o", "--output", "--output="])
+def test_an_empty_output_name_is_refused(command, flag, monkeypatch, capsys):
+    # the rule of --config and --levels-file, before any solve: not read as
+    # the working directory, which only a computed run found it to be
+    def no_solve(*args):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(models_mod.ModelFamily, "_provision", no_solve)
+    code, out, err = run([command, "--model", "box", *flag], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --output: an empty path names no file\n"
+
+
 def test_an_empty_config_name_is_refused(capsys):
     # the same rule as --levels-file: not read as "no config file"
     code, out, err = run(["table", "--config", ""], capsys)
@@ -914,7 +977,7 @@ def test_tabulated_table_solves_each_h_once(double_well, fd_solves, capsys):
     for beta in betas:
         for h in hs:
             spec = tabulated_family(pot).spectrum(h, min(betas))
-            rows.append(thermo_point(pot, spec, beta).row)
+            rows.append(thermo_point(ThermoPoint(pot, spec, beta, h, 1.0)).row)
     assert len(fd_solves) == 2 + len(rows)
     assert out == thermo_table_text(rows, "csv")
 
@@ -1256,29 +1319,36 @@ def test_a_failed_base_is_solved_once_and_fails_every_row(monkeypatch, capsys):
 
 
 def test_table_fetches_each_h_once(monkeypatch, capsys):
-    # a 3-beta x 2-h oscillator table rescales the base once an h, not once
-    # a row, and its bytes are those of rows that each fetch their own h;
-    # three claims over the same grid share one sweep, which does the same
-    fetches, rescales = [], []
-    fetch, rescale = models_mod.ModelFamily.spectrum, models_mod.rescale
-    monkeypatch.setattr(models_mod.ModelFamily, "spectrum",
-                        lambda self, *args: fetches.append(args) or fetch(self, *args))
-    monkeypatch.setattr(models_mod, "rescale",
-                        lambda *args: rescales.append(args) or rescale(*args))
+    # a 3-beta x 2-h table on nu = 2 or 4 takes each h's levels and factor
+    # once and builds one Spectrum, the base, which every row reads at
+    # lambda = beta h^a; its bytes are those of rows that each read their own
+    # point; four claims over the same grid share one sweep, which does the same
+    import qcgibbs.spectrum as spectrum_mod
+
+    built, steps = [], []
+    init, levels_at = spectrum_mod.Spectrum.__init__, models_mod.ModelFamily.levels_at
+    monkeypatch.setattr(spectrum_mod.Spectrum, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    monkeypatch.setattr(models_mod.ModelFamily, "levels_at",
+                        lambda self, *args: steps.append(args) or levels_at(self, *args))
     betas, hs = (0.5, 1.0, 2.0), (0.5, 1.0)
-    grid = ["--model", "homogeneous", "--nu", "2", "--beta", "0.5,1,2", "--h", "0.5,1"]
-    code, out, _ = run(["table", *grid], capsys)
-    assert code == EXIT_OK
-    assert len(fetches) == 2 and len(rescales) == 2
-    fam = homogeneous_family(2.0)
-    lam = fam.lambda_min(betas, hs)
-    rows = [thermo_point(fam.potential, fetch(fam, h, lam), b).row for b in betas for h in hs]
-    assert out == thermo_table_text(rows, "csv")
-    fetches.clear()
-    rescales.clear()
-    code, _, _ = run(["verify", "--claims", "c11,c12,t41", *grid], capsys)
-    assert code == EXIT_OK
-    assert [h for h, _ in fetches] == list(hs) and len(rescales) == 2
+    for nu in (2.0, 4.0):
+        grid = ["--model", "homogeneous", "--nu", f"{nu:g}", "--beta", "0.5,1,2", "--h", "0.5,1"]
+        built.clear()
+        steps.clear()
+        code, out, _ = run(["table", *grid], capsys)
+        assert code == EXIT_OK
+        assert len(built) == 1 and [h for h, _ in steps] == list(hs)
+        fam = homogeneous_family(nu)
+        lam = fam.lambda_min(betas, hs)
+        rows = [thermo_point(ThermoPoint(fam.potential, spec, b, h, scale)).row
+                for b in betas for h in hs for spec, scale in [levels_at(fam, h, lam)]]
+        assert out == thermo_table_text(rows, "csv")
+        built.clear()
+        steps.clear()
+        code, _, _ = run(["verify", "--claims", "c11,c12,t41,c41", *grid], capsys)
+        assert code == EXIT_OK
+        assert [h for h, _ in steps] == list(hs) and len(built) == 1
 
 
 def _no_thread(*args, **kwargs):

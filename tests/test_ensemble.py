@@ -380,7 +380,7 @@ def test_log_entropy_within_its_bar_where_s_is_small(gap):
     # weights' sums; a direct sum -sum P log P rounds to eps absolute, which
     # near r = e^-29 is 2e-5 in log S_q against a bar of 3e-11
     levels = [1.0, 1.0 + gap, 6.0 + gap]
-    value, bar = ensemble.ThermoPoint(box([1.0]), toy(levels), 1.0).log_s
+    value, bar = ensemble.ThermoPoint(box([1.0]), toy(levels), 1.0, 1.0, 1.0).log_s
     with mpmath.workdps(60):
         d = [mpmath.mpf(e) - 1 for e in levels[1:]]
         r = sum(mpmath.exp(-x) for x in d)
@@ -552,7 +552,7 @@ def _check_cut_pass(spec, beta):
     m = ensemble.BoltzmannPass(spec, beta)
     assume(m.log_tail - m.log_z < math.log(ensemble.TAIL_RTOL))
     ref = _full_array_pass(spec, beta)
-    log_s, log_s_err = ensemble.ThermoPoint(box([1.0]), spec, beta).log_s
+    log_s, log_s_err = ensemble.ThermoPoint(box([1.0]), spec, beta, spec.planck, 1.0).log_s
     z_bar = math.exp(min(m.log_tail - m.log_z, 50.0))
     if spec.level_errors is not None:
         z_bar += m.beta * (float((spec.level_errors[:m.w.size] * m.w).sum()) + m.omitted_bar) / m.sw
@@ -611,7 +611,7 @@ def test_cut_pass_on_every_basis(swept, name, beta, h):
 def test_thermo_point_identities():
     pot = box([1.0])
     spec = solve_box(1, [1.0], count=200)
-    pt = thermo_point(pot, spec, 1.0)
+    pt = thermo_point(ensemble.ThermoPoint(pot, spec, 1.0, 1.0, 1.0))
     assert pt.s_quantum == pytest.approx(pt.beta * pt.e_quantum + pt.log_z_quantum, abs=1e-10)
     n_log = math.log(2 * math.pi * pt.planck)
     assert pt.s_classical == pytest.approx(
@@ -636,7 +636,7 @@ def test_a_point_reads_each_classical_quantity_once(monkeypatch):
 
     for name in ("z_classical", "mean_energy_classical"):
         monkeypatch.setattr(ensemble, name, counting(name))
-    pt = ensemble.ThermoPoint(box([1.0]), solve_box(1, [1.0], count=200), 1.0)
+    pt = ensemble.ThermoPoint(box([1.0]), solve_box(1, [1.0], count=200), 1.0, 1.0, 1.0)
     gaps = pt.z[0], pt.e[0], pt.s[0]
     assert sorted(calls) == ["mean_energy_classical", "z_classical"]
     assert gaps[2] == pt.s_quantum - entropy_classical(box([1.0]), 1.0, pt.planck)
@@ -674,7 +674,8 @@ def test_gibbs_maximizes_entropy_under_energy_constraint(rng):
 def test_thermo_table_csv_and_json():
     pot = box([1.0])
     points = [
-        thermo_point(pot, solve_box(1, [1.0], planck=h, count=400), beta)
+        thermo_point(ensemble.ThermoPoint(pot, solve_box(1, [1.0], planck=h, count=400),
+                                          beta, h, 1.0))
         for beta in (0.5, 1.0)
         for h in (0.5, 1.0)
     ]
@@ -752,7 +753,7 @@ def _reference_errors(spec, beta):
 
 def test_thermo_point_equals_single_quantity_readers(pass_spectra):
     for pot, spec, beta in pass_spectra:
-        pt = thermo_point(pot, spec, beta)
+        pt = thermo_point(ensemble.ThermoPoint(pot, spec, beta, spec.planck, 1.0))
         assert pt.log_z_quantum == log_z_quantum(spec, beta)[0]
         assert pt.e_quantum == mean_energy_quantum(spec, beta)
         assert pt.s_quantum == entropy_quantum(spec, beta)
@@ -779,7 +780,7 @@ def test_thermo_point_makes_one_weight_pass(monkeypatch):
     monkeypatch.setattr(ensemble, "BoltzmannPass", CountingPass)
     spec = solve_box(1, [1.0], count=200)
     for beta in (0.7, 1.3):
-        thermo_point(box([1.0]), spec, beta)
+        thermo_point(ensemble.ThermoPoint(box([1.0]), spec, beta, 1.0, 1.0))
         assert boltzmann_pass(spec, beta).p.sum() == pytest.approx(1.0)
     assert built == [0.7, 1.3]
 
@@ -800,7 +801,7 @@ def test_a_table_row_builds_no_probabilities():
     # S_q is read off the cut pass's weights; P_n over every level is only
     # built where it is printed
     spec = solve_box(1, [1.0], count=200)
-    thermo_point(box([1.0]), spec, 0.7)
+    thermo_point(ensemble.ThermoPoint(box([1.0]), spec, 0.7, 1.0, 1.0))
     assert "p" not in vars(boltzmann_pass(spec, 0.7))
 
 
@@ -818,12 +819,44 @@ def test_scaling_law_moves_h_into_beta(name, request):
                                           rel=1e-13)
 
 
+def _read_all(point):
+    """(value, size) of every value and bound a table row or claim check reads
+    off a point, size what its rounding scales with (a gap's reference, else
+    the value itself), or the type of the error the first failed read raised."""
+    try:
+        pairs = [(x, x) for x in point.row]
+        for name in ("z", "e", "s"):
+            gap, bound, reference = getattr(point, name)
+            pairs += [(gap, reference), (bound, bound), (reference, reference)]
+        return pairs + [(x, x) for name in ("log_z", "log_s") for x in getattr(point, name)]
+    except Exception as exc:  # compared by type below
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", ["box1", "oscillator", "quartic", "wedge"])
+@settings(max_examples=25, deadline=None)
+@given(beta=st.floats(1e-2, 10.0), h=st.floats(0.25, 4.0))
+def test_a_point_off_the_base_equals_a_point_on_the_rescaled_levels(
+        name, beta, h, box1, oscillator, quartic, wedge):
+    # E_n(h) = h^a E_n(1): read at lambda = beta h^a off the base, with E_q
+    # and its bar times h^a, a point is the point on rescale(base, h, a) at
+    # beta, to rounding, over the default grids' range
+    fam = {"box1": box1, "oscillator": oscillator, "quartic": quartic, "wedge": wedge}[name]
+    base = fam.base_spectrum(fam.lambda_min([1e-2], [0.25]))
+    a = fam.energy_exponent
+    scaled = _read_all(ensemble.ThermoPoint(fam.potential, base, beta, h, fam.phi(h, base)))
+    moved = _read_all(ensemble.ThermoPoint(fam.potential, rescale(base, h, a), beta, h, 1.0))
+    assert isinstance(scaled, list) and isinstance(moved, list), (scaled, moved)
+    for (x, _), (y, size) in zip(scaled, moved):
+        assert abs(x - y) <= 1e-12 * max(1.0, abs(size)), (x, y, size)
+
+
 def test_gate_precedence_per_reader():
     # both tails fail here: thermo_point and Z_q report the plain tail first,
     # E_q the energy-weighted one
     spec = solve_box(1, [1.0], count=16)
     with pytest.raises(TruncationError, match="^Boltzmann tail/sum"):
-        thermo_point(box([1.0]), spec, 1e-4)
+        thermo_point(ensemble.ThermoPoint(box([1.0]), spec, 1e-4, 1.0, 1.0))
     with pytest.raises(TruncationError, match="^Boltzmann tail/sum"):
         z_quantum(spec, 1e-4)
     with pytest.raises(TruncationError, match="^energy-weighted tail"):

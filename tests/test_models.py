@@ -119,7 +119,7 @@ def test_count_depth_round_trips_through_the_count_rule(source):
 
 
 @pytest.mark.parametrize("make, fetch_error", [
-    (lambda: homogeneous_family(2.0), "no rescale at h=0.5"),
+    (lambda: homogeneous_family(2.0), "no scale at h=0.5"),
     (lambda: tabulated_family(OFFSET_WELL), "no solve at h=0.5"),
 ], ids=["oscillator", "offset well"])
 def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, monkeypatch):
@@ -135,7 +135,10 @@ def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, 
             return real(*args)
         return call
 
-    monkeypatch.setattr(models_mod, "rescale", failing(models_mod.rescale, "no rescale at h=0.5"))
+    # the depth first: lambda_min reads phi at the smallest h, 0.5
+    lam = make().lambda_min([1.0, 2.0, 4.0], [0.5, 1.0, 2.0])
+    monkeypatch.setattr(models_mod.ModelFamily, "phi",
+                        failing(models_mod.ModelFamily.phi, "no scale at h=0.5"))
     monkeypatch.setattr(models_mod.ModelFamily, "_provision",
                         failing(models_mod.ModelFamily._provision, "no solve at h=0.5"))
 
@@ -146,7 +149,6 @@ def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, 
 
     sets = [([1.0, 2.0], [0.5, 1.0], lambda point: point.e),
             ([2.0, 4.0], [1.0, 0.5, 2.0], z)]
-    lam = make().lambda_min([1.0, 2.0, 4.0], [0.5, 1.0, 2.0])
     together = make().sweep(lam, sets)
     assert together == [make().sweep(lam, [one])[0] for one in sets]
     failed = [[(c["beta"], c["h"], c["error"]) for c in values if isinstance(c, dict)]

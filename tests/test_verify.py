@@ -62,14 +62,11 @@ def test_c11_downgrades_on_fat_error_bars(box1):
     from qcgibbs.spectrum import Spectrum, SpectrumSource, solve_box
 
     class Noisy(ModelFamily):
-        def spectrum(self, planck, lambda_min):
+        def base_spectrum(self, lambda_min):
             spec = solve_box(1, self.potential.lengths, 1.0, 1.0, 400)
             errs = np.full(spec.count, 100.0)
-            noisy = Spectrum(spec.levels, 1.0, SpectrumSource.ANALYTIC_BOX,
-                             level_errors=errs)
-            from qcgibbs.spectrum import rescale
-
-            return rescale(noisy, planck, 2.0)
+            return Spectrum(spec.levels, 1.0, SpectrumSource.ANALYTIC_BOX,
+                            level_errors=errs)
 
     fam = Noisy(box1.potential, "noisy_box")
     rep = check_c11(fam, np.array([1.0]), np.array([1.0]))
@@ -262,20 +259,23 @@ def test_c41_rejects_box(box1):
 
 def test_c41_reads_only_its_own_points(monkeypatch):
     # P4_1's neighbours h s come off each point's levels by the scaling law:
-    # one spectrum per swept h, none off the grid
+    # one step to each swept h, none off the grid, and one Spectrum, the base
     import qcgibbs.models as models_mod
+    import qcgibbs.spectrum as spectrum_mod
 
-    fetched = []
-    real = models_mod.ModelFamily.spectrum
+    fetched, built = [], []
+    real, init = models_mod.ModelFamily.levels_at, spectrum_mod.Spectrum.__init__
 
     def counting(self, planck, lambda_min):
         fetched.append(planck)
         return real(self, planck, lambda_min)
 
-    monkeypatch.setattr(models_mod.ModelFamily, "spectrum", counting)
+    monkeypatch.setattr(models_mod.ModelFamily, "levels_at", counting)
+    monkeypatch.setattr(spectrum_mod.Spectrum, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
     hs = [0.5, 1.0, 2.0, 4.0]
     reports = check_c41_and_props(homogeneous_family(4.0), [1.0], hs)
-    assert fetched == hs
+    assert fetched == hs and len(built) == 1
     assert all(rep.status is not Status.VIOLATED for rep in reports)
 
 
@@ -454,7 +454,7 @@ def test_a_failed_deferred_bar_fails_the_points_that_read_it(double_well_potenti
     fam = tabulated_family(double_well_potential)
     betas, hs = [0.5, 1.0], [0.5, 1.0]
     [rows] = fam.sweep(fam.lambda_min(betas, hs), [
-        (betas, hs, lambda point: thermo_point(point.potential, point.spectrum, point.beta))])
+        (betas, hs, thermo_point)])
     assert not any(isinstance(row, dict) for row in rows)
     [rep] = run_claims(fam, ["c11"], betas, hs)
     assert rep.notes["failed_points"] == [
@@ -483,24 +483,24 @@ def test_a_failed_t31_fetch_keeps_every_report(keys):
 
 @pytest.mark.parametrize("claims", ["c11,c12,t41,c41", "c41,t41,c12,c11"])
 def test_claims_share_one_pass_per_spectrum_and_beta(claims, monkeypatch, capsys):
-    # four claims over 3 betas and 2 hs share one sweep: one rescale an h,
-    # one pass at each of the 6 points, and P4_1's 4 neighbours at each of
-    # c41's 2 points, read after the other claims' reads there, whatever the
-    # claim order; claim by claim it took 8 rescales and 28 passes
+    # four claims over 3 betas and 2 hs share one sweep: one Spectrum, the
+    # base, one pass at each of the 6 points, and P4_1's 4 neighbours at each
+    # of c41's 2 points, read after the other claims' reads there, whatever
+    # the claim order; claim by claim it took 28 passes
     import qcgibbs.cli as cli
     import qcgibbs.ensemble as ensemble_mod
-    import qcgibbs.models as models_mod
+    import qcgibbs.spectrum as spectrum_mod
 
-    passes, rescales = [], []
-    init, rescale = ensemble_mod.BoltzmannPass.__init__, models_mod.rescale
+    passes, built = [], []
+    init, build = ensemble_mod.BoltzmannPass.__init__, spectrum_mod.Spectrum.__init__
     monkeypatch.setattr(ensemble_mod.BoltzmannPass, "__init__",
                         lambda self, *args: passes.append(args) or init(self, *args))
-    monkeypatch.setattr(models_mod, "rescale",
-                        lambda *args: rescales.append(args) or rescale(*args))
+    monkeypatch.setattr(spectrum_mod.Spectrum, "__init__",
+                        lambda self, *args, **kw: built.append(args) or build(self, *args, **kw))
     assert cli.main(["verify", "--model", "homogeneous", "--nu", "4", "--claims", claims,
                      "--beta", "0.5,1,2", "--h", "0.5,1"]) == 0
     capsys.readouterr()
-    assert (len(passes), len(rescales)) == (14, 2)
+    assert (len(passes), len(built)) == (14, 1)
 
 
 def _one_by_one(family, keys, betas=None, hs=None) -> str:
@@ -531,15 +531,16 @@ def test_run_claims_equals_its_one_claim_calls(make, keys, betas, hs):
 
 
 @pytest.mark.parametrize("make, keys, error", [
-    (lambda: homogeneous_family(2.0), ["c11", "c12", "t41", "c41"], "no rescale"),
+    (lambda: homogeneous_family(2.0), ["c11", "c12", "t41", "c41"], "no scale"),
     (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["c11", "c12", "t41"],
      "no solve"),
 ], ids=["oscillator", "well"])
 def test_a_shared_sweep_fails_each_point_in_every_claim_that_lists_it(make, keys, error,
                                                                      monkeypatch):
-    # h = 0.5 fails to fetch (a rescale) or to solve (a sine basis), and every
-    # read at (beta, h) = (2, 1) fails its pass: each claim lists the points
-    # of its own grid that these serve, and rules as its own call does
+    # h = 0.5 fails its factor (phi) or its solve (a sine basis), and every
+    # read at (beta, h) = (2, 1) fails its pass (on the oscillator, the pass
+    # at lambda = beta h = 2 off the base): each claim lists the points of
+    # its own grid that these serve, and rules as its own call does
     import qcgibbs.ensemble as ensemble_mod
     import qcgibbs.models as models_mod
     from qcgibbs.errors import ResourceError, TruncationError
@@ -551,7 +552,8 @@ def test_a_shared_sweep_fails_each_point_in_every_claim_that_lists_it(make, keys
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(models_mod, "rescale", failing(models_mod.rescale, "no rescale"))
+    monkeypatch.setattr(models_mod.ModelFamily, "phi", failing(models_mod.ModelFamily.phi,
+                                                               "no scale"))
     monkeypatch.setattr(models_mod, "solve_sine_basis",
                         failing(models_mod.solve_sine_basis, "no solve"))
     init = ensemble_mod.BoltzmannPass.__init__
