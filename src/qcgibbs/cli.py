@@ -4,8 +4,8 @@ Each subcommand reads the settings COMMAND_SETTINGS names, as flags over an
 optional flat key=value config file (flags win), plus its own COMMAND_FLAGS,
 and refuses any other. One reader, read_argv, takes argv from these tables
 (no argparse), and each flag's text is parsed by its setting's parser, as a
-config value is, and a parse error names the flag or the key; an empty path
-given to --config, --levels-file or --output is refused. Usage, help and
+config value is, and a parse error (an empty path, a count or dimension
+under 1) names the flag or the key. Usage, help and
 usage errors are written from the same tables, and an unread flag is
 refused under the subcommand's usage. Relative output paths are resolved
 against QCGIBBS_OUTDIR when set. `table` and `verify` (through
@@ -64,6 +64,21 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
 
 
+def _path(text: str) -> str:
+    """A file path: not the empty one, which names the working directory."""
+    if not text:
+        raise ValueError("an empty path names no file")
+    return text
+
+
+def _positive_int(text: str) -> int:
+    """An integer of at least 1: a dimension or a level count."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be at least 1, got {n}")
+    return n
+
+
 class Setting:
     """A run setting or flag: its flag spellings, the parser of its text (a
     flag's and a config value's alike; None for a switch, which takes no
@@ -81,7 +96,7 @@ class Setting:
 # and game use 1 and verify each claim's default grid
 SETTINGS = {
     "model": Setting(("--model",), str, "box", "box, homogeneous or tabulated"),
-    "dimension": Setting(("--N",), int, 1, "coordinate dimension"),
+    "dimension": Setting(("--N",), _positive_int, 1, "coordinate dimension"),
     "lengths": Setting(("--L",), lambda text: tuple(float(x) for x in text.split(",")), (1.0,),
                        "comma list of box lengths"),
     "nu": Setting(("--nu",), float, 2.0, "power-law exponent"),
@@ -89,10 +104,10 @@ SETTINGS = {
     "table": Setting(("--table",), str, None, "x,V CSV for tabulated potentials"),
     "beta": Setting(("--beta",), _parse_grid, None, "comma list or lo:hi[:per_decade] log range"),
     "h": Setting(("--h",), _parse_grid, None, "comma list or lo:hi[:per_decade] log range"),
-    "count": Setting(("--count",), int, 10, "number of levels"),
+    "count": Setting(("--count",), _positive_int, 10, "number of levels"),
     "max_levels": Setting(("--max-levels",), int, 2_000_000),
     "format": Setting(("--format",), str, "csv", "csv or json"),
-    "output": Setting(("--output", "-o"), str),
+    "output": Setting(("--output", "-o"), _path),
     "seed": Setting(("--seed",), int, 0),
 }
 MODEL_SETTINGS = ("model", "dimension", "lengths", "nu", "mass", "table", "max_levels")
@@ -116,7 +131,7 @@ COMMAND_FLAGS = {
     "game": {
         "levels": Setting(("--levels",), lambda text: [float(x) for x in text.split(",")], None,
                           "comma list of ascending level energies, in place of the model's"),
-        "levels_file": Setting(("--levels-file",), str, None,
+        "levels_file": Setting(("--levels-file",), _path, None,
                                "file with one level per line, or the n,E output of spectrum"),
         "minors": Setting(("--minors",), int, 0, "report minor signs up to this order"),
         "ascend": Setting(("--ascend",), None, False,
@@ -130,7 +145,7 @@ def _settings(texts: dict, command: str, flags=()) -> SimpleNamespace:
     (True for a switch) where given, else its default; `given` names the
     keys `texts` holds. A parse error names the flag of a key in `flags`,
     else the config key."""
-    table = {**SETTINGS, **COMMAND_FLAGS[command]}
+    table = {**SETTINGS, **COMMAND_FLAGS[command], "config": _CONFIG}
     cfg = SimpleNamespace(**{key: s.default for key, s in table.items()}, given=set(texts))
     for key, text in texts.items():
         parse = table[key].parse
@@ -230,7 +245,7 @@ def cmd_spectrum(cfg: SimpleNamespace) -> int:
 def cmd_table(cfg: SimpleNamespace) -> int:
     fam = _build_family(cfg)
     betas, hs = cfg.beta or (1.0,), cfg.h or (1.0,)
-    [out] = fam.sweep(fam.lambda_min(betas, hs), [(betas, hs, lambda p: thermo_point(p).row)])
+    [out] = fam.sweep([(betas, hs, lambda p: thermo_point(p).row)])
     # the sweep runs h outer, the table beta outer
     cells = [c for j in range(len(betas)) for c in out[j::len(betas)]]
     failed = [c for c in cells if isinstance(c, dict)]
@@ -314,7 +329,7 @@ _COMMAND_HELP = {
     "verify": "run claim checks and emit a JSON report",
     "game": "stationary distribution, minors, ascent trace",
 }
-_CONFIG = Setting(("--config",), str, None, "flat key=value config file; flags override")
+_CONFIG = Setting(("--config",), _path, None, "flat key=value config file; flags override")
 _HELP = ("-h", "--help")
 _HELP_ROW = ("-h, --help", "show this help message and exit")
 _TOP_USAGE = "usage: qcgibbs [-h] {" + ",".join(COMMAND_SETTINGS) + "} ..."
@@ -441,21 +456,16 @@ def _no_command(argv: list[str]) -> int:
 def _merge_config(command: str, given: dict) -> SimpleNamespace:
     """The run's settings: the flag texts over the config file's keys, each
     parsed by its setting, then checked."""
-    # the empty path names the working directory
-    for key in ("config", "levels_file", "output"):
-        if given.get(key) == "":
-            raise ValueError(f"{_flag_table(command)[key].flags[0]}: an empty path names no file")
-    texts = _config_texts(Path(given["config"]).read_text(), command) if "config" in given else {}
-    texts.update(given)
-    texts.pop("config", None)
+    texts = dict(given)
+    if "config" in texts:  # the file's keys, the flags over them
+        path = _settings({"config": texts.pop("config")}, command, given).config
+        texts = {**_config_texts(Path(path).read_text(), command), **texts}
     cfg = _settings(texts, command, given)
     # basic validation shared by every command
     if not all(math.isfinite(x) and x > 0 for x in (cfg.beta or ()) + (cfg.h or ())):
         raise ValueError("beta and h grid values must be finite and positive")
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.count < 1:
-        raise ValueError("count must be at least 1")
     if cfg.max_levels < 8:
         raise ValueError("max_levels must be at least 8, the fewest levels a solve takes")
     return cfg

@@ -599,9 +599,9 @@ class ThermoPoint:
 
     @_cached
     def log_z(self) -> tuple[float, float]:
-        """log Z_q and the relative bound of Z_q."""
+        """log Z_q and the relative bound of Z_q, over Z_q held in e^+-700 (no 0/0 on underflow)."""
         log_zq = self.log_z_quantum
-        return log_zq, self._quantum(z_quantum_error) / math.exp(min(log_zq, 700.0))
+        return log_zq, self._quantum(z_quantum_error) / math.exp(min(max(log_zq, -700.0), 700.0))
 
     @_cached
     def log_s(self) -> tuple[float, float]:

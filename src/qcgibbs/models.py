@@ -10,9 +10,9 @@ for radial power laws) the entry at h = 1 is the base that every h reads:
 the levels enter only through lambda = beta phi(h), and energies carry a
 factor phi(h). Tabulated wells have none and are solved at each h.
 `ModelFamily.sweep` is the one loop through which every command reads grid
-points: given a depth and the point sets of a table or of claim checks, it
-solves a scaling family's base at that depth first, takes each h's levels
-and factor once (`levels_at`), reads each (beta, h) as one
+points: given the point sets of a table or of claim checks, it solves each
+h's levels once, at the deepest depth a set asks for there, takes each h's
+levels and factor once (`levels_at`), reads each (beta, h) as one
 ensemble.ThermoPoint, in turn by every set that lists it, and fails exactly
 the points that a failed solve, step to h or read serves (`attempt`). The
 potential alone picks the solver: closed forms for the box, the oscillator
@@ -214,29 +214,44 @@ class ModelFamily:
         spec, _ = self.levels_at(planck, lambda_min)
         return spec if spec.planck == planck else rescale(spec, planck, self.energy_exponent)
 
-    def sweep(self, lambda_min: float, sets) -> list[list]:
+    def sweep(self, sets) -> list[list]:
         """Each (betas, hs, read) set's read(ThermoPoint) at its every (beta,
         h), h outer, or {"beta", "h", "error"} where the point's solve, step
         to h or read raised NUMERICAL_ERRORS (`attempt`).
 
-        Every level is provisioned at lambda_min: a scaling family's base is
-        solved first, then each h that a set lists steps to its levels_at
-        once, in the order the sets first list it. Each (beta, h) is one
-        ThermoPoint, read by the sets that list it in the order given."""
+        Each set asks for the depth lambda_min(betas, hs) of its grid; each
+        h is solved once, first, as deep as its sets ask (a scaling family's
+        base as deep as any), and where that fails so do the asking sets'
+        points there, and the next deepest is tried. Each h then steps to its
+        levels_at once, in the order the sets first list it; each (beta, h)
+        is one ThermoPoint, read by its sets in the order given."""
+        tabulated = self.potential.kind is PotentialKind.TABULATED
         plan: dict = {}  # h -> beta -> {set: what it read at (beta, h)}
+        asks: dict = {}  # h solved (1: a scaling family's base) -> depth -> its sets
         for k, (betas, hs, _) in enumerate(sets):
+            depth = self.lambda_min(betas, hs)
             for h in map(float, hs):
+                asks.setdefault(h if tabulated else 1.0, {}).setdefault(depth, set()).add(k)
                 for beta in map(float, betas):
                     plan.setdefault(h, {}).setdefault(beta, {})[k] = None
-        base = None if self.potential.kind is PotentialKind.TABULATED \
-            else attempt(self.base_spectrum, lambda_min)
+        solved: dict = {}  # h solved -> the deepest depth solved there, tried deepest first
+        refused: dict = {}  # (h solved, set) -> the error that failed the set's depth there
+        for key, depths in asks.items():
+            for depth in sorted(depths):
+                got = attempt(self._provision, key, depth)
+                if not isinstance(got, Exception):
+                    solved[key] = depth
+                    break
+                refused.update({(key, k): got for k in depths[depth]})
         for h, at_h in plan.items():
-            got = base if isinstance(base, Exception) else attempt(self.levels_at, h, lambda_min)
+            key = h if tabulated else 1.0
+            got = attempt(self.levels_at, h, solved[key]) if key in solved else None
             for beta, read in at_h.items():
-                point = got if isinstance(got, Exception) \
-                    else ThermoPoint(self.potential, got[0], beta, h, got[1])
+                point = ThermoPoint(self.potential, got[0], beta, h, got[1]) \
+                    if isinstance(got, tuple) else got
                 for k in read:
-                    value = point if isinstance(point, Exception) else attempt(sets[k][2], point)
+                    value = refused.get((key, k)) or (point if isinstance(point, Exception)
+                                                      else attempt(sets[k][2], point))
                     read[k] = ({"beta": beta, "h": h, "error": str(value)}
                                if isinstance(value, Exception) else value)
         return [[plan[h][beta][k] for h in map(float, hs) for beta in map(float, betas)]

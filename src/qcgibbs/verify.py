@@ -20,18 +20,19 @@ holds one axis fixed takes the first value of that grid: C1_3 its h, C4_1 and
 WEHRL_S their beta, T3_1 its h. T3_1's beta, the top of its integral, takes
 the largest value instead. A fixed axis left as None is 1. run_claims
 refuses a one-value grid that a claim compares neighbours along
-(COMPARED_GRIDS) before any check runs; a direct call reports Inconclusive.
+(COMPARED_GRIDS), or one that repeats a value, before any check runs; a
+direct call reports Inconclusive.
 
 Each (beta, h) a check reads is one ensemble.ThermoPoint, the record a table
 row prints, where every comparison of the quantum side with the classical
 one, and its error bound, is formed once.
 Each check is declared in three parts: the points it reads (its grid), its
 reader of a point, and its ruling over what was read. A check called alone
-reads its points in one ModelFamily.sweep at its depth (_sweep); run_claims
-sweeps each claim's depth in turn, and claims next to each other that ask
-for the same depth share one sweep, in which each point they list is one
-ThermoPoint, read by each of them in turn. Every point is read off its own
-levels alone, at lambda = beta phi(h) off a scaling family's one base
+reads its points in one ModelFamily.sweep (_sweep), and run_claims reads
+every claim's in one, which solves each h as deep as a claim asks there: a
+report depends on which claims run together, not on their order, and each
+point they list is one ThermoPoint, read by each of them in turn. Every
+point is read off its own levels alone, at lambda = beta phi(h) off a scaling family's one base
 (P4_1's neighbours h s at lambda s^alpha; T3_1's one point is (tau, h),
 and its integrand reads each gamma at gamma phi(h) off that point's
 levels): a point whose solve, step to h or read failed reads NaN, is
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -185,21 +185,20 @@ def _claim(body):
     """A claim check from its body, a generator that yields the _Points it
     reads, is sent the rows read there (NaN at a failed point) and the
     failed points' records, and returns its reports. The check reads its
-    points alone, at its own depth; run_claims reads them with its
-    neighbours' (_sweep)."""
+    points alone, at its own depth; run_claims reads them with every other
+    claim's (_sweep)."""
 
     @functools.wraps(body)
     def check(family: ModelFamily, *args, **kwargs):
         claim = body(family, *args, **kwargs)
-        points = next(claim)
-        return _sweep(family, family.lambda_min(points.betas, points.hs), [(claim, points)])[0]
+        return _sweep(family, [(claim, next(claim))])[0]
 
     return check
 
 
-def _sweep(family: ModelFamily, lambda_min: float, claims) -> list:
+def _sweep(family: ModelFamily, claims) -> list:
     """What each (claim, points) returns, its points all read in one
-    ModelFamily.sweep at lambda_min, the depth of every claim.
+    ModelFamily.sweep, which solves each h as deep as a claim asks there.
 
     The claims that list a point read it one after another, those whose
     readers detour off it last, so that the thread's last pass serves the
@@ -207,7 +206,7 @@ def _sweep(family: ModelFamily, lambda_min: float, claims) -> list:
     claim it serves and is listed among that claim's failed points."""
     order = sorted(range(len(claims)), key=lambda k: claims[k][1].detours)
     values = dict(zip(order, family.sweep(
-        lambda_min, [(claims[k][1].betas, claims[k][1].hs, claims[k][1].read) for k in order])))
+        [(claims[k][1].betas, claims[k][1].hs, claims[k][1].read) for k in order])))
     outs = []
     for k, (claim, points) in enumerate(claims):
         failed = [v for v in values[k] if isinstance(v, dict)]
@@ -315,7 +314,7 @@ def check_c13(family: ModelFamily, betas=None, hs=None):
         with np.errstate(divide="ignore"):
             mask = gaps > 0
             slope = float(np.polyfit(np.log(betas[mask]), np.log(gaps[mask]), 1)[0]) \
-                if mask.sum() >= 2 else math.nan
+                if np.unique(betas[mask]).size >= 2 else math.nan
         reports.append(_report(claim, family, betas, [h], status, worst, ASYMPTOTIC_WINDOW, {
             "gaps": [float(g) for g in gaps],
             "final_gap": float(gaps[-1]),
@@ -553,16 +552,15 @@ COMPARED_GRIDS = {"c13": ("beta",), "t41": ("beta", "h"), "c41": ("h",), "wehrl"
 def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[VerificationReport]:
     """Run the named checks (c11, c12, c13, t31, t41, c41, wehrl) on one family,
     each over the grids given (None: its default), with the reports of each
-    check's own call. The keys are checked before any check runs: at least
-    one, each known, none twice, and each given at least two values of every
-    grid it compares neighbours along.
+    check's own call on levels as deep as the run's. The keys are checked
+    before any check runs: at least one, each known, none twice, and each
+    given two distinct values or more of every grid it compares along.
 
-    Each claim reads the levels its own call would read, solved in the order
-    given: the family keeps the deepest solve at each h, so a claim that
-    needs more depth than those before it solves anew. Consecutive claims
-    whose grids ask for the same depth (ModelFamily.lambda_min) read the
-    same levels and share one sweep (_sweep); a claim at another depth is
-    solved after that sweep."""
+    Every claim reads its points in one sweep (_sweep), which solves each h
+    once, as deep as the claims that list it ask (a scaling family's base
+    as deep as any), so no report depends on the order of the keys. Where
+    that solve fails (a cap refuses it, say), the claims that asked for its
+    depth fail their points there, and the rest are solved less deep."""
     keys = list(keys)
     expected = f"expected one of {sorted(CLAIM_CHECKS)}"
     if not keys:
@@ -574,13 +572,13 @@ def run_claims(family: ModelFamily, keys, betas=None, hs=None) -> list[Verificat
             raise ValueError(f"claim {key} is named twice")
         for axis in COMPARED_GRIDS.get(key, ()):
             grid = {"beta": betas, "h": hs}[axis]
-            if grid is not None and np.size(grid) < 2:
-                raise ValueError(
-                    f"claim {key} compares neighbouring grid points and needs at "
-                    f"least two values of --{axis}, got {np.size(grid)}")
+            values = [] if grid is None else [float(v) for v in np.atleast_1d(grid)]
+            needs = f"claim {key} compares neighbouring grid points and needs"
+            if grid is not None and len(values) < 2:
+                raise ValueError(f"{needs} at least two values of --{axis}, got {len(values)}")
+            if len(set(values)) < len(values):
+                again = next(v for v in values if values.count(v) > 1)
+                raise ValueError(f"{needs} distinct values of --{axis}, got {again:g} repeated")
     claims = [_BODIES[key](family, betas, hs) for key in keys]
-    # what each reads, before any solve, in runs of claims at one depth
-    read = [(claim, next(claim)) for claim in claims]
-    runs = itertools.groupby(read, key=lambda c: family.lambda_min(c[1].betas, c[1].hs))
-    outs = [out for lam, run in runs for out in _sweep(family, lam, list(run))]
+    outs = _sweep(family, [(claim, next(claim)) for claim in claims])
     return [r for out in outs for r in ([out] if isinstance(out, VerificationReport) else out)]

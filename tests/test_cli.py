@@ -399,20 +399,33 @@ def test_verify_takes_a_one_value_grid_from_the_config(tmp_path, capsys):
     assert (t31["grid"]["beta"], t31["grid"]["h"]) == ([0.5], [1.0])
 
 
-@pytest.mark.parametrize("claim, flags, named", [
-    ("c13", ["--beta", "0.5"], "--beta"),
-    ("t41", ["--beta", "0.5,1", "--h", "1"], "--h"),
-    ("t41", ["--beta", "0.5"], "--beta"),
-    ("c41", ["--h", "1"], "--h"),
-    ("wehrl", ["--h", "0.5"], "--h"),
-])
-def test_verify_refuses_one_point_where_a_claim_compares_points(claim, flags, named,
-                                                                capsys):
+@pytest.mark.parametrize("claim, flags, needs", [
+    ("c13", ["--beta", "0.5"], "at least two values of --beta, got 1"),
+    ("t41", ["--beta", "0.5,1", "--h", "1"], "at least two values of --h, got 1"),
+    ("t41", ["--beta", "0.5"], "at least two values of --beta, got 1"),
+    ("c41", ["--h", "1"], "at least two values of --h, got 1"),
+    ("wehrl", ["--h", "0.5"], "at least two values of --h, got 1"),
+    # a repeated value compares a point with itself
+    ("c13", ["--model", "box", "--beta", "0.5,0.5"],
+     "distinct values of --beta, got 0.5 repeated"),
+    ("t41", ["--model", "box", "--beta", "1,1", "--h", "1,2"],
+     "distinct values of --beta, got 1 repeated"),
+    ("wehrl", ["--model", "box", "--h", "0.5,0.5"],
+     "distinct values of --h, got 0.5 repeated"),
+    ("c41", ["--nu", "4", "--h", "1,1"], "distinct values of --h, got 1 repeated"),
+], ids=["c13-flags0---beta", "t41-flags1---h", "t41-flags2---beta", "c41-flags3---h",
+        "wehrl-flags4---h", "c13-repeated-beta", "t41-repeated-beta", "wehrl-repeated-h",
+        "c41-repeated-h"])
+def test_verify_refuses_one_point_where_a_claim_compares_points(claim, flags, needs,
+                                                                monkeypatch, capsys):
+    def no_solve(*args):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(models_mod.ModelFamily, "_solve", no_solve)
     code, out, err = run(["verify", "--model", "homogeneous", "--nu", "2",
                           "--claims", claim, *flags], capsys)
     assert code == EXIT_USAGE and out == ""
-    assert f"claim {claim} compares neighbouring grid points and needs at least two " \
-           f"values of {named}, got 1" in err
+    assert f"claim {claim} compares neighbouring grid points and needs {needs}" in err
 
 
 def test_verify_unknown_claim(capsys):
@@ -909,6 +922,34 @@ def test_an_empty_output_name_is_refused(command, flag, monkeypatch, capsys):
     code, out, err = run([command, "--model", "box", *flag], capsys)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: --output: an empty path names no file\n"
+
+
+@pytest.mark.parametrize("command", ["table", "spectrum", "verify --claims c11"])
+def test_an_empty_output_key_is_refused(command, tmp_path, monkeypatch, capsys):
+    # the flag's rule for the config key, named as the key, before any solve
+    def no_solve(*args):
+        raise AssertionError("a spectrum was solved")
+
+    monkeypatch.setattr(models_mod.ModelFamily, "_solve", no_solve)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output =\n")
+    code, out, err = run([*command.split(), "--model", "box", "--config", str(cfg)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: config key 'output': an empty path names no file\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_a_dimension_below_one_is_refused(n, tmp_path, capsys):
+    # as a flag and as a key, by the dimension's own rule, not as a count of
+    # lengths that fails to match it
+    code, out, err = run(["table", "--model", "box", "--N", n], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --N: must be at least 1, got {n}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dimension = {n}\n")
+    code, out, err = run(["table", "--model", "box", "--config", str(cfg)], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: config key 'dimension': must be at least 1, got {n}\n"
 
 
 def test_an_empty_config_name_is_refused(capsys):

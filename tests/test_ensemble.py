@@ -836,6 +836,7 @@ def _read_all(point):
 @pytest.mark.parametrize("name", ["box1", "oscillator", "quartic", "wedge"])
 @settings(max_examples=25, deadline=None)
 @given(beta=st.floats(1e-2, 10.0), h=st.floats(0.25, 4.0))
+@example(beta=10.0, h=4.0)  # the box's Z_q at lambda = 160 lies under the smallest float
 def test_a_point_off_the_base_equals_a_point_on_the_rescaled_levels(
         name, beta, h, box1, oscillator, quartic, wedge):
     # E_n(h) = h^a E_n(1): read at lambda = beta h^a off the base, with E_q

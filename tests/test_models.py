@@ -124,19 +124,20 @@ def test_count_depth_round_trips_through_the_count_rule(source):
 ], ids=["oscillator", "offset well"])
 def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, monkeypatch):
     # two overlapping point sets read in one sweep: each is returned what a
-    # sweep of it alone returns, the records of a failed fetch (h = 0.5) and
-    # of a failed read (beta = 4, h = 2) included
+    # sweep of it alone returns on levels as deep as the sweep's, the records
+    # of a failed fetch (h = 0.5) and of a failed read (beta = 4, h = 2)
+    # included
     from qcgibbs.errors import TruncationError
 
     def failing(real, message):
+        # the step to h = 0.5 (phi with a base) and its solve fail; the
+        # depth, lambda_min's phi at the smallest h, does not
         def call(*args):
-            if 0.5 in args[1:2]:
+            if len(args) == 3 and args[1] == 0.5:
                 raise ResourceError(message)
             return real(*args)
         return call
 
-    # the depth first: lambda_min reads phi at the smallest h, 0.5
-    lam = make().lambda_min([1.0, 2.0, 4.0], [0.5, 1.0, 2.0])
     monkeypatch.setattr(models_mod.ModelFamily, "phi",
                         failing(models_mod.ModelFamily.phi, "no scale at h=0.5"))
     monkeypatch.setattr(models_mod.ModelFamily, "_provision",
@@ -149,8 +150,17 @@ def test_a_sweep_returns_each_set_what_its_own_sweep_returns(make, fetch_error, 
 
     sets = [([1.0, 2.0], [0.5, 1.0], lambda point: point.e),
             ([2.0, 4.0], [1.0, 0.5, 2.0], z)]
-    together = make().sweep(lam, sets)
-    assert together == [make().sweep(lam, [one])[0] for one in sets]
+
+    def provisioned():
+        # h = 1 at the first set's depth, the deeper, and h = 2 at the
+        # second's, as the sweep of both solves them
+        fam = make()
+        fam.levels_at(1.0, fam.lambda_min(*sets[0][:2]))
+        fam.levels_at(2.0, fam.lambda_min(*sets[1][:2]))
+        return fam
+
+    together = make().sweep(sets)
+    assert together == [provisioned().sweep([one])[0] for one in sets]
     failed = [[(c["beta"], c["h"], c["error"]) for c in values if isinstance(c, dict)]
               for values in together]
     assert failed == [

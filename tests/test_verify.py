@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -132,6 +133,13 @@ def test_c13_single_point_is_inconclusive(oscillator):
     for rep in check_c13(oscillator, betas=[1.0 / 256.0]):
         assert rep.status is Status.INCONCLUSIVE
         assert math.isnan(rep.worst_margin)
+
+
+def test_c13_repeated_beta_fits_no_slope(box1):
+    # one distinct beta fits no line: NaN, with no RankWarning (which the
+    # warnings filter would turn into a failure)
+    z, e = check_c13(box1, [0.5, 0.5])
+    assert math.isnan(z.notes["loglog_slope"]) and math.isnan(e.notes["loglog_slope"])
 
 
 def test_c13_self_comparison_is_identity(box1):
@@ -453,8 +461,7 @@ def test_a_failed_deferred_bar_fails_the_points_that_read_it(double_well_potenti
     monkeypatch.setattr(models_mod, "solve_sine_basis", solve_with_failing_bars)
     fam = tabulated_family(double_well_potential)
     betas, hs = [0.5, 1.0], [0.5, 1.0]
-    [rows] = fam.sweep(fam.lambda_min(betas, hs), [
-        (betas, hs, thermo_point)])
+    [rows] = fam.sweep([(betas, hs, thermo_point)])
     assert not any(isinstance(row, dict) for row in rows)
     [rep] = run_claims(fam, ["c11"], betas, hs)
     assert rep.notes["failed_points"] == [
@@ -514,20 +521,129 @@ def _one_by_one(family, keys, betas=None, hs=None) -> str:
     return reports_to_json(reports)
 
 
-@pytest.mark.parametrize("make, keys, betas, hs", [
-    (lambda: homogeneous_family(4.0), ["c13", "c11"], None, None),
-    (lambda: homogeneous_family(4.0), ["c11", "c13"], None, None),
-    # wehrl's beta, 2, is shallower than c11's smallest, 0.5
+def _nu4_at_c11_depth():
+    """x^4 with its base solved at C1_1's default depth, deeper than C1_3's."""
+    from qcgibbs.verify import default_beta_grid, default_h_grid
+
+    fam = homogeneous_family(4.0)
+    fam.base_spectrum(fam.lambda_min(default_beta_grid(), default_h_grid()))
+    return fam
+
+
+def _well_at_c11_depth():
+    """The seed-0 well solved at C1_1's depth, its smallest beta 0.5, at
+    each h; wehrl's beta, 2, is shallower."""
+    fam = tabulated_family(load_tabulated_csv(SEED0_WELL))
+    for h in (1.0, 0.5, 0.25):
+        fam.levels_at(h, 0.5)
+    return fam
+
+
+@pytest.mark.parametrize("make, keys, betas, hs, provisioned", [
+    (lambda: homogeneous_family(4.0), ["c13", "c11"], None, None, _nu4_at_c11_depth),
+    (lambda: homogeneous_family(4.0), ["c11", "c13"], None, None, _nu4_at_c11_depth),
     (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["c11", "wehrl"],
-     [2.0, 0.5], [1.0, 0.5, 0.25]),
+     [2.0, 0.5], [1.0, 0.5, 0.25], _well_at_c11_depth),
     (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)), ["wehrl", "c11"],
-     [2.0, 0.5], [1.0, 0.5, 0.25]),
+     [2.0, 0.5], [1.0, 0.5, 0.25], _well_at_c11_depth),
 ], ids=["nu4-c13-c11", "nu4-c11-c13", "well-c11-wehrl", "well-wehrl-c11"])
-def test_run_claims_equals_its_one_claim_calls(make, keys, betas, hs):
-    # each claim is served the levels its own call reads after the claims
-    # before it, whatever depth each needs, and shares only those
+def test_run_claims_equals_its_one_claim_calls(make, keys, betas, hs, provisioned):
+    # each claim is served the levels of the run's deepest depth at each h,
+    # whatever the order: its own call on a family provisioned there
     assert reports_to_json(run_claims(make(), keys, betas, hs)) == \
-        _one_by_one(make(), keys, betas, hs)
+        _one_by_one(provisioned(), keys, betas, hs)
+
+
+# every claim that reads the family, on grids whose depths differ: T3_1's
+# (tau phi(h) = 0.002) is the deepest, C1_3's (h = 1) the shallowest
+_EVERY_CLAIM = {
+    "nu4": (lambda: homogeneous_family(4.0), ["c11", "c12", "c13", "t31", "t41", "c41", "wehrl"]),
+    "box": (lambda: box_family(1.0), ["c11", "c12", "c13", "t31", "t41", "wehrl"]),
+    "well": (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)),
+             ["c11", "c12", "c13", "t31", "t41", "wehrl"]),
+}
+_IN_NAMED_ORDER: dict = {}
+
+
+def _json_by_claim(reports) -> dict:
+    return {rep.claim_id.value: reports_to_json([rep]) for rep in reports}
+
+
+@pytest.mark.parametrize("name", sorted(_EVERY_CLAIM))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_report_does_not_depend_on_the_claim_order(name, data):
+    make, keys = _EVERY_CLAIM[name]
+    betas, hs = [0.5, 1.0, 2.0], [1.0, 0.5]
+    if name not in _IN_NAMED_ORDER:
+        _IN_NAMED_ORDER[name] = _json_by_claim(run_claims(make(), keys, betas, hs))
+    order = data.draw(st.permutations(keys))
+    assert _json_by_claim(run_claims(make(), order, betas, hs)) == _IN_NAMED_ORDER[name]
+
+
+_README_ORDER = "c11,c12,c13,t31,t41,wehrl"
+
+
+@pytest.mark.parametrize("argv, solves", [
+    *((["--model", "homogeneous", "--nu", "4", "--claims", ",".join(order)], 1)
+      for order in itertools.permutations(["wehrl", "c11", "c13"])),
+    *((["--model", "tabulated", "--table", str(SEED0_WELL), "--claims", claims], 18)
+      for claims in (_README_ORDER, ",".join(reversed(_README_ORDER.split(","))))),
+], ids=[*(f"nu4-{'-'.join(o)}" for o in itertools.permutations(["wehrl", "c11", "c13"])),
+        "well-readme-order", "well-reversed"])
+def test_a_run_solves_each_h_once(argv, solves, monkeypatch, capsys):
+    # the levels an h reads are solved once, at the deepest depth among the
+    # claims that list it, whatever their order: x^4's one base, at C1_1's
+    # default depth, and the seed-0 well at each of its 18 hs (claim by
+    # claim, x^4 took 2 bases in some orders, the well 19 or 20 solves)
+    import qcgibbs.cli as cli
+    import qcgibbs.models as models_mod
+    import qcgibbs.spectrum as spectrum_mod
+
+    solved, built = [], []
+    solve, init = models_mod.ModelFamily._solve, spectrum_mod.Spectrum.__init__
+    monkeypatch.setattr(models_mod.ModelFamily, "_solve",
+                        lambda self, *args: solved.append(args) or solve(self, *args))
+    monkeypatch.setattr(spectrum_mod.Spectrum, "__init__",
+                        lambda self, *args, **kw: built.append(args) or init(self, *args, **kw))
+    assert cli.main(["verify", *argv]) == 0
+    capsys.readouterr()
+    assert (len(solved), len(built)) == (solves, solves)
+    assert len({h for h, _ in solved}) == solves
+
+
+@pytest.mark.parametrize("make, attempts", [
+    (lambda: homogeneous_family(2.0), [(1.0, 0.002), (1.0, 0.5)]),
+    (lambda: tabulated_family(load_tabulated_csv(SEED0_WELL)),
+     [(1.0, 0.002), (1.0, 1.0), (0.5, 1.0), (2.0, 1.0)]),
+], ids=["oscillator", "well"])
+@pytest.mark.parametrize("keys", [["c11", "t31"], ["t31", "c11"]])
+def test_a_failed_deepest_solve_fails_only_its_claim(make, attempts, keys, monkeypatch):
+    # T3_1's depth, tau phi(1) = 0.002, is the deepest: its solve fails, and
+    # fails T3_1's one point alone; the next deepest, C1_1's, is tried once
+    # (at each h on the well), and C1_1 rules as its own call does
+    import qcgibbs.models as models_mod
+    from qcgibbs.errors import AccuracyError
+
+    tried, solve = [], models_mod.ModelFamily._solve
+
+    def failing(self, planck, lambda_min):
+        tried.append((planck, lambda_min))
+        if lambda_min < 0.01:
+            raise AccuracyError(f"no solve at lambda={lambda_min:g}")
+        return solve(self, planck, lambda_min)
+
+    monkeypatch.setattr(models_mod.ModelFamily, "_solve", failing)
+    betas, hs = [1.0, 2.0], [1.0, 0.5, 2.0]
+    alone = reports_to_json([check_c11(make(), betas, hs)])
+    tried.clear()
+    reports = {rep.claim_id: rep for rep in run_claims(make(), keys, betas, hs)}
+    assert tried == attempts
+    assert reports_to_json([reports[ClaimId.C1_1]]) == alone
+    t31 = reports[ClaimId.T3_1]
+    assert t31.notes["failed_points"] == [
+        {"beta": 0.002, "h": 1.0, "error": "no solve at lambda=0.002"}]
+    assert t31.status is Status.INCONCLUSIVE and math.isnan(t31.worst_margin)
 
 
 @pytest.mark.parametrize("make, keys, error", [
