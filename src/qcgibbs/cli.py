@@ -304,18 +304,22 @@ def cmd_game(cfg: SimpleNamespace) -> int:
              f"F = {fmt17(gibbs.log_z)}", f"E = {fmt17(gibbs.e_q)}",
              f"S = {fmt17(gibbs.s_q)}"]
     if cfg.minors:
+        same = np.flatnonzero(np.diff(spec.levels) == 0.0)
+        if same.size:  # principal_minor_signs refuses them too, naming neither
+            i, e = int(same[0]) + 1, fmt17(spec.levels[same[0]])
+            raise ValueError(f"--minors needs distinct levels: E_{i} = E_{i + 1} = {e}")
         signs = game_mod.principal_minor_signs(spec.levels, -beta, cfg.minors)
         lines.append("minor_signs = " + ",".join("+" if s > 0 else "-" for s in signs))
-    sys.stdout.write("\n".join(lines) + "\n")
-    if cfg.ascend:
+    if cfg.ascend:  # before stdout: a refused or failed ascent leaves it empty
         rng = np.random.default_rng(cfg.seed)
         start = np.exp(rng.uniform(-1.0, 1.0, size=spec.count))
         result = game_mod.ascend(spec.levels, -beta, start)
-        sys.stdout.write(f"ascent_iterations = {result.iterations}\n")
+        lines.append(f"ascent_iterations = {result.iterations}")
         out = _resolve_output(cfg.output)
         if out is not None:
             out.parent.mkdir(parents=True, exist_ok=True)
             game_mod.trace_to_csv(result.trace, out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

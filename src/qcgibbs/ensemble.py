@@ -14,6 +14,8 @@ another, with no read at another (spectrum, beta) between them.
 ThermoPoint, the one record of a (beta, h), reads through them, once and on
 first use, what a table row prints and what a claim check compares: off a
 scaling family's base at lambda = beta h^a, with E_q and its bar times h^a.
+A ThermoPoint keeps its own pass, and hands it to the thread's slot before
+each read, so its reads share one pass whatever is weighed between them.
 Classical quantities are closed forms for box wells and for power-law
 potentials, where Z_c = (2 pi m / beta)^(N/2) S_N Gamma(N/nu) / (nu beta^(N/nu))
 and E_c = N (2 + nu) / (2 nu beta) are exact and Z_c carries a derived
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import AccuracyError, IntegrabilityError, TruncationError
 from .potential import Potential, PotentialKind, volume
 from .spectrum import Spectrum, log_tail_bound
-from .util import LGAMMA_EPS, fmt17, json_text, logsumexp
+from .util import LGAMMA_EPS, first_read, fmt17, json_text, logsumexp
 
 TAIL_RTOL = 1e-10
 
@@ -48,22 +50,6 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 # a table's Z_q and (2 pi h)^N Z_q are exp of a log inside this range
 _LOG_RANGE = (math.log(_TINY), math.log(float(np.finfo(float).max)))
-
-
-class _cached:
-    """A property computed on first read and kept on the instance. It takes
-    no lock, and its first read costs about half that of Python 3.11's
-    functools.cached_property (225 vs 483 ns on Python 3.11.7, one Xeon
-    core)."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 # a pass weighs the levels with beta (E_n - E_2) <= WEIGHT_CUT: each level
@@ -116,16 +102,16 @@ class BoltzmannPass:
         self.log_omitted = (-math.inf if k == levels.size else
                             math.log(levels.size - k) - beta * float(levels[k] - self.e0))
 
-    @_cached
+    @first_read
     def e_shift(self) -> float:
         """E_q - E_1."""
         return float((self.d * self.w).sum()) / self.sw
 
-    @_cached
+    @first_read
     def e_q(self) -> float:
         return self.e0 + self.e_shift
 
-    @_cached
+    @first_read
     def p(self) -> np.ndarray:
         """The Gibbs probabilities P_n = w_n / sum w over every level, left
         0.0 from beta (E_n - E_1) = 746 on, where exp gives 0.0."""
@@ -135,7 +121,7 @@ class BoltzmannPass:
         p[:j] = np.exp(-self.beta * (levels[:j] - self.e0)) / self.sw
         return p
 
-    @_cached
+    @first_read
     def omitted_bar(self) -> float:
         """The largest level bar past the cut times (M - k) w_k, or 0."""
         errs, k = self.spectrum.level_errors, self.w.size
@@ -143,7 +129,7 @@ class BoltzmannPass:
             return 0.0
         return float(errs[k:].max()) * math.exp(self.log_omitted)
 
-    @_cached
+    @first_read
     def bars(self) -> float:
         """sum err_n w_n over the weighed levels plus omitted_bar, or 0."""
         errs = self.spectrum.level_errors
@@ -151,7 +137,7 @@ class BoltzmannPass:
             return 0.0
         return float((errs[:self.w.size] * self.w).sum()) + self.omitted_bar
 
-    @_cached
+    @first_read
     def s_q(self) -> float:
         p = self.w / self.sw
         # 0.0 - x, not -x: a sum of zeros (every excited weight underflowed)
@@ -175,20 +161,20 @@ class BoltzmannPass:
         past = self.log_w0 + self.log_omitted + power * math.log(spec.levels[k])
         return float(np.logaddexp(fitted, past))
 
-    @_cached
+    @first_read
     def log_tail(self) -> float:
         return self._log_tail(0)
 
-    @_cached
+    @first_read
     def log_wtail(self) -> float:
         return self._log_tail(1)
 
-    @_cached
+    @first_read
     def z_err(self) -> float:
         err = math.exp(self.log_tail) if self.log_tail > -700.0 else 0.0
         return err + self.beta * self.bars * math.exp(max(-self.beta * self.e0, -700.0))
 
-    @_cached
+    @first_read
     def e_err(self) -> float:
         err = math.exp(min(self.log_wtail - self.log_z, 50.0)) + self.e_q * math.exp(
             min(self.log_tail - self.log_z, 50.0)
@@ -202,7 +188,7 @@ class BoltzmannPass:
                 err += self.omitted_bar * (1.0 + self.beta * (levels[k] - self.e_q)) / self.sw
         return err
 
-    @_cached
+    @first_read
     def s_err(self) -> float:
         z_lin = math.exp(max(-self.beta * self.e0, -700.0)) * self.sw
         return self.beta * self.e_err + self.z_err / z_lin
@@ -507,10 +493,11 @@ class ThermoPoint:
     quantum quantity is read at lam = beta scale, E_q and its bar times scale.
     Each value is read on first use through the public readers above (a
     method body does not see the class namespace, so a property named after
-    a reader calls the reader), and a reader's gate raises at the first read
-    that needs it. The comparisons z, e and s are (gap, bound, reference),
-    log_z and log_s (value, bound); within each, the quantum value is read
-    before the classical one and the error terms last.
+    a reader calls the reader), each off the point's one pass (gibbs), and a
+    reader's gate raises at the first read that needs it. The comparisons z,
+    e and s are (gap, bound, reference), log_z and log_s (value, bound);
+    within each, the quantum value is read before the classical one and the
+    error terms last.
     """
 
     def __init__(self, potential: Potential, spectrum: Spectrum, beta: float, planck: float,
@@ -519,45 +506,52 @@ class ThermoPoint:
         self.planck, self.scale, self.lam = planck, scale, beta * scale
         self.dimension = potential.dimension
 
-    def _quantum(self, reader):
-        """reader(spectrum, lam), an overflow of its pass named at the point's beta."""
+    @first_read
+    def gibbs(self) -> BoltzmannPass:
+        """The point's one BoltzmannPass at lam, an overflow named at its beta."""
         try:
-            return reader(self.spectrum, self.lam)
+            return boltzmann_pass(self.spectrum, self.lam)
         except FloatingPointError:
             raise FloatingPointError(
                 f"beta E_n leaves the double range at beta={self.beta:g}") from None
 
-    @_cached
+    def _quantum(self, reader):
+        """reader(spectrum, lam), which finds the point's own pass in the
+        thread's slot, whatever the thread weighed in between."""
+        _LAST_PASS.m = self.gibbs
+        return reader(self.spectrum, self.lam)
+
+    @first_read
     def log_z_quantum(self) -> float:
         return self._quantum(log_z_quantum)[0]
 
-    @_cached
+    @first_read
     def z_quantum(self) -> float:
         return self._quantum(z_quantum)[0]
 
-    @_cached
+    @first_read
     def log_zq_scaled(self) -> float:
         """log((2 pi h)^N Z_q)."""
         return self.dimension * math.log(2.0 * math.pi * self.planck) + self.log_z_quantum
 
-    @_cached
+    @first_read
     def zq_scaled(self) -> float:
         """(2 pi h)^N Z_q, the quantity comparable to Z_c."""
         return math.exp(self.log_zq_scaled)
 
-    @_cached
+    @first_read
     def e_quantum(self) -> float:
         return self.scale * self._quantum(mean_energy_quantum)
 
-    @_cached
+    @first_read
     def e_quantum_error(self) -> float:
         return self.scale * self._quantum(mean_energy_quantum_error)
 
-    @_cached
+    @first_read
     def s_quantum(self) -> float:
         return self._quantum(entropy_quantum)
 
-    @_cached
+    @first_read
     def zc(self) -> tuple[float, float]:
         """(Z_c, error bound)."""
         return z_classical(self.potential, self.beta)
@@ -566,16 +560,16 @@ class ThermoPoint:
     def z_classical(self) -> float:
         return self.zc[0]
 
-    @_cached
+    @first_read
     def e_classical(self) -> float:
         return mean_energy_classical(self.potential, self.beta)
 
-    @_cached
+    @first_read
     def s_classical(self) -> float:
         return _s_classical(self.potential, self.beta, self.planck, self.z_classical,
                             self.e_classical)
 
-    @_cached
+    @first_read
     def z(self) -> tuple[float, float, float]:
         """Z_c - (2 pi h)^N Z_q, with Z_c as reference."""
         zq = self.z_quantum
@@ -584,26 +578,26 @@ class ThermoPoint:
         zq_err = self._quantum(z_quantum_error)
         return zc - scale * zq, scale * zq_err + zc_err + 64.0 * _EPS * zc, zc
 
-    @_cached
+    @first_read
     def e(self) -> tuple[float, float, float]:
         """E_q - E_c, with E_c as reference."""
         eq, ec = self.e_quantum, self.e_classical
         return eq - ec, self.e_quantum_error + 1e-13 * abs(ec), ec
 
-    @_cached
+    @first_read
     def s(self) -> tuple[float, float, float]:
         """S_q - S_c, with S_c as reference."""
         sq, sc = self.s_quantum, self.s_classical
         zc, zc_err = self.zc
         return sq - sc, self._quantum(entropy_quantum_error) + zc_err / zc, sc
 
-    @_cached
+    @first_read
     def log_z(self) -> tuple[float, float]:
         """log Z_q and the relative bound of Z_q, over Z_q held in e^+-700 (no 0/0 on underflow)."""
         log_zq = self.log_z_quantum
         return log_zq, self._quantum(z_quantum_error) / math.exp(min(max(log_zq, -700.0), 700.0))
 
-    @_cached
+    @first_read
     def log_s(self) -> tuple[float, float]:
         """log S_q, which stays meaningful where ground-state domination pushes
         S_q under the smallest positive float, and its bound: S_q depends on
@@ -613,8 +607,7 @@ class ThermoPoint:
         err = 1e-12 * (1.0 + abs(value))
         errs = self.spectrum.level_errors
         if errs is not None:
-            m = boltzmann_pass(self.spectrum, self.lam)
-            err += self.lam * (float(errs[:2].sum()) + m.bars / m.sw)
+            err += self.lam * (float(errs[:2].sum()) + self.gibbs.bars / self.gibbs.sw)
         return value, err
 
     @property

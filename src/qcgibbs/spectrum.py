@@ -45,7 +45,7 @@ from .errors import (
 )
 from .lapack import banded_eigenvalues, blas_threads, map_solves, tridiagonal_lowest
 from .potential import Potential, PotentialKind
-from .util import fmt17, log_upper_gamma, usable_cpus
+from .util import first_read, fmt17, log_upper_gamma, usable_cpus
 
 
 class SpectrumSource(enum.Enum):
@@ -57,21 +57,6 @@ class SpectrumSource(enum.Enum):
     SINE_BASIS = "sine_basis"
     RESCALED = "rescaled"
     GIVEN = "given"
-
-
-class _DeferredBars:
-    """Spectrum.level_errors where the solver gave a computation: it runs on
-    the first read, and its checked result is kept on the instance, which
-    shadows this non-data descriptor (as ensemble._cached), so later reads
-    and spectra given an array read a plain attribute. Read off the class
-    it is None, the constructor's default. Threads that read at once may
-    each run the computation; they store the same bars."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None
-        obj.level_errors = errs = _checked_bars(obj._solve_bars(), obj.levels)
-        return errs
 
 
 def _checked_bars(errs, levels: np.ndarray) -> np.ndarray:
@@ -97,11 +82,9 @@ class Spectrum:
                    reads bars, so tables, spectra and the game never solve
                    them).
     tail_model   : (gamma, C) of the fitted growth law E_n ~ C n^gamma, used to
-                   bound the omitted tail; fitted from the top quartile when at
-                   least 8 levels are present.
+                   bound the omitted tail; fitted from the top quartile on its
+                   first read, None under 8 levels.
     """
-
-    level_errors = _DeferredBars()
 
     def __init__(
         self,
@@ -109,7 +92,6 @@ class Spectrum:
         planck: float,
         source: SpectrumSource,
         level_errors: np.ndarray | Callable[[], np.ndarray] | None = None,
-        tail_model: tuple[float, float] | None = None,
     ) -> None:
         levels = np.asarray(levels, dtype=float)
         if levels.ndim != 1 or levels.size < 1:
@@ -125,13 +107,19 @@ class Spectrum:
         levels.setflags(write=False)
         self.levels, self.planck, self.source = levels, planck, source
         if callable(level_errors):
-            self._solve_bars = level_errors  # _DeferredBars reads it
+            self._solve_bars = level_errors
         else:
             self.level_errors = (None if level_errors is None
                                  else _checked_bars(level_errors, levels))
-        if tail_model is None and levels.size >= 8:
-            tail_model = fit_tail_model(levels)
-        self.tail_model = tail_model
+
+    @first_read
+    def level_errors(self) -> np.ndarray:
+        """The solver's computed bars, checked (__init__ sets given ones)."""
+        return _checked_bars(self._solve_bars(), self.levels)
+
+    @first_read
+    def tail_model(self) -> tuple[float, float] | None:
+        return fit_tail_model(self.levels) if self.levels.size >= 8 else None
 
     @property
     def count(self) -> int:
@@ -732,8 +720,7 @@ def rescale(base: Spectrum, planck: float, exponent: float) -> Spectrum:
         raise FloatingPointError(
             f"levels at h={planck:g} underflow: h^{exponent:g} E_n(1) leaves the double range")
     errs = None if base.level_errors is None else base.level_errors * factor
-    tail = None if base.tail_model is None else (base.tail_model[0], base.tail_model[1] * factor)
-    return Spectrum(levels, planck, SpectrumSource.RESCALED, level_errors=errs, tail_model=tail)
+    return Spectrum(levels, planck, SpectrumSource.RESCALED, level_errors=errs)
 
 
 def log_tail_bound(spectrum: Spectrum, beta: float, power: int = 0) -> float:
@@ -745,7 +732,7 @@ def log_tail_bound(spectrum: Spectrum, beta: float, power: int = 0) -> float:
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if spectrum.count < 8 or spectrum.tail_model is None:
+    if spectrum.count < 8:
         raise ValueError("log_tail_bound needs a spectrum with at least 8 levels")
     gamma, pref = spectrum.tail_model
     if gamma <= 0.0:

@@ -31,7 +31,8 @@ reader of a point, and its ruling over what was read. A check called alone
 reads its points in one ModelFamily.sweep (_sweep), and run_claims reads
 every claim's in one, which solves each h as deep as a claim asks there: a
 report depends on which claims run together, not on their order, and each
-point they list is one ThermoPoint, read by each of them in turn. Every
+point they list is one ThermoPoint, read by each of them in turn off its
+one Boltzmann pass, however far a reader weighs off the point. Every
 point is read off its own levels alone, at lambda = beta phi(h) off a scaling family's one base
 (P4_1's neighbours h s at lambda s^alpha; T3_1's one point is (tau, h),
 and its integrand reads each gamma at gamma phi(h) off that point's
@@ -171,14 +172,13 @@ def _relative(comparison) -> tuple[float, float]:
 
 class _Points:
     """What a claim reads: every beta at every h (h outer), each point
-    through read(ThermoPoint) -> `width` floats. A reader that `detours`
-    also weighs betas off its point."""
+    through read(ThermoPoint) -> `width` floats."""
 
-    __slots__ = ("betas", "hs", "read", "width", "detours")
+    __slots__ = ("betas", "hs", "read", "width")
 
-    def __init__(self, betas, hs, read, width: int, detours: bool = False):
+    def __init__(self, betas, hs, read, width: int):
         self.betas, self.hs = np.atleast_1d(betas), np.atleast_1d(hs)
-        self.read, self.width, self.detours = read, width, detours
+        self.read, self.width = read, width
 
 
 def _claim(body):
@@ -200,17 +200,15 @@ def _sweep(family: ModelFamily, claims) -> list:
     """What each (claim, points) returns, its points all read in one
     ModelFamily.sweep, which solves each h as deep as a claim asks there.
 
-    The claims that list a point read it one after another, those whose
-    readers detour off it last, so that the thread's last pass serves the
-    rest. A point whose solve, step to h or read failed reads NaN in each
-    claim it serves and is listed among that claim's failed points."""
-    order = sorted(range(len(claims)), key=lambda k: claims[k][1].detours)
-    values = dict(zip(order, family.sweep(
-        [(claims[k][1].betas, claims[k][1].hs, claims[k][1].read) for k in order])))
+    The claims that list a point read it one after another, in the order
+    given, each off the point's one pass. A point whose solve, step to h or
+    read failed reads NaN in each claim it serves and is listed among that
+    claim's failed points."""
+    values = family.sweep([(points.betas, points.hs, points.read) for _, points in claims])
     outs = []
-    for k, (claim, points) in enumerate(claims):
-        failed = [v for v in values[k] if isinstance(v, dict)]
-        table = [(math.nan,) * points.width if isinstance(v, dict) else v for v in values[k]]
+    for (claim, points), cells in zip(claims, values):
+        failed = [v for v in cells if isinstance(v, dict)]
+        table = [(math.nan,) * points.width if isinstance(v, dict) else v for v in cells]
         try:
             claim.send((np.array(table, dtype=float).reshape(len(table), points.width), failed))
         except StopIteration as ruled:
@@ -370,7 +368,7 @@ def check_t31(family: ModelFamily, betas=None, hs=None, tau: float | None = None
         top = ThermoPoint(pot, spec, beta, point.planck, scale)
         return lhs, quad_err, *log_ratio(top), *log_ratio(point)
 
-    values, failed = yield _Points(tau, h, read, 6, detours=True)
+    values, failed = yield _Points(tau, h, read, 6)
     lhs, quad_err, top, top_err, bot, bot_err = map(float, values[0])
     rhs = top - bot
     tol = 1e-3 * max(1.0, abs(rhs))
@@ -463,7 +461,7 @@ def check_c41_and_props(family: ModelFamily, betas=None, hs=None):
             / max(abs(analytic), 1e-30),
         )
 
-    table, failed = yield _Points(beta, hs, read, 7, detours=True)
+    table, failed = yield _Points(beta, hs, read, 7)
     log_g_grid, zq_rel_err, eq_vals, eq_errs, a_vals, residuals, fd_bounds = table.T
 
     # C4_1: monotone decrease of h^N Z_q, margins on the log scale

@@ -29,7 +29,7 @@ from qcgibbs.cli import (
     read_argv,
 )
 from qcgibbs.ensemble import ThermoPoint, log_z_quantum, thermo_point, thermo_table_text
-from qcgibbs.game import principal_minor_signs
+from qcgibbs.game import ascend, principal_minor_signs, trace_to_csv
 from qcgibbs.models import homogeneous_family, tabulated_family
 from qcgibbs.potential import load_tabulated_csv, save_tabulated_csv, tabulated
 from qcgibbs.spectrum import (
@@ -599,15 +599,38 @@ def test_game_prints_levels_past_the_weight_cut(capsys):
 
 
 def test_game_ascent_trace(tmp_path, capsys):
+    # stdout is the game's lines, then the ascent's count; the trace is the
+    # ascent's own from the --seed start
     trace = tmp_path / "trace.csv"
-    code, out, _ = run(
-        ["game", "--levels", "1,2,3,4", "--beta", "0.5", "--ascend",
-         "--seed", "7", "--output", str(trace)], capsys)
+    game = ["game", "--levels", "1,2,3,4", "--beta", "0.5"]
+    plain = run(game, capsys)[1]
+    code, out, _ = run([*game, "--ascend", "--seed", "7", "--output", str(trace)], capsys)
     assert code == EXIT_OK
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "iter,F,grad_norm"
     f_col = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(b >= a for a, b in zip(f_col, f_col[1:]))
+    start = np.exp(np.random.default_rng(7).uniform(-1.0, 1.0, size=4))
+    result = ascend([1.0, 2.0, 3.0, 4.0], -0.5, start)
+    trace_to_csv(result.trace, tmp_path / "direct.csv")
+    assert out == plain + f"ascent_iterations = {result.iterations}\n"
+    assert trace.read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--levels", "1,1000", "--beta", "1", "--ascend"],
+     "error: ascend needs lam (E_max - E_min) >= -700, "),
+    (["--model", "box", "--N", "2", "--h", "1", "--beta", "0.5", "--minors", "3"],
+     "error: --minors needs distinct levels: E_2 = E_3 = 24.674011002723397\n"),
+    (["--levels", "1,2,2,3", "--beta", "1", "--minors", "1"],
+     "error: --minors needs distinct levels: E_2 = E_3 = 2\n"),
+], ids=["ascent", "square box", "repeated level"])
+def test_a_refused_game_writes_nothing(argv, err, capsys):
+    # the ascent and the minors run before any line is written, and a
+    # degenerate level set is named with the flag that needs it distinct
+    code, out, got = run(["game", *argv], capsys)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert got.startswith(err)
 
 
 def test_game_refuses_an_empty_levels_file(tmp_path, capsys):

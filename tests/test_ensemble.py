@@ -785,6 +785,27 @@ def test_thermo_point_makes_one_weight_pass(monkeypatch):
     assert built == [0.7, 1.3]
 
 
+def test_a_point_keeps_its_pass_across_a_read_elsewhere(quartic, monkeypatch):
+    # a read at another lambda between a point's reads, as P4_1's neighbour
+    # sums make, weighs that lambda once and the point's own lambda once
+    built = []
+
+    class CountingPass(ensemble.BoltzmannPass):
+        def __init__(self, spectrum, beta):
+            built.append(beta)
+            super().__init__(spectrum, beta)
+
+    base, scale = quartic.base_spectrum(0.05), 0.1
+    boltzmann_pass(base, 1.0)  # the thread's slot holds no pass at lambda 0.05
+    monkeypatch.setattr(ensemble, "BoltzmannPass", CountingPass)
+    pt = ensemble.ThermoPoint(quartic.potential, base, 0.5,
+                              scale ** (1.0 / quartic.energy_exponent), scale)
+    pt.z
+    log_z_quantum(base, 1.1 * pt.lam)
+    pt.e, pt.log_s
+    assert built == [pt.lam, 1.1 * pt.lam]
+
+
 @pytest.mark.parametrize("reader", [
     log_z_quantum, z_quantum, mean_energy_quantum, entropy_quantum, log_entropy_quantum,
     z_quantum_error, mean_energy_quantum_error, entropy_quantum_error,

@@ -15,6 +15,7 @@ from qcgibbs import (
     SpectrumSource,
     TailModelError,
     box,
+    box_family,
     fd_eigenvalues,
     homogeneous,
     homogeneous_family,
@@ -34,6 +35,7 @@ from qcgibbs import (
 import qcgibbs.spectrum as spectrum_mod
 from qcgibbs.spectrum import (
     SINE_BASIS_MAX_STATES,
+    fit_tail_model,
     log_tail_bound,
     read_levels,
     sine_basis_level_cap,
@@ -813,6 +815,24 @@ def test_tail_model_rejects_flat_spectrum():
     spec = Spectrum(np.ones(16), 1.0, SpectrumSource.ANALYTIC_BOX)
     with pytest.raises(TailModelError):
         log_tail_bound(spec, 1.0)
+
+
+def test_the_tail_law_is_fitted_on_its_first_read():
+    spec = solve_box(1, [1.0], count=50)
+    assert "tail_model" not in vars(spec)
+    log_tail_bound(spec, 1.0)
+    assert vars(spec)["tail_model"] == fit_tail_model(spec.levels)
+    assert solve_box(1, [1.0], count=7).tail_model is None
+
+
+@pytest.mark.parametrize("family", ["quartic", "wedge", "box 1 x 1.3"])
+def test_a_rescaled_tail_law_is_the_scaled_base_law(family, request):
+    # refitted from the rescaled levels, (gamma, C h^a) up to rounding
+    fam = box_family([1.0, 1.3]) if family.startswith("box") else request.getfixturevalue(family)
+    base, a = fam.base_spectrum(0.5), fam.energy_exponent
+    gamma, pref = base.tail_model
+    for h in (0.3, 0.7, 2.5):
+        assert rescale(base, h, a).tail_model == pytest.approx((gamma, pref * h**a), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -488,12 +488,12 @@ def test_a_failed_t31_fetch_keeps_every_report(keys):
     assert math.isnan(t31.worst_margin) and math.isnan(t31.notes["lhs"])
 
 
-@pytest.mark.parametrize("claims", ["c11,c12,t41,c41", "c41,t41,c12,c11"])
+@pytest.mark.parametrize("claims", ["c11,c12,t41,c41", "c41,t41,c12,c11", "c41,c11,c12,t41"])
 def test_claims_share_one_pass_per_spectrum_and_beta(claims, monkeypatch, capsys):
     # four claims over 3 betas and 2 hs share one sweep: one Spectrum, the
-    # base, one pass at each of the 6 points, and P4_1's 4 neighbours at each
-    # of c41's 2 points, read after the other claims' reads there, whatever
-    # the claim order; claim by claim it took 28 passes
+    # base, one pass at each of the 6 points, which each point keeps, and
+    # P4_1's 4 neighbours at each of c41's 2 points, whatever the claim
+    # order; claim by claim it took 28 passes
     import qcgibbs.cli as cli
     import qcgibbs.ensemble as ensemble_mod
     import qcgibbs.spectrum as spectrum_mod
